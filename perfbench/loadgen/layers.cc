@@ -25,6 +25,8 @@ using tcdp::net::MsgType;
 /// Share of --seconds each traced-run phase (untraced, then traced) runs.
 constexpr double kPhaseShare = 0.25;
 constexpr std::size_t kTraceCapacity = 1u << 19;
+/// Keep every n-th query report of the traced phase for verification.
+constexpr std::size_t kVerifyEvery = 64;
 /// Caps on the captured inputs the in-process timings replay.
 constexpr std::size_t kMaxReplayReleases = 50000;
 constexpr std::size_t kMaxBankReleases = 2000;
@@ -484,7 +486,7 @@ StatusOr<ServeSummary> ParseServeSummary(const std::string& text) {
 
 StatusOr<RunOutcome> RunTraced(const Workload& workload,
                                const RunContext& ctx) {
-  const Inputs inputs = MakeInputs(workload, ctx.seed);
+  const Inputs inputs = MakeInputs(workload);
   RunOutcome outcome;
 
   // 1. The untraced comparison run: the p50 the trace overhead is
@@ -520,8 +522,8 @@ StatusOr<RunOutcome> RunTraced(const Workload& workload,
   tcdp::net::WireServiceStats stats_before;
   TCDP_ASSIGN_OR_RETURN(
       const ReferenceRun run,
-      RunReference(workload, ctx, &served, &mix, ctx.seconds * kPhaseShare, 0,
-                   [&]() {
+      RunReference(workload, ctx, &served, &mix, ctx.seconds * kPhaseShare,
+                   kVerifyEvery, [&]() {
                      TCDP_ASSIGN_OR_RETURN(metrics_before,
                                            ScrapeMetrics(served.raw[0]));
                      TCDP_ASSIGN_OR_RETURN(stats_before,
@@ -547,6 +549,16 @@ StatusOr<RunOutcome> RunTraced(const Workload& workload,
   CollectLatencies(run.probe, &traced);
   outcome.attempted = untraced.attempted + traced.attempted;
   outcome.failed = untraced.failed + traced.failed;
+  // Sampled reports of the traced phases against TplAccountant.
+  tcdp::TemporalLossCache verify_cache;
+  for (const PhaseResult* phase : {&run.reference, &run.probe}) {
+    for (const tcdp::server::UserReport& report : phase->reports) {
+      ++outcome.attempted;
+      if (!VerifyReport(workload, inputs, report, &verify_cache)) {
+        ++outcome.failed;
+      }
+    }
+  }
   Latencies ref_only;
   CollectLatencies(run.reference, &ref_only);
   const double traced_p50 = Median(ref_only.release_ms);
@@ -605,7 +617,9 @@ StatusOr<RunOutcome> RunTraced(const Workload& workload,
   outcome.metrics = {
       {"gen.late_p99_ms", Quantile(traced.late_ms, 0.99), "ms"},
       {"gen.achieved_rps", achieved, "req/s"},
+      {"gen.release_p50_ms", untraced_p50, "ms"},
       {"gen.release_p99_ms", P99(untraced.release_ms), "ms"},
+      {"gen.query_p50_ms", Median(untraced.query_ms), "ms"},
       {"gen.commit_p50_ms", Median(untraced.commit_ms), "ms"},
       {"net.encode_ns_per_frame", net.encode_ns, "ns"},
       {"net.decode_ns_per_frame", net.decode_ns, "ns"},

@@ -16,7 +16,6 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <utility>
 
 #include "bench/env.h"
 #include "layers.h"
@@ -64,9 +63,6 @@ StatusOr<Args> ParseArgs(int argc, char** argv) {
   }
   return args;
 }
-
-constexpr double kMaxStealFrac = 0.03;
-constexpr int kMaxAttempts = 2;
 
 /// Removes the run's scratch directory however the run ends.
 struct ScratchDir {
@@ -127,21 +123,6 @@ std::string JsonString(const std::string& text) {
     }
   }
   return out + "\"";
-}
-
-/// (steal, total) jiffies of the host's aggregate CPU line.
-std::pair<double, double> CpuSteal() {
-  std::ifstream in("/proc/stat");
-  std::string cpu;
-  double value = 0.0;
-  double total = 0.0;
-  double steal = 0.0;
-  in >> cpu;
-  for (int field = 0; field < 8 && (in >> value); ++field) {
-    total += value;
-    if (field == 7) steal = value;
-  }
-  return {steal, total};
 }
 
 /// Provenance of the numbers: host, kernel, log-dir filesystem, build,
@@ -210,51 +191,29 @@ int main(int argc, char** argv) {
                  workload.status().ToString().c_str());
     return 2;
   }
-  // A measured run during which the hypervisor stole more than
-  // kMaxStealFrac of the CPU timed the host, not the server: it is run
-  // once more from scratch and the quieter attempt is reported.
-  RunOutcome best;
-  double best_steal = 2.0;
-  std::string log_fs = "unknown";
-  const int attempts = args->trace ? 1 : kMaxAttempts;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    ScratchDir scratch{args->work_dir + "/run-" + std::to_string(::getpid()) +
-                       "-" + std::to_string(attempt)};
-    std::error_code ec;
-    fs::remove_all(scratch.path, ec);
-    fs::create_directories(scratch.path, ec);
-    if (ec) {
-      std::fprintf(stderr, "loadgen: cannot create %s\n",
-                   scratch.path.c_str());
-      return 1;
-    }
-    RunContext ctx;
-    ctx.tcdp = args->tcdp;
-    ctx.dir = scratch.path;
-    ctx.seed = args->seed;
-    ctx.seconds = args->seconds;
-    const auto steal_before = CpuSteal();
-    auto outcome = args->trace ? RunTraced(*workload, ctx)
-                               : RunMeasured(*workload, ctx);
-    if (!outcome.ok()) {
-      std::fprintf(stderr, "loadgen: %s\n",
-                   outcome.status().ToString().c_str());
-      return 1;
-    }
-    const auto steal_after = CpuSteal();
-    const double ticks = steal_after.second - steal_before.second;
-    const double steal =
-        ticks > 0 ? (steal_after.first - steal_before.first) / ticks : 0.0;
-    log_fs = FsType(scratch.path);
-    if (steal < best_steal) {
-      best = std::move(*outcome);
-      best_steal = steal;
-    }
-    if (steal <= kMaxStealFrac) break;
-    std::fprintf(stderr, "perfbench: host stole %.1f%% of the CPU\n",
-                 steal * 100);
+  ScratchDir scratch{args->work_dir + "/run-" + std::to_string(::getpid())};
+  std::error_code ec;
+  fs::remove_all(scratch.path, ec);
+  fs::create_directories(scratch.path, ec);
+  if (ec) {
+    std::fprintf(stderr, "loadgen: cannot create %s\n", scratch.path.c_str());
+    return 1;
   }
-  std::printf("%s\n", ProvenanceJson(*args, log_fs, best_steal).c_str());
-  PrintResult(best);
+  RunContext ctx;
+  ctx.tcdp = args->tcdp;
+  ctx.dir = scratch.path;
+  ctx.seed = args->seed;
+  ctx.seconds = args->seconds;
+  const HostTicks host_start = ReadHostTicks();
+  auto outcome = args->trace ? RunTraced(*workload, ctx)
+                             : RunMeasured(*workload, ctx);
+  if (!outcome.ok()) {
+    std::fprintf(stderr, "loadgen: %s\n", outcome.status().ToString().c_str());
+    return 1;
+  }
+  const double steal = StealShare(host_start, ReadHostTicks());
+  std::printf("%s\n",
+              ProvenanceJson(*args, FsType(scratch.path), steal).c_str());
+  PrintResult(*outcome);
   return 0;
 }

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -84,6 +85,24 @@ std::uint64_t NowNs() {
           .count());
 }
 
+HostTicks ReadHostTicks() {
+  std::ifstream in("/proc/stat");
+  std::string cpu;
+  double value = 0.0;
+  HostTicks ticks;
+  in >> cpu;
+  for (int field = 0; field < 8 && (in >> value); ++field) {
+    ticks.total += value;
+    if (field == 7) ticks.steal = value;
+  }
+  return ticks;
+}
+
+double StealShare(const HostTicks& from, const HostTicks& to) {
+  const double total = to.total - from.total;
+  return total > 0 ? (to.steal - from.steal) / total : 0.0;
+}
+
 // ------------------------------------------------------------ ServerProcess
 
 StatusOr<std::unique_ptr<ServerProcess>> ServerProcess::Start(
@@ -135,6 +154,18 @@ StatusOr<std::unique_ptr<ServerProcess>> ServerProcess::Start(
 }
 
 ServerProcess::~ServerProcess() { Kill(); }
+
+std::uint64_t ServerProcess::CpuNs() const {
+  std::uint64_t total = 0;
+  std::error_code ec;
+  const std::string tasks = "/proc/" + std::to_string(pid_) + "/task";
+  for (const auto& task : std::filesystem::directory_iterator(tasks, ec)) {
+    std::ifstream in(task.path() / "schedstat");
+    std::uint64_t ns = 0;
+    if (in >> ns) total += ns;
+  }
+  return total;
+}
 
 void ServerProcess::Kill() {
   if (pid_ <= 0) return;
@@ -365,7 +396,6 @@ StatusOr<PhaseResult> RunPhase(const std::vector<Connection*>& conns,
       ++next;
     }
     bool pending_write = false;
-    std::size_t backlog = 0;
     for (Lane& lane : lanes) {
       send_status = WriteSome(lane.conn->fd(), lane.out, &lane.out_offset);
       if (!send_status.ok()) break;
@@ -375,15 +405,8 @@ StatusOr<PhaseResult> RunPhase(const std::vector<Connection*>& conns,
       } else {
         pending_write = true;
       }
-      backlog += lane.published.load(std::memory_order_relaxed) -
-                 lane.answered.load(std::memory_order_acquire);
     }
     if (!send_status.ok()) break;
-    result.end_backlog = backlog;
-    if (spec.abort_backlog > 0 && backlog > spec.abort_backlog) {
-      result.aborted = true;
-      break;
-    }
     if (next < total) {
       const std::uint64_t slot =
           result.start_ns + static_cast<std::uint64_t>(next * interval_ns);

@@ -33,6 +33,15 @@ using tcdp::StatusOr;
 /// steady_clock nanoseconds.
 std::uint64_t NowNs();
 
+/// The host's aggregate CPU time from /proc/stat, in jiffies.
+struct HostTicks {
+  double steal = 0.0;
+  double total = 0.0;
+};
+HostTicks ReadHostTicks();
+/// The share of CPU time the hypervisor stole between two readings.
+double StealShare(const HostTicks& from, const HostTicks& to);
+
 /// \brief A `tcdp serve --listen 0` child process. Its stdout and
 /// stderr go to files in \p dir; the port is read from a port file.
 /// The destructor kills and reaps a process still running.
@@ -46,6 +55,10 @@ class ServerProcess {
   ServerProcess& operator=(const ServerProcess&) = delete;
 
   std::uint16_t port() const { return port_; }
+  /// CPU time the server's threads have run so far, in ns (the sum of
+  /// /proc/<pid>/task/*/schedstat). The kernel leaves time the
+  /// hypervisor stole out of it, so it is steadier than wall time.
+  std::uint64_t CpuNs() const;
   /// kShutdown, then waits for the exit; returns the server's stdout.
   StatusOr<std::string> Shutdown();
   /// SIGKILL and reap: a crash, as far as the log dir can tell.
@@ -102,9 +115,6 @@ struct OpRecord {
 struct PhaseSpec {
   double rate = 0.0;     ///< offered ops/s, summed over connections
   double seconds = 0.0;  ///< schedule length
-  /// Stop offering once more than this many ops are unanswered (the
-  /// backlog a capacity rung may not exceed); 0 never stops early.
-  std::size_t abort_backlog = 0;
   /// Keep every n-th query's decoded report for verification; 0 none.
   std::size_t keep_reports_every = 0;
 };
@@ -115,9 +125,6 @@ struct PhaseResult {
   std::uint64_t start_ns = 0;  ///< first scheduled send
   std::uint64_t end_ns = 0;    ///< last response
   std::size_t offered = 0;
-  bool aborted = false;
-  /// Unanswered ops when the schedule ended (before the drain).
-  std::size_t end_backlog = 0;
   /// Request bytes the generator framed.
   std::uint64_t bytes_out = 0;
 };

@@ -39,12 +39,10 @@ struct Workload {
   /// Runs with a log dir (plus durable_args) when set.
   bool durable = false;
   std::vector<std::string> durable_args;
-  /// Offered ops/s of the reference phase (all connections).
+  /// Offered ops/s of the open-loop slices (all connections).
   double reference_rate = 0.0;
-  /// The capacity ladder's rungs, ops/s, ascending.
-  std::vector<double> ladder;
-  /// Release p99 a capacity rung must stay under.
-  double latency_limit_ms = 0.0;
+  /// Ops of the mix in one burst (written at once, then a Flush).
+  std::size_t burst_ops = 0;
 };
 
 StatusOr<Workload> FindWorkload(const std::string& name);
@@ -69,13 +67,14 @@ struct RunOutcome {
   std::vector<Metric> metrics;
 };
 
-/// Everything a run sends, derived from the seed alone.
+/// The workload's users and their correlation profiles, which are the
+/// same for every seed (the seed draws the op stream, MixSource).
 struct Inputs {
   std::vector<tcdp::TemporalCorrelations> profiles;  ///< user u: u % size
   std::vector<std::string> join_payloads;            ///< per user
   std::string setup_frames;  ///< every kJoin, then one kFlush
 };
-Inputs MakeInputs(const Workload& workload, std::uint64_t seed);
+Inputs MakeInputs(const Workload& workload);
 
 /// A set-up server with the workload's client connections.
 struct Served {
@@ -92,12 +91,12 @@ StatusOr<Served> SetUp(const Workload& workload, const Inputs& inputs,
                        const RunContext& ctx, const std::string& dir,
                        const std::vector<std::string>& extra_args);
 
-/// Sets up three times and keeps the last server: the median of the
-/// three set-up times is the run's set-up time.
-StatusOr<Served> SetUpThrice(const Workload& workload, const Inputs& inputs,
-                             const RunContext& ctx,
-                             const std::vector<std::string>& extra_args,
-                             double* median_setup_seconds);
+/// Sets up several times and keeps the last server: the median of the
+/// set-up times is the run's set-up time.
+StatusOr<Served> SetUpRepeatedly(const Workload& workload,
+                                 const Inputs& inputs, const RunContext& ctx,
+                                 const std::vector<std::string>& extra_args,
+                                 double* median_setup_seconds);
 
 /// The main op mix of a workload, drawn from a seeded stream.
 class MixSource {
@@ -120,7 +119,6 @@ struct Latencies {
   std::vector<double> late_ms;    ///< generator lateness
   std::uint64_t attempted = 0;
   std::uint64_t failed = 0;
-  std::uint64_t releases_acked = 0;
 };
 void CollectLatencies(const PhaseResult& phase, Latencies* out);
 
@@ -157,7 +155,8 @@ StatusOr<ReferenceRun> RunReference(const Workload& workload,
                                     std::size_t keep_reports_every,
                                     const std::function<Status()>& before);
 
-/// The untraced run: every end-to-end metric.
+/// The untraced run: set-ups, then rounds of an open-loop slice, a
+/// burst and idle queries; every end-to-end metric.
 StatusOr<RunOutcome> RunMeasured(const Workload& workload,
                                  const RunContext& ctx);
 
