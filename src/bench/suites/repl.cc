@@ -247,9 +247,9 @@ Status RunSuite(SuiteContext* ctx) {
 
   // The stream pushes batches up to its write-buffer bound without
   // waiting for acks: the effective pipeline depth in batches.
-  const replication::LogStreamOptions defaults;
-  const double pipeline_depth = static_cast<double>(
-      defaults.max_write_buffer / defaults.max_batch_bytes);
+  const double pipeline_depth =
+      static_cast<double>(replication::LogStreamServer::kMaxWriteBuffer /
+                          replication::LogStreamServer::kMaxBatchBytes);
 
   auto params = [&](double extra_depth) {
     return std::map<std::string, double>{

@@ -1,27 +1,15 @@
 #include "net/client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
-#include <cstring>
-#include <thread>
 #include <utility>
+
+#include "net/event_loop.h"
 
 namespace tcdp {
 namespace net {
-namespace {
-
-Status ErrnoStatus(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
-}
-
-}  // namespace
 
 NetClient::NetClient(int fd, NetClientOptions options)
     : fd_(fd), options_(std::move(options)) {
@@ -32,38 +20,9 @@ NetClient::~NetClient() { (void)Close(); }
 
 StatusOr<std::unique_ptr<NetClient>> NetClient::Connect(
     const std::string& host, std::uint16_t port, NetClientOptions options) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("NetClient::Connect: bad IPv4 host '" +
-                                   host + "'");
-  }
-  int fd = -1;
-  Status last = Status::Internal("no connect attempts made");
-  const int attempts = options.connect_attempts > 0
-                           ? options.connect_attempts
-                           : 1;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options.connect_retry_delay_ms));
-    }
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return ErrnoStatus("socket");
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
-        0) {
-      last = Status::OK();
-      break;
-    }
-    last = ErrnoStatus("connect " + host + ":" + std::to_string(port));
-    ::close(fd);
-    fd = -1;
-  }
-  if (!last.ok()) return last;
-  int one = 1;
-  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
+  TCDP_ASSIGN_OR_RETURN(const int fd,
+                        Dial(host, port, options.connect_attempts,
+                             options.connect_retry_delay_ms));
   std::unique_ptr<NetClient> client(new NetClient(fd, std::move(options)));
   std::string preamble;
   AppendPreamble(&preamble);
@@ -72,18 +31,10 @@ StatusOr<std::unique_ptr<NetClient>> NetClient::Connect(
 }
 
 Status NetClient::SendAll(const std::string& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      first_error_ = SalvageServerError(ErrnoStatus("send"));
-      return first_error_;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return Status::OK();
+  const Status sent = net::SendAll(fd_, bytes);
+  if (sent.ok()) return sent;
+  first_error_ = SalvageServerError(sent);
+  return first_error_;
 }
 
 Status NetClient::SalvageServerError(Status transport) {
@@ -93,8 +44,7 @@ Status NetClient::SalvageServerError(Status transport) {
   // surfacing that over a generic transport status. Best-effort: wait
   // briefly for the data, drain without blocking, keep the transport
   // status if no explanation arrives.
-  pollfd ready{fd_, POLLIN, 0};
-  (void)::poll(&ready, 1, 100);
+  (void)WaitReadable(fd_, 100);
   char buffer[16 * 1024];
   for (;;) {
     const ssize_t n = ::recv(fd_, buffer, sizeof(buffer), MSG_DONTWAIT);

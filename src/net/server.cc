@@ -1,16 +1,5 @@
 #include "net/server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "net/messages.h"
@@ -20,10 +9,6 @@
 namespace tcdp {
 namespace net {
 namespace {
-
-Status ErrnoStatus(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
-}
 
 /// Net-frontend instruments: request latency broken down by request
 /// type, decode/protocol failures, and live-connection / in-flight
@@ -92,46 +77,11 @@ obs::Histogram* RequestLatency(MsgType type) {
   return histogram;
 }
 
-void CloseFd(int* fd) {
-  if (*fd >= 0) {
-    ::close(*fd);
-    *fd = -1;
-  }
-}
-
-void SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
 }  // namespace
-
-struct NetServer::Connection {
-  int fd = -1;
-  FrameDecoder decoder;
-  std::string out;
-  std::size_t out_offset = 0;  ///< sent prefix of out
-  /// Peer half-closed its write side; finish pending work, flush, close.
-  bool peer_closed = false;
-  /// Close once the write buffer drains (set after a payload-level
-  /// protocol violation was answered with kError).
-  bool close_after_flush = false;
-  bool paused = false;  ///< reads suspended by backpressure
-
-  ~Connection() { CloseFd(&fd); }
-
-  std::size_t pending_out() const { return out.size() - out_offset; }
-};
 
 NetServer::NetServer(server::ShardedReleaseService* service,
                      NetServerOptions options)
     : service_(service), options_(std::move(options)) {}
-
-NetServer::~NetServer() {
-  CloseFd(&listen_fd_);
-  CloseFd(&wake_read_fd_);
-  CloseFd(&wake_write_fd_);
-}
 
 StatusOr<std::unique_ptr<NetServer>> NetServer::Listen(
     server::ShardedReleaseService* service, NetServerOptions options) {
@@ -140,113 +90,43 @@ StatusOr<std::unique_ptr<NetServer>> NetServer::Listen(
   }
   std::unique_ptr<NetServer> server(
       new NetServer(service, std::move(options)));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server->options_.port);
-  if (::inet_pton(AF_INET, server->options_.host.c_str(), &addr.sin_addr) !=
-      1) {
-    return Status::InvalidArgument("NetServer::Listen: bad IPv4 host '" +
-                                   server->options_.host + "'");
-  }
-
-  server->listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (server->listen_fd_ < 0) return ErrnoStatus("socket");
-  int one = 1;
-  (void)::setsockopt(server->listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-  if (::bind(server->listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return ErrnoStatus("bind " + server->options_.host + ":" +
-                       std::to_string(server->options_.port));
-  }
-  if (::listen(server->listen_fd_, server->options_.listen_backlog) != 0) {
-    return ErrnoStatus("listen");
-  }
-  // Non-blocking: poll() readiness is only a hint — a pending
-  // connection can be RST away between poll and accept, and a blocking
-  // accept would then freeze the whole I/O loop until someone else
-  // connects.
-  SetNonBlocking(server->listen_fd_);
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(server->listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) != 0) {
-    return ErrnoStatus("getsockname");
-  }
-  server->port_ = ntohs(bound.sin_port);
-
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) return ErrnoStatus("pipe");
-  server->wake_read_fd_ = pipe_fds[0];
-  server->wake_write_fd_ = pipe_fds[1];
-  SetNonBlocking(server->wake_read_fd_);
+  EventLoopOptions loop;
+  loop.name = "NetServer";
+  loop.host = server->options_.host;
+  loop.port = server->options_.port;
+  loop.listen_backlog = kListenBacklog;
+  loop.max_connections = kMaxConnections;
+  loop.max_inflight = kMaxInflight;
+  loop.max_write_buffer = kMaxWriteBuffer;
+  loop.poll_interval_ms = kPollIntervalMs;
+  loop.heartbeat = "net-io";
+  loop.stop_drain_rounds = kStopDrainRounds;
+  TCDP_ASSIGN_OR_RETURN(server->loop_,
+                        EventLoop::Listen(std::move(loop), server.get(),
+                                          &server->stats_));
   return server;
 }
 
-void NetServer::Stop() {
-  // A single byte on the self-pipe; the loop reads it and latches
-  // stopping_. Safe to call multiple times and before Serve().
-  if (wake_write_fd_ >= 0) {
-    const char byte = 1;
-    ssize_t ignored = ::write(wake_write_fd_, &byte, 1);
-    (void)ignored;
-  }
+void NetServer::OnDrop() {
+  if (obs::MetricsEnabled()) NetObs::Get().decode_errors->Increment();
 }
 
-void NetServer::AcceptOne() {
-  sockaddr_in peer{};
-  socklen_t peer_len = sizeof(peer);
-  const int fd = ::accept(listen_fd_, reinterpret_cast<sockaddr*>(&peer),
-                          &peer_len);
-  if (fd < 0) {
-    // Every accept failure is treated as transient: aborting Serve()
-    // for EMFILE/ENFILE (fd pressure refusing ONE connection) would
-    // tear down every healthy established connection with it.
-    if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK &&
-        errno != ECONNABORTED) {
-      ++stats_.accept_failures;
+bool NetServer::AfterRound() {
+  if (obs::MetricsEnabled()) {
+    std::size_t inflight = 0;
+    for (const auto& conn : loop_->connections()) {
+      inflight += conn->queued_frames();
     }
-    return;
+    NetObs::Get().connections->Set(
+        static_cast<std::int64_t>(loop_->connections().size()));
+    NetObs::Get().inflight->Set(static_cast<std::int64_t>(inflight));
   }
-  int one = 1;
-  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  SetNonBlocking(fd);
-  auto conn = std::make_unique<Connection>();
-  conn->fd = fd;
-  AppendPreamble(&conn->out);
-  connections_.push_back(std::move(conn));
-  ++stats_.connections_accepted;
+  return false;
 }
 
-bool NetServer::ReadFrom(Connection* conn) {
-  char buffer[64 * 1024];
-  const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
-  if (n < 0) {
-    return errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK;
-  }
-  if (n == 0) {
-    conn->peer_closed = true;
-    return true;
-  }
-  stats_.bytes_in += static_cast<std::uint64_t>(n);
-  const Status fed = conn->decoder.Feed(buffer, static_cast<std::size_t>(n));
-  if (!fed.ok()) {
-    // Framing violation: the stream position is untrustworthy, so no
-    // response can be addressed to a request — drop the connection.
-    ++stats_.connections_dropped;
-    if (obs::MetricsEnabled()) NetObs::Get().decode_errors->Increment();
-    return false;
-  }
-  return true;
-}
-
-void NetServer::ProcessFrames(Connection* conn) {
-  while (conn->decoder.has_frame() && !conn->close_after_flush) {
-    if (conn->pending_out() >= options_.max_write_buffer) break;
-    const Frame frame = conn->decoder.PopFrame();
-    HandleFrame(conn, frame.type, frame.payload);
-  }
+void NetServer::OnFrames(Connection* conn) {
+  Frame frame;
+  while (conn->NextFrame(&frame)) HandleFrame(conn, frame.type, frame.payload);
 }
 
 void NetServer::HandleFrame(Connection* conn, MsgType type,
@@ -270,15 +150,13 @@ void NetServer::HandleFrame(Connection* conn, MsgType type,
        type == MsgType::kTraceDump || type == MsgType::kHealth ||
        type == MsgType::kReady) &&
       !payload.empty()) {
-    AppendFrame(&conn->out, MsgType::kError,
+    AppendFrame(conn->out(), MsgType::kError,
                 EncodeError(Status::InvalidArgument(
                     "request type " +
                     std::to_string(static_cast<unsigned>(type)) +
                     " carries a non-empty payload")));
     ++stats_.responses;
-    conn->close_after_flush = true;
-    ++stats_.connections_dropped;
-    if (obs::MetricsEnabled()) NetObs::Get().decode_errors->Increment();
+    loop_->Reject(conn);
     return;
   }
   switch (type) {
@@ -340,7 +218,7 @@ void NetServer::HandleFrame(Connection* conn, MsgType type,
               "report for '" + *name + "' exceeds the frame size limit");
           break;
         }
-        AppendFrame(&conn->out, MsgType::kReport, encoded);
+        AppendFrame(conn->out(), MsgType::kReport, encoded);
         ++stats_.responses;
         return;
       }
@@ -375,7 +253,7 @@ void NetServer::HandleFrame(Connection* conn, MsgType type,
             "stats report exceeds the frame size limit");
         break;
       }
-      AppendFrame(&conn->out, MsgType::kStatsReport, encoded);
+      AppendFrame(conn->out(), MsgType::kStatsReport, encoded);
       ++stats_.responses;
       return;
     }
@@ -387,7 +265,7 @@ void NetServer::HandleFrame(Connection* conn, MsgType type,
             "metrics snapshot exceeds the frame size limit");
         break;
       }
-      AppendFrame(&conn->out, MsgType::kMetricsReport, encoded);
+      AppendFrame(conn->out(), MsgType::kMetricsReport, encoded);
       ++stats_.responses;
       return;
     }
@@ -403,7 +281,7 @@ void NetServer::HandleFrame(Connection* conn, MsgType type,
         applied = path.status();
         break;
       }
-      AppendFrame(&conn->out, MsgType::kTraceDumpReport,
+      AppendFrame(conn->out(), MsgType::kTraceDumpReport,
                   EncodeTraceDumpReport(*path));
       ++stats_.responses;
       return;
@@ -414,12 +292,12 @@ void NetServer::HandleFrame(Connection* conn, MsgType type,
           EncodeHealthReport(BuildHealthReport());
       // A health report is bounded by the heartbeat count (a handful of
       // components), far inside kMaxFramePayload.
-      AppendFrame(&conn->out, MsgType::kHealthReport, encoded);
+      AppendFrame(conn->out(), MsgType::kHealthReport, encoded);
       ++stats_.responses;
       return;
     }
     case MsgType::kShutdown:
-      stopping_ = true;
+      loop_->RequestStop();
       break;
     default:
       applied = Status::InvalidArgument(
@@ -429,168 +307,12 @@ void NetServer::HandleFrame(Connection* conn, MsgType type,
       break;
   }
   if (applied.ok()) {
-    AppendFrame(&conn->out, MsgType::kOk, std::string());
+    AppendFrame(conn->out(), MsgType::kOk, std::string());
   } else {
-    AppendFrame(&conn->out, MsgType::kError, EncodeError(applied));
+    AppendFrame(conn->out(), MsgType::kError, EncodeError(applied));
   }
   ++stats_.responses;
-  if (violation) {
-    conn->close_after_flush = true;
-    ++stats_.connections_dropped;
-    if (obs::MetricsEnabled()) NetObs::Get().decode_errors->Increment();
-  }
-}
-
-bool NetServer::WriteTo(Connection* conn) {
-  while (conn->pending_out() > 0) {
-    const ssize_t n =
-        ::send(conn->fd, conn->out.data() + conn->out_offset,
-               conn->pending_out(), MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      return false;  // EPIPE/ECONNRESET: peer is gone
-    }
-    conn->out_offset += static_cast<std::size_t>(n);
-    stats_.bytes_out += static_cast<std::uint64_t>(n);
-  }
-  // Reclaim the sent prefix once it dominates, like FrameDecoder's
-  // read-side compaction: a connection that is never fully drained
-  // (steady pipelining against a slow reader) must not accumulate
-  // every byte it ever sent. The proportional condition keeps the
-  // erase amortized O(1) per byte even with a multi-MB backlog.
-  if (conn->out_offset == conn->out.size() ||
-      (conn->out_offset >= 4096 &&
-       conn->out_offset * 2 >= conn->out.size())) {
-    conn->out.erase(0, conn->out_offset);
-    conn->out_offset = 0;
-  }
-  return true;
-}
-
-Status NetServer::Serve() {
-  if (served_) {
-    return Status::FailedPrecondition("NetServer::Serve already ran");
-  }
-  served_ = true;
-  // The event-loop heartbeat: touched every poll round (the 100ms
-  // timeout is the natural cadence), beaten when work was dispatched.
-  // The watchdog reads staleness here as "the I/O thread is wedged" —
-  // e.g. blocked in a full shard queue's Push.
-  obs::HeartbeatInfo heartbeat_info;
-  heartbeat_info.name = "net-io";
-  heartbeat_info.kind = obs::HeartbeatKind::kEventLoop;
-  heartbeat_info.expected_period_ns = 100ull * 1000000ull;
-  obs::HeartbeatHandle heartbeat =
-      obs::HeartbeatRegistry::Default().Register(std::move(heartbeat_info));
-  std::vector<pollfd> fds;
-  std::vector<Connection*> polled;
-  int stop_grace_rounds = 0;
-  while (true) {
-    // Once stopping: no accepts, no reads — just flush what's queued
-    // and leave. Connections with nothing pending close immediately; a
-    // peer that never drains its responses is abandoned after a
-    // bounded grace (50 poll rounds of 100 ms).
-    if (stopping_) {
-      bool flushing = false;
-      for (auto& conn : connections_) {
-        if (conn->pending_out() > 0) flushing = true;
-      }
-      if (!flushing || ++stop_grace_rounds > 50) break;
-    }
-
-    fds.clear();
-    polled.clear();
-    if (!stopping_ && connections_.size() < options_.max_connections) {
-      fds.push_back(pollfd{listen_fd_, POLLIN, 0});
-    } else {
-      fds.push_back(pollfd{-1, 0, 0});
-    }
-    fds.push_back(pollfd{wake_read_fd_, POLLIN, 0});
-    for (auto& conn : connections_) {
-      short events = 0;
-      // Backpressure: a connection at its in-flight or write-buffer
-      // bound is not read until it drains.
-      const bool at_bound =
-          conn->decoder.queued_frames() >= options_.max_inflight ||
-          conn->pending_out() >= options_.max_write_buffer;
-      if (at_bound && !conn->paused) {
-        conn->paused = true;
-        ++stats_.backpressure_pauses;
-      }
-      if (!at_bound) conn->paused = false;
-      if (!stopping_ && !at_bound && !conn->peer_closed &&
-          !conn->close_after_flush) {
-        events |= POLLIN;
-      }
-      if (conn->pending_out() > 0) events |= POLLOUT;
-      fds.push_back(pollfd{conn->fd, events, 0});
-      polled.push_back(conn.get());
-    }
-
-    const int ready = ::poll(fds.data(), fds.size(), 100);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("poll");
-    }
-    if (ready > 0) {
-      heartbeat.Beat();
-    } else {
-      heartbeat.Touch();
-    }
-
-    if (fds[1].revents & POLLIN) {
-      char drain[64];
-      while (::read(wake_read_fd_, drain, sizeof(drain)) > 0) {
-      }
-      stopping_ = true;
-      continue;
-    }
-    if (fds[0].revents & POLLIN) {
-      AcceptOne();
-    }
-
-    for (std::size_t i = 0; i < polled.size(); ++i) {
-      Connection* conn = polled[i];
-      const short revents = fds[i + 2].revents;
-      bool alive = true;
-      if (alive && (revents & (POLLIN | POLLHUP | POLLERR)) != 0 &&
-          !conn->peer_closed && !conn->close_after_flush) {
-        alive = ReadFrom(conn);
-      }
-      if (alive) ProcessFrames(conn);
-      if (alive && conn->pending_out() > 0) alive = WriteTo(conn);
-      // A close_after_flush connection ignores its remaining parsed
-      // frames (they were never going to be answered); a peer-closed
-      // one still gets them processed above before the close.
-      const bool drained =
-          conn->pending_out() == 0 &&
-          (conn->close_after_flush || !conn->decoder.has_frame());
-      if (alive && (conn->peer_closed || conn->close_after_flush) &&
-          drained) {
-        alive = false;
-      }
-      if (!alive) CloseFd(&conn->fd);
-    }
-    connections_.erase(
-        std::remove_if(connections_.begin(), connections_.end(),
-                       [](const std::unique_ptr<Connection>& conn) {
-                         return conn->fd < 0;
-                       }),
-        connections_.end());
-    if (obs::MetricsEnabled()) {
-      std::size_t inflight = 0;
-      for (const auto& conn : connections_) {
-        inflight += conn->decoder.queued_frames();
-      }
-      NetObs::Get().connections->Set(
-          static_cast<std::int64_t>(connections_.size()));
-      NetObs::Get().inflight->Set(static_cast<std::int64_t>(inflight));
-    }
-  }
-  connections_.clear();
-  CloseFd(&listen_fd_);
-  return Status::OK();
+  if (violation) loop_->Reject(conn);
 }
 
 WireHealthReport NetServer::BuildHealthReport() const {

@@ -4,13 +4,16 @@
 /// \file
 /// NetServer: the TCP ingress of the sharded release service.
 ///
-///   clients ──► poll(2) readiness loop ──► FrameDecoder per conn
+///   clients ──► net::EventLoop (poll(2)) ──► FrameDecoder per conn
 ///                        │ complete request frames
 ///                        ▼
 ///              ShardedReleaseService (shard queues + workers)
 ///                        │ responses, in request order
 ///                        ▼
 ///              per-connection write buffer ──► socket
+///
+/// The transport (listener, accept, backpressure, half-close, drain)
+/// is net::EventLoop's; this class is the request switch on top.
 ///
 /// **Threading.** One I/O thread (the caller of Serve) owns every
 /// socket and is the only thread that touches the service — which is
@@ -21,8 +24,8 @@
 /// wire, by design.
 ///
 /// **Backpressure.** Each connection bounds (a) parsed-but-unanswered
-/// request frames (`max_inflight`) and (b) buffered response bytes
-/// (`max_write_buffer`). At either bound the server simply stops
+/// request frames (kMaxInflight) and (b) buffered response bytes
+/// (kMaxWriteBuffer). At either bound the server simply stops
 /// reading that socket — TCP flow control pushes the queue back to the
 /// client — and `stats().backpressure_pauses` counts the events.
 ///
@@ -46,9 +49,9 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
+#include "net/event_loop.h"
 #include "net/messages.h"
 #include "net/wire.h"
 #include "obs/watchdog.h"
@@ -62,13 +65,6 @@ struct NetServerOptions {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port (read it back via port()).
   std::uint16_t port = 0;
-  int listen_backlog = 64;
-  std::size_t max_connections = 64;
-  /// Parsed request frames a connection may have outstanding before
-  /// the server stops reading its socket.
-  std::size_t max_inflight = 64;
-  /// Buffered response bytes per connection before reads pause.
-  std::size_t max_write_buffer = 4u << 20;
   /// kTraceDump handler: dumps the server's trace ring to wherever the
   /// host configured (`tcdp serve --trace-out`) and returns the written
   /// path, carried back in kTraceDumpReport; the dump itself never
@@ -85,64 +81,64 @@ struct NetServerOptions {
   std::function<Status()> health_probe;
 };
 
-struct NetServerStats {
-  std::uint64_t connections_accepted = 0;
-  /// accept(2) failures survived (e.g. EMFILE under fd pressure —
-  /// the refused connection is the peer's problem, not the server's).
-  std::uint64_t accept_failures = 0;
-  /// Connections torn down for framing/payload protocol violations.
-  std::uint64_t connections_dropped = 0;
+/// The loop's transport counters plus request/response totals.
+struct NetServerStats : EventLoopStats {
   std::uint64_t requests = 0;
   std::uint64_t responses = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  /// Times a connection's reads were paused at an in-flight or
-  /// write-buffer bound.
-  std::uint64_t backpressure_pauses = 0;
 };
 
-class NetServer {
+class NetServer : private EventLoop::Handler {
  public:
+  /// \name Per-server bounds (docs/ARCHITECTURE.md, "Network frontend").
+  /// @{
+  static constexpr int kListenBacklog = 64;
+  static constexpr std::size_t kMaxConnections = 64;
+  /// Parsed request frames a connection may have outstanding before
+  /// the server stops reading its socket.
+  static constexpr std::size_t kMaxInflight = 64;
+  /// Buffered response bytes per connection before reads pause.
+  static constexpr std::size_t kMaxWriteBuffer = 4u << 20;
+  static constexpr int kPollIntervalMs = 100;
+  /// Poll rounds (of kPollIntervalMs) a stopping server keeps flushing.
+  static constexpr int kStopDrainRounds = 50;
+  /// @}
+
   /// Binds and listens. \p service must outlive the server and must
   /// not be used by other threads while Serve runs.
   static StatusOr<std::unique_ptr<NetServer>> Listen(
       server::ShardedReleaseService* service, NetServerOptions options = {});
 
-  ~NetServer();
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
   /// The bound port (the ephemeral one when options.port was 0).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return loop_->port(); }
 
   /// Runs the readiness loop on the calling thread until Stop() or a
   /// kShutdown request. Returns the first I/O-loop error, or OK on a
   /// clean shutdown. Call at most once.
-  Status Serve();
+  Status Serve() { return loop_->Run(); }
 
   /// Requests shutdown from any thread; Serve() returns soon after.
   /// Idempotent, and safe before/without Serve().
-  void Stop();
+  void Stop() { loop_->Stop(); }
 
   /// Counters; read after Serve() returns (not synchronized while the
   /// loop runs).
   const NetServerStats& stats() const { return stats_; }
 
  private:
-  struct Connection;
-
   NetServer(server::ShardedReleaseService* service, NetServerOptions options);
 
-  void AcceptOne();
-  /// Reads once from \p conn; false when the connection must close.
-  bool ReadFrom(Connection* conn);
-  /// Dispatches parsed frames up to the backpressure bounds.
-  void ProcessFrames(Connection* conn);
+  // EventLoop::Handler.
+  void OnFrames(Connection* conn) override;
+  void OnDrop() override;
+  bool AfterRound() override;
+
   /// One request frame -> one queued response. A payload-level
-  /// protocol violation marks the connection close_after_flush.
+  /// protocol violation rejects the connection (close after flush).
   void HandleFrame(Connection* conn, MsgType type,
                    const std::string& payload);
-  bool WriteTo(Connection* conn);
   /// Assembles the kHealth/kReady answer from the watchdog snapshot
   /// plus the host's extra probe. Never touches the service — a health
   /// check must not queue behind the very shards it is diagnosing.
@@ -150,14 +146,8 @@ class NetServer {
 
   server::ShardedReleaseService* service_;  // not owned
   NetServerOptions options_;
-  int listen_fd_ = -1;
-  int wake_read_fd_ = -1;   ///< self-pipe: Stop() wakes poll()
-  int wake_write_fd_ = -1;
-  std::uint16_t port_ = 0;
-  bool stopping_ = false;
-  bool served_ = false;
-  std::vector<std::unique_ptr<Connection>> connections_;
   NetServerStats stats_;
+  std::unique_ptr<EventLoop> loop_;
 };
 
 }  // namespace net

@@ -1,8 +1,5 @@
 #include "replication/follower.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/time.h>
@@ -11,12 +8,12 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "common/logging.h"
+#include "net/event_loop.h"
 #include "net/messages.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
@@ -30,9 +27,7 @@ namespace {
 
 constexpr char kManifestHeader[] = "tcdp-shard-manifest-v1";
 
-Status ErrnoStatus(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
-}
+using net::ErrnoStatus;
 
 /// Follower-side instruments.
 struct FollowerObs {
@@ -280,20 +275,6 @@ void Follower::MarkDiverged(const Status& why) {
   status_.last_error = why;
 }
 
-Status Follower::SendAll(int fd, const std::string& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("send");
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return Status::OK();
-}
-
 Status Follower::HandleBatch(const std::string& payload, bool* applied) {
   TCDP_ASSIGN_OR_RETURN(LogBatch batch, DecodeLogBatch(payload));
   if (batch.shard >= shards_.size()) {
@@ -354,7 +335,7 @@ Status Follower::SyncAndAck(int fd) {
   std::string bytes;
   net::AppendFrame(&bytes, net::MsgType::kAckHorizon,
                    EncodeAckHorizon(ack));
-  TCDP_RETURN_IF_ERROR(SendAll(fd, bytes));
+  TCDP_RETURN_IF_ERROR(net::SendAll(fd, bytes));
   if (obs::MetricsEnabled()) FollowerObs::Get().acks->Increment();
   std::lock_guard<std::mutex> lock(mutex_);
   status_.durable_records = ack.durable_records;
@@ -364,38 +345,11 @@ Status Follower::SyncAndAck(int fd) {
 }
 
 Status Follower::RunOnce() {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.primary_port);
-  if (::inet_pton(AF_INET, options_.primary_host.c_str(), &addr.sin_addr) !=
-      1) {
-    return Status::InvalidArgument("Follower: bad IPv4 host '" +
-                                   options_.primary_host + "'");
-  }
-  int fd = -1;
-  Status connected = Status::Internal("no connect attempts made");
-  const int attempts =
-      options_.connect_attempts > 0 ? options_.connect_attempts : 1;
-  for (int attempt = 0; attempt < attempts && !stop_.load(); ++attempt) {
-    if (attempt > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.connect_retry_delay_ms));
-    }
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return ErrnoStatus("socket");
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
-        0) {
-      connected = Status::OK();
-      break;
-    }
-    connected = ErrnoStatus("connect " + options_.primary_host + ":" +
-                            std::to_string(options_.primary_port));
-    ::close(fd);
-    fd = -1;
-  }
-  if (!connected.ok()) return connected;
-  int one = 1;
-  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  TCDP_ASSIGN_OR_RETURN(
+      const int fd,
+      net::Dial(options_.primary_host, options_.primary_port,
+                options_.connect_attempts, options_.connect_retry_delay_ms,
+                [this] { return stop_.load(); }));
   // A bounded recv timeout keeps the loop responsive to Stop() even if
   // the shutdown() race loses.
   timeval timeout{0, 100 * 1000};
@@ -430,7 +384,7 @@ Status Follower::RunOnce() {
   net::AppendFrame(&hello, net::MsgType::kSubscribe,
                    EncodeSubscribe(subscribe));
   {
-    const Status sent = SendAll(fd, hello);
+    const Status sent = net::SendAll(fd, hello);
     if (!sent.ok()) {
       close_fd();
       return sent;

@@ -109,7 +109,6 @@ class Follower {
   Status SyncAndAck(int fd);
   void SetError(const Status& error);
   void MarkDiverged(const Status& why);
-  Status SendAll(int fd, const std::string& bytes);
 
   FollowerOptions options_;
   std::vector<std::unique_ptr<ShardState>> shards_;

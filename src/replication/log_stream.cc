@@ -1,16 +1,10 @@
 #include "replication/log_stream.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -21,7 +15,6 @@
 #include "net/messages.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
-#include "obs/watchdog.h"
 #include "replication/repl_messages.h"
 
 namespace tcdp {
@@ -33,21 +26,7 @@ constexpr std::size_t kWalMagicBytes = sizeof(kWalMagic);
 constexpr std::size_t kWalHeaderBytes = 1 + 4 + 4;  // type + len + crc
 constexpr char kManifestHeader[] = "tcdp-shard-manifest-v1";
 
-Status ErrnoStatus(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
-}
-
-void CloseFd(int* fd) {
-  if (*fd >= 0) {
-    ::close(*fd);
-    *fd = -1;
-  }
-}
-
-void SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
+using net::ErrnoStatus;
 
 /// Replication-primary instruments (obs/METRICS naming conventions).
 struct ReplObs {
@@ -113,6 +92,12 @@ StatusOr<std::size_t> ParseManifestShards(const std::string& text) {
   return Status::InvalidArgument("manifest carries no 'shards' key");
 }
 
+/// Answers \p conn with a kError and closes it once that flushes.
+void Refuse(net::Connection* conn, const Status& why) {
+  net::AppendFrame(conn->out(), net::MsgType::kError, net::EncodeError(why));
+  conn->CloseAfterFlush();
+}
+
 }  // namespace
 
 /// One shard WAL as the tailer sees it: an open fd, the scanned
@@ -139,7 +124,9 @@ struct LogStreamServer::ShardTail {
   /// prefix); streaming this shard stops and followers are dropped.
   Status error = Status::OK();
 
-  ~ShardTail() { CloseFd(&fd); }
+  ~ShardTail() {
+    if (fd >= 0) ::close(fd);
+  }
 
   std::uint64_t records() const { return record_end.size(); }
   std::uint32_t chain_at(std::uint64_t next_record) const {
@@ -150,32 +137,18 @@ struct LogStreamServer::ShardTail {
   }
 };
 
-/// One follower connection (mirrors net::NetServer::Connection, plus
-/// per-shard streaming cursors and the acked-durability view).
-struct LogStreamServer::Follower {
-  int fd = -1;
-  net::FrameDecoder decoder;
-  std::string out;
-  std::size_t out_offset = 0;
+/// One follower connection's streaming cursors and acked-durability
+/// view (the connection itself is the event loop's).
+struct LogStreamServer::Follower : net::ConnectionState {
   bool subscribed = false;
-  bool close_after_flush = false;
-
   /// Next record to send / the chain there, per shard.
   std::vector<std::uint64_t> next_record;
   /// Acked durability, per shard, from the latest kAckHorizon.
   std::vector<std::uint64_t> durable;
   std::uint64_t release_horizon = 0;
-
-  ~Follower() { CloseFd(&fd); }
-
-  std::size_t pending_out() const { return out.size() - out_offset; }
 };
 
-LogStreamServer::~LogStreamServer() {
-  CloseFd(&listen_fd_);
-  CloseFd(&wake_read_fd_);
-  CloseFd(&wake_write_fd_);
-}
+LogStreamServer::~LogStreamServer() = default;
 
 StatusOr<std::unique_ptr<LogStreamServer>> LogStreamServer::Listen(
     LogStreamOptions options) {
@@ -205,65 +178,25 @@ StatusOr<std::unique_ptr<LogStreamServer>> LogStreamServer::Listen(
     server->tails_.push_back(std::move(tail));
   }
 
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server->options_.port);
-  if (::inet_pton(AF_INET, server->options_.host.c_str(), &addr.sin_addr) !=
-      1) {
-    return Status::InvalidArgument("LogStreamServer: bad IPv4 host '" +
-                                   server->options_.host + "'");
-  }
-  server->listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (server->listen_fd_ < 0) return ErrnoStatus("socket");
-  int one = 1;
-  (void)::setsockopt(server->listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-  if (::bind(server->listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return ErrnoStatus("bind " + server->options_.host + ":" +
-                       std::to_string(server->options_.port));
-  }
-  if (::listen(server->listen_fd_, server->options_.listen_backlog) != 0) {
-    return ErrnoStatus("listen");
-  }
-  SetNonBlocking(server->listen_fd_);
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(server->listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) != 0) {
-    return ErrnoStatus("getsockname");
-  }
-  server->port_ = ntohs(bound.sin_port);
-
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) return ErrnoStatus("pipe");
-  server->wake_read_fd_ = pipe_fds[0];
-  server->wake_write_fd_ = pipe_fds[1];
-  SetNonBlocking(server->wake_read_fd_);
+  net::EventLoopOptions loop;
+  loop.name = "LogStreamServer";
+  loop.host = server->options_.host;
+  loop.port = server->options_.port;
+  loop.listen_backlog = kListenBacklog;
+  loop.max_connections = kMaxFollowers;
+  loop.poll_interval_ms = kPollIntervalMs;
+  loop.heartbeat = "repl-stream";
+  // A follower that hangs up is owed nothing, and a stopped stream
+  // resumes from the followers' cursors: no half-close, no drain.
+  loop.close_on_peer_eof = true;
+  TCDP_ASSIGN_OR_RETURN(server->loop_,
+                        net::EventLoop::Listen(std::move(loop), server.get(),
+                                               &server->loop_stats_));
   return server;
 }
 
-void LogStreamServer::Stop() {
-  if (wake_write_fd_ >= 0) {
-    const char byte = 1;
-    ssize_t ignored = ::write(wake_write_fd_, &byte, 1);
-    (void)ignored;
-  }
-}
-
-void LogStreamServer::AcceptOne() {
-  sockaddr_in peer{};
-  socklen_t peer_len = sizeof(peer);
-  const int fd = ::accept(listen_fd_, reinterpret_cast<sockaddr*>(&peer),
-                          &peer_len);
-  if (fd < 0) return;
-  int one = 1;
-  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  SetNonBlocking(fd);
-  auto follower = std::make_unique<Follower>();
-  follower->fd = fd;
-  net::AppendPreamble(&follower->out);
-  followers_.push_back(std::move(follower));
+void LogStreamServer::OnAccept(net::Connection* conn) {
+  conn->set_state(std::make_unique<Follower>());
 }
 
 void LogStreamServer::ScanShard(std::size_t shard) {
@@ -296,7 +229,7 @@ void LogStreamServer::ScanShard(std::size_t shard) {
       tail->error = ErrnoStatus("reopen " + tail->path);
       return;
     }
-    CloseFd(&tail->fd);
+    ::close(tail->fd);
     tail->fd = fd;
     tail->magic_checked = false;
     tail->scan_offset = 0;
@@ -383,89 +316,70 @@ void LogStreamServer::ScanShard(std::size_t shard) {
   }
 }
 
-void LogStreamServer::ScanAllShards() {
+void LogStreamServer::BeforeRound() {
+  // Tail the WALs every round: the poll timeout doubles as the
+  // growth-detection cadence.
   for (std::size_t i = 0; i < tails_.size(); ++i) ScanShard(i);
 }
 
 void LogStreamServer::DropAllFollowers(const Status& why) {
-  for (auto& follower : followers_) {
-    if (follower->close_after_flush) continue;
-    net::AppendFrame(&follower->out, net::MsgType::kError,
-                     net::EncodeError(why));
-    follower->close_after_flush = true;
+  for (const auto& conn : loop_->connections()) {
+    if (!conn->closing()) Refuse(conn.get(), why);
   }
 }
 
-bool LogStreamServer::ReadFrom(Follower* follower) {
-  char buffer[64 * 1024];
-  const ssize_t n = ::recv(follower->fd, buffer, sizeof(buffer), 0);
-  if (n < 0) {
-    return errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK;
-  }
-  if (n == 0) return false;  // follower is gone; nothing owed to it
-  const Status fed =
-      follower->decoder.Feed(buffer, static_cast<std::size_t>(n));
-  // Framing violation: stream position untrustworthy, drop.
-  return fed.ok();
-}
-
-void LogStreamServer::ProcessFrames(Follower* follower) {
-  while (follower->decoder.has_frame() && !follower->close_after_flush) {
-    const net::Frame frame = follower->decoder.PopFrame();
+void LogStreamServer::OnFrames(net::Connection* conn) {
+  Follower* follower = static_cast<Follower*>(conn->state());
+  net::Frame frame;
+  while (conn->NextFrame(&frame)) {
     if (!follower->subscribed) {
       if (frame.type != net::MsgType::kSubscribe) {
-        net::AppendFrame(
-            &follower->out, net::MsgType::kError,
-            net::EncodeError(Status::InvalidArgument(
-                "replication stream expects kSubscribe first, got type " +
-                std::to_string(static_cast<unsigned>(frame.type)))));
-        follower->close_after_flush = true;
+        Refuse(conn,
+               Status::InvalidArgument(
+                   "replication stream expects kSubscribe first, got type " +
+                   std::to_string(static_cast<unsigned>(frame.type))));
         return;
       }
-      HandleSubscribe(follower, frame.payload);
+      HandleSubscribe(conn, follower, frame.payload);
       continue;
     }
     if (frame.type != net::MsgType::kAckHorizon) {
-      net::AppendFrame(
-          &follower->out, net::MsgType::kError,
-          net::EncodeError(Status::InvalidArgument(
-              "subscribed replication stream accepts only kAckHorizon, "
-              "got type " +
-              std::to_string(static_cast<unsigned>(frame.type)))));
-      follower->close_after_flush = true;
+      Refuse(conn,
+             Status::InvalidArgument(
+                 "subscribed replication stream accepts only kAckHorizon, "
+                 "got type " +
+                 std::to_string(static_cast<unsigned>(frame.type))));
       return;
     }
-    HandleAck(follower, frame.payload);
+    HandleAck(conn, follower, frame.payload);
+  }
+  if (follower->subscribed && !conn->closing() &&
+      PumpBatches(conn, follower)) {
+    pumped_ = true;
   }
 }
 
-void LogStreamServer::HandleSubscribe(Follower* follower,
+void LogStreamServer::HandleSubscribe(net::Connection* conn, Follower* follower,
                                       const std::string& payload) {
   ++subscribes_;
   auto request = DecodeSubscribe(payload);
   if (!request.ok()) {
-    net::AppendFrame(&follower->out, net::MsgType::kError,
-                     net::EncodeError(request.status()));
-    follower->close_after_flush = true;
+    Refuse(conn, request.status());
     return;
   }
   const bool bootstrap = request->cursors.empty();
   if (!bootstrap && request->cursors.size() != num_shards_) {
-    net::AppendFrame(
-        &follower->out, net::MsgType::kError,
-        net::EncodeError(Status::InvalidArgument(
-            "subscribe carries " + std::to_string(request->cursors.size()) +
-            " cursors for a " + std::to_string(num_shards_) +
-            "-shard primary")));
-    follower->close_after_flush = true;
+    Refuse(conn,
+           Status::InvalidArgument(
+               "subscribe carries " + std::to_string(request->cursors.size()) +
+               " cursors for a " + std::to_string(num_shards_) +
+               "-shard primary"));
     return;
   }
   for (std::size_t i = 0; i < num_shards_; ++i) {
     const ShardTail& tail = *tails_[i];
     if (!tail.error.ok()) {
-      net::AppendFrame(&follower->out, net::MsgType::kError,
-                       net::EncodeError(tail.error));
-      follower->close_after_flush = true;
+      Refuse(conn, tail.error);
       return;
     }
     const std::uint64_t next =
@@ -473,13 +387,11 @@ void LogStreamServer::HandleSubscribe(Follower* follower,
     if (tail.compacted && next < 2) {
       // Records before the compaction base live only in the primary's
       // snapshot, which this stream does not carry.
-      net::AppendFrame(
-          &follower->out, net::MsgType::kError,
-          net::EncodeError(Status::FailedPrecondition(
-              "cannot bootstrap from a compacted primary (shard " +
-              std::to_string(i) +
-              "); copy the log directory for the initial sync")));
-      follower->close_after_flush = true;
+      Refuse(conn,
+             Status::FailedPrecondition(
+                 "cannot bootstrap from a compacted primary (shard " +
+                 std::to_string(i) +
+                 "); copy the log directory for the initial sync"));
       return;
     }
     if (bootstrap) continue;
@@ -493,11 +405,9 @@ void LogStreamServer::HandleSubscribe(Follower* follower,
               : "cursor chain CRC does not match the primary's history";
       TCDP_LOG(kWarning) << "repl: refusing diverged follower on shard "
                          << i << " (" << reason << ")";
-      net::AppendFrame(
-          &follower->out, net::MsgType::kError,
-          net::EncodeError(Status::FailedPrecondition(
-              "diverged: shard " + std::to_string(i) + " " + reason)));
-      follower->close_after_flush = true;
+      Refuse(conn, Status::FailedPrecondition("diverged: shard " +
+                                              std::to_string(i) + " " +
+                                              reason));
       return;
     }
   }
@@ -512,28 +422,24 @@ void LogStreamServer::HandleSubscribe(Follower* follower,
   SubscribeOk ok;
   ok.num_shards = num_shards_;
   ok.manifest_text = manifest_text_;
-  net::AppendFrame(&follower->out, net::MsgType::kSubscribeOk,
+  net::AppendFrame(conn->out(), net::MsgType::kSubscribeOk,
                    EncodeSubscribeOk(ok));
   follower->subscribed = true;
 }
 
-void LogStreamServer::HandleAck(Follower* follower,
+void LogStreamServer::HandleAck(net::Connection* conn, Follower* follower,
                                 const std::string& payload) {
   auto ack = DecodeAckHorizon(payload);
   if (!ack.ok()) {
-    net::AppendFrame(&follower->out, net::MsgType::kError,
-                     net::EncodeError(ack.status()));
-    follower->close_after_flush = true;
+    Refuse(conn, ack.status());
     return;
   }
   if (ack->durable_records.size() != num_shards_) {
-    net::AppendFrame(
-        &follower->out, net::MsgType::kError,
-        net::EncodeError(Status::InvalidArgument(
-            "ack carries " + std::to_string(ack->durable_records.size()) +
-            " shard horizons for a " + std::to_string(num_shards_) +
-            "-shard primary")));
-    follower->close_after_flush = true;
+    Refuse(conn,
+           Status::InvalidArgument(
+               "ack carries " + std::to_string(ack->durable_records.size()) +
+               " shard horizons for a " + std::to_string(num_shards_) +
+               "-shard primary"));
     return;
   }
   for (std::size_t i = 0; i < num_shards_; ++i) {
@@ -541,12 +447,9 @@ void LogStreamServer::HandleAck(Follower* follower,
     // ever sent) is a protocol violation.
     if (ack->durable_records[i] < follower->durable[i] ||
         ack->durable_records[i] > follower->next_record[i]) {
-      net::AppendFrame(
-          &follower->out, net::MsgType::kError,
-          net::EncodeError(Status::InvalidArgument(
-              "ack horizon for shard " + std::to_string(i) +
-              " is not monotonic within the streamed range")));
-      follower->close_after_flush = true;
+      Refuse(conn, Status::InvalidArgument(
+                       "ack horizon for shard " + std::to_string(i) +
+                       " is not monotonic within the streamed range"));
       return;
     }
     follower->durable[i] = ack->durable_records[i];
@@ -556,13 +459,13 @@ void LogStreamServer::HandleAck(Follower* follower,
   if (obs::MetricsEnabled()) ReplObs::Get().acks->Increment();
 }
 
-bool LogStreamServer::PumpBatches(Follower* follower) {
+bool LogStreamServer::PumpBatches(net::Connection* conn, Follower* follower) {
   bool queued = false;
   for (std::size_t i = 0; i < num_shards_; ++i) {
     ShardTail& tail = *tails_[i];
     if (!tail.error.ok()) continue;
     while (follower->next_record[i] < tail.records() &&
-           follower->pending_out() < options_.max_write_buffer) {
+           conn->pending_out() < kMaxWriteBuffer) {
       const std::uint64_t from = follower->next_record[i];
       LogBatch batch;
       batch.shard = i;
@@ -574,10 +477,10 @@ bool LogStreamServer::PumpBatches(Follower* follower) {
       std::uint64_t end_record = from;
       const std::uint64_t start_offset = tail.record_start(from);
       while (end_record < tail.records() &&
-             end_record - from < options_.max_batch_records) {
+             end_record - from < kMaxBatchRecords) {
         const std::uint64_t span =
             tail.record_end[end_record] - start_offset;
-        if (end_record > from && span > options_.max_batch_bytes) break;
+        if (end_record > from && span > kMaxBatchBytes) break;
         ++end_record;
       }
       const std::uint64_t span =
@@ -614,7 +517,7 @@ bool LogStreamServer::PumpBatches(Follower* follower) {
         DropAllFollowers(tail.error);
         return queued;
       }
-      net::AppendFrame(&follower->out, net::MsgType::kLogBatch, encoded);
+      net::AppendFrame(conn->out(), net::MsgType::kLogBatch, encoded);
       follower->next_record[i] = end_record;
       ++batches_sent_;
       records_sent_ += batch.records.size();
@@ -631,27 +534,6 @@ bool LogStreamServer::PumpBatches(Follower* follower) {
   return queued;
 }
 
-bool LogStreamServer::WriteTo(Follower* follower) {
-  while (follower->pending_out() > 0) {
-    const ssize_t n =
-        ::send(follower->fd, follower->out.data() + follower->out_offset,
-               follower->pending_out(), MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      return false;
-    }
-    follower->out_offset += static_cast<std::size_t>(n);
-  }
-  if (follower->out_offset == follower->out.size() ||
-      (follower->out_offset >= 4096 &&
-       follower->out_offset * 2 >= follower->out.size())) {
-    follower->out.erase(0, follower->out_offset);
-    follower->out_offset = 0;
-  }
-  return true;
-}
-
 void LogStreamServer::RefreshStats() {
   LogStreamStats stats;
   stats.num_shards = num_shards_;
@@ -663,8 +545,9 @@ void LogStreamServer::RefreshStats() {
   stats.divergences = divergences_;
   for (const auto& tail : tails_) stats.primary_records += tail->records();
   bool first = true;
-  for (const auto& follower : followers_) {
-    if (!follower->subscribed || follower->close_after_flush) continue;
+  for (const auto& conn : loop_->connections()) {
+    const Follower* follower = static_cast<Follower*>(conn->state());
+    if (!follower->subscribed || conn->closing()) continue;
     FollowerRow row;
     row.subscribed = true;
     for (std::size_t i = 0; i < num_shards_; ++i) {
@@ -700,95 +583,17 @@ LogStreamStats LogStreamServer::stats() const {
   return stats_;
 }
 
-Status LogStreamServer::Serve() {
-  if (served_) {
-    return Status::FailedPrecondition("LogStreamServer::Serve already ran");
-  }
-  served_ = true;
-  obs::HeartbeatInfo heartbeat_info;
-  heartbeat_info.name = "repl-stream";
-  heartbeat_info.kind = obs::HeartbeatKind::kEventLoop;
-  heartbeat_info.expected_period_ns =
-      static_cast<std::uint64_t>(options_.poll_interval_ms) * 1000000ull;
-  obs::HeartbeatHandle heartbeat =
-      obs::HeartbeatRegistry::Default().Register(std::move(heartbeat_info));
-
-  std::vector<pollfd> fds;
-  std::vector<Follower*> polled;
-  while (!stopping_) {
-    fds.clear();
-    polled.clear();
-    if (followers_.size() < options_.max_followers) {
-      fds.push_back(pollfd{listen_fd_, POLLIN, 0});
-    } else {
-      fds.push_back(pollfd{-1, 0, 0});
-    }
-    fds.push_back(pollfd{wake_read_fd_, POLLIN, 0});
-    for (auto& follower : followers_) {
-      short events = 0;
-      if (!follower->close_after_flush) events |= POLLIN;
-      if (follower->pending_out() > 0) events |= POLLOUT;
-      fds.push_back(pollfd{follower->fd, events, 0});
-      polled.push_back(follower.get());
-    }
-
-    const int ready =
-        ::poll(fds.data(), fds.size(), options_.poll_interval_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("poll");
-    }
-
-    if (fds[1].revents & POLLIN) {
-      char drain[64];
-      while (::read(wake_read_fd_, drain, sizeof(drain)) > 0) {
-      }
-      stopping_ = true;
-      break;
-    }
-    if (fds[0].revents & POLLIN) AcceptOne();
-
-    // Tail the WALs every round: the poll timeout doubles as the
-    // growth-detection cadence.
-    ScanAllShards();
-
-    bool progressed = ready > 0;
-    for (std::size_t i = 0; i < polled.size(); ++i) {
-      Follower* follower = polled[i];
-      const short revents = fds[i + 2].revents;
-      bool alive = true;
-      if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0 &&
-          !follower->close_after_flush) {
-        alive = ReadFrom(follower);
-      }
-      if (alive) ProcessFrames(follower);
-      if (alive && follower->subscribed && !follower->close_after_flush) {
-        if (PumpBatches(follower)) progressed = true;
-      }
-      if (alive && follower->pending_out() > 0) alive = WriteTo(follower);
-      if (alive && follower->close_after_flush &&
-          follower->pending_out() == 0) {
-        alive = false;
-      }
-      if (!alive) CloseFd(&follower->fd);
-    }
-    followers_.erase(
-        std::remove_if(followers_.begin(), followers_.end(),
-                       [](const std::unique_ptr<Follower>& follower) {
-                         return follower->fd < 0;
-                       }),
-        followers_.end());
-    if (progressed) {
-      heartbeat.Beat();
-    } else {
-      heartbeat.Touch();
-    }
-    RefreshStats();
-  }
-  followers_.clear();
-  CloseFd(&listen_fd_);
+bool LogStreamServer::AfterRound() {
   RefreshStats();
-  return Status::OK();
+  const bool pumped = pumped_;
+  pumped_ = false;
+  return pumped;
+}
+
+Status LogStreamServer::Serve() {
+  const Status status = loop_->Run();
+  RefreshStats();
+  return status;
 }
 
 }  // namespace replication

@@ -21,9 +21,8 @@
 /// the connection is closed — a forked follower is refused, never
 /// resynchronized silently.
 ///
-/// Single-threaded poll loop like net::NetServer: run Serve() on a
-/// dedicated thread, Stop() from anywhere (self-pipe). stats() is
-/// thread-safe.
+/// Runs on a net::EventLoop like net::NetServer: Serve() on a dedicated
+/// thread, Stop() from anywhere. stats() is thread-safe.
 
 #include <cstddef>
 #include <cstdint>
@@ -33,6 +32,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "net/event_loop.h"
 
 namespace tcdp {
 namespace replication {
@@ -43,17 +43,6 @@ struct LogStreamOptions {
   std::string host = "127.0.0.1";
   /// 0 picks an ephemeral port (see port()).
   std::uint16_t port = 0;
-  int listen_backlog = 16;
-  std::size_t max_followers = 16;
-  /// Per-kLogBatch budget. Bytes are capped well under the frame limit
-  /// so a batch plus its framing always fits kMaxFramePayload.
-  std::size_t max_batch_records = 256;
-  std::size_t max_batch_bytes = 256 * 1024;
-  /// Per-follower write backlog bound; a follower at the bound is not
-  /// sent further batches until it drains (backpressure, not OOM).
-  std::size_t max_write_buffer = 4 * 1024 * 1024;
-  /// Poll timeout: the latency floor for noticing WAL growth.
-  int poll_interval_ms = 20;
 };
 
 /// One subscribed follower, as seen by the primary.
@@ -85,14 +74,30 @@ struct LogStreamStats {
   std::vector<FollowerRow> follower_rows;
 };
 
-class LogStreamServer {
+class LogStreamServer : private net::EventLoop::Handler {
  public:
+  /// \name Bounds (docs/ARCHITECTURE.md, "Network frontend").
+  /// @{
+  static constexpr int kListenBacklog = 16;
+  static constexpr std::size_t kMaxFollowers = 16;
+  /// Per-kLogBatch budget. Bytes are capped well under the frame limit
+  /// so a batch plus its framing always fits kMaxFramePayload.
+  static constexpr std::size_t kMaxBatchRecords = 256;
+  static constexpr std::size_t kMaxBatchBytes = 256 * 1024;
+  /// Per-follower write backlog bound; a follower at the bound is not
+  /// sent further batches until it drains (backpressure, not OOM).
+  /// Its acks are still read: they produce no output.
+  static constexpr std::size_t kMaxWriteBuffer = 4 * 1024 * 1024;
+  /// Poll timeout: the latency floor for noticing WAL growth.
+  static constexpr int kPollIntervalMs = 20;
+  /// @}
+
   /// Validates the log directory (MANIFEST readable, every shard WAL
   /// openable) and binds the replication listener.
   static StatusOr<std::unique_ptr<LogStreamServer>> Listen(
       LogStreamOptions options);
 
-  ~LogStreamServer();
+  ~LogStreamServer() override;
   LogStreamServer(const LogStreamServer&) = delete;
   LogStreamServer& operator=(const LogStreamServer&) = delete;
 
@@ -101,9 +106,9 @@ class LogStreamServer {
   Status Serve();
 
   /// Thread-safe, idempotent, callable before Serve().
-  void Stop();
+  void Stop() { loop_->Stop(); }
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return loop_->port(); }
   std::size_t num_shards() const { return num_shards_; }
 
   /// Thread-safe snapshot of streaming/ack state (refreshed every
@@ -116,35 +121,37 @@ class LogStreamServer {
 
   LogStreamServer() = default;
 
-  void AcceptOne();
+  // net::EventLoop::Handler: BeforeRound tails the WALs, OnFrames
+  // handles subscribe/ack and pumps batches, AfterRound publishes stats.
+  void OnAccept(net::Connection* conn) override;
+  void BeforeRound() override;
+  void OnFrames(net::Connection* conn) override;
+  bool AfterRound() override;
+
   /// Incremental WAL scan for one shard; extends the record index and
   /// chain. Detects rewrites (compaction) and corruption.
   void ScanShard(std::size_t shard);
-  void ScanAllShards();
   /// Drops every follower with a kError explaining \p why.
   void DropAllFollowers(const Status& why);
-  bool ReadFrom(Follower* follower);
-  void ProcessFrames(Follower* follower);
-  void HandleSubscribe(Follower* follower, const std::string& payload);
-  void HandleAck(Follower* follower, const std::string& payload);
+  void HandleSubscribe(net::Connection* conn, Follower* follower,
+                       const std::string& payload);
+  void HandleAck(net::Connection* conn, Follower* follower,
+                 const std::string& payload);
   /// Queues kLogBatch frames for every shard the follower is behind
   /// on, up to the write-buffer bound. Returns true if any were queued.
-  bool PumpBatches(Follower* follower);
-  bool WriteTo(Follower* follower);
+  bool PumpBatches(net::Connection* conn, Follower* follower);
   void RefreshStats();
 
   LogStreamOptions options_;
   std::size_t num_shards_ = 0;
   std::string manifest_text_;
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
-  bool stopping_ = false;
-  bool served_ = false;
+  /// Transport counters (not published; LogStreamStats is the view).
+  net::EventLoopStats loop_stats_;
+  std::unique_ptr<net::EventLoop> loop_;
 
   std::vector<std::unique_ptr<ShardTail>> tails_;
-  std::vector<std::unique_ptr<Follower>> followers_;
+  /// Some follower was sent a batch this round (heartbeat progress).
+  bool pumped_ = false;
 
   // Loop-thread counters, published into stats_ under stats_mutex_.
   std::uint64_t subscribes_ = 0;

@@ -1,16 +1,5 @@
 #include "replication/router.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "common/logging.h"
@@ -20,25 +9,6 @@
 
 namespace tcdp {
 namespace replication {
-namespace {
-
-Status ErrnoStatus(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
-}
-
-void CloseFd(int* fd) {
-  if (*fd >= 0) {
-    ::close(*fd);
-    *fd = -1;
-  }
-}
-
-void SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-}  // namespace
 
 StatusOr<std::unique_ptr<RouterTable>> RouterTable::Open(
     const std::string& journal_path, std::size_t virtual_nodes) {
@@ -184,223 +154,64 @@ RouterTableStats RouterTable::stats() const {
   return stats;
 }
 
-/// One router client connection (request/response, like NetServer).
-struct RouterServer::Connection {
-  int fd = -1;
-  net::FrameDecoder decoder;
-  std::string out;
-  std::size_t out_offset = 0;
-  bool close_after_flush = false;
-
-  ~Connection() { CloseFd(&fd); }
-
-  std::size_t pending_out() const { return out.size() - out_offset; }
-};
-
-RouterServer::~RouterServer() {
-  CloseFd(&listen_fd_);
-  CloseFd(&wake_read_fd_);
-  CloseFd(&wake_write_fd_);
-}
-
 StatusOr<std::unique_ptr<RouterServer>> RouterServer::Listen(
     RouterTable* table, RouterServerOptions options) {
   if (table == nullptr) {
     return Status::InvalidArgument("RouterServer::Listen: null table");
   }
-  std::unique_ptr<RouterServer> server(new RouterServer());
-  server->table_ = table;
-  server->options_ = std::move(options);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server->options_.port);
-  if (::inet_pton(AF_INET, server->options_.host.c_str(), &addr.sin_addr) !=
-      1) {
-    return Status::InvalidArgument("RouterServer: bad IPv4 host '" +
-                                   server->options_.host + "'");
-  }
-  server->listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (server->listen_fd_ < 0) return ErrnoStatus("socket");
-  int one = 1;
-  (void)::setsockopt(server->listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-  if (::bind(server->listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return ErrnoStatus("bind " + server->options_.host + ":" +
-                       std::to_string(server->options_.port));
-  }
-  if (::listen(server->listen_fd_, server->options_.listen_backlog) != 0) {
-    return ErrnoStatus("listen");
-  }
-  SetNonBlocking(server->listen_fd_);
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(server->listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) != 0) {
-    return ErrnoStatus("getsockname");
-  }
-  server->port_ = ntohs(bound.sin_port);
-
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) return ErrnoStatus("pipe");
-  server->wake_read_fd_ = pipe_fds[0];
-  server->wake_write_fd_ = pipe_fds[1];
-  SetNonBlocking(server->wake_read_fd_);
+  std::unique_ptr<RouterServer> server(new RouterServer(table));
+  net::EventLoopOptions loop;
+  loop.name = "RouterServer";
+  loop.host = std::move(options.host);
+  loop.port = options.port;
+  loop.listen_backlog = kListenBacklog;
+  loop.max_connections = kMaxConnections;
+  loop.max_inflight = kMaxInflight;
+  loop.max_write_buffer = kMaxWriteBuffer;
+  loop.poll_interval_ms = kPollIntervalMs;
+  loop.stop_drain_rounds = kStopDrainRounds;
+  TCDP_ASSIGN_OR_RETURN(server->loop_,
+                        net::EventLoop::Listen(std::move(loop), server.get(),
+                                               &server->stats_));
   return server;
 }
 
-void RouterServer::Stop() {
-  if (wake_write_fd_ >= 0) {
-    const char byte = 1;
-    ssize_t ignored = ::write(wake_write_fd_, &byte, 1);
-    (void)ignored;
-  }
-}
-
-Status RouterServer::Serve() {
-  if (served_) {
-    return Status::FailedPrecondition("RouterServer::Serve already ran");
-  }
-  served_ = true;
-  std::vector<pollfd> fds;
-  std::vector<Connection*> polled;
-  while (!stopping_) {
-    fds.clear();
-    polled.clear();
-    fds.push_back(pollfd{listen_fd_, POLLIN, 0});
-    fds.push_back(pollfd{wake_read_fd_, POLLIN, 0});
-    for (auto& conn : connections_) {
-      short events = 0;
-      if (!conn->close_after_flush) events |= POLLIN;
-      if (conn->pending_out() > 0) events |= POLLOUT;
-      fds.push_back(pollfd{conn->fd, events, 0});
-      polled.push_back(conn.get());
-    }
-    const int ready = ::poll(fds.data(), fds.size(), 100);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("poll");
-    }
-    if (fds[1].revents & POLLIN) {
-      char drain[64];
-      while (::read(wake_read_fd_, drain, sizeof(drain)) > 0) {
-      }
-      stopping_ = true;
-      break;
-    }
-    if (fds[0].revents & POLLIN) {
-      sockaddr_in peer{};
-      socklen_t peer_len = sizeof(peer);
-      const int fd = ::accept(
-          listen_fd_, reinterpret_cast<sockaddr*>(&peer), &peer_len);
-      if (fd >= 0) {
-        int one = 1;
-        (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        SetNonBlocking(fd);
-        auto conn = std::make_unique<Connection>();
-        conn->fd = fd;
-        net::AppendPreamble(&conn->out);
-        connections_.push_back(std::move(conn));
-      }
-    }
-    for (std::size_t i = 0; i < polled.size(); ++i) {
-      Connection* conn = polled[i];
-      const short revents = fds[i + 2].revents;
-      bool alive = true;
-      bool peer_closed = false;
-      if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0 &&
-          !conn->close_after_flush) {
-        char buffer[16 * 1024];
-        const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
-        if (n < 0) {
-          alive =
-              errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK;
-        } else if (n == 0) {
-          peer_closed = true;
-        } else if (!conn->decoder.Feed(buffer, static_cast<std::size_t>(n))
-                        .ok()) {
-          alive = false;  // framing violation: drop
-        }
-      }
-      while (alive && conn->decoder.has_frame() &&
-             !conn->close_after_flush) {
-        const net::Frame frame = conn->decoder.PopFrame();
-        switch (frame.type) {
-          case net::MsgType::kRouteLookup: {
-            auto name = net::DecodeName(frame.payload);
-            if (!name.ok()) {
-              net::AppendFrame(&conn->out, net::MsgType::kError,
-                               net::EncodeError(name.status()));
-              conn->close_after_flush = true;
-              break;
-            }
-            auto endpoint = table_->Lookup(*name);
-            if (!endpoint.ok()) {
-              net::AppendFrame(&conn->out, net::MsgType::kError,
-                               net::EncodeError(endpoint.status()));
-              break;  // application error: stay open
-            }
-            net::AppendFrame(&conn->out, net::MsgType::kRouteReport,
-                             net::EncodeName(*endpoint));
-            break;
-          }
-          case net::MsgType::kShutdown:
-            net::AppendFrame(&conn->out, net::MsgType::kOk, std::string());
-            stopping_ = true;
-            break;
-          default:
-            net::AppendFrame(
-                &conn->out, net::MsgType::kError,
-                net::EncodeError(Status::InvalidArgument(
-                    "router: unexpected frame type " +
-                    std::to_string(static_cast<unsigned>(frame.type)))));
-            conn->close_after_flush = true;
-            break;
-        }
-      }
-      while (alive && conn->pending_out() > 0) {
-        const ssize_t n =
-            ::send(conn->fd, conn->out.data() + conn->out_offset,
-                   conn->pending_out(), MSG_NOSIGNAL);
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-          alive = false;
+void RouterServer::OnFrames(net::Connection* conn) {
+  net::Frame frame;
+  while (conn->NextFrame(&frame)) {
+    switch (frame.type) {
+      case net::MsgType::kRouteLookup: {
+        auto name = net::DecodeName(frame.payload);
+        if (!name.ok()) {
+          net::AppendFrame(conn->out(), net::MsgType::kError,
+                           net::EncodeError(name.status()));
+          loop_->Reject(conn);
           break;
         }
-        conn->out_offset += static_cast<std::size_t>(n);
+        auto endpoint = table_->Lookup(*name);
+        if (!endpoint.ok()) {
+          net::AppendFrame(conn->out(), net::MsgType::kError,
+                           net::EncodeError(endpoint.status()));
+          break;  // application error: stay open
+        }
+        net::AppendFrame(conn->out(), net::MsgType::kRouteReport,
+                         net::EncodeName(*endpoint));
+        break;
       }
-      if (conn->out_offset == conn->out.size()) {
-        conn->out.clear();
-        conn->out_offset = 0;
-      }
-      if (alive && (peer_closed || conn->close_after_flush) &&
-          conn->pending_out() == 0) {
-        alive = false;
-      }
-      if (!alive) CloseFd(&conn->fd);
-    }
-    connections_.erase(
-        std::remove_if(connections_.begin(), connections_.end(),
-                       [](const std::unique_ptr<Connection>& conn) {
-                         return conn->fd < 0;
-                       }),
-        connections_.end());
-  }
-  // Flush shutdown acks best-effort before closing.
-  for (auto& conn : connections_) {
-    while (conn->pending_out() > 0) {
-      const ssize_t n =
-          ::send(conn->fd, conn->out.data() + conn->out_offset,
-                 conn->pending_out(), MSG_NOSIGNAL);
-      if (n <= 0) break;
-      conn->out_offset += static_cast<std::size_t>(n);
+      case net::MsgType::kShutdown:
+        net::AppendFrame(conn->out(), net::MsgType::kOk, std::string());
+        loop_->RequestStop();
+        break;
+      default:
+        net::AppendFrame(
+            conn->out(), net::MsgType::kError,
+            net::EncodeError(Status::InvalidArgument(
+                "router: unexpected frame type " +
+                std::to_string(static_cast<unsigned>(frame.type)))));
+        loop_->Reject(conn);
+        break;
     }
   }
-  connections_.clear();
-  CloseFd(&listen_fd_);
-  return Status::OK();
 }
 
 }  // namespace replication

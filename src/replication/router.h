@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "net/event_loop.h"
 #include "replication/ring.h"
 #include "server/event_log.h"
 
@@ -79,39 +80,43 @@ class RouterTable {
 struct RouterServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 picks an ephemeral port
-  int listen_backlog = 16;
 };
 
-/// Minimal request/response front over a RouterTable. Single poll
-/// thread, same lifecycle as net::NetServer: Serve() on a dedicated
-/// thread, Stop() from anywhere.
-class RouterServer {
+/// Minimal request/response front over a RouterTable, on a
+/// net::EventLoop with the same lifecycle as net::NetServer: Serve()
+/// on a dedicated thread, Stop() from anywhere.
+class RouterServer : private net::EventLoop::Handler {
  public:
+  /// \name Bounds (docs/ARCHITECTURE.md, "Network frontend").
+  /// @{
+  static constexpr int kListenBacklog = 16;
+  static constexpr std::size_t kMaxConnections = 64;
+  static constexpr std::size_t kMaxInflight = 64;
+  static constexpr std::size_t kMaxWriteBuffer = 4u << 20;
+  static constexpr int kPollIntervalMs = 100;
+  static constexpr int kStopDrainRounds = 50;
+  /// @}
+
   static StatusOr<std::unique_ptr<RouterServer>> Listen(
       RouterTable* table, RouterServerOptions options);
 
-  ~RouterServer();
   RouterServer(const RouterServer&) = delete;
   RouterServer& operator=(const RouterServer&) = delete;
 
-  Status Serve();
-  void Stop();
-  std::uint16_t port() const { return port_; }
+  Status Serve() { return loop_->Run(); }
+  void Stop() { loop_->Stop(); }
+  std::uint16_t port() const { return loop_->port(); }
+  /// Transport counters; read after Serve() returns.
+  const net::EventLoopStats& stats() const { return stats_; }
 
  private:
-  struct Connection;
+  explicit RouterServer(RouterTable* table) : table_(table) {}
 
-  RouterServer() = default;
+  void OnFrames(net::Connection* conn) override;
 
-  RouterTable* table_ = nullptr;
-  RouterServerOptions options_;
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
-  bool stopping_ = false;
-  bool served_ = false;
-  std::vector<std::unique_ptr<Connection>> connections_;
+  RouterTable* table_;  // not owned
+  net::EventLoopStats stats_;
+  std::unique_ptr<net::EventLoop> loop_;
 };
 
 }  // namespace replication

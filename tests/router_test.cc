@@ -12,12 +12,18 @@
 //     tail is truncated not fatal, and the reopened journal appends.
 //   * The wire front answers kRouteLookup with exactly what the table
 //     says, and refuses off-family frames.
+//   * A client that pipelines lookups without reading its answers hits
+//     the router's write-buffer bound: the server stops reading (a
+//     counted backpressure pause) instead of buffering without limit,
+//     and answers every lookup once the client drains.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -255,6 +261,85 @@ TEST(RouterTest, WireLookupAnswersExactlyWhatTheTableSays) {
   (*server)->Stop();
   serve_thread.join();
   EXPECT_TRUE(serve_status.ok()) << serve_status;
+}
+
+TEST(RouterTest, UnreadPipelinedLookupsPauseReadsAndAreAllAnswered) {
+  // A ~64 KiB endpoint makes every answer large: 1024 unread answers
+  // (64 MiB) overflow the socket buffers and the router's 4 MiB write
+  // bound many times over, while the requests themselves fit in one
+  // send.
+  const std::string big_endpoint = "shard-" + std::string(64 * 1024, 'x');
+  constexpr std::size_t kLookups = 1024;
+  static_assert(kLookups * 64 * 1024 > 8 * RouterServer::kMaxWriteBuffer,
+                "the answers must overflow the write bound");
+  auto table = RouterTable::Open("");
+  ASSERT_TRUE(table.ok()) << table.status();
+  ASSERT_TRUE((*table)->AddEndpoint(big_endpoint).ok());
+
+  auto server = RouterServer::Listen(table->get(), RouterServerOptions{});
+  ASSERT_TRUE(server.ok()) << server.status();
+  Status serve_status;
+  std::thread serve_thread(
+      [&server, &serve_status] { serve_status = (*server)->Serve(); });
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  // A small fixed receive buffer keeps the kernel from absorbing the
+  // backlog that the router must hold (or refuse to read) itself.
+  int rcvbuf = 16 * 1024;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons((*server)->port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+
+  std::string request;
+  net::AppendPreamble(&request);
+  for (std::size_t i = 0; i < kLookups; ++i) {
+    net::AppendFrame(&request, net::MsgType::kRouteLookup,
+                     net::EncodeName(UserName(i)));
+  }
+  ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+
+  // Let the router answer until it can send no more: answers pile up
+  // in our receive buffer, then in the router's write buffer.
+  for (int i = 0; i < 500; ++i) {
+    int available = 0;
+    ::ioctl(fd, FIONREAD, &available);
+    if (available > 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  net::FrameDecoder decoder;
+  std::size_t answered = 0;
+  std::vector<char> buffer(256 * 1024);
+  while (answered < kLookups) {
+    const ssize_t n = ::recv(fd, buffer.data(), buffer.size(), 0);
+    ASSERT_GT(n, 0) << "router hung up after " << answered << " answers";
+    ASSERT_TRUE(decoder.Feed(buffer.data(), static_cast<std::size_t>(n)).ok());
+    while (decoder.has_frame()) {
+      const net::Frame frame = decoder.PopFrame();
+      ASSERT_EQ(frame.type, net::MsgType::kRouteReport) << answered;
+      auto endpoint = net::DecodeName(frame.payload);
+      ASSERT_TRUE(endpoint.ok());
+      ASSERT_EQ(endpoint->size(), big_endpoint.size()) << answered;
+      ++answered;
+    }
+  }
+  EXPECT_EQ(answered, kLookups);
+  ::close(fd);
+
+  (*server)->Stop();
+  serve_thread.join();
+  EXPECT_TRUE(serve_status.ok()) << serve_status;
+  EXPECT_GT((*server)->stats().backpressure_pauses, 0u);
+  EXPECT_EQ((*server)->stats().connections_accepted, 1u);
 }
 
 }  // namespace
