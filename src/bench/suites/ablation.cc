@@ -75,6 +75,7 @@ Status PairSolver(SuiteContext* ctx) {
   const auto matrix = StochasticMatrix::Random(n, &rng);
   TemporalLossFunction loss(matrix);
   LossEvalOptions iterative;
+  iterative.method = PairLossMethod::kIterativeRefinement;
   LossEvalOptions sorted;
   sorted.method = PairLossMethod::kSortedPrefix;
   double iterative_loss = 0.0, sorted_loss = 0.0;

@@ -11,16 +11,17 @@
 //
 // Bitwise serial/parallel equality is gated in every mode.
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "bench/suites/common.h"
 #include "bench/suites/suites.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/accountant_bank.h"
 #include "core/tpl_accountant.h"
-#include "service/fleet_engine.h"
 #include "workload/generators.h"
 
 namespace tcdp {
@@ -63,65 +64,80 @@ StatusOr<std::vector<TemporalCorrelations>> MakeProfiles(
   return profiles;
 }
 
+double UsersPerSecond(const FleetWorkload& workload, double seconds) {
+  return seconds > 0.0
+             ? static_cast<double>(workload.users * workload.horizon) /
+                   seconds
+             : 0.0;
+}
+
 /// The pre-bank array-of-structs reference: one standalone accountant
 /// per user — what every release cost before cohort batching.
 StatusOr<FleetRun> RunAosBaseline(const FleetWorkload& workload) {
   TCDP_ASSIGN_OR_RETURN(const auto profiles, MakeProfiles(workload));
-  PopulationAccountant population;
+  std::vector<TplAccountant> population;
+  population.reserve(workload.users);
   for (std::size_t u = 0; u < workload.users; ++u) {
-    population.AddUser(BenchUserName(u), profiles[u % workload.cohorts]);
+    population.emplace_back(profiles[u % workload.cohorts]);
   }
   WallTimer timer;
   for (std::size_t t = 0; t < workload.horizon; ++t) {
-    TCDP_RETURN_IF_ERROR(population.RecordRelease(workload.epsilon));
+    for (TplAccountant& user : population) {
+      TCDP_RETURN_IF_ERROR(user.RecordRelease(workload.epsilon));
+    }
   }
   FleetRun run;
   run.threads = 1;
   run.seconds = timer.ElapsedSeconds();
-  run.users_per_sec =
-      run.seconds > 0.0
-          ? static_cast<double>(workload.users * workload.horizon) /
-                run.seconds
-          : 0.0;
-  run.overall_alpha = population.OverallAlpha();
-  run.tpl_user0 = population.user(0).TplSeries();
+  run.users_per_sec = UsersPerSecond(workload, run.seconds);
+  for (const TplAccountant& user : population) {
+    run.overall_alpha = std::max(run.overall_alpha, user.MaxTpl());
+  }
+  run.tpl_user0 = population.front().TplSeries();
   return run;
 }
 
 StatusOr<FleetRun> RunFleet(const FleetWorkload& workload, bool use_cache,
                             std::size_t threads) {
-  FleetEngineOptions options;
+  AccountantBankOptions options;
   options.share_loss_cache = use_cache;
-  options.num_threads = threads;
-  FleetEngine engine(options);
+  AccountantBank bank(options);
+  // 0 threads = hardware concurrency; 1 runs the per-user loop inline.
+  std::unique_ptr<ThreadPool> pool;
+  if (threads != 1) {
+    pool = std::make_unique<ThreadPool>(threads);
+    bank.set_pool(pool.get());
+  }
   TCDP_ASSIGN_OR_RETURN(const auto profiles, MakeProfiles(workload));
   for (std::size_t u = 0; u < workload.users; ++u) {
-    engine.AddUser(BenchUserName(u), profiles[u % workload.cohorts]);
+    bank.AddUser(profiles[u % workload.cohorts]);
   }
   // Participation masks are regenerated identically for every thread
-  // count (seeded independently of the matrix stream).
+  // count (seeded independently of the matrix stream). Only the
+  // RecordRelease calls are timed, not mask generation.
   Rng mask_rng(workload.seed + 1);
   std::vector<std::size_t> participants;
+  FleetRun run;
   for (std::size_t t = 0; t < workload.horizon; ++t) {
-    if (workload.sparsity == 0.0) {
-      TCDP_RETURN_IF_ERROR(engine.RecordRelease(workload.epsilon));
-    } else {
+    if (workload.sparsity > 0.0) {
       participants.clear();
       for (std::size_t u = 0; u < workload.users; ++u) {
         if (mask_rng.Uniform() >= workload.sparsity) {
           participants.push_back(u);
         }
       }
-      TCDP_RETURN_IF_ERROR(
-          engine.RecordRelease(workload.epsilon, participants));
     }
+    WallTimer timer;
+    TCDP_RETURN_IF_ERROR(
+        workload.sparsity > 0.0
+            ? bank.RecordRelease(workload.epsilon, participants)
+            : bank.RecordRelease(workload.epsilon));
+    run.seconds += timer.ElapsedSeconds();
   }
-  FleetRun run;
   run.threads = threads;
-  run.seconds = engine.stats().record_seconds;
-  run.users_per_sec = engine.stats().UserReleasesPerSecond();
-  run.overall_alpha = engine.OverallAlpha();
-  run.tpl_user0 = engine.user(0).TplSeries();
+  run.users_per_sec = UsersPerSecond(workload, run.seconds);
+  run.overall_alpha = bank.OverallAlpha();
+  run.tpl_user0 = bank.TplSeriesFor(0);
   return run;
 }
 

@@ -26,11 +26,15 @@
 /// bank produces is **bitwise identical** to a standalone TplAccountant
 /// driven with the same sub-schedule through equivalently configured
 /// evaluators (same cache quantization, or both direct), at any thread
-/// count. PopulationAccountant/TplAccountant remain the single-user
-/// reference implementation.
+/// count. TplAccountant remains the single-user reference
+/// implementation.
 ///
-/// Thread-compatible like FleetEngine: concurrent calls on one bank
-/// must be externally serialized; internal fan-out is the bank's own.
+/// Population view (Section III-D, Definition 5): `MaxTplAt`,
+/// `PersonalizedAlphas` and `OverallAlpha` take the max over users.
+/// Callers wanting fan-out own a ThreadPool and hand it to `set_pool`.
+///
+/// Thread-compatible: concurrent calls on one bank must be externally
+/// serialized; internal fan-out is the bank's own.
 
 #include <cstddef>
 #include <cstdint>

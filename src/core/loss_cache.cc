@@ -1,5 +1,6 @@
 #include "core/loss_cache.h"
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -38,20 +39,17 @@ struct CacheObs {
 
 class TemporalLossCache::Impl {
  public:
-  explicit Impl(const Options& options) : options_(options) {
-    if (options_.num_shards == 0) options_.num_shards = 1;
-  }
+  explicit Impl(const Options& options) : options_(options) {}
 
   /// One interned matrix: its loss function plus a sharded value table.
   struct Entry {
-    explicit Entry(StochasticMatrix matrix, std::size_t num_shards)
-        : loss(std::move(matrix)), shards(num_shards) {}
+    explicit Entry(StochasticMatrix matrix) : loss(std::move(matrix)) {}
     TemporalLossFunction loss;
     struct Shard {
       std::mutex mu;
       std::unordered_map<std::int64_t, double> values;
     };
-    std::vector<Shard> shards;
+    std::array<Shard, kNumShards> shards;
   };
 
   std::shared_ptr<Entry> InternEntry(const StochasticMatrix& matrix) {
@@ -61,7 +59,7 @@ class TemporalLossCache::Impl {
     for (const auto& existing : it->second) {
       if (ExactlyEquals(existing->loss.transition(), matrix)) return existing;
     }
-    auto entry = std::make_shared<Entry>(matrix, options_.num_shards);
+    auto entry = std::make_shared<Entry>(matrix);
     it->second.push_back(entry);
     if (obs::MetricsEnabled()) CacheObs::Get().interned->Increment();
     return entry;
@@ -77,7 +75,7 @@ class TemporalLossCache::Impl {
         // evaluate directly rather than corrupt the key space.
         misses_.fetch_add(1, std::memory_order_relaxed);
         if (obs::MetricsEnabled()) CacheObs::Get().misses->Increment();
-        return entry.loss.EvaluateDetailed(alpha, options_.eval).loss;
+        return entry.loss.Evaluate(alpha);
       }
       // Snap to the grid point at or above alpha: L is nondecreasing, so
       // evaluating at a larger argument keeps the memoized value an
@@ -94,7 +92,7 @@ class TemporalLossCache::Impl {
       std::memcpy(&key, &alpha, sizeof(key));
     }
     Entry::Shard& shard =
-        entry.shards[static_cast<std::uint64_t>(key) % entry.shards.size()];
+        entry.shards[static_cast<std::uint64_t>(key) % kNumShards];
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       auto it = shard.values.find(key);
@@ -108,7 +106,7 @@ class TemporalLossCache::Impl {
     // concurrent duplicate computes the identical value anyway. Only the
     // thread whose insert wins counts the miss, so hits + misses always
     // equals lookups even when a cold bucket is raced.
-    const double value = entry.loss.EvaluateDetailed(alpha, options_.eval).loss;
+    const double value = entry.loss.Evaluate(alpha);
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       auto [it, inserted] = shard.values.emplace(key, value);

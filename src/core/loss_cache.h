@@ -24,6 +24,7 @@
 /// shared_ptr, so they may outlive the `TemporalLossCache` handle
 /// itself.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -40,12 +41,12 @@ class TemporalLossCache {
     /// value stays an upper bound on the true loss); 0 disables
     /// quantization (exact-bits keys).
     double alpha_resolution = 1e-9;
-    /// Shards per interned matrix's value table (lock striping).
-    std::size_t num_shards = 16;
-    /// How cache misses solve each ordered row pair (forwarded to
-    /// TemporalLossFunction::EvaluateDetailed on every evaluation).
-    LossEvalOptions eval;
   };
+
+  /// Lock stripes per interned matrix's value table. Misses solve with
+  /// the default LossEvalOptions, so `alpha_resolution` is the only
+  /// setting a durable MANIFEST has to record to replay bitwise.
+  static constexpr std::size_t kNumShards = 16;
 
   struct Stats {
     std::uint64_t hits = 0;

@@ -317,67 +317,4 @@ StatusOr<TplAccountant> TplAccountant::Deserialize(const std::string& text) {
   return accountant;
 }
 
-std::size_t PopulationAccountant::AddUser(std::string name,
-                                          TemporalCorrelations correlations) {
-  users_.push_back(UserEntry{std::move(name),
-                             TplAccountant(std::move(correlations))});
-  return users_.size() - 1;
-}
-
-Status PopulationAccountant::RecordRelease(double epsilon) {
-  for (auto& u : users_) {
-    TCDP_RETURN_IF_ERROR(u.accountant.RecordRelease(epsilon));
-  }
-  return Status::OK();
-}
-
-Status PopulationAccountant::RecordRelease(
-    double epsilon, const std::vector<std::size_t>& participants) {
-  // Validate before mutating any accountant: a mid-loop failure would
-  // leave users at inconsistent horizons.
-  if (!(epsilon > 0.0) || !std::isfinite(epsilon)) {
-    return Status::InvalidArgument(
-        "PopulationAccountant: epsilon must be finite and > 0");
-  }
-  std::vector<bool> in_release(users_.size(), false);
-  for (std::size_t index : participants) {
-    if (index >= users_.size()) {
-      return Status::InvalidArgument(
-          "PopulationAccountant: participant index " +
-          std::to_string(index) + " out of range");
-    }
-    in_release[index] = true;
-  }
-  for (std::size_t i = 0; i < users_.size(); ++i) {
-    if (in_release[i]) {
-      TCDP_RETURN_IF_ERROR(users_[i].accountant.RecordRelease(epsilon));
-    } else {
-      TCDP_RETURN_IF_ERROR(users_[i].accountant.RecordSkip());
-    }
-  }
-  return Status::OK();
-}
-
-std::size_t PopulationAccountant::horizon() const {
-  return users_.empty() ? 0 : users_.front().accountant.horizon();
-}
-
-StatusOr<double> PopulationAccountant::MaxTplAt(std::size_t t) const {
-  if (users_.empty()) {
-    return Status::FailedPrecondition("MaxTplAt: no users registered");
-  }
-  double best = 0.0;
-  for (const auto& u : users_) {
-    TCDP_ASSIGN_OR_RETURN(double v, u.accountant.Tpl(t));
-    best = std::max(best, v);
-  }
-  return best;
-}
-
-double PopulationAccountant::OverallAlpha() const {
-  double best = 0.0;
-  for (const auto& u : users_) best = std::max(best, u.accountant.MaxTpl());
-  return best;
-}
-
 }  // namespace tcdp

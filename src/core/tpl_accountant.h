@@ -63,11 +63,8 @@ class TplAccountant {
   /// pass that cache's alpha_resolution as \p cache_alpha_resolution so
   /// Serialize() can record it and Deserialize() can rebuild an
   /// identically quantized cache — the restored series is then bitwise
-  /// equal to the live one, provided the cache used the default
-  /// LossEvalOptions (the eval method is not serialized; a
-  /// non-default method restores within solver parity, i.e. ULPs).
-  /// Negative (the default) means "direct evaluators" and restores the
-  /// uncached path.
+  /// equal to the live one. Negative (the default) means "direct
+  /// evaluators" and restores the uncached path.
   TplAccountant(TemporalCorrelations correlations,
                 std::shared_ptr<const LossEvaluator> backward_loss,
                 std::shared_ptr<const LossEvaluator> forward_loss,
@@ -156,53 +153,6 @@ class TplAccountant {
   std::vector<double> bpl_;              // incremental forward pass
   mutable std::vector<double> fpl_;      // lazy backward pass
   mutable bool fpl_dirty_ = true;
-};
-
-/// \brief Population view (Section III-D): per-user accountants, overall
-/// leakage = max over users; also yields the personalized profile.
-///
-/// NOTE: for fleets beyond a handful of users prefer
-/// service/fleet_engine.h, which offers the same surface batched over
-/// the structure-of-arrays AccountantBank (core/accountant_bank.h).
-/// This class remains the simple single-threaded reference
-/// implementation the bank is property-tested against.
-class PopulationAccountant {
- public:
-  /// Adds a user; returns its index.
-  std::size_t AddUser(std::string name, TemporalCorrelations correlations);
-
-  /// Records one release (budget eps) for every user.
-  Status RecordRelease(double epsilon);
-
-  /// Heterogeneous-schedule release: users listed in \p participants
-  /// (by index) accrue \p epsilon; every other user records a skip
-  /// (see TplAccountant::RecordSkip). Rejects out-of-range indices.
-  Status RecordRelease(double epsilon,
-                       const std::vector<std::size_t>& participants);
-
-  std::size_t num_users() const { return users_.size(); }
-  std::size_t horizon() const;
-
-  /// Accountant of user \p index.
-  const TplAccountant& user(std::size_t index) const {
-    return users_[index].accountant;
-  }
-  const std::string& user_name(std::size_t index) const {
-    return users_[index].name;
-  }
-
-  /// Definition 5's outer max: max over users of TPL_t.
-  StatusOr<double> MaxTplAt(std::size_t t) const;
-
-  /// The overall alpha of the recorded sequence: max over users and t.
-  double OverallAlpha() const;
-
- private:
-  struct UserEntry {
-    std::string name;
-    TplAccountant accountant;
-  };
-  std::vector<UserEntry> users_;
 };
 
 }  // namespace tcdp

@@ -107,11 +107,6 @@ struct ShardedServiceOptions {
   /// persisted, and Recover leaves the process-wide mode untouched.
   TcdpKernelMode kernel_mode = TcdpKernelMode::kAuto;
   bool share_loss_cache = true;
-  /// NOTE: the durable MANIFEST records only `cache.alpha_resolution`
-  /// (and `share_loss_cache`); a non-default `cache.eval` method is
-  /// not persisted, so a recovered service evaluates with the default
-  /// method — bitwise replay is guaranteed for default-eval services
-  /// (which includes everything `tcdp serve` can create).
   TemporalLossCache::Options cache;
 };
 

@@ -31,11 +31,12 @@ TemporalCorrelations Fig3Both() {
   return std::move(c).value();
 }
 
-TEST(AccountantBank, RejectsBadEpsilon) {
+TEST(AccountantBank, RejectsBadEpsilonAndParticipants) {
   AccountantBank bank;
   bank.AddUser(Fig3Both());
   EXPECT_FALSE(bank.RecordRelease(0.0).ok());
   EXPECT_FALSE(bank.RecordRelease(-1.0).ok());
+  EXPECT_FALSE(bank.RecordRelease(0.1, {1}).ok());  // one user: index 0
   EXPECT_EQ(bank.horizon(), 0u);
 }
 
@@ -117,6 +118,91 @@ TEST(AccountantBank, LateJoinerSeriesCoversOnlyItsSubSchedule) {
   EXPECT_EQ(bank.BplSeriesFor(late), (std::vector<double>{0.3}));
   // MaxTplAt(1) ignores the late joiner (no series there).
   EXPECT_EQ(*bank.MaxTplAt(1), bank.TplSeriesFor(early)[0]);
+}
+
+TEST(AccountantBank, CacheHitMissAccountingOnUniformFleet) {
+  // 50 users, one shared matrix: each new alpha is solved once (miss)
+  // and served to the rest of the cohort from the same bucket. Backward
+  // and forward share the interned matrix, and with a uniform schedule
+  // the FPL pass re-hits the BPL buckets.
+  AccountantBank bank;
+  for (int u = 0; u < 50; ++u) bank.AddUser(Fig3Both());
+  for (int t = 0; t < 6; ++t) ASSERT_TRUE(bank.RecordRelease(0.1).ok());
+  (void)bank.OverallAlpha();  // forces the FPL backward pass
+  const auto stats = bank.cache_stats();
+  EXPECT_EQ(stats.distinct_matrices, 1u);
+  EXPECT_EQ(stats.misses, 5u);  // BPL visits 5 distinct alphas
+  EXPECT_GT(stats.HitRate(), 0.9);
+}
+
+TEST(AccountantBank, HeterogeneousMatricesStayIsolated) {
+  AccountantBank bank;
+  bank.AddUser(Fig3Both());
+  const std::size_t identity = bank.AddUser(
+      TemporalCorrelations::BackwardOnly(StochasticMatrix::Identity(2)));
+  const std::size_t uncorrelated = bank.AddUser(TemporalCorrelations::None());
+  for (int t = 0; t < 3; ++t) ASSERT_TRUE(bank.RecordRelease(0.1).ok());
+  EXPECT_EQ(bank.cache_stats().distinct_matrices, 2u);
+  // Identity correlation: BPL grows linearly; the uncorrelated user
+  // stays flat at eps.
+  EXPECT_NEAR(bank.BplSeriesFor(identity)[2], 0.3, 1e-9);
+  EXPECT_NEAR(bank.TplSeriesFor(uncorrelated)[1], 0.1, 1e-12);
+}
+
+TEST(AccountantBank, CohortsDeduplicateByMatrixPairContents) {
+  AccountantBank bank;
+  bank.AddUser(Fig3Both());
+  bank.AddUser(Fig3Both());  // same pair contents -> same cohort
+  bank.AddUser(TemporalCorrelations::BackwardOnly(Fig3Matrix()));
+  bank.AddUser(TemporalCorrelations::ForwardOnly(Fig3Matrix()));
+  bank.AddUser(TemporalCorrelations::None());
+  EXPECT_EQ(bank.num_cohorts(), 4u);
+  // Backward-only and forward-only over the same matrix must NOT share
+  // a cohort (their recurrences differ) even though the interned loss
+  // table is shared underneath.
+  EXPECT_EQ(bank.cache_stats().distinct_matrices, 1u);
+}
+
+TEST(AccountantBank, PopulationAggregates) {
+  ThreadPool pool(2);
+  AccountantBank bank;
+  bank.set_pool(&pool);
+  const std::size_t correlated = bank.AddUser(Fig3Both());
+  const std::size_t uncorrelated = bank.AddUser(TemporalCorrelations::None());
+  for (int t = 0; t < 4; ++t) ASSERT_TRUE(bank.RecordRelease(0.1).ok());
+
+  const auto alphas = bank.PersonalizedAlphas();
+  ASSERT_EQ(alphas.size(), 2u);
+  EXPECT_GT(alphas[correlated], alphas[uncorrelated]);  // amplified
+  EXPECT_NEAR(alphas[uncorrelated], 0.1, 1e-12);
+  EXPECT_EQ(bank.OverallAlpha(), std::max(alphas[0], alphas[1]));
+
+  auto at2 = bank.MaxTplAt(2);
+  ASSERT_TRUE(at2.ok());
+  EXPECT_EQ(*at2, bank.TplSeriesFor(correlated)[1]);
+  EXPECT_FALSE(bank.MaxTplAt(0).ok());
+  EXPECT_FALSE(bank.MaxTplAt(bank.horizon() + 1).ok());
+}
+
+TEST(AccountantBank, EmptyPopulationFailsMaxTplAt) {
+  AccountantBank bank;
+  EXPECT_EQ(bank.MaxTplAt(1).status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_DOUBLE_EQ(bank.OverallAlpha(), 0.0);
+}
+
+TEST(AccountantBank, UncachedMaxOverUsers) {
+  AccountantBankOptions options;
+  options.share_loss_cache = false;
+  AccountantBank bank(options);
+  bank.AddUser(TemporalCorrelations::None());
+  bank.AddUser(TemporalCorrelations::BackwardOnly(Fig3Matrix()));
+  ASSERT_TRUE(bank.RecordRelease(0.1).ok());
+  ASSERT_TRUE(bank.RecordRelease(0.1).ok());
+  auto t2 = bank.MaxTplAt(2);
+  ASSERT_TRUE(t2.ok());
+  // The correlated user dominates: BPL_2 ~ 0.18 > 0.1.
+  EXPECT_NEAR(*t2, 0.1807756, 1e-5);
+  EXPECT_GT(bank.OverallAlpha(), 0.1);
 }
 
 // ----------------------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/accountant_bank.h"
 #include "core/adversary_sim.h"
 #include "core/dpt_mechanism.h"
 #include "core/tpl_accountant.h"
@@ -143,7 +144,7 @@ TEST(Integration, OperationalAdversaryBoundedByAccountant) {
 // Personalized accounting (Section III-D): users with weaker correlations
 // enjoy strictly smaller leakage under the same schedule.
 TEST(Integration, PersonalizedLeakageOrdering) {
-  PopulationAccountant pop;
+  AccountantBank pop;
   auto strong = SmoothedCorrelationMatrix(4, 0.01);
   auto weak = SmoothedCorrelationMatrix(4, 1.0);
   ASSERT_TRUE(strong.ok());
@@ -152,11 +153,11 @@ TEST(Integration, PersonalizedLeakageOrdering) {
   auto cw = TemporalCorrelations::Both(*weak, *weak);
   ASSERT_TRUE(cs.ok());
   ASSERT_TRUE(cw.ok());
-  pop.AddUser("strongly-correlated", *cs);
-  pop.AddUser("weakly-correlated", *cw);
+  const std::size_t strongly = pop.AddUser(*cs);
+  const std::size_t weakly = pop.AddUser(*cw);
   for (int t = 0; t < 15; ++t) ASSERT_TRUE(pop.RecordRelease(0.2).ok());
-  EXPECT_GT(pop.user(0).MaxTpl(), pop.user(1).MaxTpl());
-  EXPECT_DOUBLE_EQ(pop.OverallAlpha(), pop.user(0).MaxTpl());
+  EXPECT_GT(pop.MaxTplFor(strongly), pop.MaxTplFor(weakly));
+  EXPECT_DOUBLE_EQ(pop.OverallAlpha(), pop.MaxTplFor(strongly));
 }
 
 // w-event view (Table II): on independent data the ledger's window spend

@@ -120,6 +120,7 @@ TEST_P(LossBoundsTest, SortedPrefixSolverMatchesIterative) {
     TemporalLossFunction loss(matrix);
     for (double alpha : {0.05, 0.8, 5.0}) {
       LossEvalOptions iterative;
+      iterative.method = PairLossMethod::kIterativeRefinement;
       LossEvalOptions sorted;
       sorted.method = PairLossMethod::kSortedPrefix;
       const auto a = loss.EvaluateDetailed(alpha, sorted);

@@ -205,23 +205,6 @@ TEST(TplAccountant, MaxWindowTplEmptyIsZero) {
   EXPECT_DOUBLE_EQ(*v, 0.0);
 }
 
-TEST(PopulationAccountant, MaxOverUsers) {
-  PopulationAccountant pop;
-  pop.AddUser("weak", TemporalCorrelations::None());
-  pop.AddUser("strong", TemporalCorrelations::BackwardOnly(Fig3Matrix()));
-  ASSERT_TRUE(pop.RecordRelease(0.1).ok());
-  ASSERT_TRUE(pop.RecordRelease(0.1).ok());
-  EXPECT_EQ(pop.num_users(), 2u);
-  EXPECT_EQ(pop.horizon(), 2u);
-  auto t2 = pop.MaxTplAt(2);
-  ASSERT_TRUE(t2.ok());
-  // The correlated user dominates: BPL_2 ~ 0.18 > 0.1.
-  EXPECT_NEAR(*t2, 0.1807756, 1e-5);
-  EXPECT_GT(pop.OverallAlpha(), 0.1);
-  EXPECT_EQ(pop.user_name(1), "strong");
-  EXPECT_EQ(pop.user(0).horizon(), 2u);
-}
-
 TEST(TplAccountant, RecordSkipPropagatesLossWithoutAccruingBudget) {
   TplAccountant acc(Fig3Both());
   ASSERT_TRUE(acc.RecordRelease(0.5).ok());
@@ -245,24 +228,6 @@ TEST(TplAccountant, SkipOnlySequenceStaysAtZero) {
   EXPECT_EQ(acc.horizon(), 2u);
   EXPECT_DOUBLE_EQ(acc.MaxTpl(), 0.0);
   EXPECT_DOUBLE_EQ(acc.UserLevelTpl(), 0.0);
-}
-
-TEST(PopulationAccountant, SparseReleaseSkipsAbsentUsers) {
-  PopulationAccountant pop;
-  pop.AddUser("in", TemporalCorrelations::BackwardOnly(Fig3Matrix()));
-  pop.AddUser("out", TemporalCorrelations::BackwardOnly(Fig3Matrix()));
-  ASSERT_TRUE(pop.RecordRelease(0.2, {0}).ok());
-  ASSERT_TRUE(pop.RecordRelease(0.2, {0, 1}).ok());
-  EXPECT_EQ(pop.horizon(), 2u);
-  EXPECT_DOUBLE_EQ(pop.user(0).UserLevelTpl(), 0.4);
-  EXPECT_DOUBLE_EQ(pop.user(1).UserLevelTpl(), 0.2);
-  EXPECT_FALSE(pop.RecordRelease(0.2, {7}).ok());
-  // Invalid epsilon is rejected BEFORE any skip is recorded — horizons
-  // must stay aligned.
-  EXPECT_FALSE(pop.RecordRelease(-1.0, {0}).ok());
-  EXPECT_FALSE(pop.RecordRelease(0.0, {}).ok());
-  EXPECT_EQ(pop.user(0).horizon(), 2u);
-  EXPECT_EQ(pop.user(1).horizon(), 2u);
 }
 
 TEST(TplAccountant, SerializeDeserializeRoundTrip) {
@@ -379,12 +344,6 @@ TEST(TplAccountant, DeserializeRejectsMalformedInput) {
   EXPECT_FALSE(TplAccountant::Deserialize("tcdp-accountant-v1\nbackward 0\n"
                                           "forward 0\nepsilons 1\n-0.5\n")
                    .ok());
-}
-
-TEST(PopulationAccountant, EmptyPopulationFailsQueries) {
-  PopulationAccountant pop;
-  EXPECT_FALSE(pop.MaxTplAt(1).ok());
-  EXPECT_DOUBLE_EQ(pop.OverallAlpha(), 0.0);
 }
 
 }  // namespace

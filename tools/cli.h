@@ -24,8 +24,8 @@
 ///   fleet     [--users N] [--horizon T] [--epsilon E] [--pages n]
 ///             [--groups g] [--threads k] [--cache on|off]
 ///       Replays a synthetic multi-user clickstream workload through the
-///       batched release engine (shared loss cache + thread pool) and
-///       prints throughput, leakage, and cache statistics.
+///       cohort-batched AccountantBank (shared loss cache + thread pool)
+///       and prints throughput, leakage, and cache statistics.
 ///
 ///   serve     --script S.txt [--log-dir D] [--shards N]
 ///             [--batch-window W] [--snapshot-every K] [--sync-every Y]
