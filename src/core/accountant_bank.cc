@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <optional>
 
 #include "core/tpl_accountant.h"
 #include "kernels/kernels.h"
@@ -131,6 +132,34 @@ StepScratch& StepScratchForThread() {
   thread_local StepScratch scratch;
   return scratch;
 }
+
+/// One recurrence's loss, one entry deep: when the argument repeats the
+/// previous one bit-for-bit the previous value is returned without an
+/// evaluation. Between a user's participations eps = 0 and the
+/// recurrence x <- L(snap(x)) settles on the quantization grid's fixed
+/// point, then repeats the same bits. Evaluators are pure (the property
+/// LocalLossMemo relies on), so reuse never changes a value.
+class RepeatArgLoss {
+ public:
+  explicit RepeatArgLoss(const LossEvaluator& loss) : loss_(loss) {}
+
+  double Evaluate(double alpha) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &alpha, sizeof(bits));
+    if (!has_last_ || bits != last_bits_) {
+      last_value_ = loss_.Evaluate(alpha);
+      last_bits_ = bits;
+      has_last_ = true;
+    }
+    return last_value_;
+  }
+
+ private:
+  const LossEvaluator& loss_;
+  bool has_last_ = false;
+  std::uint64_t last_bits_ = 0;
+  double last_value_ = 0.0;
+};
 
 }  // namespace
 
@@ -334,60 +363,57 @@ std::vector<double> AccountantBank::EpsilonsFor(std::size_t user) const {
   return out;
 }
 
-std::vector<double> AccountantBank::BplSeriesFor(std::size_t user) const {
+AccountantBank::UserSeries AccountantBank::SeriesFor(std::size_t user) const {
   assert(user < num_users());
   const Cohort& cohort = cohorts_[user_cohort_[user]];
-  const LossEvaluator* backward = cohort.backward.get();
-  const std::size_t join = user_join_[user];
-  std::vector<double> out(horizon() - join);
+  UserSeries s;
+  s.epsilons = EpsilonsFor(user);
+  const std::vector<double>& eps = s.epsilons;
+  const std::size_t len = eps.size();
+  s.bpl.resize(len);
+  s.fpl.resize(len);
+  s.tpl.resize(len);
+
+  std::optional<RepeatArgLoss> backward;
+  std::optional<RepeatArgLoss> forward;
+  if (cohort.backward != nullptr) backward.emplace(*cohort.backward);
+  if (cohort.forward != nullptr) forward.emplace(*cohort.forward);
+
   double prev = 0.0;
-  for (std::size_t idx = 0; idx < out.size(); ++idx) {
-    const std::size_t t = join + idx;
-    const double eps = ParticipatedRaw(user, t) ? schedule_[t] : 0.0;
-    double loss = 0.0;
-    if (backward != nullptr && prev > 0.0) loss = backward->Evaluate(prev);
-    prev = loss + eps;
-    out[idx] = prev;
+  for (std::size_t idx = 0; idx < len; ++idx) {
+    const double loss =
+        backward && prev > 0.0 ? backward->Evaluate(prev) : 0.0;
+    prev = loss + eps[idx];
+    s.bpl[idx] = prev;
   }
   // The recomputed tail must land exactly on the running column.
-  assert(out.empty() ||
-         out.back() == cohort.bpl_last[user_slot_[user]]);
-  return out;
+  assert(s.bpl.empty() || s.bpl.back() == cohort.bpl_last[user_slot_[user]]);
+
+  // Equation 15 runs backward; TPL and its max ride the same sweep.
+  for (std::size_t idx = len; idx-- > 0;) {
+    double fpl = eps[idx];
+    if (idx + 1 < len && forward) fpl += forward->Evaluate(s.fpl[idx + 1]);
+    s.fpl[idx] = fpl;
+    s.tpl[idx] = s.bpl[idx] + fpl - eps[idx];
+    s.max_tpl = std::max(s.max_tpl, s.tpl[idx]);
+  }
+  return s;
+}
+
+std::vector<double> AccountantBank::BplSeriesFor(std::size_t user) const {
+  return SeriesFor(user).bpl;
 }
 
 std::vector<double> AccountantBank::FplSeriesFor(std::size_t user) const {
-  assert(user < num_users());
-  const Cohort& cohort = cohorts_[user_cohort_[user]];
-  const LossEvaluator* forward = cohort.forward.get();
-  const std::size_t join = user_join_[user];
-  const std::size_t len = horizon() - join;
-  std::vector<double> out(len);
-  for (std::size_t idx = len; idx-- > 0;) {
-    const std::size_t t = join + idx;
-    double fpl = ParticipatedRaw(user, t) ? schedule_[t] : 0.0;
-    if (idx + 1 < len && forward != nullptr) {
-      fpl += forward->Evaluate(out[idx + 1]);
-    }
-    out[idx] = fpl;
-  }
-  return out;
+  return SeriesFor(user).fpl;
 }
 
 std::vector<double> AccountantBank::TplSeriesFor(std::size_t user) const {
-  const std::vector<double> eps = EpsilonsFor(user);
-  const std::vector<double> bpl = BplSeriesFor(user);
-  const std::vector<double> fpl = FplSeriesFor(user);
-  std::vector<double> out(bpl.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = bpl[i] + fpl[i] - eps[i];
-  }
-  return out;
+  return SeriesFor(user).tpl;
 }
 
 double AccountantBank::MaxTplFor(std::size_t user) const {
-  double best = 0.0;
-  for (double v : TplSeriesFor(user)) best = std::max(best, v);
-  return best;
+  return SeriesFor(user).max_tpl;
 }
 
 StatusOr<double> AccountantBank::MaxTplAt(std::size_t t) const {

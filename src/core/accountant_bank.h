@@ -30,7 +30,8 @@
 /// implementation.
 ///
 /// Population view (Section III-D, Definition 5): `MaxTplAt`,
-/// `PersonalizedAlphas` and `OverallAlpha` take the max over users.
+/// `PersonalizedAlphas` and `OverallAlpha` take the max over users,
+/// each user's series computed by the one-pass `SeriesFor`.
 /// Callers wanting fan-out own a ThreadPool and hand it to `set_pool`.
 ///
 /// Thread-compatible: concurrent calls on one bank must be externally
@@ -104,12 +105,28 @@ class AccountantBank {
   /// The user's effective spend sequence (0 entries are skips), index 0
   /// = the user's join release.
   std::vector<double> EpsilonsFor(std::size_t user) const;
-  /// Lazily recomputed full series over the user's sub-schedule,
-  /// bitwise equal to the reference TplAccountant's.
+
+  /// Everything a budget check reads about one user, index 0 = the
+  /// user's join release.
+  struct UserSeries {
+    std::vector<double> epsilons;
+    std::vector<double> bpl;  ///< Equation 13
+    std::vector<double> fpl;  ///< Equation 15
+    std::vector<double> tpl;  ///< BPL + FPL - eps
+    double max_tpl = 0.0;     ///< max_t TPL_t (0 when empty)
+  };
+  /// Lazily recomputed series over the user's sub-schedule in one pass,
+  /// bitwise equal to the reference TplAccountant's: one participation
+  /// decode, Equation 13 forward, Equation 15 backward with TPL and its
+  /// max formed in the same sweep. Each recurrence reuses the previous
+  /// step's loss when its argument repeats bit-for-bit — the converged
+  /// tail between participations — so the result is unchanged
+  /// (evaluators are pure) while most evaluations are skipped.
+  UserSeries SeriesFor(std::size_t user) const;
+  /// Views of SeriesFor.
   std::vector<double> BplSeriesFor(std::size_t user) const;
   std::vector<double> FplSeriesFor(std::size_t user) const;
   std::vector<double> TplSeriesFor(std::size_t user) const;
-  /// max_t TPL_t over the user's series (0 when empty).
   double MaxTplFor(std::size_t user) const;
   /// @}
 

@@ -1183,10 +1183,11 @@ StatusOr<UserReport> ShardedReleaseService::Query(const std::string& name) {
   report.shard = it->second.first;
   report.join_release = shard.bank.join_release(local);
   report.horizon = shard.bank.user_horizon(local);
-  report.max_tpl = shard.bank.MaxTplFor(local);
+  AccountantBank::UserSeries series = shard.bank.SeriesFor(local);
+  report.max_tpl = series.max_tpl;
   report.user_level_tpl = shard.bank.UserEpsSum(local);
-  report.epsilons = shard.bank.EpsilonsFor(local);
-  report.tpl_series = shard.bank.TplSeriesFor(local);
+  report.epsilons = std::move(series.epsilons);
+  report.tpl_series = std::move(series.tpl);
   return report;
 }
 

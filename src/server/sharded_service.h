@@ -214,7 +214,8 @@ class ShardedReleaseService {
   /// service. Accounting state is untouched; only disk layout changes.
   Status Compact();
 
-  /// Drains the user's shard and reports its accounting.
+  /// Drains the user's shard and reports its accounting, computed by
+  /// one AccountantBank::SeriesFor pass.
   StatusOr<UserReport> Query(const std::string& name);
 
   /// Exports one user as a standalone "tcdp-accountant-v2" blob (the

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -380,6 +381,175 @@ TEST_P(BankEquivalenceTest, UncachedBankMatchesDirectReferenceBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BankEquivalenceTest, ::testing::Range(1, 13));
+
+// ----------------------------------------------------------------------
+// Long sparse schedules: over a thousand releases at under 2%
+// participation, so every user's series has long eps-0 stretches on
+// which the recurrences settle onto the quantization grid's fixed point
+// and SeriesFor reuses the previous step's loss.
+
+RandomFleet MakeLongSparseFleet(Rng* rng) {
+  RandomFleet fleet;
+  const auto pb = StochasticMatrix::Random(3, rng);
+  const auto pf = StochasticMatrix::Random(3, rng);
+  fleet.profiles.push_back(TemporalCorrelations::Both(pb, pf).value());
+  fleet.profiles.push_back(TemporalCorrelations::BackwardOnly(pb));
+  fleet.profiles.push_back(TemporalCorrelations::ForwardOnly(pf));
+  const std::size_t horizon =
+      1000 + static_cast<std::size_t>(rng->UniformInt(0, 200));
+  for (std::size_t u = 0; u < 6; ++u) {
+    fleet.profile_of_user.push_back(u % fleet.profiles.size());
+    fleet.join_of_user.push_back(0);
+  }
+  for (std::size_t t = 0; t < horizon; ++t) {
+    // Late joiners: a few at random, and one at mid-stream for sure.
+    if (t == horizon / 2 || rng->Uniform() < 0.004) {
+      fleet.profile_of_user.push_back(
+          static_cast<std::size_t>(rng->UniformInt(0, 2)));
+      fleet.join_of_user.push_back(t);
+    }
+    fleet.schedule.push_back(0.05 + 0.4 * rng->Uniform());
+    std::vector<std::size_t> in_release;
+    for (std::size_t u = 0; u < fleet.profile_of_user.size(); ++u) {
+      if (fleet.join_of_user[u] <= t && rng->Uniform() < 0.015) {
+        in_release.push_back(u);
+      }
+    }
+    fleet.participants.push_back(std::move(in_release));
+  }
+  return fleet;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// The loss arguments one SeriesFor pass hands each of the user's
+/// evaluators, in sweep order, taken from the reference series: L^B at
+/// the previous BPL when positive (Equation 13), L^F at the next FPL
+/// (Equation 15).
+std::vector<std::vector<double>> EvaluatedArguments(
+    const TemporalCorrelations& corr, const TplAccountant& reference) {
+  std::vector<std::vector<double>> sweeps;
+  if (corr.has_backward()) {
+    const std::vector<double> bpl = reference.BplSeries();
+    std::vector<double> args;
+    for (std::size_t idx = 1; idx < bpl.size(); ++idx) {
+      if (bpl[idx - 1] > 0.0) args.push_back(bpl[idx - 1]);
+    }
+    sweeps.push_back(std::move(args));
+  }
+  if (corr.has_forward()) {
+    const std::vector<double> fpl = reference.FplSeries();
+    std::vector<double> args;
+    for (std::size_t idx = fpl.size(); idx-- > 1;) args.push_back(fpl[idx]);
+    sweeps.push_back(std::move(args));
+  }
+  return sweeps;
+}
+
+/// Positions whose argument is positive (the cache never looks up 0)
+/// and differs bit-for-bit from the previous position's.
+std::size_t CountChangedArguments(const std::vector<double>& args) {
+  std::size_t changed = 0;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    if (args[i] > 0.0 && (i == 0 || !SameBits(args[i], args[i - 1]))) {
+      ++changed;
+    }
+  }
+  return changed;
+}
+
+/// The single-user reference for user \p u through direct (uncached)
+/// evaluators.
+TplAccountant MakeDirectReference(const RandomFleet& fleet, std::size_t u) {
+  TplAccountant reference(fleet.profiles[fleet.profile_of_user[u]]);
+  for (std::size_t t = fleet.join_of_user[u]; t < fleet.schedule.size();
+       ++t) {
+    const auto& in_release = fleet.participants[t];
+    if (std::find(in_release.begin(), in_release.end(), u) !=
+        in_release.end()) {
+      EXPECT_TRUE(reference.RecordRelease(fleet.schedule[t]).ok());
+    } else {
+      EXPECT_TRUE(reference.RecordSkip().ok());
+    }
+  }
+  return reference;
+}
+
+class LongSparseEquivalenceTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(LongSparseEquivalenceTest, CachedAndUncachedBanksMatchReference) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 66000);
+  const RandomFleet fleet = MakeLongSparseFleet(&rng);
+  ASSERT_GE(fleet.schedule.size(), 1000u);
+
+  for (const bool cached : {true, false}) {
+    AccountantBankOptions options;
+    options.share_loss_cache = cached;
+    AccountantBank bank(options);
+    DriveBank(fleet, &bank);
+    TemporalLossCache reference_cache(options.cache);
+    std::size_t repeated = 0;  // arguments equal to the previous one
+    for (std::size_t u = 0; u < bank.num_users(); ++u) {
+      const TplAccountant reference =
+          cached ? MakeReference(fleet, u, options.cache, &reference_cache)
+                 : MakeDirectReference(fleet, u);
+      const AccountantBank::UserSeries series = bank.SeriesFor(u);
+      EXPECT_EQ(series.epsilons, reference.epsilons()) << "user " << u;
+      EXPECT_EQ(series.bpl, reference.BplSeries()) << "user " << u;
+      EXPECT_EQ(series.fpl, reference.FplSeries()) << "user " << u;
+      EXPECT_EQ(series.tpl, reference.TplSeries()) << "user " << u;
+      EXPECT_EQ(series.max_tpl, reference.MaxTpl()) << "user " << u;
+      EXPECT_EQ(bank.MaxTplFor(u), reference.MaxTpl()) << "user " << u;
+
+      for (const std::vector<double>& args :
+           EvaluatedArguments(bank.user_correlations(u), reference)) {
+        for (std::size_t i = 1; i < args.size(); ++i) {
+          if (SameBits(args[i], args[i - 1])) ++repeated;
+        }
+      }
+    }
+    // The converged tail exists, so the reuse branch is exercised.
+    if (cached) {
+      EXPECT_GT(repeated, 0u);
+    }
+  }
+}
+
+TEST_P(LongSparseEquivalenceTest, SeriesLooksUpOncePerChangedArgument) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 66000);
+  const RandomFleet fleet = MakeLongSparseFleet(&rng);
+
+  AccountantBankOptions options;
+  AccountantBank bank(options);
+  DriveBank(fleet, &bank);
+  TemporalLossCache reference_cache(options.cache);
+  std::size_t evaluated = 0;
+  std::size_t expected_total = 0;
+  for (std::size_t u = 0; u < bank.num_users(); ++u) {
+    const TplAccountant reference =
+        MakeReference(fleet, u, options.cache, &reference_cache);
+    std::size_t expected = 0;
+    for (const std::vector<double>& args :
+         EvaluatedArguments(bank.user_correlations(u), reference)) {
+      expected += CountChangedArguments(args);
+      evaluated += args.size();
+    }
+    const TemporalLossCache::Stats before = bank.cache_stats();
+    (void)bank.SeriesFor(u);
+    const TemporalLossCache::Stats after = bank.cache_stats();
+    EXPECT_EQ((after.hits + after.misses) - (before.hits + before.misses),
+              expected)
+        << "user " << u;
+    expected_total += expected;
+  }
+  // Not vacuous: most evaluations along a sparse schedule repeat.
+  EXPECT_LT(expected_total, evaluated / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LongSparseEquivalenceTest,
+                         ::testing::Range(1, 5));
 
 }  // namespace
 }  // namespace tcdp

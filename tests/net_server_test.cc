@@ -81,14 +81,21 @@ struct TestServer {
                                            std::size_t batch_window,
                                            const std::string& log_dir = "",
                                            NetServerOptions net_options = {}) {
-    auto ts = std::make_unique<TestServer>();
     server::ShardedServiceOptions options;
     options.num_shards = shards;
     options.batch_window = batch_window;
     auto service = server::ShardedReleaseService::Create(log_dir, options);
     EXPECT_TRUE(service.ok()) << service.status();
     if (!service.ok()) return nullptr;
-    ts->service = std::move(service).value();
+    return Serve(std::move(service).value(), std::move(net_options));
+  }
+
+  /// Serves an existing (possibly already driven) service.
+  static std::unique_ptr<TestServer> Serve(
+      std::unique_ptr<server::ShardedReleaseService> service,
+      NetServerOptions net_options = {}) {
+    auto ts = std::make_unique<TestServer>();
+    ts->service = std::move(service);
     auto server = NetServer::Listen(ts->service.get(), net_options);
     EXPECT_TRUE(server.ok()) << server.status();
     if (!server.ok()) return nullptr;
@@ -453,6 +460,42 @@ TEST(NetServerTest, StatsQueryReportsShardGauges) {
     EXPECT_EQ(shard.queue_depth, 0u);  // drained by the stats read
   }
   EXPECT_EQ(users, kUsers);
+  EXPECT_TRUE((*client)->Shutdown().ok());
+  ts->Finish();
+}
+
+TEST(NetServerTest, OversizedReportIsResourceExhaustedAndStreamSurvives) {
+  // A report carries 16 bytes per release of the user's horizon (one
+  // epsilon and one TPL double), so past kMaxFramePayload / 16 releases
+  // it no longer fits a frame. The service is driven in-process first:
+  // one release per tick (batch window 1), no network round trips.
+  const std::size_t releases = kMaxFramePayload / 16 + 64;
+  server::ShardedServiceOptions options;
+  options.num_shards = 1;
+  options.batch_window = 1;
+  auto service = server::ShardedReleaseService::Create("", options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  ASSERT_TRUE((*service)->Join("alice", Profile(0)).ok());
+  for (std::size_t r = 0; r < releases; ++r) {
+    ASSERT_TRUE((*service)->ReleaseAll(0.1).ok());
+  }
+  ASSERT_TRUE((*service)->Flush().ok());
+  ASSERT_EQ((*service)->horizon(), releases);
+
+  auto ts = TestServer::Serve(std::move(service).value());
+  ASSERT_NE(ts, nullptr);
+  auto client = Connect(*ts);
+  ASSERT_TRUE(client.ok()) << client.status();
+
+  auto report = (*client)->Query("alice");
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted)
+      << report.status();
+  // The error frame leaves the connection usable.
+  auto stats = (*client)->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->num_users, 1u);
+  EXPECT_EQ(stats->horizon, releases);
   EXPECT_TRUE((*client)->Shutdown().ok());
   ts->Finish();
 }

@@ -93,6 +93,9 @@ class ReferenceModel {
   std::vector<double> TplSeries(const std::string& name) {
     return users_.at(name).accountant->TplSeries();
   }
+  const TplAccountant& accountant(const std::string& name) const {
+    return *users_.at(name).accountant;
+  }
   std::vector<std::string> names() const {
     std::vector<std::string> out;
     for (const auto& [name, user] : users_) out.push_back(name);
@@ -331,6 +334,12 @@ void ExpectMatchesReference(std::uint64_t seed, std::size_t shards,
         << batch_window << " threads_per_shard " << threads_per_shard
         << " kernels " << kernels::KernelModeName(kernel_mode) << " user "
         << name;
+    // Every field Query fills from the bank's one-pass series.
+    const TplAccountant& accountant = reference.accountant(name);
+    EXPECT_EQ(report->max_tpl, accountant.MaxTpl()) << name;
+    EXPECT_EQ(report->epsilons, accountant.epsilons()) << name;
+    EXPECT_EQ(report->user_level_tpl, accountant.UserLevelTpl()) << name;
+    EXPECT_EQ(report->horizon, accountant.horizon()) << name;
   }
   ASSERT_TRUE((*service)->Close().ok());
 }
