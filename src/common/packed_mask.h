@@ -62,6 +62,31 @@ class PackedMask {
   /// The dense representation (kAll expands to \p num_words ones-words).
   std::vector<std::uint64_t> ToWords(std::size_t num_words) const;
 
+  /// Calls \p fn(i) for every set bit i of an explicit (non-kAll) row,
+  /// in increasing order. Zero runs are skipped without being expanded,
+  /// so the cost is the row's runs plus the words that hold set bits.
+  template <typename Fn>
+  void ForEachSetBit(Fn&& fn) const {
+    auto visit = [&fn](std::size_t word, std::uint64_t bits) {
+      for (; bits != 0; bits &= bits - 1) {
+        fn(word * 64 + static_cast<std::size_t>(__builtin_ctzll(bits)));
+      }
+    };
+    if (kind_ == Kind::kDense) {
+      for (std::size_t w = 0; w < dense_.size(); ++w) visit(w, dense_[w]);
+      return;
+    }
+    std::size_t begin = 0;
+    for (std::size_t r = 0; r < run_end_.size(); ++r) {
+      if (run_value_[r] != 0) {
+        for (std::size_t w = begin; w < run_end_[r]; ++w) {
+          visit(w, run_value_[r]);
+        }
+      }
+      begin = static_cast<std::size_t>(run_end_[r]);
+    }
+  }
+
   /// Heap bytes held by this row (the compression metric).
   std::size_t MemoryBytes() const;
 

@@ -11,10 +11,26 @@
 /// accountant per user. Users are grouped into **cohorts** keyed by
 /// their interned (P^B, P^F) transition-matrix pair; everyone in a
 /// cohort shares one pair of loss evaluators, so each release costs one
-/// Algorithm-1 solve per (cohort, distinct-alpha bucket) followed by a
-/// tight update loop over the cohort's column slices — a parallel grain
-/// that stays profitable even when the loss cache is warm (the open
-/// item the per-user TplAccountant layout could not fix).
+/// Algorithm-1 solve per (cohort, distinct-alpha bucket).
+///
+/// Which columns a release steps:
+///   * A dense release (`RecordRelease(epsilon)`) sweeps every column
+///     with the vector kernels, fanned out over the pool.
+///   * A sparse release steps only its participants and each cohort's
+///     **active slots** — the skippers whose eps-0 step x <- L^B(x) can
+///     still change `bpl_last`. A skipper whose step returns the same
+///     bits leaves the list: evaluators are pure, so every later skip
+///     would return those bits again, and leaving it alone is bitwise
+///     the eager result. Participants join the list; a dense release or
+///     `Restore` marks every slot active in O(1). These inline steps
+///     evaluate L^B through a per-cohort exact-bits memo kept across
+///     releases.
+///   * When participants plus active slots exceed a fixed share of the
+///     slots (kSweepShare in the .cc), the sparse release runs the pooled
+///     kernel sweep instead and rebuilds the lists from the columns whose
+///     bits moved.
+/// Columns therefore always hold the eagerly stepped values; nothing is
+/// caught up on read.
 ///
 /// Heterogeneous schedules: `RecordRelease(epsilon, participants)`
 /// charges eps only to the listed users; everyone else records a skip
@@ -41,6 +57,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/packed_mask.h"
@@ -182,9 +199,10 @@ class AccountantBank {
   };
   Image ExportImage() const;
 
-  /// Rebuilds a bank from \p image in O(users + horizon) with **no**
-  /// loss evaluations: cohorts are re-interned, columns injected
-  /// directly. Hardened restore path: malformed images (non-finite or
+  /// Rebuilds a bank from \p image in one pass over its rows (linear in
+  /// users, stored mask runs and participations) with **no** loss
+  /// evaluations: cohorts are re-interned, columns injected directly.
+  /// Hardened restore path: malformed images (non-finite or
   /// non-positive schedule entries, row/schedule length mismatch,
   /// out-of-range joins, mask rows wider than the fleet, or an eps_sum
   /// that does not equal the mask-selected schedule sum bitwise) return
@@ -195,6 +213,22 @@ class AccountantBank {
   /// @}
 
  private:
+  /// An active-list entry. The global user index rides along so a
+  /// sparse step reads the release mask without a users[slot] load.
+  struct ActiveSlot {
+    std::uint32_t slot;
+    std::uint32_t user;
+  };
+  /// A cohort's L^B memo for its inline steps, exact-bits and kept
+  /// across releases (direct-mapped; allocated on first use).
+  class StepMemo {
+   public:
+    double Evaluate(const LossEvaluator& loss, double alpha);
+
+   private:
+    /// (alpha bits, loss); bits 0 marks an empty entry (alpha > 0).
+    std::vector<std::pair<std::uint64_t, double>> entries_;
+  };
   /// One cohort: all users sharing a bit-identical (P^B, P^F) pair.
   struct Cohort {
     TemporalCorrelations correlations =
@@ -205,15 +239,33 @@ class AccountantBank {
     std::vector<std::uint32_t> users;  ///< global user index per slot
     std::vector<double> bpl_last;      ///< Equation 13 running state
     std::vector<double> eps_sum;       ///< lifetime accrued budget
+    /// Slots a sparse release steps besides its participants (ignored
+    /// while the bank's all_active_ is set); listed[slot] marks
+    /// membership, so each slot is queued at most once.
+    std::vector<ActiveSlot> active;
+    std::vector<std::uint8_t> listed;
+    StepMemo step_memo;  ///< backward losses for StepActive
   };
 
   std::size_t FindOrCreateCohort(const TemporalCorrelations& correlations);
   /// Advances bpl_last/eps_sum for flat slots [lo, hi) (the
   /// cohort-slice update loop; deterministic for any chunking). Runs on
   /// the dispatched vector kernels (src/kernels/), staging losses and
-  /// mask-selected budget adds in per-thread scratch buffers.
-  void StepSlots(std::size_t lo, std::size_t hi, double epsilon,
-                 const std::vector<std::uint64_t>& mask);
+  /// mask-selected budget adds in per-thread scratch buffers. With
+  /// \p track set (masked releases only) it also writes each slot's
+  /// `listed` flag — participated, or its bits moved — and returns how
+  /// many are set.
+  std::size_t StepSlots(std::size_t lo, std::size_t hi, double epsilon,
+                        const std::vector<std::uint64_t>& mask, bool track);
+  /// Runs StepSlots over every slot, on the pool when there is one.
+  std::size_t Sweep(double epsilon, bool track);
+  /// Steps the cohort's active slots inline against mask_scratch_ and
+  /// drops the skippers whose bits did not move; returns slots stepped.
+  std::size_t StepActive(Cohort* cohort, double epsilon);
+  /// Sparse release: participants plus active slots inline, or a
+  /// tracked Sweep past the crossover. Returns columns stepped.
+  std::size_t StepSparse(double epsilon,
+                         const std::vector<std::size_t>& participants);
   Status Record(double epsilon, const std::vector<std::size_t>* participants);
   bool ParticipatedRaw(std::size_t user, std::size_t t) const;
   /// Rebuilds cohort_offsets_ from the cohort sizes when AddUser has
@@ -239,6 +291,9 @@ class AccountantBank {
   /// Reusable staging for Record's participation bitmask — rebuilt (not
   /// reallocated) per masked release, packed via PackedMask::FromWordSpan.
   std::vector<std::uint64_t> mask_scratch_;
+  /// Every slot may still move (after a dense release or Restore): the
+  /// cohorts' active lists are stale and the next sparse release sweeps.
+  bool all_active_ = false;
 
   // Per-user global state (SoA).
   std::vector<std::uint32_t> user_join_;    ///< global release at join

@@ -12,12 +12,14 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/tpl_accountant.h"
 #include "markov/stochastic_matrix.h"
+#include "obs/metrics.h"
 
 namespace tcdp {
 namespace {
@@ -550,6 +552,307 @@ TEST_P(LongSparseEquivalenceTest, SeriesLooksUpOncePerChangedArgument) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LongSparseEquivalenceTest,
                          ::testing::Range(1, 5));
+
+// ----------------------------------------------------------------------
+// Active-slot stepping: a sparse release steps its participants plus the
+// skippers that can still move, or sweeps past the crossover. Columns
+// must equal the eager per-user recurrence after every release, on
+// schedules that cross the crossover both ways.
+
+/// Columns stepped by every bank in the process so far.
+std::uint64_t SteppedColumns() {
+  return obs::Registry::Default()
+      .GetCounter("tcdp_bank_stepped_columns_total")
+      ->value();
+}
+
+/// One release of a mixed schedule: everyone, or the listed users.
+struct MixedRelease {
+  bool all = false;
+  double epsilon = 0.0;
+  std::vector<std::size_t> participants;
+};
+
+/// Profiles covering every cohort shape (both directions, backward-only,
+/// forward-only, none), users joining throughout, and phases of dense
+/// releases, 50%+ releases and long runs of 1-3 participants in which
+/// the skippers settle and the active lists drain.
+struct MixedFleet {
+  std::vector<TemporalCorrelations> profiles;
+  std::vector<std::size_t> profile_of_user;
+  std::vector<std::size_t> join_of_user;
+  std::vector<MixedRelease> releases;
+};
+
+MixedFleet MakeMixedFleet(std::uint64_t seed) {
+  Rng rng(seed);
+  MixedFleet fleet;
+  const auto pb = StochasticMatrix::Random(3, &rng);
+  const auto pf = StochasticMatrix::Random(3, &rng);
+  fleet.profiles = {TemporalCorrelations::Both(pb, pf).value(),
+                    TemporalCorrelations::BackwardOnly(pb),
+                    TemporalCorrelations::ForwardOnly(pf),
+                    TemporalCorrelations::None(),
+                    TemporalCorrelations::Both(pf, pb).value()};
+  auto enroll = [&](std::size_t t) {
+    fleet.profile_of_user.push_back(fleet.profile_of_user.size() %
+                                    fleet.profiles.size());
+    fleet.join_of_user.push_back(t);
+  };
+  for (std::size_t u = 0; u < 600; ++u) enroll(0);
+  // (phase kind, length): 0 = everyone, 1 = 1-3 participants,
+  // 2 = 50%+ participants.
+  const std::vector<std::pair<int, std::size_t>> phases = {
+      {1, 40}, {0, 1}, {1, 90}, {2, 3}, {1, 70}, {0, 2},
+      {2, 1},  {1, 3}, {2, 2},  {1, 80}, {0, 1}, {1, 5}};
+  for (const auto& [kind, length] : phases) {
+    for (std::size_t i = 0; i < length; ++i) {
+      const std::size_t t = fleet.releases.size();
+      if (rng.Uniform() < 0.05) enroll(t);
+      const std::size_t users = fleet.profile_of_user.size();
+      MixedRelease release;
+      release.all = kind == 0;
+      release.epsilon = 0.05 + 0.4 * rng.Uniform();
+      if (kind == 1) {
+        const auto count = rng.UniformInt(1, 3);
+        for (std::int64_t k = 0; k < count; ++k) {
+          release.participants.push_back(static_cast<std::size_t>(
+              rng.UniformInt(0, static_cast<std::int64_t>(users) - 1)));
+        }
+      } else if (kind == 2) {
+        for (std::size_t u = 0; u < users; ++u) {
+          if (rng.Uniform() < 0.7) release.participants.push_back(u);
+        }
+      }
+      fleet.releases.push_back(std::move(release));
+    }
+  }
+  return fleet;
+}
+
+bool InRelease(const MixedRelease& release, std::size_t u) {
+  return release.all ||
+         std::find(release.participants.begin(), release.participants.end(),
+                   u) != release.participants.end();
+}
+
+/// The eager per-user recurrence, through the bank's evaluator kind.
+TplAccountant MakeEagerReference(const TemporalCorrelations& corr,
+                                 bool cached,
+                                 const TemporalLossCache::Options& options,
+                                 TemporalLossCache* cache) {
+  if (!cached) return TplAccountant(corr);
+  std::shared_ptr<const LossEvaluator> b;
+  std::shared_ptr<const LossEvaluator> f;
+  if (corr.has_backward()) b = cache->Intern(corr.backward());
+  if (corr.has_forward()) f = cache->Intern(corr.forward());
+  return TplAccountant(corr, std::move(b), std::move(f),
+                       options.alpha_resolution);
+}
+
+/// Applies release \p t to the bank and every enrolled reference,
+/// enrolling the users who join at t first.
+void StepMixed(const MixedFleet& fleet, std::size_t t, bool cached,
+               const TemporalLossCache::Options& options,
+               TemporalLossCache* cache, AccountantBank* bank,
+               std::vector<TplAccountant>* references) {
+  while (bank->num_users() < fleet.join_of_user.size() &&
+         fleet.join_of_user[bank->num_users()] <= t) {
+    const auto& corr =
+        fleet.profiles[fleet.profile_of_user[bank->num_users()]];
+    bank->AddUser(corr);
+    references->push_back(MakeEagerReference(corr, cached, options, cache));
+  }
+  const MixedRelease& release = fleet.releases[t];
+  ASSERT_TRUE((release.all
+                   ? bank->RecordRelease(release.epsilon)
+                   : bank->RecordRelease(release.epsilon,
+                                         release.participants))
+                  .ok());
+  for (std::size_t u = 0; u < references->size(); ++u) {
+    TplAccountant& reference = (*references)[u];
+    ASSERT_TRUE((InRelease(release, u)
+                     ? reference.RecordRelease(release.epsilon)
+                     : reference.RecordSkip())
+                    .ok());
+  }
+}
+
+/// Bank columns equal the references' running state, bitwise.
+void ExpectColumnsMatch(const AccountantBank& bank,
+                        const std::vector<TplAccountant>& references,
+                        std::size_t t) {
+  for (std::size_t u = 0; u < bank.num_users(); ++u) {
+    const TplAccountant& reference = references[u];
+    const double bpl = reference.Bpl(reference.horizon()).value();
+    ASSERT_TRUE(SameBits(bank.UserBplLast(u), bpl))
+        << "release " << t << " user " << u;
+    ASSERT_EQ(bank.UserEpsSum(u), reference.UserLevelTpl())
+        << "release " << t << " user " << u;
+  }
+}
+
+class ActiveSlotTest
+    : public ::testing::TestWithParam<std::tuple<bool, std::size_t>> {};
+
+TEST_P(ActiveSlotTest, ColumnsMatchEagerRecurrenceAcrossTheCrossover) {
+  const auto [cached, threads] = GetParam();
+  const MixedFleet fleet = MakeMixedFleet(4242);
+  AccountantBankOptions options;
+  options.share_loss_cache = cached;
+  AccountantBank bank(options);
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) {
+    pool = std::make_unique<ThreadPool>(threads);
+    bank.set_pool(pool.get());
+  }
+  TemporalLossCache reference_cache(options.cache);
+  std::vector<TplAccountant> references;
+  std::size_t inline_releases = 0;  // sparse, fewer columns than slots
+  std::size_t swept_releases = 0;   // sparse, every column
+  for (std::size_t t = 0; t < fleet.releases.size(); ++t) {
+    const std::uint64_t before = SteppedColumns();
+    StepMixed(fleet, t, cached, options.cache, &reference_cache, &bank,
+              &references);
+    const std::uint64_t stepped = SteppedColumns() - before;
+    if (!fleet.releases[t].all) {
+      (stepped < bank.num_users() ? inline_releases : swept_releases) += 1;
+    }
+    ExpectColumnsMatch(bank, references, t);
+    if (HasFatalFailure()) return;
+  }
+  for (std::size_t u = 0; u < bank.num_users(); ++u) {
+    const TplAccountant& reference = references[u];
+    const AccountantBank::UserSeries series = bank.SeriesFor(u);
+    EXPECT_EQ(series.epsilons, reference.epsilons()) << "user " << u;
+    EXPECT_EQ(series.bpl, reference.BplSeries()) << "user " << u;
+    EXPECT_EQ(series.fpl, reference.FplSeries()) << "user " << u;
+    EXPECT_EQ(series.tpl, reference.TplSeries()) << "user " << u;
+    EXPECT_EQ(series.max_tpl, reference.MaxTpl()) << "user " << u;
+  }
+  // Both paths ran: the schedule crosses the crossover both ways. The
+  // uncached lists stay long (direct evaluators settle slowly), so most
+  // of their sparse releases sweep.
+  EXPECT_GT(swept_releases, 0u);
+  EXPECT_GT(inline_releases, cached ? fleet.releases.size() / 2 : 0u);
+}
+
+TEST_P(ActiveSlotTest, RestoreThenSparseStepsMatchTheOriginalBank) {
+  const auto [cached, threads] = GetParam();
+  const MixedFleet fleet = MakeMixedFleet(5151);
+  AccountantBankOptions options;
+  options.share_loss_cache = cached;
+  AccountantBank original(options);
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) {
+    pool = std::make_unique<ThreadPool>(threads);
+    original.set_pool(pool.get());
+  }
+  TemporalLossCache reference_cache(options.cache);
+  std::vector<TplAccountant> references;
+  // Cut mid-way through a run of 1-3 participants, with skippers still
+  // settling, then drive both banks through the rest of the schedule.
+  const std::size_t cut = 60;
+  for (std::size_t t = 0; t < cut; ++t) {
+    StepMixed(fleet, t, cached, options.cache, &reference_cache, &original,
+              &references);
+  }
+  auto restored = AccountantBank::Restore(original.ExportImage(), options);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  if (pool != nullptr) restored->set_pool(pool.get());
+  std::vector<TplAccountant> restored_references = references;
+  TemporalLossCache restored_cache(options.cache);
+  for (std::size_t t = cut; t < fleet.releases.size(); ++t) {
+    StepMixed(fleet, t, cached, options.cache, &reference_cache, &original,
+              &references);
+    StepMixed(fleet, t, cached, options.cache, &restored_cache, &*restored,
+              &restored_references);
+    ExpectColumnsMatch(*restored, references, t);
+    if (HasFatalFailure()) return;
+  }
+  const AccountantBank::Image a = original.ExportImage();
+  const AccountantBank::Image b = restored->ExportImage();
+  ASSERT_EQ(a.users.size(), b.users.size());
+  EXPECT_EQ(a.schedule, b.schedule);
+  EXPECT_EQ(a.participation, b.participation);
+  for (std::size_t u = 0; u < a.users.size(); ++u) {
+    EXPECT_TRUE(SameBits(a.users[u].bpl_last, b.users[u].bpl_last)) << u;
+    EXPECT_TRUE(SameBits(a.users[u].eps_sum, b.users[u].eps_sum)) << u;
+    EXPECT_EQ(original.TplSeriesFor(u), restored->TplSeriesFor(u)) << u;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CacheAndPool, ActiveSlotTest,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(std::size_t{0}, std::size_t{4})));
+
+TEST(AccountantBank, SettledSparseReleaseStepsExactlyItsParticipants) {
+  AccountantBank bank;
+  const TemporalCorrelations corr = Fig3Both();
+  for (int u = 0; u < 64; ++u) bank.AddUser(corr);
+  ASSERT_TRUE(bank.RecordRelease(0.1).ok());
+  ASSERT_TRUE(bank.RecordRelease(0.2, {3, 4, 5, 6, 7, 8, 9, 10}).ok());
+  // Empty releases until every skipper sits at its fixed point.
+  std::uint64_t stepped = 1;
+  for (int i = 0; i < 1000 && stepped > 0; ++i) {
+    const std::uint64_t before = SteppedColumns();
+    ASSERT_TRUE(bank.RecordRelease(0.1, {}).ok());
+    stepped = SteppedColumns() - before;
+  }
+  ASSERT_EQ(stepped, 0u) << "skippers never settled";
+
+  const std::vector<std::size_t> participants = {2, 17, 40};
+  std::uint64_t before = SteppedColumns();
+  ASSERT_TRUE(bank.RecordRelease(0.3, participants).ok());
+  EXPECT_EQ(SteppedColumns() - before, participants.size());
+  // The participants stay listed until their own skips settle; a
+  // duplicate index is stepped once.
+  before = SteppedColumns();
+  ASSERT_TRUE(bank.RecordRelease(0.3, {2, 2, 5}).ok());
+  EXPECT_EQ(SteppedColumns() - before, 4u);
+}
+
+TEST(AccountantBank, ParticipantAtItsBplFixedPointStaysActive) {
+  AccountantBankOptions options;
+  AccountantBank bank(options);
+  const TemporalCorrelations corr = Fig3Both();
+  for (int u = 0; u < 64; ++u) bank.AddUser(corr);
+  TemporalLossCache cache(options.cache);
+  TplAccountant reference(corr, cache.Intern(corr.backward()),
+                          cache.Intern(corr.forward()),
+                          options.cache.alpha_resolution);
+  // User 0 alone, every release, until BPL_t = L^B(BPL_{t-1}) + eps
+  // returns the same bits: the participant's column no longer moves.
+  bool settled = false;
+  for (int i = 0; i < 5000 && !settled; ++i) {
+    const double before = bank.UserBplLast(0);
+    ASSERT_TRUE(bank.RecordRelease(0.1, {0}).ok());
+    ASSERT_TRUE(reference.RecordRelease(0.1).ok());
+    settled = SameBits(bank.UserBplLast(0), before);
+  }
+  ASSERT_TRUE(settled) << "BPL never reached its supremum";
+  // Restore marks every slot active, so its next sparse release takes
+  // the tracked sweep: the settled participant must stay listed there
+  // too, while the 63 idle users drop out.
+  auto restored = AccountantBank::Restore(bank.ExportImage(), options);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  ASSERT_TRUE(bank.RecordRelease(0.1, {0}).ok());
+  ASSERT_TRUE(restored->RecordRelease(0.1, {0}).ok());
+  ASSERT_TRUE(reference.RecordRelease(0.1).ok());
+  // Its skip step still moves it (L^B(x) < x), so it must be stepped.
+  for (AccountantBank* b : {&bank, &*restored}) {
+    const std::uint64_t before = SteppedColumns();
+    ASSERT_TRUE(b->RecordRelease(0.1, {}).ok());
+    EXPECT_EQ(SteppedColumns() - before, 1u);
+  }
+  ASSERT_TRUE(reference.RecordSkip().ok());
+  for (const AccountantBank* b : {&bank, &*restored}) {
+    EXPECT_TRUE(SameBits(b->UserBplLast(0),
+                         reference.Bpl(reference.horizon()).value()));
+  }
+  EXPECT_EQ(bank.BplSeriesFor(0), reference.BplSeries());
+}
 
 }  // namespace
 }  // namespace tcdp

@@ -176,6 +176,49 @@ TEST(AccountantBankRestore, RejectsInconsistentImages) {
   }
 }
 
+TEST(AccountantBankRestore, RejectsOneFlippedBitInALongSparseImage) {
+  // Hundreds of users over hundreds of releases: RLE rows, dense rows,
+  // All rows and late joiners, the shape the one-pass eps_sum replay
+  // has to walk.
+  AccountantBank bank;
+  for (std::size_t u = 0; u < 300; ++u) bank.AddUser(TestCorrelations());
+  for (std::size_t t = 0; t < 400; ++t) {
+    if (t % 50 == 25) bank.AddUser(TestCorrelations());
+    if (t % 97 == 0) {
+      ASSERT_TRUE(bank.RecordRelease(0.05).ok());
+      continue;
+    }
+    std::vector<std::size_t> participants;
+    for (std::size_t u = (t * 13) % 17; u < bank.num_users(); u += 17) {
+      participants.push_back(u);
+    }
+    ASSERT_TRUE(bank.RecordRelease(0.01 * (1 + t % 7), participants).ok());
+  }
+  const AccountantBank::Image good = bank.ExportImage();
+  auto restored = AccountantBank::Restore(good);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  for (std::size_t u = 0; u < bank.num_users(); ++u) {
+    EXPECT_EQ(restored->UserEpsSum(u), bank.UserEpsSum(u)) << u;
+  }
+
+  // Flip one bit of a late joiner, after its join, in a sparse row.
+  const std::size_t user = 305;
+  const std::size_t t = 380;
+  ASSERT_GE(t, good.users[user].join);
+  ASSERT_FALSE(good.participation[t].is_all());
+  AccountantBank::Image bad = good;
+  std::vector<std::uint64_t> words =
+      bad.participation[t].ToWords(bad.participation[t].num_words());
+  words[user >> 6] ^= std::uint64_t{1} << (user & 63u);
+  bad.participation[t] = PackedMask::FromWords(std::move(words));
+  const auto rejected = AccountantBank::Restore(bad);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("user 305 eps_sum"),
+            std::string::npos)
+      << rejected.status().message();
+}
+
 TEST(AccountantBankSerializeUser, MatchesStandaloneAccountant) {
   AccountantBank bank;
   (void)LiveImage(&bank);

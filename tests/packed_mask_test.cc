@@ -84,6 +84,28 @@ TEST(PackedMask, MixedRowsMatchDenseReference) {
   }
 }
 
+TEST(PackedMask, ForEachSetBitVisitsExactlyTheSetBitsInOrder) {
+  Rng rng(20261017);
+  bool saw_rle = false;
+  bool saw_dense = false;
+  for (int iter = 0; iter < 40; ++iter) {
+    const std::size_t n = static_cast<std::size_t>(rng.UniformInt(0, 40));
+    const std::vector<std::uint64_t> words =
+        RandomWords(&rng, n, rng.Uniform());
+    const PackedMask mask = PackedMask::FromWords(words);
+    (mask.is_rle() ? saw_rle : saw_dense) = true;
+    std::vector<std::size_t> expected;
+    for (std::size_t i = 0; i < n * 64; ++i) {
+      if ((words[i >> 6] >> (i & 63)) & 1u) expected.push_back(i);
+    }
+    std::vector<std::size_t> visited;
+    mask.ForEachSetBit([&visited](std::size_t i) { visited.push_back(i); });
+    EXPECT_EQ(visited, expected) << "iter " << iter;
+  }
+  EXPECT_TRUE(saw_rle);
+  EXPECT_TRUE(saw_dense);
+}
+
 TEST(PackedMask, WireRoundTrip) {
   Rng rng(7);
   for (int iter = 0; iter < 30; ++iter) {
