@@ -29,8 +29,14 @@ void PutFixed32(std::string* dst, std::uint32_t value);
 void PutFixed64(std::string* dst, std::uint64_t value);
 /// LEB128: 1 byte for values < 128, at most 10 bytes for 64-bit.
 void PutVarint64(std::string* dst, std::uint64_t value);
+/// Bytes PutVarint64 writes for \p value.
+std::size_t VarintLength(std::uint64_t value);
 /// The exact bit pattern of \p value (NaNs and signed zeros included).
 void PutDoubleBits(std::string* dst, double value);
+/// \p count doubles as consecutive PutDoubleBits fields, written with
+/// one resize of \p dst.
+void PutDoubleBitsArray(std::string* dst, const double* values,
+                        std::size_t count);
 /// Varint length prefix followed by the raw bytes.
 void PutLengthPrefixed(std::string* dst, const std::string& value);
 /// @}
@@ -44,7 +50,9 @@ class BinaryCursor {
   explicit BinaryCursor(const std::string& data)
       : BinaryCursor(data.data(), data.size()) {}
 
-  std::size_t remaining() const { return static_cast<std::size_t>(end_ - pos_); }
+  std::size_t remaining() const {
+    return static_cast<std::size_t>(end_ - pos_);
+  }
   bool empty() const { return pos_ == end_; }
 
   Status ReadByte(std::uint8_t* value);
@@ -53,6 +61,8 @@ class BinaryCursor {
   /// InvalidArgument on a varint running past 10 bytes or the range end.
   Status ReadVarint64(std::uint64_t* value);
   Status ReadDoubleBits(double* value);
+  /// \p count consecutive ReadDoubleBits fields into \p values.
+  Status ReadDoubleBitsArray(double* values, std::size_t count);
   /// Reads a varint length then that many raw bytes.
   Status ReadLengthPrefixed(std::string* value);
 

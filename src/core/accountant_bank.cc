@@ -162,8 +162,9 @@ StepScratch& StepScratchForThread() {
 /// previous one bit-for-bit the previous value is returned without an
 /// evaluation. Between a user's participations eps = 0 and the
 /// recurrence x <- L(snap(x)) settles on the quantization grid's fixed
-/// point, then repeats the same bits. Evaluators are pure (the property
-/// LocalLossMemo relies on), so reuse never changes a value.
+/// point; SeriesFor fills the rest of that gap, and the step after it
+/// evaluates at the settled value again. Evaluators are pure (the
+/// property LocalLossMemo relies on), so reuse never changes a value.
 class RepeatArgLoss {
  public:
   explicit RepeatArgLoss(const LossEvaluator& loss) : loss_(loss) {}
@@ -249,6 +250,7 @@ std::size_t AccountantBank::AddUser(TemporalCorrelations correlations) {
   cohort.users.push_back(static_cast<std::uint32_t>(user));
   cohort.bpl_last.push_back(0.0);
   cohort.eps_sum.push_back(0.0);
+  user_releases_.emplace_back();
   // bpl_last 0 is a fixed point (L^B is not evaluated at 0): not active.
   cohort.listed.push_back(0);
   // O(1): the flat-slot prefix sums are rebuilt lazily (EnsureOffsets),
@@ -460,6 +462,16 @@ Status AccountantBank::Record(double epsilon,
     all_active_ = true;
   }
   if (obs::MetricsEnabled()) BankObs::Get().stepped_columns->Add(stepped);
+  const auto t = static_cast<std::uint32_t>(horizon());
+  if (participants != nullptr) {
+    for (std::size_t user : *participants) {
+      std::vector<std::uint32_t>& releases = user_releases_[user];
+      // A duplicate participant is already listed at t.
+      if (releases.empty() || releases.back() != t) releases.push_back(t);
+    }
+  } else {
+    all_releases_.push_back(t);
+  }
   schedule_.push_back(epsilon);
   participation_.push_back(
       participants != nullptr
@@ -477,13 +489,9 @@ Status AccountantBank::RecordRelease(
   return Record(epsilon, &participants);
 }
 
-bool AccountantBank::ParticipatedRaw(std::size_t user, std::size_t t) const {
-  return participation_[t].bit(user);
-}
-
 bool AccountantBank::Participated(std::size_t user, std::size_t t) const {
   assert(user < num_users() && t < horizon());
-  return t >= user_join_[user] && ParticipatedRaw(user, t);
+  return t >= user_join_[user] && participation_[t].bit(user);
 }
 
 double AccountantBank::UserEpsSum(std::size_t user) const {
@@ -494,12 +502,28 @@ double AccountantBank::UserEpsSum(std::size_t user) const {
 
 std::vector<double> AccountantBank::EpsilonsFor(std::size_t user) const {
   assert(user < num_users());
-  const std::size_t join = user_join_[user];
-  std::vector<double> out(horizon() - join);
-  for (std::size_t idx = 0; idx < out.size(); ++idx) {
-    const std::size_t t = join + idx;
-    out[idx] = ParticipatedRaw(user, t) ? schedule_[t] : 0.0;
-  }
+  const std::uint32_t join = user_join_[user];
+  std::vector<double> out(horizon() - join, 0.0);
+  const auto scatter = [&](auto first, auto last) {
+    for (; first != last; ++first) out[*first - join] = schedule_[*first];
+  };
+  scatter(std::lower_bound(all_releases_.begin(), all_releases_.end(), join),
+          all_releases_.end());
+  scatter(user_releases_[user].begin(), user_releases_[user].end());
+  return out;
+}
+
+std::vector<std::uint32_t> AccountantBank::ParticipationsOf(
+    std::size_t user) const {
+  const std::uint32_t join = user_join_[user];
+  const std::vector<std::uint32_t>& own = user_releases_[user];
+  const auto all =
+      std::lower_bound(all_releases_.begin(), all_releases_.end(), join);
+  std::vector<std::uint32_t> out(
+      static_cast<std::size_t>(all_releases_.end() - all) + own.size());
+  // A release is either an All row or an explicit one, never both.
+  std::merge(all, all_releases_.end(), own.begin(), own.end(), out.begin());
+  for (std::uint32_t& t : out) t -= join;
   return out;
 }
 
@@ -513,29 +537,69 @@ AccountantBank::UserSeries AccountantBank::SeriesFor(std::size_t user) const {
   s.bpl.resize(len);
   s.fpl.resize(len);
   s.tpl.resize(len);
+  // Participation indices, then len: the end of the last gap.
+  std::vector<std::uint32_t> marks = ParticipationsOf(user);
+  marks.push_back(static_cast<std::uint32_t>(len));
 
   std::optional<RepeatArgLoss> backward;
   std::optional<RepeatArgLoss> forward;
   if (cohort.backward != nullptr) backward.emplace(*cohort.backward);
   if (cohort.forward != nullptr) forward.emplace(*cohort.forward);
 
+  // Gap m is [gap_start(m), marks[m]): the skips (eps = 0) before
+  // participation m, or before the end of the series.
+  const auto gap_start = [&marks](std::size_t m) -> std::size_t {
+    return m > 0 ? marks[m - 1] + std::size_t{1} : 0;
+  };
+
+  // Equation 13 forward. Once a step in a gap returns its argument's
+  // bits, every later step in the gap returns them again (evaluators
+  // are pure), so the rest of the gap is filled.
   double prev = 0.0;
-  for (std::size_t idx = 0; idx < len; ++idx) {
+  const auto step_bpl = [&](std::size_t i) {
     const double loss =
         backward && prev > 0.0 ? backward->Evaluate(prev) : 0.0;
-    prev = loss + eps[idx];
-    s.bpl[idx] = prev;
+    prev = loss + eps[i];
+    s.bpl[i] = prev;
+  };
+  for (std::size_t m = 0; m < marks.size(); ++m) {
+    const std::size_t end = marks[m];
+    for (std::size_t i = gap_start(m); i < end; ++i) {
+      const double arg = prev;
+      step_bpl(i);
+      if (SameBits(prev, arg)) {
+        std::fill(s.bpl.begin() + i + 1, s.bpl.begin() + end, prev);
+        break;
+      }
+    }
+    if (end < len) step_bpl(end);
   }
   // The recomputed tail must land exactly on the running column.
   assert(s.bpl.empty() || s.bpl.back() == cohort.bpl_last[user_slot_[user]]);
 
-  // Equation 15 runs backward; TPL and its max ride the same sweep.
-  for (std::size_t idx = len; idx-- > 0;) {
-    double fpl = eps[idx];
-    if (idx + 1 < len && forward) fpl += forward->Evaluate(s.fpl[idx + 1]);
-    s.fpl[idx] = fpl;
-    s.tpl[idx] = s.bpl[idx] + fpl - eps[idx];
-    s.max_tpl = std::max(s.max_tpl, s.tpl[idx]);
+  // Equation 15 backward, the same way: a step in a gap that returns
+  // the next index's bits fills the gap down to its start.
+  const auto step_fpl = [&](std::size_t i) {
+    double fpl = eps[i];
+    if (i + 1 < len && forward) fpl += forward->Evaluate(s.fpl[i + 1]);
+    s.fpl[i] = fpl;
+  };
+  for (std::size_t m = marks.size(); m-- > 0;) {
+    const std::size_t end = marks[m];
+    if (end < len) step_fpl(end);
+    const std::size_t start = gap_start(m);
+    for (std::size_t i = end; i-- > start;) {
+      step_fpl(i);
+      if (i + 1 < len && SameBits(s.fpl[i], s.fpl[i + 1])) {
+        std::fill(s.fpl.begin() + start, s.fpl.begin() + i, s.fpl[i]);
+        break;
+      }
+    }
+  }
+
+  for (std::size_t i = 0; i < len; ++i) {
+    s.tpl[i] = s.bpl[i] + s.fpl[i] - eps[i];
+    s.max_tpl = std::max(s.max_tpl, s.tpl[i]);
   }
   return s;
 }
@@ -631,6 +695,14 @@ std::size_t AccountantBank::ParticipationBytes() const {
   return bytes;
 }
 
+std::size_t AccountantBank::ParticipationIndexEntries() const {
+  std::size_t entries = all_releases_.size();
+  for (const std::vector<std::uint32_t>& releases : user_releases_) {
+    entries += releases.size();
+  }
+  return entries;
+}
+
 AccountantBank::Image AccountantBank::ExportImage() const {
   Image image;
   image.schedule = schedule_;
@@ -664,7 +736,8 @@ StatusOr<AccountantBank> AccountantBank::Restore(
   }
   const std::size_t max_words = (image.users.size() + 63) / 64;
   for (const PackedMask& row : image.participation) {
-    if (!row.is_all() && row.num_words() > std::max<std::size_t>(max_words, 1)) {
+    if (!row.is_all() &&
+        row.num_words() > std::max<std::size_t>(max_words, 1)) {
       return Status::InvalidArgument(
           "AccountantBank::Restore: participation row wider than the fleet");
     }
@@ -692,19 +765,26 @@ StatusOr<AccountantBank> AccountantBank::Restore(
   // mismatch means the image's columns, masks, and schedule disagree
   // (silent corruption that a per-field check cannot see).
   const std::size_t num_users = image.users.size();
+  // The same pass rebuilds the participation index under the same
+  // guard, so a stray bit (a user not yet joined, or past the fleet)
+  // never enters a series.
   std::vector<double> eps_sums(num_users, 0.0);
   auto accrue = [&](std::size_t u, std::size_t t) {
-    if (u < num_users && image.users[u].join <= t) {
-      eps_sums[u] += bank.schedule_[t];
-    }
+    if (u >= num_users || image.users[u].join > t) return false;
+    eps_sums[u] += bank.schedule_[t];
+    return true;
   };
   for (std::size_t t = 0; t < bank.schedule_.size(); ++t) {
     const PackedMask& row = bank.participation_[t];
+    const auto release = static_cast<std::uint32_t>(t);
     if (row.is_all()) {
+      bank.all_releases_.push_back(release);
       for (std::size_t u = 0; u < num_users; ++u) accrue(u, t);
       continue;
     }
-    row.ForEachSetBit([&](std::size_t u) { accrue(u, t); });
+    row.ForEachSetBit([&](std::size_t u) {
+      if (accrue(u, t)) bank.user_releases_[u].push_back(release);
+    });
   }
   for (std::size_t u = 0; u < num_users; ++u) {
     const UserImage& user = image.users[u];

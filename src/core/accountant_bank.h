@@ -132,13 +132,15 @@ class AccountantBank {
     std::vector<double> tpl;  ///< BPL + FPL - eps
     double max_tpl = 0.0;     ///< max_t TPL_t (0 when empty)
   };
-  /// Lazily recomputed series over the user's sub-schedule in one pass,
-  /// bitwise equal to the reference TplAccountant's: one participation
-  /// decode, Equation 13 forward, Equation 15 backward with TPL and its
-  /// max formed in the same sweep. Each recurrence reuses the previous
-  /// step's loss when its argument repeats bit-for-bit — the converged
-  /// tail between participations — so the result is unchanged
-  /// (evaluators are pure) while most evaluations are skipped.
+  /// Lazily recomputed series over the user's sub-schedule, bitwise
+  /// equal to the reference TplAccountant's. It walks the user's
+  /// participations from the participation index: Equation 13 forward
+  /// and Equation 15 backward step through each gap between two
+  /// participations (eps = 0) until a step returns the same bits, and
+  /// the rest of the gap is filled with that value. Evaluators are
+  /// pure, so the fill is exactly what further steps would return, and
+  /// each recurrence also reuses the previous loss when its argument
+  /// repeats. TPL = BPL + FPL - eps and its max close the pass.
   UserSeries SeriesFor(std::size_t user) const;
   /// Views of SeriesFor.
   std::vector<double> BplSeriesFor(std::size_t user) const;
@@ -184,6 +186,9 @@ class AccountantBank {
   }
   /// Heap bytes held by stored participation rows (the RLE metric).
   std::size_t ParticipationBytes() const;
+  /// Participation-index entries, 4 B each: one per All row (shared by
+  /// every user) plus one per explicit participation.
+  std::size_t ParticipationIndexEntries() const;
 
   /// Everything needed to rebuild a bank without replaying releases.
   struct UserImage {
@@ -267,7 +272,10 @@ class AccountantBank {
   std::size_t StepSparse(double epsilon,
                          const std::vector<std::size_t>& participants);
   Status Record(double epsilon, const std::vector<std::size_t>* participants);
-  bool ParticipatedRaw(std::size_t user, std::size_t t) const;
+  /// The user's participations as indices into its own series
+  /// (release - join), ascending: a merge of its All-row releases and
+  /// its explicit ones.
+  std::vector<std::uint32_t> ParticipationsOf(std::size_t user) const;
   /// Rebuilds cohort_offsets_ from the cohort sizes when AddUser has
   /// invalidated it (prefix sum, O(cohorts) — enrollment itself is O(1)
   /// per user instead of O(cohorts)).
@@ -307,6 +315,14 @@ class AccountantBank {
   /// 10^5-release histories — and the snapshots/logs derived from them —
   /// stay small.
   std::vector<PackedMask> participation_;
+  /// Participation index, the transpose of participation_ that
+  /// EpsilonsFor and SeriesFor walk instead of probing every row. All
+  /// rows are listed once for everyone (a user's are those at or after
+  /// its join); each user lists the explicit rows that select it. Both
+  /// are ascending release indices. Derived state: Restore rebuilds it,
+  /// images and logs never carry it.
+  std::vector<std::uint32_t> all_releases_;
+  std::vector<std::vector<std::uint32_t>> user_releases_;
 };
 
 }  // namespace tcdp

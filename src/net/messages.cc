@@ -26,7 +26,7 @@ Status CheckEpsilon(double epsilon, const char* what) {
 
 /// Reads a varint element count followed by that many raw-bits doubles.
 /// The count is validated against the bytes actually present before
-/// anything is reserved.
+/// anything is allocated.
 Status ReadDoubleSeries(BinaryCursor* cursor, const char* what,
                         std::vector<double>* out) {
   std::uint64_t count = 0;
@@ -35,19 +35,17 @@ Status ReadDoubleSeries(BinaryCursor* cursor, const char* what,
     return Status::InvalidArgument(std::string(what) +
                                    ": series count exceeds payload");
   }
-  out->clear();
-  out->reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    double value = 0.0;
-    TCDP_RETURN_IF_ERROR(cursor->ReadDoubleBits(&value));
-    out->push_back(value);
-  }
-  return Status::OK();
+  out->resize(static_cast<std::size_t>(count));
+  return cursor->ReadDoubleBitsArray(out->data(), out->size());
 }
 
 void PutDoubleSeries(std::string* dst, const std::vector<double>& series) {
   PutVarint64(dst, series.size());
-  for (double value : series) PutDoubleBits(dst, value);
+  PutDoubleBitsArray(dst, series.data(), series.size());
+}
+
+std::size_t DoubleSeriesSize(const std::vector<double>& series) {
+  return VarintLength(series.size()) + sizeof(double) * series.size();
 }
 
 }  // namespace
@@ -136,16 +134,29 @@ Status DecodeError(const std::string& payload, Status* error) {
   return Status::OK();
 }
 
+std::size_t ReportPayloadSize(const server::UserReport& report) {
+  return VarintLength(report.name.size()) + report.name.size() +
+         VarintLength(report.shard) + VarintLength(report.join_release) +
+         VarintLength(report.horizon) + 2 * sizeof(double) +
+         DoubleSeriesSize(report.epsilons) +
+         DoubleSeriesSize(report.tpl_series);
+}
+
+void AppendReport(std::string* dst, const server::UserReport& report) {
+  PutLengthPrefixed(dst, report.name);
+  PutVarint64(dst, report.shard);
+  PutVarint64(dst, report.join_release);
+  PutVarint64(dst, report.horizon);
+  PutDoubleBits(dst, report.max_tpl);
+  PutDoubleBits(dst, report.user_level_tpl);
+  PutDoubleSeries(dst, report.epsilons);
+  PutDoubleSeries(dst, report.tpl_series);
+}
+
 std::string EncodeReport(const server::UserReport& report) {
   std::string out;
-  PutLengthPrefixed(&out, report.name);
-  PutVarint64(&out, report.shard);
-  PutVarint64(&out, report.join_release);
-  PutVarint64(&out, report.horizon);
-  PutDoubleBits(&out, report.max_tpl);
-  PutDoubleBits(&out, report.user_level_tpl);
-  PutDoubleSeries(&out, report.epsilons);
-  PutDoubleSeries(&out, report.tpl_series);
+  out.reserve(ReportPayloadSize(report));
+  AppendReport(&out, report);
   return out;
 }
 

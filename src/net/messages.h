@@ -17,6 +17,7 @@
 /// survive the frame CRC) come back as Status, never UB, and decoded
 /// counts are validated against the payload size before reserving.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -79,6 +80,12 @@ std::string EncodeError(const Status& status);
 Status DecodeError(const std::string& payload, Status* error);
 
 std::string EncodeReport(const server::UserReport& report);
+/// Appends EncodeReport(report) to \p dst without an intermediate
+/// string (NetServer encodes straight into a connection's out buffer).
+void AppendReport(std::string* dst, const server::UserReport& report);
+/// EncodeReport(report).size(), computed from the name length, the
+/// varint fields and the series lengths without encoding anything.
+std::size_t ReportPayloadSize(const server::UserReport& report);
 StatusOr<server::UserReport> DecodeReport(const std::string& payload);
 
 std::string EncodeStatsReport(const WireServiceStats& stats);

@@ -209,16 +209,18 @@ void NetServer::HandleFrame(Connection* conn, MsgType type,
       }
       auto report = service_->Query(*name);
       if (report.ok()) {
-        const std::string encoded = EncodeReport(*report);
-        if (encoded.size() > kMaxFramePayload) {
+        if (ReportPayloadSize(*report) > kMaxFramePayload) {
           // A report for a very long series can outgrow a legal frame;
           // answering with an error beats emitting a frame the peer's
           // decoder must reject (which would poison the whole stream).
+          // Sized before encoding, so no oversized payload is built.
           applied = Status::ResourceExhausted(
               "report for '" + *name + "' exceeds the frame size limit");
           break;
         }
-        AppendFrame(conn->out(), MsgType::kReport, encoded);
+        const std::size_t frame = BeginFrame(conn->out(), MsgType::kReport);
+        AppendReport(conn->out(), *report);
+        FinishFrame(conn->out(), frame);
         ++stats_.responses;
         return;
       }

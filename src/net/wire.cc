@@ -23,6 +23,10 @@ std::uint32_t DecodeFixed32(const char* p) {
          static_cast<std::uint32_t>(static_cast<unsigned char>(p[3])) << 24;
 }
 
+void EncodeFixed32(char* p, std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>(value >> (8 * i));
+}
+
 }  // namespace
 
 void AppendPreamble(std::string* dst) {
@@ -31,13 +35,27 @@ void AppendPreamble(std::string* dst) {
 }
 
 void AppendFrame(std::string* dst, MsgType type, const std::string& payload) {
-  assert(payload.size() <= kMaxFramePayload);
-  dst->push_back(static_cast<char>(type));
-  PutFixed32(dst, static_cast<std::uint32_t>(payload.size()));
-  std::uint32_t crc = Crc32(dst->data() + dst->size() - 5, 1);
-  crc = Crc32(payload.data(), payload.size(), crc);
-  PutFixed32(dst, crc);
+  const std::size_t frame = BeginFrame(dst, type);
   dst->append(payload);
+  FinishFrame(dst, frame);
+}
+
+std::size_t BeginFrame(std::string* dst, MsgType type) {
+  const std::size_t frame = dst->size();
+  dst->push_back(static_cast<char>(type));
+  dst->append(kFrameHeaderBytes - 1, '\0');  // length and CRC, patched
+  return frame;
+}
+
+void FinishFrame(std::string* dst, std::size_t frame) {
+  const std::size_t payload = frame + kFrameHeaderBytes;
+  const std::size_t size = dst->size() - payload;
+  assert(size <= kMaxFramePayload);
+  char* header = &(*dst)[frame];
+  std::uint32_t crc = Crc32(header, 1);
+  crc = Crc32(dst->data() + payload, size, crc);
+  EncodeFixed32(header + 1, static_cast<std::uint32_t>(size));
+  EncodeFixed32(header + 5, crc);
 }
 
 Status FrameDecoder::Feed(const char* data, std::size_t size) {

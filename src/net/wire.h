@@ -96,6 +96,14 @@ void AppendPreamble(std::string* dst);
 /// PRECONDITION: payload.size() <= kMaxFramePayload.
 void AppendFrame(std::string* dst, MsgType type, const std::string& payload);
 
+/// AppendFrame in two halves, for a payload encoded straight into
+/// \p dst: BeginFrame appends the header and returns its offset, the
+/// caller appends the payload, and FinishFrame fills in the length and
+/// CRC. The bytes equal AppendFrame's for the same payload.
+/// PRECONDITION: the appended payload is <= kMaxFramePayload bytes.
+std::size_t BeginFrame(std::string* dst, MsgType type);
+void FinishFrame(std::string* dst, std::size_t frame);
+
 /// \brief Incremental frame reassembly over an untrusted byte stream.
 /// Not thread-safe; one decoder per connection direction.
 class FrameDecoder {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -388,7 +389,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BankEquivalenceTest, ::testing::Range(1, 13));
 // Long sparse schedules: over a thousand releases at under 2%
 // participation, so every user's series has long eps-0 stretches on
 // which the recurrences settle onto the quantization grid's fixed point
-// and SeriesFor reuses the previous step's loss.
+// and SeriesFor fills the rest of the gap.
 
 RandomFleet MakeLongSparseFleet(Rng* rng) {
   RandomFleet fleet;
@@ -852,6 +853,173 @@ TEST(AccountantBank, ParticipantAtItsBplFixedPointStaysActive) {
                          reference.Bpl(reference.horizon()).value()));
   }
   EXPECT_EQ(bank.BplSeriesFor(0), reference.BplSeries());
+}
+
+// ----------------------------------------------------------------------
+// Participation index: EpsilonsFor and SeriesFor read the per-user
+// index (the transpose of the stored rows) and fill converged gaps.
+// Both must match, bitwise, a row-probe reference — Participated(u, t)
+// for every t — and TplAccountant driven with that sequence.
+
+bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// The user's spend sequence probed row by row.
+std::vector<double> ProbedEpsilons(const AccountantBank& bank,
+                                   std::size_t u) {
+  std::vector<double> eps;
+  for (std::size_t t = bank.join_release(u); t < bank.horizon(); ++t) {
+    eps.push_back(bank.Participated(u, t) ? bank.schedule()[t] : 0.0);
+  }
+  return eps;
+}
+
+/// Checks every user of \p bank against the row probe and a reference
+/// accountant through identically configured evaluators.
+void ExpectIndexMatchesProbeAndReference(const AccountantBank& bank,
+                                         const AccountantBankOptions& options) {
+  TemporalLossCache reference_cache(options.cache);
+  for (std::size_t u = 0; u < bank.num_users(); ++u) {
+    const std::vector<double> probed = ProbedEpsilons(bank, u);
+    EXPECT_TRUE(BitwiseEqual(bank.EpsilonsFor(u), probed)) << "user " << u;
+
+    TemporalCorrelations corr = bank.user_correlations(u);
+    std::optional<TplAccountant> reference;
+    if (options.share_loss_cache) {
+      std::shared_ptr<const LossEvaluator> b;
+      std::shared_ptr<const LossEvaluator> f;
+      if (corr.has_backward()) b = reference_cache.Intern(corr.backward());
+      if (corr.has_forward()) f = reference_cache.Intern(corr.forward());
+      reference.emplace(std::move(corr), std::move(b), std::move(f),
+                        options.cache.alpha_resolution);
+    } else {
+      reference.emplace(std::move(corr));
+    }
+    for (double eps : probed) {
+      ASSERT_TRUE((eps > 0.0 ? reference->RecordRelease(eps)
+                             : reference->RecordSkip())
+                      .ok());
+    }
+    const AccountantBank::UserSeries series = bank.SeriesFor(u);
+    EXPECT_TRUE(BitwiseEqual(series.epsilons, probed)) << "user " << u;
+    EXPECT_TRUE(BitwiseEqual(series.bpl, reference->BplSeries()))
+        << "user " << u;
+    EXPECT_TRUE(BitwiseEqual(series.fpl, reference->FplSeries()))
+        << "user " << u;
+    EXPECT_TRUE(BitwiseEqual(series.tpl, reference->TplSeries()))
+        << "user " << u;
+    EXPECT_TRUE(SameBits(series.max_tpl, reference->MaxTpl())) << "user " << u;
+  }
+}
+
+/// (cached, pool threads, seed)
+class ParticipationIndexTest
+    : public ::testing::TestWithParam<std::tuple<bool, int, int>> {
+ protected:
+  AccountantBankOptions Options() const {
+    AccountantBankOptions options;
+    options.share_loss_cache = std::get<0>(GetParam());
+    return options;
+  }
+
+  /// Dense (All-row) and sparse releases interleaved, duplicate
+  /// participants, late joiners, long quiet stretches so gaps settle.
+  void DriveMixed(Rng* rng, const std::vector<TemporalCorrelations>& profiles,
+                  std::size_t releases, AccountantBank* bank) {
+    for (std::size_t i = 0; i < releases; ++i) {
+      if (bank->num_users() == 0 || rng->Uniform() < 0.02) {
+        bank->AddUser(profiles[static_cast<std::size_t>(rng->UniformInt(
+            0, static_cast<std::int64_t>(profiles.size()) - 1))]);
+      }
+      const double eps = 0.05 + 0.4 * rng->Uniform();
+      if (rng->Uniform() < 0.1) {
+        ASSERT_TRUE(bank->RecordRelease(eps).ok());
+        continue;
+      }
+      std::vector<std::size_t> participants;
+      for (std::size_t u = 0; u < bank->num_users(); ++u) {
+        if (rng->Uniform() < 0.04) participants.push_back(u);
+      }
+      if (!participants.empty() && rng->Uniform() < 0.3) {
+        participants.push_back(participants.front());  // a duplicate
+      }
+      ASSERT_TRUE(bank->RecordRelease(eps, participants).ok());
+    }
+  }
+};
+
+std::vector<TemporalCorrelations> IndexProfiles(Rng* rng) {
+  const auto pb = StochasticMatrix::Random(3, rng);
+  const auto pf = StochasticMatrix::Random(3, rng);
+  return {TemporalCorrelations::Both(pb, pf).value(),
+          TemporalCorrelations::BackwardOnly(pb),
+          TemporalCorrelations::ForwardOnly(pf), Fig3Both(),
+          TemporalCorrelations::None()};
+}
+
+TEST_P(ParticipationIndexTest, SeriesMatchRowProbeAndReference) {
+  Rng rng(static_cast<std::uint64_t>(std::get<2>(GetParam())) + 55000);
+  const std::vector<TemporalCorrelations> profiles = IndexProfiles(&rng);
+  const int threads = std::get<1>(GetParam());
+  std::optional<ThreadPool> pool;
+  AccountantBank bank(Options());
+  if (threads > 0) {
+    pool.emplace(static_cast<std::size_t>(threads));
+    bank.set_pool(&*pool);
+  }
+  for (int u = 0; u < 20; ++u) bank.AddUser(profiles[u % profiles.size()]);
+  DriveMixed(&rng, profiles, 600, &bank);
+  ExpectIndexMatchesProbeAndReference(bank, Options());
+}
+
+TEST_P(ParticipationIndexTest, RestoreThenSparseReleasesMatch) {
+  Rng rng(static_cast<std::uint64_t>(std::get<2>(GetParam())) + 56000);
+  const std::vector<TemporalCorrelations> profiles = IndexProfiles(&rng);
+  AccountantBank bank(Options());
+  for (int u = 0; u < 20; ++u) bank.AddUser(profiles[u % profiles.size()]);
+  DriveMixed(&rng, profiles, 300, &bank);
+  auto restored = AccountantBank::Restore(bank.ExportImage(), Options());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored->ParticipationIndexEntries(),
+            bank.ParticipationIndexEntries());
+  // Both banks take the same further releases.
+  Rng again = rng;
+  DriveMixed(&rng, profiles, 300, &bank);
+  DriveMixed(&again, profiles, 300, &*restored);
+  ExpectIndexMatchesProbeAndReference(*restored, Options());
+  ASSERT_EQ(restored->num_users(), bank.num_users());
+  for (std::size_t u = 0; u < bank.num_users(); ++u) {
+    EXPECT_TRUE(BitwiseEqual(restored->TplSeriesFor(u), bank.TplSeriesFor(u)))
+        << "user " << u;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CachedUncachedPools, ParticipationIndexTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(0, 4),
+                       ::testing::Range(1, 4)));
+
+TEST(AccountantBank, DenseReleaseAddsOneSharedIndexEntry) {
+  AccountantBank bank;
+  for (int u = 0; u < 100; ++u) bank.AddUser(Fig3Both());
+  ASSERT_TRUE(bank.RecordRelease(0.1).ok());
+  EXPECT_EQ(bank.ParticipationIndexEntries(), 1u);
+  // A duplicate participant is listed once.
+  ASSERT_TRUE(bank.RecordRelease(0.2, {3, 3, 7}).ok());
+  EXPECT_EQ(bank.ParticipationIndexEntries(), 3u);
+  ASSERT_TRUE(bank.RecordRelease(0.3).ok());
+  EXPECT_EQ(bank.ParticipationIndexEntries(), 4u);
+  // A late joiner's series starts at its join: the All rows before it
+  // are not its participations.
+  const std::size_t late = bank.AddUser(Fig3Both());
+  ASSERT_TRUE(bank.RecordRelease(0.4).ok());
+  EXPECT_EQ(bank.ParticipationIndexEntries(), 5u);
+  EXPECT_EQ(bank.EpsilonsFor(late), std::vector<double>({0.4}));
+  EXPECT_EQ(bank.EpsilonsFor(3), std::vector<double>({0.1, 0.2, 0.3, 0.4}));
+  EXPECT_EQ(bank.EpsilonsFor(4), std::vector<double>({0.1, 0.0, 0.3, 0.4}));
 }
 
 }  // namespace

@@ -219,6 +219,39 @@ TEST(AccountantBankRestore, RejectsOneFlippedBitInALongSparseImage) {
       << rejected.status().message();
 }
 
+TEST(AccountantBankRestore, BitsOutsideAUsersSeriesStayOutOfTheIndex) {
+  // A row bit for a user before its join (or past the fleet) selects
+  // nothing: the eps_sum replay skips it, and so must the
+  // participation index that EpsilonsFor and SeriesFor read.
+  AccountantBank bank;
+  bank.AddUser(TestCorrelations());
+  bank.AddUser(TestCorrelations());
+  ASSERT_TRUE(bank.RecordRelease(0.1, {0}).ok());
+  ASSERT_TRUE(bank.RecordRelease(0.2, {1}).ok());
+  const std::size_t late = bank.AddUser(TestCorrelations());
+  ASSERT_TRUE(bank.RecordRelease(0.3, {late}).ok());
+  ASSERT_TRUE(bank.RecordRelease(0.4, {0}).ok());
+  ASSERT_TRUE(bank.RecordRelease(0.5).ok());
+
+  AccountantBank::Image crafted = bank.ExportImage();
+  ASSERT_EQ(crafted.users[late].join, 2u);
+  // Release 0 also selects the late joiner (join 2 > 0) and user 9,
+  // past the 3-user fleet but inside the row's one word.
+  crafted.participation[0] = PackedMask::FromWords(
+      {(std::uint64_t{1} << 0) | (std::uint64_t{1} << late) |
+       (std::uint64_t{1} << 9)});
+  auto restored = AccountantBank::Restore(crafted);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored->ParticipationIndexEntries(),
+            bank.ParticipationIndexEntries());
+  for (std::size_t u = 0; u < bank.num_users(); ++u) {
+    EXPECT_EQ(restored->EpsilonsFor(u), bank.EpsilonsFor(u)) << u;
+    EXPECT_EQ(restored->TplSeriesFor(u), bank.TplSeriesFor(u)) << u;
+    EXPECT_EQ(restored->FplSeriesFor(u), bank.FplSeriesFor(u)) << u;
+  }
+  EXPECT_EQ(restored->EpsilonsFor(late), std::vector<double>({0.3, 0.0, 0.5}));
+}
+
 TEST(AccountantBankSerializeUser, MatchesStandaloneAccountant) {
   AccountantBank bank;
   (void)LiveImage(&bank);

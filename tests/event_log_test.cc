@@ -4,11 +4,15 @@
 
 #include "server/event_log.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
+
+#include "common/packed_mask.h"
+#include "server/records.h"
 
 namespace tcdp {
 namespace server {
@@ -59,6 +63,42 @@ TEST_F(EventLogTest, RoundTripsRecords) {
   EXPECT_EQ(result->records[2].payload, std::string("\x00\x01\x02", 3));
   EXPECT_EQ(result->record_end.size(), 3u);
   EXPECT_EQ(result->valid_bytes, result->record_end.back());
+}
+
+// The exact bytes of a WAL holding one sparse kRelease record, as
+// existing logs store it: any drift in the CRC or the record codec
+// would make those logs unreadable, and fails here.
+TEST_F(EventLogTest, ReleaseRecordMatchesGoldenBytes) {
+  const std::uint64_t words[2] = {0x9, 0x40};  // users 0, 3 and 70
+  ReleaseRecord record;
+  record.epsilon = 0.1;
+  record.mask = PackedMask::FromWordSpan(words, 2);
+  {
+    auto writer = EventLogWriter::Create(path_);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE(
+        writer->Append(EventType::kRelease, EncodeRelease(record)).ok());
+    ASSERT_TRUE(writer->Close().ok());
+  }
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : ReadFileBytes()) {
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 15]);
+  }
+  EXPECT_EQ(hex,
+            "5443445057414c31031b000000f3a055ce9a9999999999b93f0001020900"
+            "0000000000004000000000000000");
+
+  auto result = ReadEventLog(path_);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->records.size(), 1u);
+  auto decoded = DecodeRelease(result->records[0].payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->epsilon, 0.1);
+  EXPECT_FALSE(decoded->all);
+  EXPECT_TRUE(decoded->mask.bit(70));
+  EXPECT_FALSE(decoded->mask.bit(1));
 }
 
 TEST_F(EventLogTest, MissingFileIsNotFound) {

@@ -157,6 +157,91 @@ TEST(MessageCodecTest, JoinCarriesCorrelationsBitwise) {
   EXPECT_EQ(EncodeJoin("alice", decoded->image.correlations), payload);
 }
 
+std::string ToHex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 15]);
+  }
+  return hex;
+}
+
+server::UserReport GoldenReport() {
+  server::UserReport report;
+  report.name = "alice";
+  report.shard = 1;
+  report.join_release = 2;
+  report.horizon = 3;
+  report.max_tpl = 0.25;
+  report.user_level_tpl = 0.3;
+  report.epsilons = {0.1, 0.0, 0.2};
+  report.tpl_series = {0.15, 0.12, 0.25};
+  return report;
+}
+
+// The exact bytes of one Report frame as peers already exchange them:
+// any drift in the CRC or the series encoding breaks compatibility
+// with existing clients and captured streams, and fails here.
+TEST(MessageCodecTest, ReportFrameMatchesGoldenBytes) {
+  const std::string golden =
+      "424b0000000cf401bf05616c696365010203000000000000d03f333333333333d3"
+      "3f039a9999999999b93f00000000000000009a9999999999c93f03333333333333"
+      "c33fb81e85eb51b8be3f000000000000d03f";
+  const server::UserReport report = GoldenReport();
+  std::string framed;
+  AppendFrame(&framed, MsgType::kReport, EncodeReport(report));
+  EXPECT_EQ(ToHex(framed), golden);
+
+  // Encoding in place after other output yields the same frame bytes.
+  std::string in_place = "earlier output";
+  const std::size_t frame = BeginFrame(&in_place, MsgType::kReport);
+  AppendReport(&in_place, report);
+  FinishFrame(&in_place, frame);
+  EXPECT_EQ(in_place, "earlier output" + framed);
+
+  FrameDecoder decoder(/*expect_preamble=*/false);
+  ASSERT_TRUE(decoder.Feed(framed.data(), framed.size()).ok());
+  ASSERT_TRUE(decoder.has_frame());
+  auto decoded = DecodeReport(decoder.PopFrame().payload);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->epsilons, report.epsilons);
+  EXPECT_EQ(decoded->tpl_series, report.tpl_series);
+}
+
+TEST(MessageCodecTest, ReportPayloadSizeIsExact) {
+  server::UserReport report = GoldenReport();
+  for (std::size_t name_length : {0u, 1u, 127u, 128u, 5000u, 16384u}) {
+    report.name.assign(name_length, 'n');
+    for (std::size_t horizon : {0u, 1u, 127u, 128u, 16383u, 16384u}) {
+      report.horizon = horizon;
+      report.shard = horizon;
+      report.join_release = horizon * 3;
+      report.epsilons.assign(horizon, 0.1);
+      report.tpl_series.assign(horizon, 0.2);
+      EXPECT_EQ(ReportPayloadSize(report), EncodeReport(report).size())
+          << "name " << name_length << " horizon " << horizon;
+    }
+  }
+}
+
+TEST(MessageCodecTest, ReportPayloadSizeAtTheFrameBoundary) {
+  // Every field but the two series has a fixed size here; each series
+  // costs a 3-byte count plus 8 bytes per release near this horizon.
+  server::UserReport report = GoldenReport();
+  const std::size_t fixed = 1 + report.name.size() + 3 + 2 * sizeof(double);
+  const std::size_t boundary = (kMaxFramePayload - fixed - 2 * 3) / 16;
+  for (std::size_t horizon : {boundary, boundary + 1}) {
+    report.horizon = 0;  // keeps the varint at one byte
+    report.epsilons.assign(horizon, 0.1);
+    report.tpl_series.assign(horizon, 0.2);
+    const std::size_t encoded = EncodeReport(report).size();
+    EXPECT_EQ(ReportPayloadSize(report), encoded) << "horizon " << horizon;
+    EXPECT_EQ(encoded <= kMaxFramePayload, horizon == boundary)
+        << "horizon " << horizon;
+  }
+}
+
 TEST(MessageCodecTest, ReportRoundTripBitwise) {
   server::UserReport report;
   report.name = "user-3";

@@ -224,5 +224,109 @@ TEST(BinaryIo, Crc32KnownVector) {
   EXPECT_EQ(Crc32("56789", 5, head), 0xCBF43926u);
 }
 
+/// Byte-at-a-time CRC-32 register update (polynomial 0xEDB88320): the
+/// textbook definition the sliced Crc32 must reproduce. The register is
+/// kept un-finalized so one pass yields every prefix's CRC.
+std::uint32_t ReferenceCrcUpdate(std::uint32_t reg, unsigned char byte) {
+  reg ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    reg = (reg & 1) ? 0xEDB88320u ^ (reg >> 1) : reg >> 1;
+  }
+  return reg;
+}
+
+std::uint32_t ReferenceCrc32(const unsigned char* data, std::size_t size,
+                             std::uint32_t seed = 0) {
+  std::uint32_t reg = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    reg = ReferenceCrcUpdate(reg, data[i]);
+  }
+  return reg ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> RandomBytes(Rng* rng, std::size_t n) {
+  std::vector<unsigned char> bytes(n);
+  for (unsigned char& b : bytes) {
+    b = static_cast<unsigned char>(rng->UniformInt(0, 255));
+  }
+  return bytes;
+}
+
+TEST(BinaryIo, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(4242);
+  const std::vector<unsigned char> bytes = RandomBytes(&rng, 4096 + 8);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* start = bytes.data() + offset;
+    std::uint32_t reg = 0xFFFFFFFFu;  // reference over start[0, len)
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      ASSERT_EQ(Crc32(start, len), reg ^ 0xFFFFFFFFu)
+          << "offset " << offset << " length " << len;
+      if (len < 4096) reg = ReferenceCrcUpdate(reg, start[len]);
+    }
+  }
+}
+
+TEST(BinaryIo, Crc32MatchesBytewiseReferenceOnOneMebibyte) {
+  Rng rng(4343);
+  const std::vector<unsigned char> bytes = RandomBytes(&rng, (1u << 20) + 7);
+  for (std::size_t offset : {0u, 3u, 7u}) {
+    EXPECT_EQ(Crc32(bytes.data() + offset, 1u << 20),
+              ReferenceCrc32(bytes.data() + offset, 1u << 20))
+        << "offset " << offset;
+  }
+}
+
+TEST(BinaryIo, Crc32ChainsSeedsLikeTheReference) {
+  Rng rng(4444);
+  const std::vector<unsigned char> bytes = RandomBytes(&rng, 3000);
+  const std::uint32_t whole = ReferenceCrc32(bytes.data(), bytes.size());
+  for (std::size_t split : {0u, 1u, 7u, 8u, 9u, 63u, 1000u, 2999u, 3000u}) {
+    const std::uint32_t head = Crc32(bytes.data(), split);
+    EXPECT_EQ(Crc32(bytes.data() + split, bytes.size() - split, head), whole)
+        << "split " << split;
+  }
+  for (std::uint32_t seed : {0x00000000u, 0x12345678u, 0xFFFFFFFFu}) {
+    for (std::size_t len : {0u, 5u, 8u, 17u, 3000u}) {
+      EXPECT_EQ(Crc32(bytes.data(), len, seed),
+                ReferenceCrc32(bytes.data(), len, seed))
+          << "seed " << seed << " length " << len;
+    }
+  }
+}
+
+TEST(BinaryIo, DoubleBitsArrayMatchesOneFieldAtATime) {
+  const std::vector<double> values = {0.0, -0.0, 1.0 / 3.0, 1e-300, -2.5,
+                                      0.1, 6.02e23};
+  std::string one_by_one = "prefix";
+  for (double v : values) PutDoubleBits(&one_by_one, v);
+  std::string bulk = "prefix";
+  PutDoubleBitsArray(&bulk, values.data(), values.size());
+  EXPECT_EQ(bulk, one_by_one);
+
+  BinaryCursor cursor(bulk.data() + 6, bulk.size() - 6);
+  std::vector<double> back(values.size(), 1.0);
+  ASSERT_TRUE(cursor.ReadDoubleBitsArray(back.data(), back.size()).ok());
+  EXPECT_TRUE(cursor.empty());
+  EXPECT_EQ(std::memcmp(back.data(), values.data(),
+                        values.size() * sizeof(double)),
+            0);
+
+  // One byte short: a clean error, and the cursor does not move.
+  BinaryCursor truncated(bulk.data() + 6, bulk.size() - 7);
+  EXPECT_FALSE(truncated.ReadDoubleBitsArray(back.data(), back.size()).ok());
+  EXPECT_EQ(truncated.remaining(), bulk.size() - 7);
+}
+
+TEST(BinaryIo, VarintLengthMatchesEncoding) {
+  for (std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{127}, std::uint64_t{128},
+        std::uint64_t{16383}, std::uint64_t{16384}, std::uint64_t{1} << 35,
+        ~std::uint64_t{0}}) {
+    std::string buf;
+    PutVarint64(&buf, v);
+    EXPECT_EQ(VarintLength(v), buf.size()) << v;
+  }
+}
+
 }  // namespace
 }  // namespace tcdp
