@@ -55,6 +55,24 @@ AccountantBankOptions BankOptions(const ShardedServiceOptions& options) {
   return bank;
 }
 
+/// InvalidArgument when \p options would start more than
+/// kMaxServiceThreads threads (each factor is bounded first, so the
+/// product cannot overflow).
+Status CheckThreadBound(const ShardedServiceOptions& options) {
+  const std::size_t shards = std::max<std::size_t>(options.num_shards, 1);
+  const std::size_t pool =
+      options.threads_per_shard > 1 ? options.threads_per_shard : 0;
+  if (shards > kMaxServiceThreads || pool > kMaxServiceThreads ||
+      shards * (1 + pool) > kMaxServiceThreads) {
+    return Status::InvalidArgument(
+        "num_shards " + std::to_string(options.num_shards) +
+        " x threads_per_shard " + std::to_string(options.threads_per_shard) +
+        " needs more than " + std::to_string(kMaxServiceThreads) +
+        " threads");
+  }
+  return Status::OK();
+}
+
 Status WriteManifestFile(const std::string& dir,
                          const ShardedServiceOptions& options) {
   const std::string path = std::string(dir) + "/" + kManifestFile;
@@ -142,6 +160,7 @@ StatusOr<ShardedServiceOptions> ReadManifestFile(const std::string& dir) {
       !std::isfinite(options.cache.alpha_resolution)) {
     return Status::InvalidArgument(path + ": malformed manifest values");
   }
+  TCDP_RETURN_IF_ERROR(CheckThreadBound(options));
   return options;
 }
 
@@ -617,6 +636,7 @@ Status ShardedReleaseService::InitShardsFresh(const std::string& log_dir) {
 
 StatusOr<std::unique_ptr<ShardedReleaseService>> ShardedReleaseService::Create(
     const std::string& log_dir, ShardedServiceOptions options) {
+  TCDP_RETURN_IF_ERROR(CheckThreadBound(options));
   std::unique_ptr<ShardedReleaseService> service(
       new ShardedReleaseService(std::move(options)));
   // Purely a perf knob (backends are bitwise identical); applied here,

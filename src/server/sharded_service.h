@@ -81,6 +81,12 @@ struct CompactionOptions {
   std::uint64_t max_wal_records = 0;
 };
 
+/// Ceiling on the threads one service starts: a worker per shard plus,
+/// when threads_per_shard > 1, a bank pool of that many threads per
+/// shard. Create, and Recover through the MANIFEST, refuse options past
+/// it with InvalidArgument before any thread starts.
+inline constexpr std::size_t kMaxServiceThreads = 1024;
+
 struct ShardedServiceOptions {
   std::size_t num_shards = 1;
   /// Requests (joins + releases) coalesced per micro-batch tick.

@@ -68,6 +68,38 @@ TEST_F(CliTest, FlagParsingErrors) {
                    .ok());
 }
 
+TEST_F(CliTest, UnknownAndRepeatedFlagsAreRejected) {
+  // A typo or a second copy must not fall back to a default: the
+  // error names the flag and the verb.
+  auto expect_rejected = [&](std::vector<std::string> args,
+                             const std::string& flag) {
+    const std::string verb = "'tcdp " + args[0] + "'";
+    auto r = Run(args);
+    ASSERT_FALSE(r.ok()) << "accepted: " << args[0] << " " << flag;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find(flag), std::string::npos)
+        << r.status().message();
+    EXPECT_NE(r.status().message().find(verb), std::string::npos)
+        << r.status().message();
+  };
+  expect_rejected({"serve", "--script", "/tmp/unused.txt", "--sync-evry",
+                   "1"},
+                  "--sync-evry");
+  expect_rejected({"serve", "--shardz", "9"}, "--shardz");
+  expect_rejected({"serve", "--shards", "2", "--shards", "3"}, "--shards");
+  expect_rejected({"bench", "--smok", "--suite", "fig3"}, "--smok");
+  expect_rejected({"bench", "--suite", "fig3", "--suite", "fig4"},
+                  "--suite");
+  expect_rejected({"bench", "--list", "--list"}, "--list");
+  expect_rejected({"quantify", "--matrix", matrix_path_, "--epsilon", "0.1",
+                   "--horizon", "3", "--horizn", "4"},
+                  "--horizn");
+  expect_rejected({"replay", "--log-dir", "/tmp/unused", "--verfy", "1"},
+                  "--verfy");
+  // A switch takes no value, so a value after it is a stray argument.
+  EXPECT_FALSE(Run({"bench", "--list", "1"}).ok());
+}
+
 TEST_F(CliTest, QuantifyPrintsTimeline) {
   auto r = Run({"quantify", "--matrix", matrix_path_, "--epsilon", "0.1",
                 "--horizon", "10"});
@@ -187,6 +219,15 @@ TEST_F(CliTest, FleetRejectsBadFlags) {
   EXPECT_FALSE(Run({"fleet", "--cache", "maybe"}).ok());
   EXPECT_FALSE(Run({"fleet", "--sparsity", "1.5"}).ok());
   EXPECT_FALSE(Run({"fleet", "--json", "/tmp/not-supported.json"}).ok());
+  // Integer flags: non-finite, out-of-range, negative and fractional
+  // values are refused before any conversion.
+  for (const char* users : {"nan", "inf", "-inf", "1e30",
+                            "18446744073709551616", "-1", "2.5"}) {
+    auto r = Run({"fleet", "--users", users, "--horizon", "1"});
+    ASSERT_FALSE(r.ok()) << "--users " << users;
+    EXPECT_NE(r.status().message().find("--users"), std::string::npos)
+        << r.status().message();
+  }
 }
 
 TEST_F(CliTest, FleetSparseJsonSmoke) {
@@ -265,8 +306,10 @@ TEST_F(CliTest, BenchRejectsBadInvocations) {
   auto bad_flag = Run({"bench", "--frobnicate"});
   ASSERT_FALSE(bad_flag.ok());
 
-  auto bad_noise = Run({"bench", "--suite", "fig3", "--noise", "-1"});
-  ASSERT_FALSE(bad_noise.ok());
+  for (const char* noise : {"-1", "nan", "inf"}) {
+    auto bad_noise = Run({"bench", "--suite", "fig3", "--noise", noise});
+    ASSERT_FALSE(bad_noise.ok()) << "--noise " << noise;
+  }
 
   auto missing_baseline = Run({"bench", "--suite", "fig3", "--smoke",
                                "--compare", "/tmp/tcdp_no_such_file.json"});
@@ -349,6 +392,18 @@ TEST_F(ServeCliTest, ServeJsonThenReplayVerifies) {
   EXPECT_NE(human->find("2 users bitwise-equal, 0 failures"),
             std::string::npos)
       << *human;
+
+  // --verify 0 means off, the same as leaving it out.
+  auto unverified = Run({"replay", "--log-dir", log_dir_, "--verify", "0",
+                         "--json", "-"});
+  ASSERT_TRUE(unverified.ok()) << unverified.status().ToString();
+  EXPECT_NE(unverified->find("\"verified\": false"), std::string::npos)
+      << *unverified;
+  auto unverified_human =
+      Run({"replay", "--log-dir", log_dir_, "--verify", "0"});
+  ASSERT_TRUE(unverified_human.ok());
+  EXPECT_EQ(unverified_human->find("verification:"), std::string::npos)
+      << *unverified_human;
 }
 
 TEST_F(ServeCliTest, ServeRejectsBadInput) {
@@ -362,6 +417,18 @@ TEST_F(ServeCliTest, ServeRejectsBadInput) {
             std::string::npos);
   std::ofstream(script_path_) << "release 0.1 nobody\n";
   EXPECT_FALSE(Run({"serve", "--script", script_path_}).ok());
+  // Shard and thread counts: unconvertible values fail in the flag
+  // parser, convertible ones past the service's thread bound in Create.
+  for (const char* shards : {"1e30", "nan", "inf", "1e18", "1025"}) {
+    auto bad = Run({"serve", "--script", script_path_, "--shards", shards});
+    ASSERT_FALSE(bad.ok()) << "--shards " << shards;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  }
+  auto deep = Run({"serve", "--script", script_path_, "--shards", "2",
+                   "--threads-per-shard", "1000"});
+  ASSERT_FALSE(deep.ok());
+  EXPECT_NE(deep.status().message().find("threads"), std::string::npos)
+      << deep.status().message();
 }
 
 TEST_F(ServeCliTest, ReplayRequiresLogDir) {
@@ -503,6 +570,16 @@ TEST_F(ServeCliTest, ClientRejectsBadFlags) {
   EXPECT_FALSE(Run({"client", "--port", "1", "--script",
                     "/tmp/no_such_tcdp_script.txt"})
                    .ok());
+}
+
+TEST_F(CliTest, RouteEndpointsZeroIsOff) {
+  auto on = Run({"route", "--add", "127.0.0.1:7001", "--endpoints", "1"});
+  ASSERT_TRUE(on.ok()) << on.status().ToString();
+  EXPECT_NE(on->find("1 endpoints"), std::string::npos) << *on;
+  auto off = Run({"route", "--add", "127.0.0.1:7001", "--endpoints", "0"});
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  EXPECT_NE(off->find("added 127.0.0.1:7001"), std::string::npos) << *off;
+  EXPECT_EQ(off->find("endpoints,"), std::string::npos) << *off;
 }
 
 TEST_F(ServeCliTest, HelpMentionsNetworkCommands) {

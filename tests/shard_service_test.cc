@@ -9,6 +9,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -402,6 +404,62 @@ TEST(ShardedServiceDurability, ThreadsPerShardRoundTripsThroughManifest) {
     EXPECT_EQ(report->tpl_series, series) << name;
   }
   ASSERT_TRUE((*recovered)->Close().ok());
+}
+
+// Threads of this process (Linux); 0 where /proc is unavailable.
+std::size_t ProcessThreadCount() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return 0;
+  std::size_t count = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(ShardedServiceBounds, CreateRefusesThreadsPastTheBoundAndStartsNone) {
+  ShardedServiceOptions wide;  // one worker too many
+  wide.num_shards = kMaxServiceThreads + 1;
+  ShardedServiceOptions deep;  // 1 worker + kMaxServiceThreads bank threads
+  deep.threads_per_shard = kMaxServiceThreads;
+  ShardedServiceOptions overflow;  // 2^32 x (1 + 2^32 - 1) wraps to 0
+  overflow.num_shards = std::size_t{1} << 32;
+  overflow.threads_per_shard = (std::size_t{1} << 32) - 1;
+  const std::size_t threads_before = ProcessThreadCount();
+  for (const ShardedServiceOptions& options : {wide, deep, overflow}) {
+    auto service = ShardedReleaseService::Create("", options);
+    ASSERT_FALSE(service.ok());
+    EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(ProcessThreadCount(), threads_before);
+}
+
+TEST(ShardedServiceBounds, RecoverRefusesAManifestPastTheThreadBound) {
+  TempDir dir("thread_bound_manifest");
+  {
+    auto service = ShardedReleaseService::Create(dir.path, {});
+    ASSERT_TRUE(service.ok()) << service.status();
+    ASSERT_TRUE((*service)->Close().ok());
+  }
+  const std::string manifest = dir.path + "/MANIFEST";
+  std::string text;
+  {
+    std::ifstream in(manifest);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::string line = "threads_per_shard 1\n";
+  const std::size_t at = text.find(line);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, line.size(),
+               "threads_per_shard " + std::to_string(kMaxServiceThreads) +
+                   "\n");
+  std::ofstream(manifest) << text;
+  const std::size_t threads_before = ProcessThreadCount();
+  auto recovered = ShardedReleaseService::Recover(dir.path);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ProcessThreadCount(), threads_before);
 }
 
 TEST(ShardedServiceProperty, SeriesAreShardCountInvariant) {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -53,20 +55,55 @@ namespace {
 
 using Flags = std::map<std::string, std::string>;
 
+/// What one verb accepts: flags that take a value, and valueless
+/// switches (recorded with the value "1").
+struct FlagSpec {
+  std::vector<std::string> valued;
+  std::vector<std::string> switches = {};
+};
+
+/// Parses `args[1..]` against \p spec. An unknown or repeated flag is
+/// an error naming the flag and the verb (`args[0]`): a typo must not
+/// silently fall back to a default.
 StatusOr<Flags> ParseFlags(const std::vector<std::string>& args,
-                           std::size_t start) {
+                           const FlagSpec& spec) {
+  auto contains = [](const std::vector<std::string>& names,
+                     const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  const std::string verb = "'tcdp " + args[0] + "'";
   Flags flags;
-  for (std::size_t i = start; i < args.size(); ++i) {
+  for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg.rfind("--", 0) != 0) {
       return Status::InvalidArgument("expected a --flag, got '" + arg + "'");
     }
+    const std::string name = arg.substr(2);
+    const bool is_switch = contains(spec.switches, name);
+    if (!is_switch && !contains(spec.valued, name)) {
+      return Status::InvalidArgument("unknown flag '" + arg + "' for " +
+                                     verb + "; see `tcdp help`");
+    }
+    if (flags.count(name) > 0) {
+      return Status::InvalidArgument("flag '" + arg + "' given twice for " +
+                                     verb);
+    }
+    if (is_switch) {
+      flags[name] = "1";
+      continue;
+    }
     if (i + 1 >= args.size()) {
       return Status::InvalidArgument("flag '" + arg + "' is missing a value");
     }
-    flags[arg.substr(2)] = args[++i];
+    flags[name] = args[++i];
   }
   return flags;
+}
+
+std::string FlagOr(const Flags& flags, const std::string& name,
+                   std::string fallback) {
+  const auto it = flags.find(name);
+  return it == flags.end() ? std::move(fallback) : it->second;
 }
 
 StatusOr<double> FlagAsDouble(const Flags& flags, const std::string& name) {
@@ -93,11 +130,52 @@ StatusOr<std::size_t> FlagAsSize(const Flags& flags, const std::string& name,
     return Status::InvalidArgument("missing required flag --" + name);
   }
   TCDP_ASSIGN_OR_RETURN(double v, FlagAsDouble(flags, name));
-  if (v < 0 || v != static_cast<double>(static_cast<std::size_t>(v))) {
+  // strtod accepts "nan", "inf" and "1e30"; converting any of them to
+  // size_t is undefined, so the range check comes before the cast.
+  const double limit =
+      std::ldexp(1.0, std::numeric_limits<std::size_t>::digits);
+  if (!(v >= 0.0 && v < limit) || v != std::floor(v)) {
     return Status::InvalidArgument("flag --" + name +
                                    " must be a non-negative integer");
   }
   return static_cast<std::size_t>(v);
+}
+
+/// A TCP port flag: 0 (bind any free port) only where \p allow_zero.
+StatusOr<std::uint16_t> FlagAsPort(const Flags& flags,
+                                   const std::string& name,
+                                   bool allow_zero) {
+  TCDP_ASSIGN_OR_RETURN(std::size_t port, FlagAsSize(flags, name));
+  if (port > 65535 || (port == 0 && !allow_zero)) {
+    return Status::InvalidArgument(
+        "--" + name + (allow_zero ? " must be a port (0-65535)"
+                                  : " must be in 1-65535"));
+  }
+  return static_cast<std::uint16_t>(port);
+}
+
+/// Writes \p port to the file flag \p name names, if given. Callers
+/// write it before Serve blocks: pollers treat the file's presence as
+/// "the port is bound".
+Status WritePortFile(const Flags& flags, const std::string& name,
+                     std::uint16_t port) {
+  const auto it = flags.find(name);
+  if (it == flags.end()) return Status::OK();
+  std::ofstream file(it->second);
+  file << port << "\n";
+  if (!file) return Status::Internal("cannot write " + it->second);
+  return Status::OK();
+}
+
+/// `--json -` prints machine-readable output on stdout; no other value
+/// is accepted. Returns whether the flag was given.
+StatusOr<bool> JsonToStdout(const Flags& flags) {
+  const auto it = flags.find("json");
+  if (it == flags.end()) return false;
+  if (it->second != "-") {
+    return Status::InvalidArgument("--json only supports '-' (stdout)");
+  }
+  return true;
 }
 
 /// Loads the correlation pair from --matrix (both directions) or the
@@ -233,8 +311,7 @@ Status CmdAllocate(const Flags& flags, std::ostream& out) {
   TCDP_ASSIGN_OR_RETURN(auto corr, LoadCorrelations(flags));
   TCDP_ASSIGN_OR_RETURN(double alpha, FlagAsDouble(flags, "alpha"));
   TCDP_ASSIGN_OR_RETURN(std::size_t horizon, FlagAsSize(flags, "horizon"));
-  std::string strategy = "quantified";
-  if (flags.count("strategy") > 0) strategy = flags.at("strategy");
+  const std::string strategy = FlagOr(flags, "strategy", "quantified");
 
   TCDP_ASSIGN_OR_RETURN(auto alloc, BudgetAllocator::Create(corr, alpha));
   std::vector<double> schedule;
@@ -360,10 +437,7 @@ Status CmdFleet(const Flags& flags, std::ostream& out) {
       return Status::InvalidArgument("--cache must be on or off");
     }
   }
-  const bool json = flags.count("json") > 0;
-  if (json && flags.at("json") != "-") {
-    return Status::InvalidArgument("--json only supports '-' (stdout)");
-  }
+  TCDP_ASSIGN_OR_RETURN(const bool json, JsonToStdout(flags));
 
   // Synthetic multi-user clickstream fleet: `groups` browsing profiles
   // (increasingly home-page-bound), users assigned round-robin.
@@ -718,8 +792,7 @@ Status CmdServe(const Flags& flags, std::ostream& out) {
   TCDP_ASSIGN_OR_RETURN(
       options.compaction.max_wal_records,
       FlagAsSize(flags, "compact-records", std::size_t{0}));
-  std::string log_dir;
-  if (flags.count("log-dir") > 0) log_dir = flags.at("log-dir");
+  const std::string log_dir = FlagOr(flags, "log-dir", "");
   if (log_dir.empty() &&
       (options.compaction.after_snapshot ||
        options.compaction.max_wal_bytes > 0 ||
@@ -728,10 +801,7 @@ Status CmdServe(const Flags& flags, std::ostream& out) {
         "--auto-compact/--compact-bytes/--compact-records require "
         "--log-dir (compaction needs a durable WAL)");
   }
-  const bool json = flags.count("json") > 0;
-  if (json && flags.at("json") != "-") {
-    return Status::InvalidArgument("--json only supports '-' (stdout)");
-  }
+  TCDP_ASSIGN_OR_RETURN(const bool json, JsonToStdout(flags));
   const bool repl_listen = flags.count("repl-listen") > 0;
   if (repl_listen && (log_dir.empty() || !listen)) {
     return Status::InvalidArgument(
@@ -745,19 +815,12 @@ Status CmdServe(const Flags& flags, std::ostream& out) {
   TCDP_ASSIGN_OR_RETURN(std::size_t no_metrics,
                         FlagAsSize(flags, "no-metrics", std::size_t{0}));
   obs::SetMetricsEnabled(no_metrics == 0);
-  std::string metrics_json_path;
-  std::string metrics_prom_path;
-  if (flags.count("metrics-json") > 0) {
-    metrics_json_path = flags.at("metrics-json");
-  }
-  if (flags.count("metrics-prom") > 0) {
-    metrics_prom_path = flags.at("metrics-prom");
-  }
+  const std::string metrics_json_path = FlagOr(flags, "metrics-json", "");
+  const std::string metrics_prom_path = FlagOr(flags, "metrics-prom", "");
   TCDP_ASSIGN_OR_RETURN(
       std::size_t metrics_interval_ms,
       FlagAsSize(flags, "metrics-interval-ms", std::size_t{1000}));
-  std::string trace_out;
-  if (flags.count("trace-out") > 0) trace_out = flags.at("trace-out");
+  const std::string trace_out = FlagOr(flags, "trace-out", "");
   TCDP_ASSIGN_OR_RETURN(std::size_t trace_capacity,
                         FlagAsSize(flags, "trace-capacity",
                                    std::size_t{8192}));
@@ -783,8 +846,7 @@ Status CmdServe(const Flags& flags, std::ostream& out) {
       FlagAsSize(flags, "watchdog-interval-ms", std::size_t{1000}));
   TCDP_ASSIGN_OR_RETURN(std::size_t stall_ticks,
                         FlagAsSize(flags, "stall-ticks", std::size_t{3}));
-  std::string diag_dir;
-  if (flags.count("diag-dir") > 0) diag_dir = flags.at("diag-dir");
+  const std::string diag_dir = FlagOr(flags, "diag-dir", "");
   TCDP_ASSIGN_OR_RETURN(std::size_t diag_keep,
                         FlagAsSize(flags, "diag-keep", std::size_t{8}));
 
@@ -828,13 +890,9 @@ Status CmdServe(const Flags& flags, std::ostream& out) {
   bool served = false;
   bool repl_served = false;
   if (listen) {
-    TCDP_ASSIGN_OR_RETURN(std::size_t port, FlagAsSize(flags, "listen"));
-    if (port > 65535) {
-      return Status::InvalidArgument("--listen must be a port (0-65535)");
-    }
     net::NetServerOptions net_options;
-    net_options.port = static_cast<std::uint16_t>(port);
-    if (flags.count("host") > 0) net_options.host = flags.at("host");
+    TCDP_ASSIGN_OR_RETURN(net_options.port, FlagAsPort(flags, "listen", true));
+    net_options.host = FlagOr(flags, "host", net_options.host);
     if (!trace_out.empty()) net_options.on_trace_dump = dump_trace;
     net_options.watchdog = &watchdog;
 #if defined(__unix__) || defined(__APPLE__)
@@ -852,15 +910,7 @@ Status CmdServe(const Flags& flags, std::ostream& out) {
     TCDP_ASSIGN_OR_RETURN(auto net_server,
                           net::NetServer::Listen(service.get(),
                                                  net_options));
-    if (flags.count("port-file") > 0) {
-      // Written (and closed) before Serve blocks: pollers treat the
-      // file's presence as "the port is bound".
-      std::ofstream port_file(flags.at("port-file"));
-      port_file << net_server->port() << "\n";
-      if (!port_file) {
-        return Status::Internal("cannot write " + flags.at("port-file"));
-      }
-    }
+    TCDP_RETURN_IF_ERROR(WritePortFile(flags, "port-file", net_server->port()));
     // A primary tails its own shard WALs and streams them to
     // subscribed followers on a second port (docs/REPLICATION.md). The
     // stream server is a pure file reader, so it rides alongside the
@@ -869,26 +919,15 @@ Status CmdServe(const Flags& flags, std::ostream& out) {
     std::thread repl_thread;
     Status repl_status;
     if (repl_listen) {
-      TCDP_ASSIGN_OR_RETURN(std::size_t repl_port,
-                            FlagAsSize(flags, "repl-listen"));
-      if (repl_port > 65535) {
-        return Status::InvalidArgument(
-            "--repl-listen must be a port (0-65535)");
-      }
       replication::LogStreamOptions repl_options;
       repl_options.log_dir = log_dir;
       repl_options.host = net_options.host;
-      repl_options.port = static_cast<std::uint16_t>(repl_port);
+      TCDP_ASSIGN_OR_RETURN(repl_options.port,
+                            FlagAsPort(flags, "repl-listen", true));
       TCDP_ASSIGN_OR_RETURN(
           repl_server, replication::LogStreamServer::Listen(repl_options));
-      if (flags.count("repl-port-file") > 0) {
-        std::ofstream repl_port_file(flags.at("repl-port-file"));
-        repl_port_file << repl_server->port() << "\n";
-        if (!repl_port_file) {
-          return Status::Internal("cannot write " +
-                                  flags.at("repl-port-file"));
-        }
-      }
+      TCDP_RETURN_IF_ERROR(
+          WritePortFile(flags, "repl-port-file", repl_server->port()));
       if (!json) {
         out << "replication stream on " << net_options.host << ":"
             << repl_server->port() << "\n";
@@ -1039,26 +1078,18 @@ Status CmdClient(const Flags& flags, std::ostream& out) {
   if (!script) {
     return Status::NotFound("cannot open script " + script_it->second);
   }
-  TCDP_ASSIGN_OR_RETURN(std::size_t port, FlagAsSize(flags, "port"));
-  if (port == 0 || port > 65535) {
-    return Status::InvalidArgument("--port must be in 1-65535");
-  }
-  std::string host = "127.0.0.1";
-  if (flags.count("host") > 0) host = flags.at("host");
+  TCDP_ASSIGN_OR_RETURN(const std::uint16_t port,
+                        FlagAsPort(flags, "port", false));
+  const std::string host = FlagOr(flags, "host", "127.0.0.1");
   net::NetClientOptions client_options;
   TCDP_ASSIGN_OR_RETURN(client_options.pipeline_depth,
                         FlagAsSize(flags, "pipeline", std::size_t{8}));
   TCDP_ASSIGN_OR_RETURN(std::size_t shutdown,
                         FlagAsSize(flags, "shutdown", std::size_t{0}));
-  const bool json = flags.count("json") > 0;
-  if (json && flags.at("json") != "-") {
-    return Status::InvalidArgument("--json only supports '-' (stdout)");
-  }
+  TCDP_ASSIGN_OR_RETURN(const bool json, JsonToStdout(flags));
 
   TCDP_ASSIGN_OR_RETURN(
-      auto client,
-      net::NetClient::Connect(host, static_cast<std::uint16_t>(port),
-                              client_options));
+      auto client, net::NetClient::Connect(host, port, client_options));
   ServeOutcome outcome;
   TCDP_RETURN_IF_ERROR(RunScript(script, client.get(), &outcome));
   TCDP_ASSIGN_OR_RETURN(auto stats, client->Stats());
@@ -1173,16 +1204,10 @@ void PrintRateTables(const obs::MetricsDelta& delta, std::ostream& out) {
 /// re-scrapes every N seconds and prints per-interval rates instead of
 /// cumulative totals (--count M stops after M rate tables).
 Status CmdStats(const Flags& flags, std::ostream& out) {
-  TCDP_ASSIGN_OR_RETURN(std::size_t port, FlagAsSize(flags, "port"));
-  if (port == 0 || port > 65535) {
-    return Status::InvalidArgument("--port must be in 1-65535");
-  }
-  std::string host = "127.0.0.1";
-  if (flags.count("host") > 0) host = flags.at("host");
-  const bool json = flags.count("json") > 0;
-  if (json && flags.at("json") != "-") {
-    return Status::InvalidArgument("--json only supports '-' (stdout)");
-  }
+  TCDP_ASSIGN_OR_RETURN(const std::uint16_t port,
+                        FlagAsPort(flags, "port", false));
+  const std::string host = FlagOr(flags, "host", "127.0.0.1");
+  TCDP_ASSIGN_OR_RETURN(const bool json, JsonToStdout(flags));
   TCDP_ASSIGN_OR_RETURN(std::size_t trace_dump,
                         FlagAsSize(flags, "trace-dump", std::size_t{0}));
   TCDP_ASSIGN_OR_RETURN(std::size_t watch_seconds,
@@ -1193,9 +1218,7 @@ Status CmdStats(const Flags& flags, std::ostream& out) {
     return Status::InvalidArgument("--watch and --json are exclusive");
   }
 
-  TCDP_ASSIGN_OR_RETURN(
-      auto client,
-      net::NetClient::Connect(host, static_cast<std::uint16_t>(port)));
+  TCDP_ASSIGN_OR_RETURN(auto client, net::NetClient::Connect(host, port));
   TCDP_ASSIGN_OR_RETURN(obs::MetricsSnapshot metrics, client->Metrics());
   if (trace_dump != 0) {
     TCDP_ASSIGN_OR_RETURN(std::string trace_path, client->TraceDump());
@@ -1261,22 +1284,14 @@ Status CmdStats(const Flags& flags, std::ostream& out) {
 /// watchdog's verdict and exits nonzero when the probed bit is false,
 /// so scripts/CI can gate on the exit code alone.
 Status CmdHealth(const Flags& flags, std::ostream& out) {
-  TCDP_ASSIGN_OR_RETURN(std::size_t port, FlagAsSize(flags, "port"));
-  if (port == 0 || port > 65535) {
-    return Status::InvalidArgument("--port must be in 1-65535");
-  }
-  std::string host = "127.0.0.1";
-  if (flags.count("host") > 0) host = flags.at("host");
-  const bool json = flags.count("json") > 0;
-  if (json && flags.at("json") != "-") {
-    return Status::InvalidArgument("--json only supports '-' (stdout)");
-  }
+  TCDP_ASSIGN_OR_RETURN(const std::uint16_t port,
+                        FlagAsPort(flags, "port", false));
+  const std::string host = FlagOr(flags, "host", "127.0.0.1");
+  TCDP_ASSIGN_OR_RETURN(const bool json, JsonToStdout(flags));
   TCDP_ASSIGN_OR_RETURN(std::size_t probe_ready,
                         FlagAsSize(flags, "ready", std::size_t{0}));
 
-  TCDP_ASSIGN_OR_RETURN(
-      auto client,
-      net::NetClient::Connect(host, static_cast<std::uint16_t>(port)));
+  TCDP_ASSIGN_OR_RETURN(auto client, net::NetClient::Connect(host, port));
   TCDP_ASSIGN_OR_RETURN(net::WireHealthReport report,
                         probe_ready != 0 ? client->Ready()
                                          : client->Health());
@@ -1438,12 +1453,9 @@ void PrintTopFrame(const std::string& server, const TopFrame& prev,
 /// piped/redirected it degrades to a single rate table so scripts and
 /// tests get deterministic output.
 Status CmdTop(const Flags& flags, std::ostream& out) {
-  TCDP_ASSIGN_OR_RETURN(std::size_t port, FlagAsSize(flags, "port"));
-  if (port == 0 || port > 65535) {
-    return Status::InvalidArgument("--port must be in 1-65535");
-  }
-  std::string host = "127.0.0.1";
-  if (flags.count("host") > 0) host = flags.at("host");
+  TCDP_ASSIGN_OR_RETURN(const std::uint16_t port,
+                        FlagAsPort(flags, "port", false));
+  const std::string host = FlagOr(flags, "host", "127.0.0.1");
   TCDP_ASSIGN_OR_RETURN(
       std::size_t interval_ms,
       FlagAsSize(flags, "interval-ms", std::size_t{1000}));
@@ -1458,9 +1470,7 @@ Status CmdTop(const Flags& flags, std::ostream& out) {
       std::size_t count,
       FlagAsSize(flags, "count", tty ? std::size_t{0} : std::size_t{1}));
 
-  TCDP_ASSIGN_OR_RETURN(
-      auto client,
-      net::NetClient::Connect(host, static_cast<std::uint16_t>(port)));
+  TCDP_ASSIGN_OR_RETURN(auto client, net::NetClient::Connect(host, port));
   const std::string server = host + ":" + std::to_string(port);
   TopFrame prev;
   TCDP_ASSIGN_OR_RETURN(prev.metrics, client->Metrics());
@@ -1485,11 +1495,10 @@ Status CmdReplay(const Flags& flags, std::ostream& out) {
   if (dir_it == flags.end()) {
     return Status::InvalidArgument("missing required flag --log-dir");
   }
-  const bool verify = flags.count("verify") > 0;
-  const bool json = flags.count("json") > 0;
-  if (json && flags.at("json") != "-") {
-    return Status::InvalidArgument("--json only supports '-' (stdout)");
-  }
+  TCDP_ASSIGN_OR_RETURN(const std::size_t verify_flag,
+                        FlagAsSize(flags, "verify", std::size_t{0}));
+  const bool verify = verify_flag != 0;
+  TCDP_ASSIGN_OR_RETURN(const bool json, JsonToStdout(flags));
   WallTimer timer;
   TCDP_ASSIGN_OR_RETURN(auto service,
                         server::ShardedReleaseService::Recover(
@@ -1578,10 +1587,7 @@ Status CmdCompact(const Flags& flags, std::ostream& out) {
   if (dir_it == flags.end()) {
     return Status::InvalidArgument("missing required flag --log-dir");
   }
-  const bool json = flags.count("json") > 0;
-  if (json && flags.at("json") != "-") {
-    return Status::InvalidArgument("--json only supports '-' (stdout)");
-  }
+  TCDP_ASSIGN_OR_RETURN(const bool json, JsonToStdout(flags));
   TCDP_ASSIGN_OR_RETURN(auto service,
                         server::ShardedReleaseService::Recover(
                             dir_it->second));
@@ -1651,15 +1657,9 @@ Status CmdCompact(const Flags& flags, std::ostream& out) {
 /// drill in README.md). Exits nonzero on divergence.
 Status CmdFollow(const Flags& flags, std::ostream& out) {
   replication::FollowerOptions options;
-  TCDP_ASSIGN_OR_RETURN(std::size_t primary_port,
-                        FlagAsSize(flags, "primary-port"));
-  if (primary_port == 0 || primary_port > 65535) {
-    return Status::InvalidArgument("--primary-port must be in 1-65535");
-  }
-  options.primary_port = static_cast<std::uint16_t>(primary_port);
-  if (flags.count("primary-host") > 0) {
-    options.primary_host = flags.at("primary-host");
-  }
+  TCDP_ASSIGN_OR_RETURN(options.primary_port,
+                        FlagAsPort(flags, "primary-port", false));
+  options.primary_host = FlagOr(flags, "primary-host", options.primary_host);
   const auto dir_it = flags.find("log-dir");
   if (dir_it == flags.end()) {
     return Status::InvalidArgument("missing required flag --log-dir");
@@ -1674,10 +1674,7 @@ Status CmdFollow(const Flags& flags, std::ostream& out) {
       FlagAsSize(flags, "reconnect",
                  promote != 0 ? std::size_t{0} : std::size_t{1}));
   options.reconnect = reconnect != 0;
-  const bool json = flags.count("json") > 0;
-  if (json && flags.at("json") != "-") {
-    return Status::InvalidArgument("--json only supports '-' (stdout)");
-  }
+  TCDP_ASSIGN_OR_RETURN(const bool json, JsonToStdout(flags));
 
   const std::string primary = options.primary_host + ":" +
                               std::to_string(options.primary_port);
@@ -1746,22 +1743,12 @@ Status CmdFollow(const Flags& flags, std::ostream& out) {
 
   // The drill's last act: the promoted replica starts serving clients.
   if (promoted != nullptr && flags.count("listen") > 0) {
-    TCDP_ASSIGN_OR_RETURN(std::size_t port, FlagAsSize(flags, "listen"));
-    if (port > 65535) {
-      return Status::InvalidArgument("--listen must be a port (0-65535)");
-    }
     net::NetServerOptions net_options;
-    net_options.port = static_cast<std::uint16_t>(port);
-    if (flags.count("host") > 0) net_options.host = flags.at("host");
+    TCDP_ASSIGN_OR_RETURN(net_options.port, FlagAsPort(flags, "listen", true));
+    net_options.host = FlagOr(flags, "host", net_options.host);
     TCDP_ASSIGN_OR_RETURN(
         auto net_server, net::NetServer::Listen(promoted.get(), net_options));
-    if (flags.count("port-file") > 0) {
-      std::ofstream port_file(flags.at("port-file"));
-      port_file << net_server->port() << "\n";
-      if (!port_file) {
-        return Status::Internal("cannot write " + flags.at("port-file"));
-      }
-    }
+    TCDP_RETURN_IF_ERROR(WritePortFile(flags, "port-file", net_server->port()));
     if (!json) {
       out << "promoted primary listening on " << net_options.host << ":"
           << net_server->port() << "\n";
@@ -1786,8 +1773,7 @@ Status CmdFollow(const Flags& flags, std::ostream& out) {
 /// clear, lookup, endpoints, distribution, serve); each journals
 /// before it applies when --journal is set.
 Status CmdRoute(const Flags& flags, std::ostream& out) {
-  std::string journal;
-  if (flags.count("journal") > 0) journal = flags.at("journal");
+  const std::string journal = FlagOr(flags, "journal", "");
   TCDP_ASSIGN_OR_RETURN(
       std::size_t virtual_nodes,
       FlagAsSize(flags, "virtual-nodes", std::size_t{64}));
@@ -1821,7 +1807,9 @@ Status CmdRoute(const Flags& flags, std::ostream& out) {
                           table->Lookup(flags.at("lookup")));
     out << flags.at("lookup") << " -> " << endpoint << "\n";
   }
-  if (flags.count("endpoints") > 0) {
+  TCDP_ASSIGN_OR_RETURN(const std::size_t endpoints,
+                        FlagAsSize(flags, "endpoints", std::size_t{0}));
+  if (endpoints != 0) {
     const replication::RouterTableStats stats = table->stats();
     out << stats.endpoints << " endpoints, " << stats.pins << " pins, "
         << stats.journal_records << " journal records\n";
@@ -1850,23 +1838,14 @@ Status CmdRoute(const Flags& flags, std::ostream& out) {
     out << dist.ToAlignedString();
   }
   if (flags.count("serve") > 0) {
-    TCDP_ASSIGN_OR_RETURN(std::size_t port, FlagAsSize(flags, "serve"));
-    if (port > 65535) {
-      return Status::InvalidArgument("--serve must be a port (0-65535)");
-    }
     replication::RouterServerOptions server_options;
-    server_options.port = static_cast<std::uint16_t>(port);
-    if (flags.count("host") > 0) server_options.host = flags.at("host");
+    TCDP_ASSIGN_OR_RETURN(server_options.port,
+                          FlagAsPort(flags, "serve", true));
+    server_options.host = FlagOr(flags, "host", server_options.host);
     TCDP_ASSIGN_OR_RETURN(
         auto server,
         replication::RouterServer::Listen(table.get(), server_options));
-    if (flags.count("port-file") > 0) {
-      std::ofstream port_file(flags.at("port-file"));
-      port_file << server->port() << "\n";
-      if (!port_file) {
-        return Status::Internal("cannot write " + flags.at("port-file"));
-      }
-    }
+    TCDP_RETURN_IF_ERROR(WritePortFile(flags, "port-file", server->port()));
     out << "router listening on " << server_options.host << ":"
         << server->port() << "\n";
     out.flush();
@@ -1875,63 +1854,28 @@ Status CmdRoute(const Flags& flags, std::ostream& out) {
   return Status::OK();
 }
 
-// `tcdp bench` has boolean flags (--smoke, --list), so it parses its
-// own arguments instead of going through ParseFlags (which requires
-// every --flag to carry a value).
-Status CmdBench(const std::vector<std::string>& args, std::ostream& out) {
+Status CmdBench(const Flags& flags, std::ostream& out) {
   bench::RunOptions options;
-  bool list = false;
-  std::vector<std::string> suites;
-  std::string compare_path;
-  std::string json_path;
+  options.smoke = flags.count("smoke") > 0;
+  const bool list = flags.count("list") > 0;
+  const std::vector<std::string> suites =
+      SplitCommas(FlagOr(flags, "suite", ""));
+  const std::string compare_path = FlagOr(flags, "compare", "");
+  const std::string json_path = FlagOr(flags, "json", "");
+  TCDP_ASSIGN_OR_RETURN(options.repetitions,
+                        FlagAsSize(flags, "reps", options.repetitions));
   double noise = 0.15;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto value = [&]() -> StatusOr<std::string> {
-      if (i + 1 >= args.size()) {
-        return Status::InvalidArgument("flag '" + arg +
-                                       "' is missing a value");
-      }
-      return args[++i];
-    };
-    if (arg == "--smoke") {
-      options.smoke = true;
-    } else if (arg == "--list") {
-      list = true;
-    } else if (arg == "--suite") {
-      TCDP_ASSIGN_OR_RETURN(const std::string list_value, value());
-      std::stringstream stream(list_value);
-      std::string name;
-      while (std::getline(stream, name, ',')) {
-        if (!name.empty()) suites.push_back(name);
-      }
-    } else if (arg == "--compare") {
-      TCDP_ASSIGN_OR_RETURN(compare_path, value());
-    } else if (arg == "--json") {
-      TCDP_ASSIGN_OR_RETURN(json_path, value());
-    } else if (arg == "--reps") {
-      TCDP_ASSIGN_OR_RETURN(const std::string reps, value());
-      Flags one{{"reps", reps}};
-      TCDP_ASSIGN_OR_RETURN(options.repetitions, FlagAsSize(one, "reps"));
-    } else if (arg == "--noise") {
-      TCDP_ASSIGN_OR_RETURN(const std::string frac, value());
-      Flags one{{"noise", frac}};
-      TCDP_ASSIGN_OR_RETURN(noise, FlagAsDouble(one, "noise"));
-      if (noise < 0.0) {
-        return Status::InvalidArgument("--noise must be >= 0");
-      }
-    } else if (arg == "--kernels") {
-      TCDP_ASSIGN_OR_RETURN(const std::string mode, value());
-      TCDP_ASSIGN_OR_RETURN(const TcdpKernelMode parsed,
-                            kernels::ParseKernelMode(mode));
-      kernels::SetKernelMode(parsed);
-    } else {
-      return Status::InvalidArgument(
-          "unknown bench flag '" + arg +
-          "'; usage: tcdp bench [--suite a,b] [--smoke] [--list] "
-          "[--json out.json] [--compare baseline.json] [--reps N] "
-          "[--noise F] [--kernels scalar|auto]");
+  if (flags.count("noise") > 0) {
+    TCDP_ASSIGN_OR_RETURN(noise, FlagAsDouble(flags, "noise"));
+    // A NaN or infinite band would never flag a regression.
+    if (!(noise >= 0.0 && std::isfinite(noise))) {
+      return Status::InvalidArgument("--noise must be finite and >= 0");
     }
+  }
+  if (flags.count("kernels") > 0) {
+    TCDP_ASSIGN_OR_RETURN(const TcdpKernelMode mode,
+                          kernels::ParseKernelMode(flags.at("kernels")));
+    kernels::SetKernelMode(mode);
   }
 
   bench::Harness harness;
@@ -1987,6 +1931,66 @@ Status CmdBench(const std::vector<std::string>& args, std::ostream& out) {
   return result;
 }
 
+/// One CLI verb and every flag it accepts; ParseFlags refuses the rest.
+struct Command {
+  const char* name;
+  Status (*run)(const Flags&, std::ostream&);
+  FlagSpec flags;
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"quantify",
+       CmdQuantify,
+       {{"matrix", "backward", "forward", "epsilon", "horizon", "schedule"}}},
+      {"supremum", CmdSupremum, {{"matrix", "backward", "forward", "epsilon"}}},
+      {"allocate",
+       CmdAllocate,
+       {{"matrix", "backward", "forward", "alpha", "horizon", "strategy"}}},
+      {"estimate",
+       CmdEstimate,
+       {{"trajectories", "states", "order", "smoothing", "out",
+         "backward-out"}}},
+      {"fleet",
+       CmdFleet,
+       {{"users", "horizon", "epsilon", "pages", "groups", "threads", "cache",
+         "sparsity", "seed", "json"}}},
+      {"serve",
+       CmdServe,
+       {{"script", "log-dir", "shards", "batch-window", "snapshot-every",
+         "sync-every", "auto-compact", "compact-bytes", "compact-records",
+         "threads-per-shard", "kernels", "listen", "host", "port-file",
+         "json", "repl-listen", "repl-port-file", "no-metrics",
+         "metrics-json", "metrics-prom", "metrics-interval-ms", "trace-out",
+         "trace-capacity", "watchdog-interval-ms", "stall-ticks", "diag-dir",
+         "diag-keep"}}},
+      {"follow",
+       CmdFollow,
+       {{"primary-port", "primary-host", "log-dir", "reconnect", "promote",
+         "listen", "port-file", "host", "json"}}},
+      {"route",
+       CmdRoute,
+       {{"journal", "virtual-nodes", "add", "remove", "migrate", "to", "clear",
+         "lookup", "endpoints", "distribution", "serve", "port-file",
+         "host"}}},
+      {"client",
+       CmdClient,
+       {{"port", "script", "host", "pipeline", "shutdown", "json"}}},
+      {"stats",
+       CmdStats,
+       {{"port", "host", "json", "trace-dump", "watch", "count"}}},
+      {"health", CmdHealth, {{"port", "host", "ready", "json"}}},
+      {"top", CmdTop, {{"port", "host", "interval-ms", "count"}}},
+      {"replay", CmdReplay, {{"log-dir", "verify", "json"}}},
+      {"compact", CmdCompact, {{"log-dir", "json"}}},
+      {"bench",
+       CmdBench,
+       {{"suite", "json", "compare", "reps", "noise", "kernels"},
+        {"smoke", "list"}}},
+  };
+  return commands;
+}
+
 }  // namespace
 
 std::string HelpText() {
@@ -1994,6 +1998,8 @@ std::string HelpText() {
       "tcdp — temporal-correlation-aware differential privacy toolkit\n"
       "\n"
       "usage: tcdp <command> [--flag value]...\n"
+      "Each command accepts only the flags listed for it, each at most\n"
+      "once; a 0|1 flag reads 0 as off.\n"
       "\n"
       "commands:\n"
       "  quantify   BPL/FPL/TPL timeline of a release sequence\n"
@@ -2093,24 +2099,12 @@ Status Run(const std::vector<std::string>& args, std::ostream& out) {
     out << HelpText();
     return Status::OK();
   }
-  const std::string& command = args[0];
-  if (command == "bench") return CmdBench(args, out);
-  TCDP_ASSIGN_OR_RETURN(Flags flags, ParseFlags(args, 1));
-  if (command == "quantify") return CmdQuantify(flags, out);
-  if (command == "supremum") return CmdSupremum(flags, out);
-  if (command == "allocate") return CmdAllocate(flags, out);
-  if (command == "estimate") return CmdEstimate(flags, out);
-  if (command == "fleet") return CmdFleet(flags, out);
-  if (command == "serve") return CmdServe(flags, out);
-  if (command == "follow") return CmdFollow(flags, out);
-  if (command == "route") return CmdRoute(flags, out);
-  if (command == "client") return CmdClient(flags, out);
-  if (command == "stats") return CmdStats(flags, out);
-  if (command == "health") return CmdHealth(flags, out);
-  if (command == "top") return CmdTop(flags, out);
-  if (command == "replay") return CmdReplay(flags, out);
-  if (command == "compact") return CmdCompact(flags, out);
-  return Status::InvalidArgument("unknown command '" + command +
+  for (const Command& command : Commands()) {
+    if (args[0] != command.name) continue;
+    TCDP_ASSIGN_OR_RETURN(const Flags flags, ParseFlags(args, command.flags));
+    return command.run(flags, out);
+  }
+  return Status::InvalidArgument("unknown command '" + args[0] +
                                  "'; see `tcdp help`");
 }
 
