@@ -1,0 +1,24 @@
+#ifndef TCDP_COMMON_ATOMIC_FILE_H_
+#define TCDP_COMMON_ATOMIC_FILE_H_
+
+/// \file
+/// Whole-file publication for small files other processes or a later
+/// recovery read: the MANIFEST, compaction anchors, metrics and trace
+/// dumps.
+
+#include <string>
+
+#include "common/status.h"
+
+namespace tcdp {
+
+/// Writes \p contents to `path.tmp`, fdatasyncs and closes it, then
+/// renames it over \p path. A reader sees the old file or the whole new
+/// one, and a crash after the rename cannot leave \p path empty or
+/// torn. The directory entry is not fsynced: the rename itself may be
+/// lost in a power failure (docs/DURABILITY.md).
+Status WriteFileAtomic(const std::string& path, const std::string& contents);
+
+}  // namespace tcdp
+
+#endif  // TCDP_COMMON_ATOMIC_FILE_H_

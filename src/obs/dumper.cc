@@ -1,29 +1,14 @@
 #include "obs/dumper.h"
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <utility>
 
+#include "common/atomic_file.h"
 #include "obs/metrics.h"
 #include "obs/process_metrics.h"
 
 namespace tcdp {
 namespace obs {
-
-Status WriteFileAtomic(const std::string& path, const std::string& contents) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    if (!file) return Status::Internal("cannot write " + tmp);
-    file << contents;
-    if (!file) return Status::Internal("cannot write " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Internal("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
-}
 
 Status DumpMetricsFiles(const std::string& json_path,
                         const std::string& prom_path) {

@@ -2,11 +2,12 @@
 #define TCDP_OBS_DUMPER_H_
 
 /// \file
-/// File export for the metrics registry: atomic single-file writes and
-/// the background MetricsDumper thread `tcdp serve` runs next to the
-/// net event loop. Lived in tools/cli.cc until the dumper grew real
-/// responsibilities (heartbeat, process metrics, guaranteed final
-/// dump) and needed direct test coverage.
+/// File export for the metrics registry: the background MetricsDumper
+/// thread `tcdp serve` runs next to the net event loop, publishing
+/// through WriteFileAtomic (common/atomic_file.h) so a scraper polling
+/// the dump never reads a half-written file. Lived in tools/cli.cc
+/// until the dumper grew real responsibilities (heartbeat, process
+/// metrics, guaranteed final dump) and needed direct test coverage.
 
 #include <condition_variable>
 #include <cstdint>
@@ -19,10 +20,6 @@
 
 namespace tcdp {
 namespace obs {
-
-/// Crash-safe file publication (tmp + rename), so a scraper polling
-/// the dump never reads a half-written file.
-Status WriteFileAtomic(const std::string& path, const std::string& contents);
 
 /// Dumps the registry to the configured paths: JSON
 /// (scripts/check_metrics_schema.py's schema, shared with

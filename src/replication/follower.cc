@@ -12,6 +12,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/atomic_file.h"
 #include "common/logging.h"
 #include "net/event_loop.h"
 #include "net/messages.h"
@@ -181,19 +182,10 @@ Status Follower::BootstrapFromManifest(const std::string& manifest_text,
         " disagrees with its own manifest (" +
         std::to_string(manifest_shards) + ")");
   }
-  // The MANIFEST lands verbatim (tmp + rename), so the replica
-  // directory is byte-for-byte the primary's.
-  const std::string path = options_.log_dir + "/MANIFEST";
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary);
-    if (!out) return Status::Internal("cannot write " + tmp);
-    out << manifest_text;
-    if (!out) return Status::Internal("cannot write " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Internal("cannot rename " + tmp + " to " + path);
-  }
+  // The MANIFEST lands verbatim, so the replica directory is
+  // byte-for-byte the primary's.
+  TCDP_RETURN_IF_ERROR(
+      WriteFileAtomic(options_.log_dir + "/MANIFEST", manifest_text));
   for (std::size_t i = 0; i < num_shards; ++i) {
     auto shard = std::make_unique<ShardState>();
     TCDP_ASSIGN_OR_RETURN(

@@ -1,12 +1,9 @@
 #include "server/compaction.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+
+#include "common/atomic_file.h"
 
 namespace tcdp {
 namespace server {
@@ -19,44 +16,7 @@ Status PersistAnchorCopy(const std::string& snap_path,
   }
   const std::string bytes((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>());
-  const std::string tmp_path = anchor_path + ".tmp";
-  const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                        0644);
-  if (fd < 0) {
-    return Status::Internal("PersistAnchorCopy: open " + tmp_path + ": " +
-                            std::strerror(errno));
-  }
-  const char* data = bytes.data();
-  std::size_t left = bytes.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, data, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const Status failed = Status::Internal(
-          "PersistAnchorCopy: write " + tmp_path + ": " +
-          std::strerror(errno));
-      ::close(fd);
-      return failed;
-    }
-    data += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  if (::fdatasync(fd) < 0) {
-    const Status failed = Status::Internal(
-        "PersistAnchorCopy: fdatasync " + tmp_path + ": " +
-        std::strerror(errno));
-    ::close(fd);
-    return failed;
-  }
-  if (::close(fd) < 0) {
-    return Status::Internal("PersistAnchorCopy: close " + tmp_path + ": " +
-                            std::strerror(errno));
-  }
-  if (std::rename(tmp_path.c_str(), anchor_path.c_str()) != 0) {
-    return Status::Internal("PersistAnchorCopy: rename to " + anchor_path +
-                            " failed");
-  }
-  return Status::OK();
+  return WriteFileAtomic(anchor_path, bytes);
 }
 
 StatusOr<WalBase> InspectWalBase(const ReadLogResult& log) {

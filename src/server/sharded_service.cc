@@ -16,6 +16,7 @@
 
 #include <atomic>
 
+#include "common/atomic_file.h"
 #include "common/thread_pool.h"
 #include "core/accountant_bank.h"
 #include "obs/metrics.h"
@@ -75,32 +76,23 @@ Status CheckThreadBound(const ShardedServiceOptions& options) {
 
 Status WriteManifestFile(const std::string& dir,
                          const ShardedServiceOptions& options) {
-  const std::string path = std::string(dir) + "/" + kManifestFile;
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out) return Status::Internal("cannot write " + tmp);
-    out.precision(17);
-    out << kManifestHeader << "\n"
-        << "shards " << options.num_shards << "\n"
-        << "batch_window " << options.batch_window << "\n"
-        << "queue_capacity " << options.queue_capacity << "\n"
-        << "threads_per_shard " << options.threads_per_shard << "\n"
-        << "snapshot_every " << options.snapshot_every << "\n"
-        << "sync_every " << options.sync_every << "\n"
-        << "share_cache " << (options.share_loss_cache ? 1 : 0) << "\n"
-        << "alpha_resolution " << options.cache.alpha_resolution << "\n"
-        << "compact_after_snapshot "
-        << (options.compaction.after_snapshot ? 1 : 0) << "\n"
-        << "compact_max_bytes " << options.compaction.max_wal_bytes << "\n"
-        << "compact_max_records " << options.compaction.max_wal_records
-        << "\n";
-    if (!out) return Status::Internal("cannot write " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Internal("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
+  std::ostringstream out;
+  out.precision(17);
+  out << kManifestHeader << "\n"
+      << "shards " << options.num_shards << "\n"
+      << "batch_window " << options.batch_window << "\n"
+      << "queue_capacity " << options.queue_capacity << "\n"
+      << "threads_per_shard " << options.threads_per_shard << "\n"
+      << "snapshot_every " << options.snapshot_every << "\n"
+      << "sync_every " << options.sync_every << "\n"
+      << "share_cache " << (options.share_loss_cache ? 1 : 0) << "\n"
+      << "alpha_resolution " << options.cache.alpha_resolution << "\n"
+      << "compact_after_snapshot "
+      << (options.compaction.after_snapshot ? 1 : 0) << "\n"
+      << "compact_max_bytes " << options.compaction.max_wal_bytes << "\n"
+      << "compact_max_records " << options.compaction.max_wal_records
+      << "\n";
+  return WriteFileAtomic(std::string(dir) + "/" + kManifestFile, out.str());
 }
 
 StatusOr<ShardedServiceOptions> ReadManifestFile(const std::string& dir) {
@@ -639,10 +631,6 @@ StatusOr<std::unique_ptr<ShardedReleaseService>> ShardedReleaseService::Create(
   TCDP_RETURN_IF_ERROR(CheckThreadBound(options));
   std::unique_ptr<ShardedReleaseService> service(
       new ShardedReleaseService(std::move(options)));
-  // Purely a perf knob (backends are bitwise identical); applied here,
-  // not in Recover, so a recovered process keeps whatever mode the CLI
-  // selected.
-  kernels::SetKernelMode(service->options_.kernel_mode);
   if (!log_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(log_dir, ec);

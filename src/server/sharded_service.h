@@ -59,7 +59,6 @@
 #include "common/status.h"
 #include "core/loss_cache.h"
 #include "core/temporal_correlations.h"
-#include "kernels/kernels.h"
 
 namespace tcdp {
 namespace server {
@@ -106,12 +105,6 @@ struct ShardedServiceOptions {
   /// invariant to this knob (property-tested), so recovery at a
   /// different setting is still exact.
   std::size_t threads_per_shard = 1;
-  /// Kernel dispatch mode Create() applies process-wide
-  /// (kernels::SetKernelMode): kAuto picks the best vector backend the
-  /// host supports, kScalar pins the reference. Backends are bitwise
-  /// identical, so this is purely a performance knob; it is NOT
-  /// persisted, and Recover leaves the process-wide mode untouched.
-  TcdpKernelMode kernel_mode = TcdpKernelMode::kAuto;
   bool share_loss_cache = true;
   TemporalLossCache::Options cache;
 };

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/json.h"
 #include "markov/io.h"
 
 namespace tcdp {
@@ -66,6 +67,17 @@ TEST_F(CliTest, FlagParsingErrors) {
   EXPECT_FALSE(Run({"quantify", "--epsilon", "abc", "--matrix",
                     matrix_path_, "--horizon", "3"})
                    .ok());
+  for (const char* schedule : {"0.1,abc", "", ",", "0.1,-0.2", "0.1,nan"}) {
+    auto r = Run({"quantify", "--matrix", matrix_path_, "--schedule",
+                  schedule});
+    ASSERT_FALSE(r.ok()) << "--schedule '" << schedule << "'";
+    EXPECT_NE(r.status().message().find("--schedule"), std::string::npos)
+        << r.status().message();
+  }
+  auto missing = Run({"supremum", "--matrix", matrix_path_});
+  ASSERT_FALSE(missing.ok());
+  EXPECT_NE(missing.status().message().find("--epsilon"), std::string::npos)
+      << missing.status().message();
 }
 
 TEST_F(CliTest, UnknownAndRepeatedFlagsAreRejected) {
@@ -98,6 +110,31 @@ TEST_F(CliTest, UnknownAndRepeatedFlagsAreRejected) {
                   "--verfy");
   // A switch takes no value, so a value after it is a stray argument.
   EXPECT_FALSE(Run({"bench", "--list", "1"}).ok());
+  // A 0|1 flag takes exactly 0 or 1: any other value is a typo, not
+  // "on".
+  expect_rejected({"replay", "--log-dir", "/tmp/unused", "--verify", "7"},
+                  "--verify");
+  expect_rejected({"replay", "--log-dir", "/tmp/unused", "--verify", "1.0"},
+                  "--verify");
+  expect_rejected({"follow", "--primary-port", "1", "--log-dir",
+                   "/tmp/unused", "--promote", "2"},
+                  "--promote");
+  expect_rejected({"follow", "--primary-port", "1", "--log-dir",
+                   "/tmp/unused", "--reconnect", "yes"},
+                  "--reconnect");
+  expect_rejected({"serve", "--script", "/tmp/unused.txt", "--auto-compact",
+                   "2"},
+                  "--auto-compact");
+  expect_rejected({"serve", "--script", "/tmp/unused.txt", "--no-metrics",
+                   "-1"},
+                  "--no-metrics");
+  expect_rejected({"client", "--port", "1", "--script", "/tmp/unused.txt",
+                   "--shutdown", "2"},
+                  "--shutdown");
+  expect_rejected({"stats", "--port", "1", "--trace-dump", "3"},
+                  "--trace-dump");
+  expect_rejected({"health", "--port", "1", "--ready", "on"}, "--ready");
+  expect_rejected({"route", "--endpoints", "x"}, "--endpoints");
 }
 
 TEST_F(CliTest, QuantifyPrintsTimeline) {
@@ -582,11 +619,163 @@ TEST_F(CliTest, RouteEndpointsZeroIsOff) {
   EXPECT_EQ(off->find("endpoints,"), std::string::npos) << *off;
 }
 
+TEST_F(CliTest, RouteValidatesEveryFlagBeforeJournaling) {
+  // A bad value on a later flag must not leave an earlier verb's
+  // journal record behind.
+  const std::string journal = "/tmp/tcdp_cli_route_journal";
+  std::remove(journal.c_str());
+  ASSERT_TRUE(Run({"route", "--journal", journal, "--add", "127.0.0.1:7000"})
+                  .ok());
+  const auto read_journal = [&] {
+    std::ifstream in(journal, std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+  };
+  const std::string before = read_journal();
+  auto bad = Run({"route", "--journal", journal, "--add", "127.0.0.1:7001",
+                  "--endpoints", "x"});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(read_journal(), before);
+  auto lookup = Run({"route", "--journal", journal, "--lookup", "alice"});
+  ASSERT_TRUE(lookup.ok()) << lookup.status().ToString();
+  EXPECT_NE(lookup->find("127.0.0.1:7000"), std::string::npos) << *lookup;
+  std::remove(journal.c_str());
+}
+
+TEST_F(ServeCliTest, ServeValidatesEveryFlagBeforeRunningTheScript) {
+  // A bad port must fail before the script writes the log dir, so a
+  // rerun with a good port does not hit AlreadyExists.
+  auto bad = Run({"serve", "--script", script_path_, "--log-dir", log_dir_,
+                  "--listen", "99999"});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(std::filesystem::exists(log_dir_ + "/MANIFEST"));
+  auto good = Run({"serve", "--script", script_path_, "--log-dir", log_dir_});
+  EXPECT_TRUE(good.ok()) << good.status().ToString();
+}
+
+/// Parses \p text as JSON and checks that every dotted path in \p paths
+/// resolves. A "[]" suffix on a segment descends into every element of
+/// a non-empty array.
+void ExpectJsonPaths(const std::string& text,
+                     const std::vector<std::string>& paths) {
+  auto parsed = bench::Json::Parse(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << text;
+  for (const std::string& path : paths) {
+    std::vector<const bench::Json*> nodes = {&*parsed};
+    std::stringstream segments(path);
+    std::string segment;
+    while (std::getline(segments, segment, '.')) {
+      const bool each = segment.size() > 2 &&
+                        segment.compare(segment.size() - 2, 2, "[]") == 0;
+      if (each) segment.resize(segment.size() - 2);
+      std::vector<const bench::Json*> next;
+      for (const bench::Json* node : nodes) {
+        auto member = bench::GetMember(*node, segment);
+        ASSERT_TRUE(member.ok()) << path << ": " << member.status().ToString()
+                                 << "\n" << text;
+        if (!each) {
+          next.push_back(*member);
+          continue;
+        }
+        ASSERT_TRUE((*member)->is_array() && !(*member)->as_array().empty())
+            << path << " is not a non-empty array in\n" << text;
+        for (const bench::Json& element : (*member)->as_array()) {
+          next.push_back(&element);
+        }
+      }
+      nodes = std::move(next);
+    }
+  }
+}
+
+TEST_F(ServeCliTest, JsonOutputsParseWithTheKeysScriptsRead) {
+  auto fleet = Run({"fleet", "--users", "8", "--horizon", "3", "--threads",
+                    "1", "--groups", "2", "--pages", "5", "--json", "-"});
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  ExpectJsonPaths(*fleet, {"users", "horizon", "cohorts", "threads",
+                           "sparsity", "epsilon", "cache", "user_releases",
+                           "user_releases_per_sec", "overall_alpha",
+                           "min_personalized_alpha", "cache_hits",
+                           "cache_misses", "distinct_matrices"});
+
+  // A durable served run, then a client, a health probe, replay and
+  // compact against what it left behind. perfbench reads
+  // net.backpressure_pauses and shard_stats[].compactions from serve.
+  const std::string port_file = "/tmp/tcdp_cli_json_port.txt";
+  const std::string client_script = "/tmp/tcdp_cli_json_client.txt";
+  std::remove(port_file.c_str());
+  std::ofstream(client_script) << "release 0.1 all\nsnapshot\nquery bob\n";
+  StatusOr<std::string> served = Status::Internal("serve never ran");
+  std::thread server([&] {
+    served = Run({"serve", "--script", script_path_, "--listen", "0",
+                  "--log-dir", log_dir_, "--auto-compact", "1",
+                  "--port-file", port_file, "--json", "-"});
+  });
+  std::string port;
+  for (int i = 0; i < 500 && port.empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::ifstream in(port_file);
+    std::getline(in, port);
+  }
+  ASSERT_FALSE(port.empty()) << "server never wrote its port file";
+  auto health = Run({"health", "--port", port, "--json", "-"});
+  auto client = Run({"client", "--port", port, "--script", client_script,
+                     "--shutdown", "1", "--json", "-"});
+  server.join();
+  std::remove(port_file.c_str());
+  std::remove(client_script.c_str());
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  // The watchdog may not have scanned yet, so components can be empty.
+  ExpectJsonPaths(*health,
+                  {"healthy", "ready", "scans", "reason", "components"});
+  ExpectJsonPaths(*client,
+                  {"host", "port", "pipeline", "script_lines",
+                   "elapsed_seconds", "requests_sent", "responses_received",
+                   "requests_per_sec", "server_stats.shards",
+                   "server_stats.shard_stats[].queue_depth",
+                   "server_stats.shard_stats[].enqueue_blocks",
+                   "queries[].name", "queries[].max_tpl",
+                   "queries[].user_level_tpl"});
+  ExpectJsonPaths(*served,
+                  {"shards", "users", "horizon", "release_requests",
+                   "elapsed_seconds", "requests_per_sec", "overall_alpha",
+                   "cache.hits", "shard_stats[].compactions",
+                   "shard_stats[].wal_physical_records",
+                   "shard_stats[].queue_depth_hwm",
+                   "shard_stats[].restored_from_snapshot",
+                   "net.connections_accepted", "net.backpressure_pauses",
+                   "queries[].name", "queries[].max_tpl"});
+
+  auto replayed = Run({"replay", "--log-dir", log_dir_, "--verify", "1",
+                       "--json", "-"});
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  ExpectJsonPaths(*replayed,
+                  {"log_dir", "shards", "users", "horizon", "recover_seconds",
+                   "overall_alpha", "verified", "verified_users",
+                   "verify_failures", "shard_stats[].replayed_records",
+                   "shard_stats[].restored_from_snapshot"});
+  auto compacted = Run({"compact", "--log-dir", log_dir_, "--json", "-"});
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  ExpectJsonPaths(*compacted,
+                  {"log_dir", "shards", "compact_seconds", "wal_bytes_before",
+                   "wal_bytes_after", "shard_stats[].wal_bytes_before",
+                   "shard_stats[].physical_records_after",
+                   "shard_stats[].logical_records"});
+}
+
 TEST_F(ServeCliTest, HelpMentionsNetworkCommands) {
   auto help = Run({"help"});
   ASSERT_TRUE(help.ok());
   EXPECT_NE(help->find("client"), std::string::npos);
   EXPECT_NE(help->find("--listen"), std::string::npos);
+  // Usage comes from the command table: defaults and required flags.
+  EXPECT_NE(help->find("[--shards N=2]"), std::string::npos) << *help;
+  EXPECT_NE(help->find(" --port PORT "), std::string::npos) << *help;
 }
 
 }  // namespace

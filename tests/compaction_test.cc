@@ -101,7 +101,9 @@ TruthMap RunWorkload(const std::string& dir, ShardedServiceOptions options,
   const StochasticMatrix m1 =
       StochasticMatrix::FromRows({{0.6, 0.4}, {0.3, 0.7}});
   for (int i = 0; i < steps; ++i) {
-    if (i == snapshot_at) EXPECT_TRUE(s.Snapshot().ok());
+    if (i == snapshot_at) {
+      EXPECT_TRUE(s.Snapshot().ok());
+    }
     if (joined.size() < 5 && (joined.empty() || rng.Uniform() < 0.12)) {
       const std::string name = "u" + std::to_string(joined.size());
       const StochasticMatrix& m = joined.size() % 2 == 0 ? m0 : m1;

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/atomic_file.h"
 #include "obs/dumper.h"
 #include "obs/metrics.h"
 #include "obs/process_metrics.h"
@@ -77,6 +78,11 @@ TEST(MetricsDumper, RotationUnderLoadNeverExposesAPartialFile) {
       EXPECT_EQ(json[end], '}');
     }
     EXPECT_GT(observed, 0);
+    // The JSON file is published before the same dump syncs and renames
+    // its Prometheus file, so the first dump may still be finishing.
+    for (int i = 0; i < 2000 && dumper.dumps() == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     EXPECT_GT(dumper.dumps(), 0u);
   }
   stop.store(true);
@@ -141,8 +147,12 @@ TEST(ProcessMetrics, ExportedThroughAllThreeSurfaces) {
   for (const auto& [name, value] : snapshot.gauges) {
     if (name == "tcdp_process_uptime_seconds") uptime = true;
 #if defined(__linux__)
-    if (name == "tcdp_process_rss_bytes") EXPECT_GT(value, 0);
-    if (name == "tcdp_process_open_fds") EXPECT_GT(value, 0);
+    if (name == "tcdp_process_rss_bytes") {
+      EXPECT_GT(value, 0);
+    }
+    if (name == "tcdp_process_open_fds") {
+      EXPECT_GT(value, 0);
+    }
 #endif
   }
   EXPECT_TRUE(uptime);

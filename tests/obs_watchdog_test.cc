@@ -102,7 +102,9 @@ TEST(Watchdog, IdleWorkerWithEmptyQueueNeverStalls) {
   const HealthSnapshot snapshot = watchdog.Snapshot();
   EXPECT_TRUE(snapshot.healthy);
   for (const ComponentHealth& comp : snapshot.components) {
-    if (comp.name == "idle-worker") EXPECT_FALSE(comp.stalled);
+    if (comp.name == "idle-worker") {
+      EXPECT_FALSE(comp.stalled);
+    }
   }
   handle.Unregister();
 }

@@ -307,6 +307,22 @@ TEST(ShardedService, SmallQueueCapacityStillCompletes) {
 
 // -------------------------------------------------- the tentpole property
 
+/// Sets the process-wide kernel mode for one scope and restores the
+/// caller's on every exit path.
+class ScopedKernelMode {
+ public:
+  explicit ScopedKernelMode(TcdpKernelMode mode)
+      : saved_(kernels::KernelMode()) {
+    kernels::SetKernelMode(mode);
+  }
+  ~ScopedKernelMode() { kernels::SetKernelMode(saved_); }
+  ScopedKernelMode(const ScopedKernelMode&) = delete;
+  ScopedKernelMode& operator=(const ScopedKernelMode&) = delete;
+
+ private:
+  TcdpKernelMode saved_;
+};
+
 void ExpectMatchesReference(std::uint64_t seed, std::size_t shards,
                             std::size_t batch_window,
                             const std::string& log_dir,
@@ -323,7 +339,7 @@ void ExpectMatchesReference(std::uint64_t seed, std::size_t shards,
   options.num_shards = shards;
   options.batch_window = batch_window;
   options.threads_per_shard = threads_per_shard;
-  options.kernel_mode = kernel_mode;
+  const ScopedKernelMode scoped_mode(kernel_mode);
   auto service = ShardedReleaseService::Create(log_dir, options);
   ASSERT_TRUE(service.ok()) << service.status();
   ASSERT_TRUE(DriveService(service->get(), ops).ok());
@@ -361,8 +377,8 @@ TEST(ShardedServiceProperty, MatchesSerialReferenceAcrossHybridGrid) {
   // ISSUE 7 tentpole: hybrid shard x bank parallelism and kernel
   // dispatch are both bitwise-invisible — every (shards x
   // threads_per_shard x kernel mode) cell reproduces the serial
-  // TplAccountant reference exactly. Create() applies the cell's
-  // kernel mode process-wide, so the loop also exercises switching.
+  // TplAccountant reference exactly. Each cell sets its kernel mode
+  // process-wide, so the loop also exercises switching.
   for (TcdpKernelMode mode :
        {TcdpKernelMode::kScalar, TcdpKernelMode::kAuto}) {
     for (std::size_t shards : {1u, 3u}) {
@@ -372,7 +388,6 @@ TEST(ShardedServiceProperty, MatchesSerialReferenceAcrossHybridGrid) {
       }
     }
   }
-  kernels::SetKernelMode(TcdpKernelMode::kAuto);
 }
 
 TEST(ShardedServiceDurability, ThreadsPerShardRoundTripsThroughManifest) {

@@ -4,13 +4,13 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -21,7 +21,9 @@
 
 #include "bench/compare.h"
 #include "bench/harness.h"
+#include "bench/json.h"
 #include "bench/report.h"
+#include "common/atomic_file.h"
 #include "common/random.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
@@ -53,210 +55,297 @@ namespace tcdp {
 namespace cli {
 namespace {
 
-using Flags = std::map<std::string, std::string>;
-
-/// What one verb accepts: flags that take a value, and valueless
-/// switches (recorded with the value "1").
-struct FlagSpec {
-  std::vector<std::string> valued;
-  std::vector<std::string> switches = {};
+/// How ParseFlags converts and range-checks one flag's value.
+enum class Kind {
+  kString,        ///< any text
+  kChoice,        ///< one of the '|'-separated words of the metavar
+  kSize,          ///< integer >= 0
+  kCount,         ///< integer >= 1
+  kPositive,      ///< finite number > 0
+  kNonNegative,   ///< finite number >= 0
+  kFraction,      ///< number in [0, 1)
+  kPositiveList,  ///< comma/space separated finite numbers > 0
+  kPort,          ///< TCP port 1-65535
+  kPortOrZero,    ///< TCP port; 0 binds any free port
+  kBool,          ///< 0 or 1, read as off or on
+  kSwitch,        ///< takes no value; present means on
 };
 
-/// Parses `args[1..]` against \p spec. An unknown or repeated flag is
-/// an error naming the flag and the verb (`args[0]`): a typo must not
-/// silently fall back to a default.
-StatusOr<Flags> ParseFlags(const std::vector<std::string>& args,
-                           const FlagSpec& spec) {
-  auto contains = [](const std::vector<std::string>& names,
-                     const std::string& name) {
-    return std::find(names.begin(), names.end(), name) != names.end();
+/// Marks a flag without a default that every invocation must give.
+constexpr char kRequired[] = "(required)";
+
+/// One flag of one verb. \p fallback is its default text, kRequired,
+/// or nullptr (absent unless given). The default is converted like a
+/// given value.
+struct FlagDef {
+  const char* name;
+  Kind kind;
+  const char* fallback;
+  const char* metavar;
+};
+
+struct Command;
+
+/// One verb's flags after ParseFlags: every flag that was given or has
+/// a default, converted and range-checked.
+class Flags {
+ public:
+  bool Has(const std::string& name) const { return values_.count(name) > 0; }
+  /// The flag's text, or "" when it is absent.
+  std::string Str(const std::string& name) const {
+    return Has(name) ? values_.at(name).text : "";
+  }
+  double Double(const std::string& name) const {
+    return values_.at(name).numbers.front();
+  }
+  std::size_t Size(const std::string& name) const {
+    return static_cast<std::size_t>(Double(name));
+  }
+  std::uint16_t Port(const std::string& name) const {
+    return static_cast<std::uint16_t>(Double(name));
+  }
+  /// A 0|1 flag or a switch; absent reads as off.
+  bool On(const std::string& name) const {
+    return Has(name) && Double(name) != 0.0;
+  }
+  const std::vector<double>& List(const std::string& name) const {
+    return values_.at(name).numbers;
+  }
+
+ private:
+  friend StatusOr<Flags> ParseFlags(const std::vector<std::string>& args,
+                                    const Command& command);
+  struct Value {
+    std::string text;
+    std::vector<double> numbers;  ///< empty for text kinds
   };
+  std::map<std::string, Value> values_;
+};
+
+/// Splits \p text on any of \p separators, dropping empty fields.
+std::vector<std::string> Split(const std::string& text,
+                               const char* separators) {
+  std::vector<std::string> fields(1);
+  for (char ch : text) {
+    if (std::strchr(separators, ch) == nullptr) {
+      fields.back().push_back(ch);
+    } else if (!fields.back().empty()) {
+      fields.emplace_back();
+    }
+  }
+  if (fields.back().empty()) fields.pop_back();
+  return fields;
+}
+
+/// A whole-string finite number, or nullopt.
+std::optional<double> ParseNumber(const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+/// The accepted values of a numeric kind: [min, max), integers only
+/// where \p integer.
+struct Range {
+  Kind kind;
+  bool integer;
+  double min;
+  double max;
+  const char* expected;
+};
+
+/// The first integer a size_t cannot hold, and the least double > 0.
+constexpr double kSizeLimit =
+    static_cast<double>(std::numeric_limits<std::size_t>::max()) + 1.0;
+constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr Range kRanges[] = {
+    {Kind::kSize, true, 0, kSizeLimit, "an integer >= 0"},
+    {Kind::kCount, true, 1, kSizeLimit, "an integer >= 1"},
+    {Kind::kPositive, false, kTiny, kInf, "a finite number > 0"},
+    {Kind::kNonNegative, false, 0, kInf, "a finite number >= 0"},
+    {Kind::kFraction, false, 0, 1, "a number in [0, 1)"},
+    {Kind::kPositiveList, false, kTiny, kInf, "numbers > 0, like 0.1,0.2"},
+    {Kind::kPort, true, 1, 65536, "a port (1-65535)"},
+    {Kind::kPortOrZero, true, 0, 65536, "a port (0-65535)"},
+};
+
+/// The numbers \p text stands for under \p def's kind (none for text
+/// kinds); the error says what the kind accepts.
+StatusOr<std::vector<double>> Convert(const FlagDef& def,
+                                      const std::string& text) {
+  switch (def.kind) {
+    case Kind::kString:
+      return std::vector<double>{};
+    case Kind::kChoice: {
+      const auto choices = Split(def.metavar, "|");
+      if (std::find(choices.begin(), choices.end(), text) == choices.end()) {
+        return Status::InvalidArgument(std::string("one of ") + def.metavar);
+      }
+      return std::vector<double>{};
+    }
+    case Kind::kBool:
+      if (text != "0" && text != "1") return Status::InvalidArgument("0 or 1");
+      return std::vector<double>{text == "1" ? 1.0 : 0.0};
+    case Kind::kSwitch:
+      return std::vector<double>{1.0};
+    default:
+      break;
+  }
+  const Range& range =
+      *std::find_if(std::begin(kRanges), std::end(kRanges),
+                    [&def](const Range& r) { return r.kind == def.kind; });
+  const std::vector<std::string> fields =
+      def.kind == Kind::kPositiveList ? Split(text, ", ")
+                                      : std::vector<std::string>{text};
+  std::vector<double> numbers;
+  for (const std::string& field : fields) {
+    const std::optional<double> v = ParseNumber(field);
+    if (!v || *v < range.min || *v >= range.max ||
+        (range.integer && *v != std::floor(*v))) {
+      return Status::InvalidArgument(range.expected);
+    }
+    numbers.push_back(*v);
+  }
+  if (numbers.empty()) return Status::InvalidArgument(range.expected);
+  return numbers;
+}
+
+/// One CLI verb: its handler, the one-line summary `tcdp help` prints,
+/// and every flag it accepts.
+struct Command {
+  const char* name;
+  Status (*run)(const Flags&, std::ostream&);
+  const char* summary;
+  std::vector<FlagDef> flags;
+};
+
+/// Parses `args[1..]` against \p command's flags. An unknown or
+/// repeated flag, a missing required one, or a value its kind refuses
+/// is an error naming the flag and the verb, returned before the
+/// handler runs: a typo must not fall back to a default, and a bad
+/// late flag must not fail after an earlier one took effect.
+StatusOr<Flags> ParseFlags(const std::vector<std::string>& args,
+                           const Command& command) {
   const std::string verb = "'tcdp " + args[0] + "'";
-  Flags flags;
+  std::map<std::string, std::string> given;
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg.rfind("--", 0) != 0) {
       return Status::InvalidArgument("expected a --flag, got '" + arg + "'");
     }
     const std::string name = arg.substr(2);
-    const bool is_switch = contains(spec.switches, name);
-    if (!is_switch && !contains(spec.valued, name)) {
+    const auto def = std::find_if(
+        command.flags.begin(), command.flags.end(),
+        [&name](const FlagDef& flag) { return name == flag.name; });
+    if (def == command.flags.end()) {
       return Status::InvalidArgument("unknown flag '" + arg + "' for " +
                                      verb + "; see `tcdp help`");
     }
-    if (flags.count(name) > 0) {
+    if (given.count(name) > 0) {
       return Status::InvalidArgument("flag '" + arg + "' given twice for " +
                                      verb);
     }
-    if (is_switch) {
-      flags[name] = "1";
+    if (def->kind == Kind::kSwitch) {
+      given[name] = "";
       continue;
     }
     if (i + 1 >= args.size()) {
       return Status::InvalidArgument("flag '" + arg + "' is missing a value");
     }
-    flags[name] = args[++i];
+    given[name] = args[++i];
+  }
+  Flags flags;
+  for (const FlagDef& def : command.flags) {
+    const auto it = given.find(def.name);
+    if (it == given.end() && def.fallback == kRequired) {
+      return Status::InvalidArgument("missing required flag --" +
+                                     std::string(def.name) + " for " + verb);
+    }
+    if (it == given.end() && def.fallback == nullptr) continue;
+    const std::string text = it != given.end() ? it->second : def.fallback;
+    auto numbers = Convert(def, text);
+    if (!numbers.ok()) {
+      return Status::InvalidArgument(
+          "flag --" + std::string(def.name) + " for " + verb + " must be " +
+          numbers.status().message() + ", got '" + text + "'");
+    }
+    flags.values_[def.name] = {text, std::move(*numbers)};
   }
   return flags;
 }
 
-std::string FlagOr(const Flags& flags, const std::string& name,
-                   std::string fallback) {
-  const auto it = flags.find(name);
-  return it == flags.end() ? std::move(fallback) : it->second;
-}
-
-StatusOr<double> FlagAsDouble(const Flags& flags, const std::string& name) {
-  auto it = flags.find(name);
-  if (it == flags.end()) {
-    return Status::InvalidArgument("missing required flag --" + name);
+/// Writes \p port to the file flag \p port_file names, if given, and
+/// prints "<what> on <--host>:<port>" unless \p quiet. Callers run it
+/// before Serve blocks: pollers treat the file's presence as "the port
+/// is bound".
+Status AnnouncePort(const Flags& flags, const char* port_file,
+                    std::uint16_t port, const std::string& what, bool quiet,
+                    std::ostream& out) {
+  if (flags.Has(port_file)) {
+    std::ofstream file(flags.Str(port_file));
+    file << port << "\n";
+    if (!file) return Status::Internal("cannot write " + flags.Str(port_file));
   }
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument("flag --" + name +
-                                   ": cannot parse number '" + it->second +
-                                   "'");
+  if (!quiet) {
+    out << what << " on " << flags.Str("host") << ":" << port << "\n";
+    out.flush();
   }
-  return v;
-}
-
-StatusOr<std::size_t> FlagAsSize(const Flags& flags, const std::string& name,
-                                 std::optional<std::size_t> fallback = {}) {
-  auto it = flags.find(name);
-  if (it == flags.end()) {
-    if (fallback.has_value()) return *fallback;
-    return Status::InvalidArgument("missing required flag --" + name);
-  }
-  TCDP_ASSIGN_OR_RETURN(double v, FlagAsDouble(flags, name));
-  // strtod accepts "nan", "inf" and "1e30"; converting any of them to
-  // size_t is undefined, so the range check comes before the cast.
-  const double limit =
-      std::ldexp(1.0, std::numeric_limits<std::size_t>::digits);
-  if (!(v >= 0.0 && v < limit) || v != std::floor(v)) {
-    return Status::InvalidArgument("flag --" + name +
-                                   " must be a non-negative integer");
-  }
-  return static_cast<std::size_t>(v);
-}
-
-/// A TCP port flag: 0 (bind any free port) only where \p allow_zero.
-StatusOr<std::uint16_t> FlagAsPort(const Flags& flags,
-                                   const std::string& name,
-                                   bool allow_zero) {
-  TCDP_ASSIGN_OR_RETURN(std::size_t port, FlagAsSize(flags, name));
-  if (port > 65535 || (port == 0 && !allow_zero)) {
-    return Status::InvalidArgument(
-        "--" + name + (allow_zero ? " must be a port (0-65535)"
-                                  : " must be in 1-65535"));
-  }
-  return static_cast<std::uint16_t>(port);
-}
-
-/// Writes \p port to the file flag \p name names, if given. Callers
-/// write it before Serve blocks: pollers treat the file's presence as
-/// "the port is bound".
-Status WritePortFile(const Flags& flags, const std::string& name,
-                     std::uint16_t port) {
-  const auto it = flags.find(name);
-  if (it == flags.end()) return Status::OK();
-  std::ofstream file(it->second);
-  file << port << "\n";
-  if (!file) return Status::Internal("cannot write " + it->second);
   return Status::OK();
 }
 
-/// `--json -` prints machine-readable output on stdout; no other value
-/// is accepted. Returns whether the flag was given.
-StatusOr<bool> JsonToStdout(const Flags& flags) {
-  const auto it = flags.find("json");
-  if (it == flags.end()) return false;
-  if (it->second != "-") {
-    return Status::InvalidArgument("--json only supports '-' (stdout)");
-  }
-  return true;
+/// \p count per second of \p seconds; 0 for an empty interval.
+double PerSecond(std::uint64_t count, double seconds) {
+  return seconds > 0.0 ? static_cast<double>(count) / seconds : 0.0;
+}
+
+/// An insertion-ordered JSON object from (key, value) pairs.
+bench::Json Object(
+    std::initializer_list<std::pair<const char*, bench::Json>> items) {
+  bench::JsonObject object;
+  for (const auto& [key, value] : items) object.Set(key, value);
+  return object;
 }
 
 /// Loads the correlation pair from --matrix (both directions) or the
-/// explicit --backward / --forward flags.
+/// explicit --backward and/or --forward flags.
 StatusOr<TemporalCorrelations> LoadCorrelations(const Flags& flags) {
-  const bool has_matrix = flags.count("matrix") > 0;
-  const bool has_backward = flags.count("backward") > 0;
-  const bool has_forward = flags.count("forward") > 0;
-  if (has_matrix && (has_backward || has_forward)) {
+  const bool matrix = flags.Has("matrix");
+  if (matrix == (flags.Has("backward") || flags.Has("forward"))) {
     return Status::InvalidArgument(
-        "--matrix is exclusive with --backward/--forward");
+        "provide either --matrix, or --backward and/or --forward");
   }
-  if (has_matrix) {
-    TCDP_ASSIGN_OR_RETURN(auto m,
-                          LoadStochasticMatrix(flags.at("matrix")));
+  if (matrix) {
+    TCDP_ASSIGN_OR_RETURN(auto m, LoadStochasticMatrix(flags.Str("matrix")));
     return TemporalCorrelations::Both(m, m);
   }
-  if (has_backward && has_forward) {
-    TCDP_ASSIGN_OR_RETURN(auto b,
-                          LoadStochasticMatrix(flags.at("backward")));
-    TCDP_ASSIGN_OR_RETURN(auto f,
-                          LoadStochasticMatrix(flags.at("forward")));
-    return TemporalCorrelations::Both(std::move(b), std::move(f));
-  }
-  if (has_backward) {
-    TCDP_ASSIGN_OR_RETURN(auto b,
-                          LoadStochasticMatrix(flags.at("backward")));
+  if (!flags.Has("forward")) {
+    TCDP_ASSIGN_OR_RETURN(auto b, LoadStochasticMatrix(flags.Str("backward")));
     return TemporalCorrelations::BackwardOnly(std::move(b));
   }
-  if (has_forward) {
-    TCDP_ASSIGN_OR_RETURN(auto f,
-                          LoadStochasticMatrix(flags.at("forward")));
+  TCDP_ASSIGN_OR_RETURN(auto f, LoadStochasticMatrix(flags.Str("forward")));
+  if (!flags.Has("backward")) {
     return TemporalCorrelations::ForwardOnly(std::move(f));
   }
-  return Status::InvalidArgument(
-      "provide --matrix, or --backward and/or --forward");
-}
-
-StatusOr<std::vector<double>> ParseScheduleFlag(const std::string& text) {
-  std::vector<double> schedule;
-  std::string field;
-  auto flush = [&]() -> Status {
-    if (field.empty()) return Status::OK();
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(field.c_str(), &end);
-    if (end == field.c_str() || *end != '\0' || errno == ERANGE) {
-      return Status::InvalidArgument("--schedule: bad number '" + field +
-                                     "'");
-    }
-    schedule.push_back(v);
-    field.clear();
-    return Status::OK();
-  };
-  for (char ch : text) {
-    if (ch == ',' || ch == ' ') {
-      TCDP_RETURN_IF_ERROR(flush());
-    } else {
-      field.push_back(ch);
-    }
-  }
-  TCDP_RETURN_IF_ERROR(flush());
-  if (schedule.empty()) {
-    return Status::InvalidArgument("--schedule: no values");
-  }
-  return schedule;
+  TCDP_ASSIGN_OR_RETURN(auto b, LoadStochasticMatrix(flags.Str("backward")));
+  return TemporalCorrelations::Both(std::move(b), std::move(f));
 }
 
 Status CmdQuantify(const Flags& flags, std::ostream& out) {
   TCDP_ASSIGN_OR_RETURN(auto corr, LoadCorrelations(flags));
   std::vector<double> schedule;
-  if (flags.count("schedule") > 0) {
-    TCDP_ASSIGN_OR_RETURN(schedule, ParseScheduleFlag(flags.at("schedule")));
+  if (flags.Has("schedule")) {
+    schedule = flags.List("schedule");
+  } else if (flags.Has("epsilon") && flags.Has("horizon")) {
+    schedule.assign(flags.Size("horizon"), flags.Double("epsilon"));
   } else {
-    TCDP_ASSIGN_OR_RETURN(double eps, FlagAsDouble(flags, "epsilon"));
-    TCDP_ASSIGN_OR_RETURN(std::size_t horizon,
-                          FlagAsSize(flags, "horizon"));
-    if (horizon == 0) {
-      return Status::InvalidArgument("--horizon must be >= 1");
-    }
-    schedule.assign(horizon, eps);
+    return Status::InvalidArgument(
+        "provide --epsilon and --horizon, or --schedule");
   }
   TplAccountant acc(corr);
   for (double eps : schedule) {
@@ -283,7 +372,7 @@ Status CmdQuantify(const Flags& flags, std::ostream& out) {
 
 Status CmdSupremum(const Flags& flags, std::ostream& out) {
   TCDP_ASSIGN_OR_RETURN(auto corr, LoadCorrelations(flags));
-  TCDP_ASSIGN_OR_RETURN(double eps, FlagAsDouble(flags, "epsilon"));
+  const double eps = flags.Double("epsilon");
   auto report = [&](const char* label,
                     const StochasticMatrix& m) -> Status {
     TemporalLossFunction loss(m);
@@ -309,9 +398,9 @@ Status CmdSupremum(const Flags& flags, std::ostream& out) {
 
 Status CmdAllocate(const Flags& flags, std::ostream& out) {
   TCDP_ASSIGN_OR_RETURN(auto corr, LoadCorrelations(flags));
-  TCDP_ASSIGN_OR_RETURN(double alpha, FlagAsDouble(flags, "alpha"));
-  TCDP_ASSIGN_OR_RETURN(std::size_t horizon, FlagAsSize(flags, "horizon"));
-  const std::string strategy = FlagOr(flags, "strategy", "quantified");
+  const double alpha = flags.Double("alpha");
+  const std::size_t horizon = flags.Size("horizon");
+  const std::string strategy = flags.Str("strategy");
 
   TCDP_ASSIGN_OR_RETURN(auto alloc, BudgetAllocator::Create(corr, alpha));
   std::vector<double> schedule;
@@ -319,11 +408,8 @@ Status CmdAllocate(const Flags& flags, std::ostream& out) {
     TCDP_ASSIGN_OR_RETURN(schedule, alloc.QuantifiedSchedule(horizon));
   } else if (strategy == "upper-bound") {
     schedule = alloc.UpperBoundSchedule(horizon);
-  } else if (strategy == "group") {
-    schedule = GroupDpSchedule(alpha, horizon);
   } else {
-    return Status::InvalidArgument(
-        "--strategy must be quantified, upper-bound or group");
+    schedule = GroupDpSchedule(alpha, horizon);
   }
 
   out << "strategy: " << strategy
@@ -350,25 +436,18 @@ Status CmdAllocate(const Flags& flags, std::ostream& out) {
 }
 
 Status CmdEstimate(const Flags& flags, std::ostream& out) {
-  auto it = flags.find("trajectories");
-  if (it == flags.end()) {
-    return Status::InvalidArgument("missing required flag --trajectories");
-  }
-  TCDP_ASSIGN_OR_RETURN(std::size_t states,
-                        FlagAsSize(flags, "states", std::size_t{0}));
+  std::size_t states = flags.Size("states");
   TCDP_ASSIGN_OR_RETURN(auto trajectories,
-                        LoadTrajectories(it->second, states));
+                        LoadTrajectories(flags.Str("trajectories"), states));
   if (states == 0) {
     for (const auto& traj : trajectories) {
       for (std::size_t s : traj) states = std::max(states, s + 1);
     }
   }
-  TCDP_ASSIGN_OR_RETURN(std::size_t order,
-                        FlagAsSize(flags, "order", std::size_t{1}));
+  const std::size_t order = flags.Size("order");
   EstimationOptions options;
-  if (flags.count("smoothing") > 0) {
-    TCDP_ASSIGN_OR_RETURN(options.additive_smoothing,
-                          FlagAsDouble(flags, "smoothing"));
+  if (flags.Has("smoothing")) {
+    options.additive_smoothing = flags.Double("smoothing");
   }
 
   StochasticMatrix forward;
@@ -383,61 +462,32 @@ Status CmdEstimate(const Flags& flags, std::ostream& out) {
     out << "# order-" << order << " model embedded over "
         << forward.size() << " histories\n";
   }
-  if (flags.count("out") > 0) {
-    TCDP_RETURN_IF_ERROR(SaveStochasticMatrix(forward, flags.at("out")));
-    out << "forward matrix written to " << flags.at("out") << "\n";
+  if (flags.Has("out")) {
+    TCDP_RETURN_IF_ERROR(SaveStochasticMatrix(forward, flags.Str("out")));
+    out << "forward matrix written to " << flags.Str("out") << "\n";
   } else {
     out << SerializeStochasticMatrix(forward);
   }
-  if (flags.count("backward-out") > 0) {
+  if (flags.Has("backward-out")) {
     TCDP_ASSIGN_OR_RETURN(
         auto backward,
         EstimateBackwardTransition(trajectories, states, options));
     TCDP_RETURN_IF_ERROR(
-        SaveStochasticMatrix(backward, flags.at("backward-out")));
-    out << "backward matrix written to " << flags.at("backward-out") << "\n";
+        SaveStochasticMatrix(backward, flags.Str("backward-out")));
+    out << "backward matrix written to " << flags.Str("backward-out")
+        << "\n";
   }
   return Status::OK();
 }
 
 Status CmdFleet(const Flags& flags, std::ostream& out) {
-  TCDP_ASSIGN_OR_RETURN(std::size_t users,
-                        FlagAsSize(flags, "users", std::size_t{1000}));
-  TCDP_ASSIGN_OR_RETURN(std::size_t horizon,
-                        FlagAsSize(flags, "horizon", std::size_t{20}));
-  TCDP_ASSIGN_OR_RETURN(std::size_t pages,
-                        FlagAsSize(flags, "pages", std::size_t{16}));
-  TCDP_ASSIGN_OR_RETURN(std::size_t groups,
-                        FlagAsSize(flags, "groups", std::size_t{4}));
-  TCDP_ASSIGN_OR_RETURN(std::size_t threads,
-                        FlagAsSize(flags, "threads", std::size_t{0}));
-  TCDP_ASSIGN_OR_RETURN(std::size_t seed,
-                        FlagAsSize(flags, "seed", std::size_t{42}));
-  double epsilon = 0.1;
-  if (flags.count("epsilon") > 0) {
-    TCDP_ASSIGN_OR_RETURN(epsilon, FlagAsDouble(flags, "epsilon"));
-  }
-  double sparsity = 0.0;
-  if (flags.count("sparsity") > 0) {
-    TCDP_ASSIGN_OR_RETURN(sparsity, FlagAsDouble(flags, "sparsity"));
-    if (!(sparsity >= 0.0 && sparsity < 1.0)) {
-      return Status::InvalidArgument("--sparsity must be in [0, 1)");
-    }
-  }
-  if (users == 0 || horizon == 0 || groups == 0) {
-    return Status::InvalidArgument(
-        "--users, --horizon and --groups must be >= 1");
-  }
-  bool use_cache = true;
-  if (flags.count("cache") > 0) {
-    const std::string& v = flags.at("cache");
-    if (v == "off") {
-      use_cache = false;
-    } else if (v != "on") {
-      return Status::InvalidArgument("--cache must be on or off");
-    }
-  }
-  TCDP_ASSIGN_OR_RETURN(const bool json, JsonToStdout(flags));
+  const std::size_t users = flags.Size("users");
+  const std::size_t horizon = flags.Size("horizon");
+  const std::size_t groups = flags.Size("groups");
+  const std::size_t threads = flags.Size("threads");
+  const double epsilon = flags.Double("epsilon");
+  const double sparsity = flags.Double("sparsity");
+  const bool use_cache = flags.Str("cache") == "on";
 
   // Synthetic multi-user clickstream fleet: `groups` browsing profiles
   // (increasingly home-page-bound), users assigned round-robin.
@@ -447,7 +497,8 @@ Status CmdFleet(const Flags& flags, std::ostream& out) {
     // budget home_prob + link_prob stays within 1.
     const double home_prob =
         0.15 + 0.3 * static_cast<double>(g) / static_cast<double>(groups);
-    TCDP_ASSIGN_OR_RETURN(auto matrix, ClickstreamModel(pages, home_prob));
+    TCDP_ASSIGN_OR_RETURN(auto matrix,
+                          ClickstreamModel(flags.Size("pages"), home_prob));
     TCDP_ASSIGN_OR_RETURN(auto corr,
                           TemporalCorrelations::Both(matrix, matrix));
     profiles.push_back(std::move(corr));
@@ -468,7 +519,7 @@ Status CmdFleet(const Flags& flags, std::ostream& out) {
   const std::uint64_t user_releases =
       static_cast<std::uint64_t>(users) * horizon;
   double record_seconds = 0.0;
-  Rng rng(static_cast<std::uint64_t>(seed));
+  Rng rng(static_cast<std::uint64_t>(flags.Size("seed")));
   std::vector<std::size_t> participants;
   for (std::size_t t = 0; t < horizon; ++t) {
     if (sparsity > 0.0) {
@@ -485,115 +536,60 @@ Status CmdFleet(const Flags& flags, std::ostream& out) {
                              : bank.RecordRelease(epsilon));
     record_seconds += timer.ElapsedSeconds();
   }
-  const double user_releases_per_sec =
-      record_seconds > 0.0
-          ? static_cast<double>(user_releases) / record_seconds
-          : 0.0;
+  const double user_releases_per_sec = PerSecond(user_releases, record_seconds);
 
   // One parallel fleet sweep yields both aggregates.
   const auto alphas = bank.PersonalizedAlphas();
-  double min_alpha = alphas.front();
-  double max_alpha = alphas.front();
-  for (double a : alphas) {
-    min_alpha = std::min(min_alpha, a);
-    max_alpha = std::max(max_alpha, a);
-  }
+  const auto [min_it, max_it] =
+      std::minmax_element(alphas.begin(), alphas.end());
+  const double min_alpha = *min_it;
+  const double max_alpha = *max_it;
 
   const auto cache = bank.cache_stats();
-  if (json) {
-    // Machine-readable single-object schema, mirrored by the fleet CLI
-    // smoke test (the bench harness emits the unified BENCH.json).
-    out.precision(17);
-    out << "{\n"
-        << "  \"users\": " << users << ",\n"
-        << "  \"horizon\": " << horizon << ",\n"
-        << "  \"groups\": " << groups << ",\n"
-        << "  \"cohorts\": " << bank.num_cohorts() << ",\n"
-        << "  \"threads\": " << threads << ",\n"
-        << "  \"sparsity\": " << sparsity << ",\n"
-        << "  \"epsilon\": " << epsilon << ",\n"
-        << "  \"cache\": " << (use_cache ? "true" : "false") << ",\n"
-        << "  \"user_releases\": " << user_releases << ",\n"
-        << "  \"record_seconds\": " << record_seconds << ",\n"
-        << "  \"user_releases_per_sec\": " << user_releases_per_sec
-        << ",\n"
-        << "  \"overall_alpha\": " << max_alpha << ",\n"
-        << "  \"min_personalized_alpha\": " << min_alpha << ",\n"
-        << "  \"cache_hits\": " << cache.hits << ",\n"
-        << "  \"cache_misses\": " << cache.misses << ",\n"
-        << "  \"distinct_matrices\": " << cache.distinct_matrices << "\n"
-        << "}\n";
+  if (flags.Has("json")) {
+    out << Object({{"users", users},
+                   {"horizon", horizon},
+                   {"groups", groups},
+                   {"cohorts", bank.num_cohorts()},
+                   {"threads", threads},
+                   {"sparsity", sparsity},
+                   {"epsilon", epsilon},
+                   {"cache", use_cache},
+                   {"user_releases", user_releases},
+                   {"record_seconds", record_seconds},
+                   {"user_releases_per_sec", user_releases_per_sec},
+                   {"overall_alpha", max_alpha},
+                   {"min_personalized_alpha", min_alpha},
+                   {"cache_hits", cache.hits},
+                   {"cache_misses", cache.misses},
+                   {"distinct_matrices", cache.distinct_matrices}})
+               .Dump();
     return Status::OK();
   }
   Table table({"metric", "value"});
-  auto add = [&table](const std::string& name, const std::string& value) {
-    table.AddRow();
-    table.AddCell(name);
-    table.AddCell(value);
-  };
-  add("users", std::to_string(users));
-  add("horizon", std::to_string(horizon));
-  add("correlation groups", std::to_string(groups));
-  add("cohorts", std::to_string(bank.num_cohorts()));
-  add("sparsity", FormatNumber(sparsity, 2));
-  add("user-steps driven (incl. skips)", std::to_string(user_releases));
-  add("record wall time (s)", FormatNumber(record_seconds, 4));
-  add("releases/sec", FormatNumber(user_releases_per_sec, 0));
-  add("overall alpha (max TPL)", FormatNumber(max_alpha, 6));
-  add("min personalized alpha", FormatNumber(min_alpha, 6));
+  table.AddRowCells({"users", std::to_string(users)});
+  table.AddRowCells({"horizon", std::to_string(horizon)});
+  table.AddRowCells({"correlation groups", std::to_string(groups)});
+  table.AddRowCells({"cohorts", std::to_string(bank.num_cohorts())});
+  table.AddRowCells({"sparsity", FormatNumber(sparsity, 2)});
+  table.AddRowCells(
+      {"user-steps driven (incl. skips)", std::to_string(user_releases)});
+  table.AddRowCells({"record wall time (s)", FormatNumber(record_seconds, 4)});
+  table.AddRowCells({"releases/sec", FormatNumber(user_releases_per_sec, 0)});
+  table.AddRowCells({"overall alpha (max TPL)", FormatNumber(max_alpha, 6)});
+  table.AddRowCells({"min personalized alpha", FormatNumber(min_alpha, 6)});
   if (use_cache) {
-    add("loss cache hits", std::to_string(cache.hits));
-    add("loss cache misses", std::to_string(cache.misses));
-    add("loss cache hit rate", FormatNumber(cache.HitRate(), 4));
-    add("distinct matrices", std::to_string(cache.distinct_matrices));
+    table.AddRowCells({"loss cache hits", std::to_string(cache.hits)});
+    table.AddRowCells({"loss cache misses", std::to_string(cache.misses)});
+    table.AddRowCells(
+        {"loss cache hit rate", FormatNumber(cache.HitRate(), 4)});
+    table.AddRowCells(
+        {"distinct matrices", std::to_string(cache.distinct_matrices)});
   } else {
-    add("loss cache", "off");
+    table.AddRowCells({"loss cache", "off"});
   }
   out << table.ToAlignedString();
   return Status::OK();
-}
-
-/// Minimal JSON string escaping for values we interpolate (user names,
-/// paths): quotes, backslashes, and control characters.
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char ch : text) {
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out.push_back(ch);
-        }
-    }
-  }
-  return out;
-}
-
-/// Splits a comma-separated field list (no empty entries).
-std::vector<std::string> SplitCommas(const std::string& text) {
-  std::vector<std::string> out;
-  std::string current;
-  for (char ch : text) {
-    if (ch == ',') {
-      if (!current.empty()) out.push_back(current);
-      current.clear();
-    } else {
-      current.push_back(ch);
-    }
-  }
-  if (!current.empty()) out.push_back(current);
-  return out;
 }
 
 struct ServeOutcome {
@@ -602,17 +598,19 @@ struct ServeOutcome {
   std::vector<server::UserReport> queries;
 };
 
-/// Drives one scripted request stream into \p backend — either the
+/// Drives the script file at \p path into \p backend — either the
 /// in-process ShardedReleaseService or a NetClient; both expose the
-/// same verbs, and sharing one parser is what keeps the two replay
-/// paths' grammar identical (the ISSUE 4 bitwise-comparison contract).
+/// same verbs, and sharing one parser keeps the two replay paths'
+/// grammar identical, so their query results compare bitwise.
 /// Grammar (one command per line, '#' comments):
 ///   join <name> <pages> <home_prob>
 ///   release <eps> all | release <eps> <name[,name...]>
 ///   flush | snapshot | compact | query <name>
 template <typename Backend>
-Status RunScript(std::istream& script, Backend* backend,
+Status RunScript(const std::string& path, Backend* backend,
                  ServeOutcome* outcome) {
+  std::ifstream script(path);
+  if (!script) return Status::NotFound("cannot open script " + path);
   std::string line;
   std::size_t line_no = 0;
   WallTimer timer;
@@ -646,7 +644,7 @@ Status RunScript(std::istream& script, Backend* backend,
       if (who == "all") {
         TCDP_RETURN_IF_ERROR(backend->ReleaseAll(eps));
       } else {
-        for (const std::string& name : SplitCommas(who)) {
+        for (const std::string& name : Split(who, ",")) {
           TCDP_RETURN_IF_ERROR(backend->Release(name, eps));
         }
       }
@@ -670,129 +668,120 @@ Status RunScript(std::istream& script, Backend* backend,
   return Status::OK();
 }
 
-void PrintServiceJson(server::ShardedReleaseService* service,
-                      const ServeOutcome& outcome, double overall_alpha,
-                      double min_alpha, const net::NetServerStats* net,
-                      const replication::LogStreamStats* repl,
-                      std::ostream& out) {
+/// `query` results, one JSON row each; serve and client print the same
+/// rows so their query sections compare bitwise.
+bench::Json QueriesJson(const std::vector<server::UserReport>& queries) {
+  bench::JsonArray rows;
+  for (const server::UserReport& report : queries) {
+    rows.push_back(Object({{"name", report.name},
+                           {"shard", report.shard},
+                           {"horizon", report.horizon},
+                           {"max_tpl", report.max_tpl},
+                           {"user_level_tpl", report.user_level_tpl}}));
+  }
+  return rows;
+}
+
+void PrintQueries(const std::vector<server::UserReport>& queries,
+                  std::ostream& out) {
+  for (const server::UserReport& report : queries) {
+    out << "query " << report.name << ": horizon " << report.horizon
+        << "  max TPL " << FormatNumber(report.max_tpl, 6) << "  user-level "
+        << FormatNumber(report.user_level_tpl, 6) << "\n";
+  }
+}
+
+bench::Json ServiceJson(
+    server::ShardedReleaseService* service, const ServeOutcome& outcome,
+    double overall_alpha, double min_alpha,
+    const std::optional<net::NetServerStats>& net,
+    const std::optional<replication::LogStreamStats>& repl) {
   const auto& stats = service->stats();
-  const std::uint64_t requests =
-      stats.join_requests + stats.release_requests;
-  out.precision(17);
-  out << "{\n"
-      << "  \"shards\": " << service->num_shards() << ",\n"
-      << "  \"users\": " << service->num_users() << ",\n"
-      << "  \"horizon\": " << service->horizon() << ",\n"
-      << "  \"join_requests\": " << stats.join_requests << ",\n"
-      << "  \"release_requests\": " << stats.release_requests << ",\n"
-      << "  \"ticks\": " << stats.ticks << ",\n"
-      << "  \"global_releases\": " << stats.global_releases << ",\n"
-      << "  \"elapsed_seconds\": " << outcome.elapsed_seconds << ",\n"
-      << "  \"requests_per_sec\": "
-      << (outcome.elapsed_seconds > 0.0
-              ? static_cast<double>(requests) / outcome.elapsed_seconds
-              : 0.0)
-      << ",\n"
-      << "  \"overall_alpha\": " << overall_alpha << ",\n"
-      << "  \"min_personalized_alpha\": " << min_alpha << ",\n"
-      << "  \"cache\": {\"hits\": " << stats.cache_hits
-      << ", \"misses\": " << stats.cache_misses
-      << ", \"entries\": " << stats.cache_entries
-      << ", \"distinct_matrices\": " << stats.cache_distinct_matrices
-      << "},\n"
-      << "  \"shard_stats\": [";
+  bench::Json json = Object(
+      {{"shards", service->num_shards()},
+       {"users", service->num_users()},
+       {"horizon", service->horizon()},
+       {"join_requests", stats.join_requests},
+       {"release_requests", stats.release_requests},
+       {"ticks", stats.ticks},
+       {"global_releases", stats.global_releases},
+       {"elapsed_seconds", outcome.elapsed_seconds},
+       {"requests_per_sec",
+        PerSecond(stats.join_requests + stats.release_requests,
+                  outcome.elapsed_seconds)},
+       {"overall_alpha", overall_alpha},
+       {"min_personalized_alpha", min_alpha},
+       {"cache", Object({{"hits", stats.cache_hits},
+                         {"misses", stats.cache_misses},
+                         {"entries", stats.cache_entries},
+                         {"distinct_matrices",
+                          stats.cache_distinct_matrices}})}});
+  bench::JsonArray shards;
   for (std::size_t s = 0; s < service->num_shards(); ++s) {
     const server::ShardStats shard = service->shard_stats(s);
-    out << (s == 0 ? "\n" : ",\n") << "    {\"shard\": " << s
-        << ", \"users\": " << shard.users
-        << ", \"horizon\": " << shard.horizon
-        << ", \"wal_records\": " << shard.wal_records
-        << ", \"wal_physical_records\": " << shard.wal_physical_records
-        << ", \"wal_bytes\": " << shard.wal_bytes
-        << ", \"snapshots\": " << shard.snapshots_written
-        << ", \"compactions\": " << shard.compactions
-        << ", \"replayed_records\": " << shard.replayed_records
-        << ", \"restored_from_snapshot\": "
-        << (shard.restored_from_snapshot ? "true" : "false")
-        << ", \"queue_depth\": " << shard.queue_depth
-        << ", \"queue_depth_hwm\": " << shard.queue_depth_hwm
-        << ", \"enqueue_blocks\": " << shard.enqueue_blocks << "}";
+    shards.push_back(
+        Object({{"shard", s},
+                {"users", shard.users},
+                {"horizon", shard.horizon},
+                {"wal_records", shard.wal_records},
+                {"wal_physical_records", shard.wal_physical_records},
+                {"wal_bytes", shard.wal_bytes},
+                {"snapshots", shard.snapshots_written},
+                {"compactions", shard.compactions},
+                {"replayed_records", shard.replayed_records},
+                {"restored_from_snapshot", shard.restored_from_snapshot},
+                {"queue_depth", shard.queue_depth},
+                {"queue_depth_hwm", shard.queue_depth_hwm},
+                {"enqueue_blocks", shard.enqueue_blocks}}));
   }
-  out << "\n  ],";
-  if (net != nullptr) {
-    out << "\n  \"net\": {\"connections_accepted\": "
-        << net->connections_accepted
-        << ", \"accept_failures\": " << net->accept_failures
-        << ", \"connections_dropped\": " << net->connections_dropped
-        << ", \"requests\": " << net->requests
-        << ", \"responses\": " << net->responses
-        << ", \"bytes_in\": " << net->bytes_in
-        << ", \"bytes_out\": " << net->bytes_out
-        << ", \"backpressure_pauses\": " << net->backpressure_pauses
-        << "},";
+  json.as_object().Set("shard_stats", std::move(shards));
+  if (net) {
+    json.as_object().Set(
+        "net", Object({{"connections_accepted", net->connections_accepted},
+                       {"accept_failures", net->accept_failures},
+                       {"connections_dropped", net->connections_dropped},
+                       {"requests", net->requests},
+                       {"responses", net->responses},
+                       {"bytes_in", net->bytes_in},
+                       {"bytes_out", net->bytes_out},
+                       {"backpressure_pauses", net->backpressure_pauses}}));
   }
-  if (repl != nullptr) {
-    out << "\n  \"replication\": {\"role\": \"primary\""
-        << ", \"followers\": " << repl->followers
-        << ", \"primary_records\": " << repl->primary_records
-        << ", \"subscribes\": " << repl->subscribes
-        << ", \"batches_sent\": " << repl->batches_sent
-        << ", \"records_sent\": " << repl->records_sent
-        << ", \"bytes_sent\": " << repl->bytes_sent
-        << ", \"acks_received\": " << repl->acks_received
-        << ", \"divergences\": " << repl->divergences
-        << ", \"min_acked_release_horizon\": "
-        << repl->min_acked_release_horizon
-        << ", \"max_lag_records\": " << repl->max_lag_records << "},";
+  if (repl) {
+    json.as_object().Set(
+        "replication",
+        Object({{"role", "primary"},
+                {"followers", repl->followers},
+                {"primary_records", repl->primary_records},
+                {"subscribes", repl->subscribes},
+                {"batches_sent", repl->batches_sent},
+                {"records_sent", repl->records_sent},
+                {"bytes_sent", repl->bytes_sent},
+                {"acks_received", repl->acks_received},
+                {"divergences", repl->divergences},
+                {"min_acked_release_horizon",
+                 repl->min_acked_release_horizon},
+                {"max_lag_records", repl->max_lag_records}}));
   }
-  out << "\n  \"queries\": [";
-  for (std::size_t q = 0; q < outcome.queries.size(); ++q) {
-    const server::UserReport& report = outcome.queries[q];
-    out << (q == 0 ? "\n" : ",\n") << "    {\"name\": \""
-        << JsonEscape(report.name) << "\", \"shard\": " << report.shard
-        << ", \"horizon\": " << report.horizon
-        << ", \"max_tpl\": " << report.max_tpl
-        << ", \"user_level_tpl\": " << report.user_level_tpl << "}";
-  }
-  out << "\n  ]\n}\n";
+  json.as_object().Set("queries", QueriesJson(outcome.queries));
+  return json;
 }
 
 Status CmdServe(const Flags& flags, std::ostream& out) {
-  const bool listen = flags.count("listen") > 0;
-  const auto script_it = flags.find("script");
-  if (script_it == flags.end() && !listen) {
+  const bool listen = flags.Has("listen");
+  if (!flags.Has("script") && !listen) {
     return Status::InvalidArgument(
         "missing required flag --script (or --listen)");
   }
   server::ShardedServiceOptions options;
-  TCDP_ASSIGN_OR_RETURN(options.num_shards,
-                        FlagAsSize(flags, "shards", std::size_t{2}));
-  TCDP_ASSIGN_OR_RETURN(options.batch_window,
-                        FlagAsSize(flags, "batch-window", std::size_t{16}));
-  TCDP_ASSIGN_OR_RETURN(options.snapshot_every,
-                        FlagAsSize(flags, "snapshot-every", std::size_t{0}));
-  TCDP_ASSIGN_OR_RETURN(options.sync_every,
-                        FlagAsSize(flags, "sync-every", std::size_t{0}));
-  TCDP_ASSIGN_OR_RETURN(
-      options.threads_per_shard,
-      FlagAsSize(flags, "threads-per-shard", std::size_t{1}));
-  if (flags.count("kernels") > 0) {
-    TCDP_ASSIGN_OR_RETURN(options.kernel_mode,
-                          kernels::ParseKernelMode(flags.at("kernels")));
-  }
-  if (options.num_shards == 0 || options.batch_window == 0) {
-    return Status::InvalidArgument(
-        "--shards and --batch-window must be >= 1");
-  }
-  TCDP_ASSIGN_OR_RETURN(std::size_t auto_compact,
-                        FlagAsSize(flags, "auto-compact", std::size_t{0}));
-  options.compaction.after_snapshot = auto_compact != 0;
-  TCDP_ASSIGN_OR_RETURN(options.compaction.max_wal_bytes,
-                        FlagAsSize(flags, "compact-bytes", std::size_t{0}));
-  TCDP_ASSIGN_OR_RETURN(
-      options.compaction.max_wal_records,
-      FlagAsSize(flags, "compact-records", std::size_t{0}));
-  const std::string log_dir = FlagOr(flags, "log-dir", "");
+  options.num_shards = flags.Size("shards");
+  options.batch_window = flags.Size("batch-window");
+  options.snapshot_every = flags.Size("snapshot-every");
+  options.sync_every = flags.Size("sync-every");
+  options.threads_per_shard = flags.Size("threads-per-shard");
+  options.compaction.after_snapshot = flags.On("auto-compact");
+  options.compaction.max_wal_bytes = flags.Size("compact-bytes");
+  options.compaction.max_wal_records = flags.Size("compact-records");
+  const std::string log_dir = flags.Str("log-dir");
   if (log_dir.empty() &&
       (options.compaction.after_snapshot ||
        options.compaction.max_wal_bytes > 0 ||
@@ -801,64 +790,47 @@ Status CmdServe(const Flags& flags, std::ostream& out) {
         "--auto-compact/--compact-bytes/--compact-records require "
         "--log-dir (compaction needs a durable WAL)");
   }
-  TCDP_ASSIGN_OR_RETURN(const bool json, JsonToStdout(flags));
-  const bool repl_listen = flags.count("repl-listen") > 0;
+  const bool json = flags.Has("json");
+  const bool repl_listen = flags.Has("repl-listen");
   if (repl_listen && (log_dir.empty() || !listen)) {
     return Status::InvalidArgument(
         "--repl-listen requires --log-dir (the WAL is the stream) and "
         "--listen (a primary serves clients and followers together)");
   }
+  // Backends are bitwise identical, so the mode is purely a
+  // performance knob: process-wide, and not persisted.
+  TCDP_ASSIGN_OR_RETURN(const TcdpKernelMode kernel_mode,
+                        kernels::ParseKernelMode(flags.Str("kernels")));
+  kernels::SetKernelMode(kernel_mode);
 
   // Observability knobs. --no-metrics 1 turns the registry's write
   // path off process-wide (the bench A/B switch); --trace-out arms the
   // span ring, dumped on kTraceDump requests and at exit.
-  TCDP_ASSIGN_OR_RETURN(std::size_t no_metrics,
-                        FlagAsSize(flags, "no-metrics", std::size_t{0}));
-  obs::SetMetricsEnabled(no_metrics == 0);
-  const std::string metrics_json_path = FlagOr(flags, "metrics-json", "");
-  const std::string metrics_prom_path = FlagOr(flags, "metrics-prom", "");
-  TCDP_ASSIGN_OR_RETURN(
-      std::size_t metrics_interval_ms,
-      FlagAsSize(flags, "metrics-interval-ms", std::size_t{1000}));
-  const std::string trace_out = FlagOr(flags, "trace-out", "");
-  TCDP_ASSIGN_OR_RETURN(std::size_t trace_capacity,
-                        FlagAsSize(flags, "trace-capacity",
-                                   std::size_t{8192}));
+  obs::SetMetricsEnabled(!flags.On("no-metrics"));
+  const std::string metrics_json_path = flags.Str("metrics-json");
+  const std::string metrics_prom_path = flags.Str("metrics-prom");
+  const std::string trace_out = flags.Str("trace-out");
   if (!trace_out.empty()) {
-    obs::DefaultTrace().Start(trace_capacity);
+    obs::DefaultTrace().Start(flags.Size("trace-capacity"));
   }
   auto dump_trace = [&trace_out]() -> StatusOr<std::string> {
-    if (trace_out.empty()) {
-      return Status::FailedPrecondition(
-          "server has no trace output configured (start it with "
-          "--trace-out)");
-    }
     TCDP_RETURN_IF_ERROR(
-        obs::WriteFileAtomic(trace_out, obs::DefaultTrace().DumpJson()));
+        WriteFileAtomic(trace_out, obs::DefaultTrace().DumpJson()));
     return trace_out;
   };
-
-  // Active diagnostics: the watchdog scans every heartbeat (shard
-  // workers, net I/O loop, metrics dumper) and, with --diag-dir set,
-  // stalls and crashes leave a flight-recorder bundle behind.
-  TCDP_ASSIGN_OR_RETURN(
-      std::size_t watchdog_interval_ms,
-      FlagAsSize(flags, "watchdog-interval-ms", std::size_t{1000}));
-  TCDP_ASSIGN_OR_RETURN(std::size_t stall_ticks,
-                        FlagAsSize(flags, "stall-ticks", std::size_t{3}));
-  const std::string diag_dir = FlagOr(flags, "diag-dir", "");
-  TCDP_ASSIGN_OR_RETURN(std::size_t diag_keep,
-                        FlagAsSize(flags, "diag-keep", std::size_t{8}));
 
   TCDP_ASSIGN_OR_RETURN(auto service,
                         server::ShardedReleaseService::Create(log_dir,
                                                               options));
 
+  // Active diagnostics: the watchdog scans every heartbeat (shard
+  // workers, net I/O loop, metrics dumper) and, with --diag-dir set,
+  // stalls and crashes leave a flight-recorder bundle behind.
   std::unique_ptr<obs::FlightRecorder> recorder;
-  if (!diag_dir.empty()) {
+  if (!flags.Str("diag-dir").empty()) {
     obs::FlightRecorderOptions recorder_options;
-    recorder_options.dir = diag_dir;
-    recorder_options.keep = diag_keep;
+    recorder_options.dir = flags.Str("diag-dir");
+    recorder_options.keep = flags.Size("diag-keep");
     recorder_options.state_text = [raw = service.get()] {
       return raw->DiagnosticStateText();
     };
@@ -866,33 +838,28 @@ Status CmdServe(const Flags& flags, std::ostream& out) {
     TCDP_RETURN_IF_ERROR(recorder->InstallCrashHandler());
   }
   obs::WatchdogOptions watchdog_options;
-  watchdog_options.interval_ms = watchdog_interval_ms;
-  watchdog_options.stall_ticks = stall_ticks;
+  watchdog_options.interval_ms = flags.Size("watchdog-interval-ms");
+  watchdog_options.stall_ticks = flags.Size("stall-ticks");
   watchdog_options.flight_recorder = recorder.get();
   obs::Watchdog watchdog(watchdog_options);
-  if (watchdog_interval_ms > 0) {
+  if (watchdog_options.interval_ms > 0) {
     TCDP_RETURN_IF_ERROR(watchdog.Start());
   }
 
   ServeOutcome outcome;
-  if (script_it != flags.end()) {
-    std::ifstream script(script_it->second);
-    if (!script) {
-      return Status::NotFound("cannot open script " + script_it->second);
-    }
-    TCDP_RETURN_IF_ERROR(RunScript(script, service.get(), &outcome));
+  if (flags.Has("script")) {
+    TCDP_RETURN_IF_ERROR(
+        RunScript(flags.Str("script"), service.get(), &outcome));
   }
   // Create/Recover and the preload are done: the server is ready.
   watchdog.SetReady(true);
 
-  net::NetServerStats net_stats;
-  replication::LogStreamStats repl_stats;
-  bool served = false;
-  bool repl_served = false;
+  std::optional<net::NetServerStats> net_stats;
+  std::optional<replication::LogStreamStats> repl_stats;
   if (listen) {
     net::NetServerOptions net_options;
-    TCDP_ASSIGN_OR_RETURN(net_options.port, FlagAsPort(flags, "listen", true));
-    net_options.host = FlagOr(flags, "host", net_options.host);
+    net_options.port = flags.Port("listen");
+    net_options.host = flags.Str("host");
     if (!trace_out.empty()) net_options.on_trace_dump = dump_trace;
     net_options.watchdog = &watchdog;
 #if defined(__unix__) || defined(__APPLE__)
@@ -910,7 +877,6 @@ Status CmdServe(const Flags& flags, std::ostream& out) {
     TCDP_ASSIGN_OR_RETURN(auto net_server,
                           net::NetServer::Listen(service.get(),
                                                  net_options));
-    TCDP_RETURN_IF_ERROR(WritePortFile(flags, "port-file", net_server->port()));
     // A primary tails its own shard WALs and streams them to
     // subscribed followers on a second port (docs/REPLICATION.md). The
     // stream server is a pure file reader, so it rides alongside the
@@ -922,29 +888,22 @@ Status CmdServe(const Flags& flags, std::ostream& out) {
       replication::LogStreamOptions repl_options;
       repl_options.log_dir = log_dir;
       repl_options.host = net_options.host;
-      TCDP_ASSIGN_OR_RETURN(repl_options.port,
-                            FlagAsPort(flags, "repl-listen", true));
+      repl_options.port = flags.Port("repl-listen");
       TCDP_ASSIGN_OR_RETURN(
           repl_server, replication::LogStreamServer::Listen(repl_options));
-      TCDP_RETURN_IF_ERROR(
-          WritePortFile(flags, "repl-port-file", repl_server->port()));
-      if (!json) {
-        out << "replication stream on " << net_options.host << ":"
-            << repl_server->port() << "\n";
-      }
+      TCDP_RETURN_IF_ERROR(AnnouncePort(flags, "repl-port-file",
+                                        repl_server->port(),
+                                        "replication stream", json, out));
       repl_thread = std::thread(
           [&repl_server, &repl_status] { repl_status = repl_server->Serve(); });
     }
-    if (!json) {
-      out << "listening on " << net_options.host << ":"
-          << net_server->port() << "\n";
-      out.flush();
-    }
+    TCDP_RETURN_IF_ERROR(AnnouncePort(flags, "port-file", net_server->port(),
+                                      "listening", json, out));
     WallTimer timer;
     Status serve_status;
     {
       obs::MetricsDumper dumper(metrics_json_path, metrics_prom_path,
-                                metrics_interval_ms);
+                                flags.Size("metrics-interval-ms"));
       serve_status = net_server->Serve();
     }
     if (repl_server != nullptr) {
@@ -973,13 +932,11 @@ Status CmdServe(const Flags& flags, std::ostream& out) {
       repl_stats = repl_server->stats();
       repl_server->Stop();
       if (repl_thread.joinable()) repl_thread.join();
-      repl_served = true;
     }
     TCDP_RETURN_IF_ERROR(serve_status);
     TCDP_RETURN_IF_ERROR(repl_status);
     outcome.elapsed_seconds += timer.ElapsedSeconds();
     net_stats = net_server->stats();
-    served = true;
     TCDP_RETURN_IF_ERROR(service->Flush());
   }
   // Final publication so a script-only run (no --listen) still leaves
@@ -1000,172 +957,137 @@ Status CmdServe(const Flags& flags, std::ostream& out) {
     min_alpha = std::min(min_alpha, alpha);
   }
   if (json) {
-    PrintServiceJson(service.get(), outcome, overall, min_alpha,
-                     served ? &net_stats : nullptr,
-                     repl_served ? &repl_stats : nullptr, out);
-  } else {
-    Table table({"metric", "value"});
-    auto add = [&table](const std::string& name, const std::string& value) {
-      table.AddRow();
-      table.AddCell(name);
-      table.AddCell(value);
-    };
-    const auto& stats = service->stats();
-    add("shards", std::to_string(service->num_shards()));
-    if (served) {
-      add("connections accepted",
-          std::to_string(net_stats.connections_accepted));
-      add("net requests", std::to_string(net_stats.requests));
-      add("net bytes in/out", std::to_string(net_stats.bytes_in) + "/" +
-                                  std::to_string(net_stats.bytes_out));
-      add("backpressure pauses",
-          std::to_string(net_stats.backpressure_pauses));
-      add("connections dropped (protocol)",
-          std::to_string(net_stats.connections_dropped));
-    }
-    if (repl_served) {
-      add("replication role", "primary");
-      add("followers", std::to_string(repl_stats.followers));
-      add("repl records streamed",
-          std::to_string(repl_stats.records_sent) + "/" +
-              std::to_string(repl_stats.primary_records));
-      add("repl acked release horizon",
-          std::to_string(repl_stats.min_acked_release_horizon));
-      add("repl max follower lag",
-          std::to_string(repl_stats.max_lag_records));
-      add("repl divergences", std::to_string(repl_stats.divergences));
-    }
-    add("users", std::to_string(service->num_users()));
-    add("requests",
-        std::to_string(stats.join_requests + stats.release_requests));
-    add("micro-batch ticks", std::to_string(stats.ticks));
-    add("global releases", std::to_string(stats.global_releases));
-    add("loss cache hits/misses", std::to_string(stats.cache_hits) + "/" +
-                                      std::to_string(stats.cache_misses));
-    add("loss cache entries", std::to_string(stats.cache_entries));
-    add("horizon", std::to_string(service->horizon()));
-    add("overall alpha (max TPL)", FormatNumber(overall, 6));
-    add("min personalized alpha", FormatNumber(min_alpha, 6));
-    add("elapsed (s)", FormatNumber(outcome.elapsed_seconds, 4));
-    if (!log_dir.empty()) {
-      std::uint64_t wal_bytes = 0;
-      std::uint64_t snapshots = 0;
-      for (std::size_t s = 0; s < service->num_shards(); ++s) {
-        wal_bytes += service->shard_stats(s).wal_bytes;
-        snapshots += service->shard_stats(s).snapshots_written;
-      }
-      add("log dir", log_dir);
-      add("WAL bytes (all shards)", std::to_string(wal_bytes));
-      add("snapshots written", std::to_string(snapshots));
-    }
-    out << table.ToAlignedString();
-    for (const server::UserReport& report : outcome.queries) {
-      out << "query " << report.name << ": horizon " << report.horizon
-          << "  max TPL " << FormatNumber(report.max_tpl, 6)
-          << "  user-level " << FormatNumber(report.user_level_tpl, 6)
-          << "\n";
-    }
+    out << ServiceJson(service.get(), outcome, overall, min_alpha, net_stats,
+                       repl_stats)
+               .Dump();
+    return service->Close();
   }
+  Table table({"metric", "value"});
+  const auto& stats = service->stats();
+  table.AddRowCells({"shards", std::to_string(service->num_shards())});
+  if (net_stats) {
+    table.AddRowCells({"connections accepted",
+                       std::to_string(net_stats->connections_accepted)});
+    table.AddRowCells({"net requests", std::to_string(net_stats->requests)});
+    table.AddRowCells({"net bytes in/out",
+                       std::to_string(net_stats->bytes_in) + "/" +
+                           std::to_string(net_stats->bytes_out)});
+    table.AddRowCells({"backpressure pauses",
+                       std::to_string(net_stats->backpressure_pauses)});
+    table.AddRowCells({"connections dropped (protocol)",
+                       std::to_string(net_stats->connections_dropped)});
+  }
+  if (repl_stats) {
+    table.AddRowCells({"replication role", "primary"});
+    table.AddRowCells({"followers", std::to_string(repl_stats->followers)});
+    table.AddRowCells({"repl records streamed",
+                       std::to_string(repl_stats->records_sent) + "/" +
+                           std::to_string(repl_stats->primary_records)});
+    table.AddRowCells(
+        {"repl acked release horizon",
+         std::to_string(repl_stats->min_acked_release_horizon)});
+    table.AddRowCells({"repl max follower lag",
+                       std::to_string(repl_stats->max_lag_records)});
+    table.AddRowCells(
+        {"repl divergences", std::to_string(repl_stats->divergences)});
+  }
+  table.AddRowCells({"users", std::to_string(service->num_users())});
+  table.AddRowCells(
+      {"requests",
+       std::to_string(stats.join_requests + stats.release_requests)});
+  table.AddRowCells({"micro-batch ticks", std::to_string(stats.ticks)});
+  table.AddRowCells(
+      {"global releases", std::to_string(stats.global_releases)});
+  table.AddRowCells({"loss cache hits/misses",
+                     std::to_string(stats.cache_hits) + "/" +
+                         std::to_string(stats.cache_misses)});
+  table.AddRowCells(
+      {"loss cache entries", std::to_string(stats.cache_entries)});
+  table.AddRowCells({"horizon", std::to_string(service->horizon())});
+  table.AddRowCells({"overall alpha (max TPL)", FormatNumber(overall, 6)});
+  table.AddRowCells({"min personalized alpha", FormatNumber(min_alpha, 6)});
+  table.AddRowCells(
+      {"elapsed (s)", FormatNumber(outcome.elapsed_seconds, 4)});
+  if (!log_dir.empty()) {
+    std::uint64_t wal_bytes = 0;
+    std::uint64_t snapshots = 0;
+    for (std::size_t s = 0; s < service->num_shards(); ++s) {
+      wal_bytes += service->shard_stats(s).wal_bytes;
+      snapshots += service->shard_stats(s).snapshots_written;
+    }
+    table.AddRowCells({"log dir", log_dir});
+    table.AddRowCells({"WAL bytes (all shards)", std::to_string(wal_bytes)});
+    table.AddRowCells({"snapshots written", std::to_string(snapshots)});
+  }
+  out << table.ToAlignedString();
+  PrintQueries(outcome.queries, out);
   return service->Close();
 }
 
 Status CmdClient(const Flags& flags, std::ostream& out) {
-  const auto script_it = flags.find("script");
-  if (script_it == flags.end()) {
-    return Status::InvalidArgument("missing required flag --script");
-  }
-  std::ifstream script(script_it->second);
-  if (!script) {
-    return Status::NotFound("cannot open script " + script_it->second);
-  }
-  TCDP_ASSIGN_OR_RETURN(const std::uint16_t port,
-                        FlagAsPort(flags, "port", false));
-  const std::string host = FlagOr(flags, "host", "127.0.0.1");
+  const std::uint16_t port = flags.Port("port");
+  const std::string host = flags.Str("host");
   net::NetClientOptions client_options;
-  TCDP_ASSIGN_OR_RETURN(client_options.pipeline_depth,
-                        FlagAsSize(flags, "pipeline", std::size_t{8}));
-  TCDP_ASSIGN_OR_RETURN(std::size_t shutdown,
-                        FlagAsSize(flags, "shutdown", std::size_t{0}));
-  TCDP_ASSIGN_OR_RETURN(const bool json, JsonToStdout(flags));
+  client_options.pipeline_depth = flags.Size("pipeline");
 
   TCDP_ASSIGN_OR_RETURN(
       auto client, net::NetClient::Connect(host, port, client_options));
   ServeOutcome outcome;
-  TCDP_RETURN_IF_ERROR(RunScript(script, client.get(), &outcome));
+  TCDP_RETURN_IF_ERROR(RunScript(flags.Str("script"), client.get(), &outcome));
   TCDP_ASSIGN_OR_RETURN(auto stats, client->Stats());
-  if (shutdown != 0) {
+  if (flags.On("shutdown")) {
     TCDP_RETURN_IF_ERROR(client->Shutdown());
   }
   const std::uint64_t requests = client->requests_sent();
-  const double rps = outcome.elapsed_seconds > 0.0
-                         ? static_cast<double>(requests) /
-                               outcome.elapsed_seconds
-                         : 0.0;
-  if (json) {
-    out.precision(17);
-    out << "{\n"
-        << "  \"host\": \"" << JsonEscape(host) << "\",\n"
-        << "  \"port\": " << port << ",\n"
-        << "  \"pipeline\": " << client_options.pipeline_depth << ",\n"
-        << "  \"script_lines\": " << outcome.script_lines << ",\n"
-        << "  \"elapsed_seconds\": " << outcome.elapsed_seconds << ",\n"
-        << "  \"requests_sent\": " << requests << ",\n"
-        << "  \"responses_received\": " << client->responses_received()
-        << ",\n"
-        << "  \"requests_per_sec\": " << rps << ",\n"
-        << "  \"server_stats\": {\"shards\": " << stats.num_shards
-        << ", \"users\": " << stats.num_users
-        << ", \"horizon\": " << stats.horizon
-        << ", \"join_requests\": " << stats.join_requests
-        << ", \"release_requests\": " << stats.release_requests
-        << ", \"ticks\": " << stats.ticks
-        << ", \"global_releases\": " << stats.global_releases
-        << ", \"shard_stats\": [";
+  const double rps = PerSecond(requests, outcome.elapsed_seconds);
+  if (flags.Has("json")) {
+    bench::JsonArray shards;
     for (std::size_t s = 0; s < stats.shards.size(); ++s) {
       const net::WireShardStats& shard = stats.shards[s];
-      out << (s == 0 ? "\n" : ",\n") << "    {\"shard\": " << s
-          << ", \"users\": " << shard.users
-          << ", \"horizon\": " << shard.horizon
-          << ", \"wal_records\": " << shard.wal_records
-          << ", \"wal_bytes\": " << shard.wal_bytes
-          << ", \"snapshots\": " << shard.snapshots_written
-          << ", \"queue_depth\": " << shard.queue_depth
-          << ", \"enqueue_blocks\": " << shard.enqueue_blocks << "}";
+      shards.push_back(Object({{"shard", s},
+                               {"users", shard.users},
+                               {"horizon", shard.horizon},
+                               {"wal_records", shard.wal_records},
+                               {"wal_bytes", shard.wal_bytes},
+                               {"snapshots", shard.snapshots_written},
+                               {"queue_depth", shard.queue_depth},
+                               {"enqueue_blocks", shard.enqueue_blocks}}));
     }
-    out << "\n  ]},\n  \"queries\": [";
-    for (std::size_t q = 0; q < outcome.queries.size(); ++q) {
-      const server::UserReport& report = outcome.queries[q];
-      out << (q == 0 ? "\n" : ",\n") << "    {\"name\": \""
-          << JsonEscape(report.name) << "\", \"shard\": " << report.shard
-          << ", \"horizon\": " << report.horizon
-          << ", \"max_tpl\": " << report.max_tpl
-          << ", \"user_level_tpl\": " << report.user_level_tpl << "}";
-    }
-    out << "\n  ]\n}\n";
-  } else {
-    Table table({"metric", "value"});
-    auto add = [&table](const std::string& name, const std::string& value) {
-      table.AddRow();
-      table.AddCell(name);
-      table.AddCell(value);
-    };
-    add("server", host + ":" + std::to_string(port));
-    add("pipeline depth", std::to_string(client_options.pipeline_depth));
-    add("script lines", std::to_string(outcome.script_lines));
-    add("requests sent", std::to_string(requests));
-    add("elapsed (s)", FormatNumber(outcome.elapsed_seconds, 4));
-    add("requests/sec", FormatNumber(rps, 0));
-    add("server shards", std::to_string(stats.num_shards));
-    add("server users", std::to_string(stats.num_users));
-    add("server horizon", std::to_string(stats.horizon));
-    out << table.ToAlignedString();
-    for (const server::UserReport& report : outcome.queries) {
-      out << "query " << report.name << ": horizon " << report.horizon
-          << "  max TPL " << FormatNumber(report.max_tpl, 6)
-          << "  user-level " << FormatNumber(report.user_level_tpl, 6)
-          << "\n";
-    }
+    out << Object({{"host", host},
+                   {"port", port},
+                   {"pipeline", client_options.pipeline_depth},
+                   {"script_lines", outcome.script_lines},
+                   {"elapsed_seconds", outcome.elapsed_seconds},
+                   {"requests_sent", requests},
+                   {"responses_received", client->responses_received()},
+                   {"requests_per_sec", rps},
+                   {"server_stats",
+                    Object({{"shards", stats.num_shards},
+                            {"users", stats.num_users},
+                            {"horizon", stats.horizon},
+                            {"join_requests", stats.join_requests},
+                            {"release_requests", stats.release_requests},
+                            {"ticks", stats.ticks},
+                            {"global_releases", stats.global_releases},
+                            {"shard_stats", std::move(shards)}})},
+                   {"queries", QueriesJson(outcome.queries)}})
+               .Dump();
+    return client->Close();
   }
+  Table table({"metric", "value"});
+  table.AddRowCells({"server", host + ":" + std::to_string(port)});
+  table.AddRowCells(
+      {"pipeline depth", std::to_string(client_options.pipeline_depth)});
+  table.AddRowCells({"script lines", std::to_string(outcome.script_lines)});
+  table.AddRowCells({"requests sent", std::to_string(requests)});
+  table.AddRowCells(
+      {"elapsed (s)", FormatNumber(outcome.elapsed_seconds, 4)});
+  table.AddRowCells({"requests/sec", FormatNumber(rps, 0)});
+  table.AddRowCells({"server shards", std::to_string(stats.num_shards)});
+  table.AddRowCells({"server users", std::to_string(stats.num_users)});
+  table.AddRowCells({"server horizon", std::to_string(stats.horizon)});
+  out << table.ToAlignedString();
+  PrintQueries(outcome.queries, out);
   return client->Close();
 }
 
@@ -1204,23 +1126,18 @@ void PrintRateTables(const obs::MetricsDelta& delta, std::ostream& out) {
 /// re-scrapes every N seconds and prints per-interval rates instead of
 /// cumulative totals (--count M stops after M rate tables).
 Status CmdStats(const Flags& flags, std::ostream& out) {
-  TCDP_ASSIGN_OR_RETURN(const std::uint16_t port,
-                        FlagAsPort(flags, "port", false));
-  const std::string host = FlagOr(flags, "host", "127.0.0.1");
-  TCDP_ASSIGN_OR_RETURN(const bool json, JsonToStdout(flags));
-  TCDP_ASSIGN_OR_RETURN(std::size_t trace_dump,
-                        FlagAsSize(flags, "trace-dump", std::size_t{0}));
-  TCDP_ASSIGN_OR_RETURN(std::size_t watch_seconds,
-                        FlagAsSize(flags, "watch", std::size_t{0}));
-  TCDP_ASSIGN_OR_RETURN(std::size_t watch_count,
-                        FlagAsSize(flags, "count", std::size_t{3}));
+  const std::uint16_t port = flags.Port("port");
+  const std::string host = flags.Str("host");
+  const bool json = flags.Has("json");
+  const std::size_t watch_seconds = flags.Size("watch");
+  const std::size_t watch_count = flags.Size("count");
   if (watch_seconds > 0 && json) {
     return Status::InvalidArgument("--watch and --json are exclusive");
   }
 
   TCDP_ASSIGN_OR_RETURN(auto client, net::NetClient::Connect(host, port));
   TCDP_ASSIGN_OR_RETURN(obs::MetricsSnapshot metrics, client->Metrics());
-  if (trace_dump != 0) {
+  if (flags.On("trace-dump")) {
     TCDP_ASSIGN_OR_RETURN(std::string trace_path, client->TraceDump());
     if (!json) out << "trace dumped to " << trace_path << "\n";
   }
@@ -1245,36 +1162,31 @@ Status CmdStats(const Flags& flags, std::ostream& out) {
   }
   TCDP_ASSIGN_OR_RETURN(auto stats, client->Stats());
   Table table({"metric", "value"});
-  auto add = [&table](const std::string& name, const std::string& value) {
-    table.AddRow();
-    table.AddCell(name);
-    table.AddCell(value);
-  };
-  add("server", host + ":" + std::to_string(port));
-  add("shards", std::to_string(stats.num_shards));
-  add("users", std::to_string(stats.num_users));
-  add("horizon", std::to_string(stats.horizon));
-  add("join requests", std::to_string(stats.join_requests));
-  add("release requests", std::to_string(stats.release_requests));
-  add("ticks", std::to_string(stats.ticks));
-  add("global releases", std::to_string(stats.global_releases));
+  table.AddRowCells({"server", host + ":" + std::to_string(port)});
+  table.AddRowCells({"shards", std::to_string(stats.num_shards)});
+  table.AddRowCells({"users", std::to_string(stats.num_users)});
+  table.AddRowCells({"horizon", std::to_string(stats.horizon)});
+  table.AddRowCells({"join requests", std::to_string(stats.join_requests)});
+  table.AddRowCells(
+      {"release requests", std::to_string(stats.release_requests)});
+  table.AddRowCells({"ticks", std::to_string(stats.ticks)});
+  table.AddRowCells(
+      {"global releases", std::to_string(stats.global_releases)});
   for (const auto& [name, value] : metrics.counters) {
-    add(name, std::to_string(value));
+    table.AddRowCells({name, std::to_string(value)});
   }
   for (const auto& [name, value] : metrics.gauges) {
-    add(name, std::to_string(value));
+    table.AddRowCells({name, std::to_string(value)});
   }
   out << table.ToAlignedString();
 
   Table latency({"histogram", "count", "p50", "p90", "p99", "max"});
   for (const auto& [name, snapshot] : metrics.histograms) {
-    latency.AddRow();
-    latency.AddCell(name);
-    latency.AddCell(std::to_string(snapshot.count()));
-    latency.AddCell(FormatNumber(snapshot.Quantile(0.5), 6));
-    latency.AddCell(FormatNumber(snapshot.Quantile(0.9), 6));
-    latency.AddCell(FormatNumber(snapshot.Quantile(0.99), 6));
-    latency.AddCell(FormatNumber(snapshot.max_observed, 6));
+    latency.AddRowCells({name, std::to_string(snapshot.count()),
+                         FormatNumber(snapshot.Quantile(0.5), 6),
+                         FormatNumber(snapshot.Quantile(0.9), 6),
+                         FormatNumber(snapshot.Quantile(0.99), 6),
+                         FormatNumber(snapshot.max_observed, 6)});
   }
   out << latency.ToAlignedString();
   return client->Close();
@@ -1284,37 +1196,31 @@ Status CmdStats(const Flags& flags, std::ostream& out) {
 /// watchdog's verdict and exits nonzero when the probed bit is false,
 /// so scripts/CI can gate on the exit code alone.
 Status CmdHealth(const Flags& flags, std::ostream& out) {
-  TCDP_ASSIGN_OR_RETURN(const std::uint16_t port,
-                        FlagAsPort(flags, "port", false));
-  const std::string host = FlagOr(flags, "host", "127.0.0.1");
-  TCDP_ASSIGN_OR_RETURN(const bool json, JsonToStdout(flags));
-  TCDP_ASSIGN_OR_RETURN(std::size_t probe_ready,
-                        FlagAsSize(flags, "ready", std::size_t{0}));
-
-  TCDP_ASSIGN_OR_RETURN(auto client, net::NetClient::Connect(host, port));
+  const bool probe_ready = flags.On("ready");
+  TCDP_ASSIGN_OR_RETURN(
+      auto client, net::NetClient::Connect(flags.Str("host"),
+                                           flags.Port("port")));
   TCDP_ASSIGN_OR_RETURN(net::WireHealthReport report,
-                        probe_ready != 0 ? client->Ready()
-                                         : client->Health());
-  if (json) {
-    out << "{\n"
-        << "  \"healthy\": " << (report.healthy ? "true" : "false") << ",\n"
-        << "  \"ready\": " << (report.ready ? "true" : "false") << ",\n"
-        << "  \"scans\": " << report.scans << ",\n"
-        << "  \"reason\": \"" << JsonEscape(report.reason) << "\",\n"
-        << "  \"components\": [";
-    for (std::size_t c = 0; c < report.components.size(); ++c) {
-      const net::WireComponentHealth& comp = report.components[c];
-      out << (c == 0 ? "\n" : ",\n") << "    {\"name\": \""
-          << JsonEscape(comp.name) << "\", \"kind\": \""
-          << obs::HeartbeatKindName(
-                 static_cast<obs::HeartbeatKind>(comp.kind))
-          << "\", \"stalled\": " << (comp.stalled ? "true" : "false")
-          << ", \"progress\": " << comp.progress
-          << ", \"pending\": " << comp.pending
-          << ", \"age_ns\": " << comp.age_ns << ", \"detail\": \""
-          << JsonEscape(comp.detail) << "\"}";
+                        probe_ready ? client->Ready() : client->Health());
+  if (flags.Has("json")) {
+    bench::JsonArray components;
+    for (const net::WireComponentHealth& comp : report.components) {
+      components.push_back(Object(
+          {{"name", comp.name},
+           {"kind", obs::HeartbeatKindName(
+                        static_cast<obs::HeartbeatKind>(comp.kind))},
+           {"stalled", comp.stalled},
+           {"progress", comp.progress},
+           {"pending", comp.pending},
+           {"age_ns", comp.age_ns},
+           {"detail", comp.detail}}));
     }
-    out << "\n  ]\n}\n";
+    out << Object({{"healthy", report.healthy},
+                   {"ready", report.ready},
+                   {"scans", report.scans},
+                   {"reason", report.reason},
+                   {"components", std::move(components)}})
+               .Dump();
   } else {
     out << (report.healthy ? "healthy" : "UNHEALTHY") << " / "
         << (report.ready ? "ready" : "NOT READY");
@@ -1333,11 +1239,10 @@ Status CmdHealth(const Flags& flags, std::ostream& out) {
     if (table.num_rows() > 0) out << table.ToAlignedString();
   }
   TCDP_RETURN_IF_ERROR(client->Close());
-  const bool probed_bit = probe_ready != 0 ? report.ready : report.healthy;
+  const bool probed_bit = probe_ready ? report.ready : report.healthy;
   if (!probed_bit) {
     return Status::Internal(
-        std::string(probe_ready != 0 ? "server not ready"
-                                     : "server unhealthy") +
+        std::string(probe_ready ? "server not ready" : "server unhealthy") +
         (report.reason.empty() ? "" : ": " + report.reason));
   }
   return Status::OK();
@@ -1453,22 +1358,17 @@ void PrintTopFrame(const std::string& server, const TopFrame& prev,
 /// piped/redirected it degrades to a single rate table so scripts and
 /// tests get deterministic output.
 Status CmdTop(const Flags& flags, std::ostream& out) {
-  TCDP_ASSIGN_OR_RETURN(const std::uint16_t port,
-                        FlagAsPort(flags, "port", false));
-  const std::string host = FlagOr(flags, "host", "127.0.0.1");
-  TCDP_ASSIGN_OR_RETURN(
-      std::size_t interval_ms,
-      FlagAsSize(flags, "interval-ms", std::size_t{1000}));
-  if (interval_ms == 0) {
-    return Status::InvalidArgument("--interval-ms must be >= 1");
-  }
+  const std::uint16_t port = flags.Port("port");
+  const std::string host = flags.Str("host");
+  const std::size_t interval_ms = flags.Size("interval-ms");
   bool tty = false;
 #if defined(__unix__) || defined(__APPLE__)
   tty = ::isatty(STDOUT_FILENO) != 0;
 #endif
-  TCDP_ASSIGN_OR_RETURN(
-      std::size_t count,
-      FlagAsSize(flags, "count", tty ? std::size_t{0} : std::size_t{1}));
+  // Without --count a TTY refreshes until interrupted; a pipe gets one
+  // frame.
+  const std::size_t count =
+      flags.Has("count") ? flags.Size("count") : (tty ? 0 : 1);
 
   TCDP_ASSIGN_OR_RETURN(auto client, net::NetClient::Connect(host, port));
   const std::string server = host + ":" + std::to_string(port);
@@ -1491,18 +1391,11 @@ Status CmdTop(const Flags& flags, std::ostream& out) {
 }
 
 Status CmdReplay(const Flags& flags, std::ostream& out) {
-  const auto dir_it = flags.find("log-dir");
-  if (dir_it == flags.end()) {
-    return Status::InvalidArgument("missing required flag --log-dir");
-  }
-  TCDP_ASSIGN_OR_RETURN(const std::size_t verify_flag,
-                        FlagAsSize(flags, "verify", std::size_t{0}));
-  const bool verify = verify_flag != 0;
-  TCDP_ASSIGN_OR_RETURN(const bool json, JsonToStdout(flags));
+  const std::string log_dir = flags.Str("log-dir");
+  const bool verify = flags.On("verify");
   WallTimer timer;
   TCDP_ASSIGN_OR_RETURN(auto service,
-                        server::ShardedReleaseService::Recover(
-                            dir_it->second));
+                        server::ShardedReleaseService::Recover(log_dir));
   const double recover_seconds = timer.ElapsedSeconds();
 
   std::size_t verified_users = 0;
@@ -1531,29 +1424,28 @@ Status CmdReplay(const Flags& flags, std::ostream& out) {
     (void)name;
     overall = std::max(overall, alpha);
   }
-  if (json) {
-    out.precision(17);
-    out << "{\n"
-        << "  \"log_dir\": \"" << JsonEscape(dir_it->second) << "\",\n"
-        << "  \"shards\": " << service->num_shards() << ",\n"
-        << "  \"users\": " << service->num_users() << ",\n"
-        << "  \"horizon\": " << service->horizon() << ",\n"
-        << "  \"recover_seconds\": " << recover_seconds << ",\n"
-        << "  \"overall_alpha\": " << overall << ",\n"
-        << "  \"verified\": " << (verify ? "true" : "false") << ",\n"
-        << "  \"verified_users\": " << verified_users << ",\n"
-        << "  \"verify_failures\": " << verify_failures << ",\n"
-        << "  \"shard_stats\": [";
+  if (flags.Has("json")) {
+    bench::JsonArray shards;
     for (std::size_t s = 0; s < service->num_shards(); ++s) {
       const server::ShardStats shard = service->shard_stats(s);
-      out << (s == 0 ? "\n" : ",\n") << "    {\"shard\": " << s
-          << ", \"users\": " << shard.users
-          << ", \"horizon\": " << shard.horizon
-          << ", \"replayed_records\": " << shard.replayed_records
-          << ", \"restored_from_snapshot\": "
-          << (shard.restored_from_snapshot ? "true" : "false") << "}";
+      shards.push_back(
+          Object({{"shard", s},
+                  {"users", shard.users},
+                  {"horizon", shard.horizon},
+                  {"replayed_records", shard.replayed_records},
+                  {"restored_from_snapshot", shard.restored_from_snapshot}}));
     }
-    out << "\n  ]\n}\n";
+    out << Object({{"log_dir", log_dir},
+                   {"shards", service->num_shards()},
+                   {"users", service->num_users()},
+                   {"horizon", service->horizon()},
+                   {"recover_seconds", recover_seconds},
+                   {"overall_alpha", overall},
+                   {"verified", verify},
+                   {"verified_users", verified_users},
+                   {"verify_failures", verify_failures},
+                   {"shard_stats", std::move(shards)}})
+               .Dump();
   } else {
     out << "recovered " << service->num_users() << " users across "
         << service->num_shards() << " shards at horizon "
@@ -1583,67 +1475,57 @@ Status CmdReplay(const Flags& flags, std::ostream& out) {
 }
 
 Status CmdCompact(const Flags& flags, std::ostream& out) {
-  const auto dir_it = flags.find("log-dir");
-  if (dir_it == flags.end()) {
-    return Status::InvalidArgument("missing required flag --log-dir");
-  }
-  TCDP_ASSIGN_OR_RETURN(const bool json, JsonToStdout(flags));
+  const std::string log_dir = flags.Str("log-dir");
   TCDP_ASSIGN_OR_RETURN(auto service,
-                        server::ShardedReleaseService::Recover(
-                            dir_it->second));
-  struct Footprint {
-    std::uint64_t bytes = 0;
-    std::uint64_t physical_records = 0;
-    std::uint64_t logical_records = 0;
-  };
-  auto measure = [&] {
-    std::vector<Footprint> shards;
+                        server::ShardedReleaseService::Recover(log_dir));
+  auto measure = [&service] {
+    std::vector<server::ShardStats> shards;
     for (std::size_t s = 0; s < service->num_shards(); ++s) {
-      const server::ShardStats stats = service->shard_stats(s);
-      shards.push_back(Footprint{stats.wal_bytes,
-                                 stats.wal_physical_records,
-                                 stats.wal_records});
+      shards.push_back(service->shard_stats(s));
     }
     return shards;
   };
-  const std::vector<Footprint> before = measure();
+  const std::vector<server::ShardStats> before = measure();
   WallTimer timer;
   TCDP_RETURN_IF_ERROR(service->Compact());
   const double compact_seconds = timer.ElapsedSeconds();
-  const std::vector<Footprint> after = measure();
+  const std::vector<server::ShardStats> after = measure();
   std::uint64_t bytes_before = 0;
   std::uint64_t bytes_after = 0;
-  for (const Footprint& f : before) bytes_before += f.bytes;
-  for (const Footprint& f : after) bytes_after += f.bytes;
-  if (json) {
-    out.precision(17);
-    out << "{\n"
-        << "  \"log_dir\": \"" << JsonEscape(dir_it->second) << "\",\n"
-        << "  \"shards\": " << service->num_shards() << ",\n"
-        << "  \"users\": " << service->num_users() << ",\n"
-        << "  \"horizon\": " << service->horizon() << ",\n"
-        << "  \"compact_seconds\": " << compact_seconds << ",\n"
-        << "  \"wal_bytes_before\": " << bytes_before << ",\n"
-        << "  \"wal_bytes_after\": " << bytes_after << ",\n"
-        << "  \"shard_stats\": [";
+  for (std::size_t s = 0; s < before.size(); ++s) {
+    bytes_before += before[s].wal_bytes;
+    bytes_after += after[s].wal_bytes;
+  }
+  if (flags.Has("json")) {
+    bench::JsonArray shards;
     for (std::size_t s = 0; s < service->num_shards(); ++s) {
-      out << (s == 0 ? "\n" : ",\n") << "    {\"shard\": " << s
-          << ", \"wal_bytes_before\": " << before[s].bytes
-          << ", \"wal_bytes_after\": " << after[s].bytes
-          << ", \"physical_records_before\": " << before[s].physical_records
-          << ", \"physical_records_after\": " << after[s].physical_records
-          << ", \"logical_records\": " << after[s].logical_records << "}";
+      shards.push_back(
+          Object({{"shard", s},
+                  {"wal_bytes_before", before[s].wal_bytes},
+                  {"wal_bytes_after", after[s].wal_bytes},
+                  {"physical_records_before", before[s].wal_physical_records},
+                  {"physical_records_after", after[s].wal_physical_records},
+                  {"logical_records", after[s].wal_records}}));
     }
-    out << "\n  ]\n}\n";
+    out << Object({{"log_dir", log_dir},
+                   {"shards", service->num_shards()},
+                   {"users", service->num_users()},
+                   {"horizon", service->horizon()},
+                   {"compact_seconds", compact_seconds},
+                   {"wal_bytes_before", bytes_before},
+                   {"wal_bytes_after", bytes_after},
+                   {"shard_stats", std::move(shards)}})
+               .Dump();
   } else {
     out << "compacted " << service->num_shards() << " shard WALs in "
         << FormatNumber(compact_seconds, 4) << "s: " << bytes_before
         << " -> " << bytes_after << " bytes\n";
     for (std::size_t s = 0; s < service->num_shards(); ++s) {
-      out << "  shard " << s << ": " << before[s].bytes << " -> "
-          << after[s].bytes << " bytes, " << before[s].physical_records
-          << " -> " << after[s].physical_records
-          << " records on disk (" << after[s].logical_records
+      out << "  shard " << s << ": " << before[s].wal_bytes << " -> "
+          << after[s].wal_bytes << " bytes, "
+          << before[s].wal_physical_records << " -> "
+          << after[s].wal_physical_records << " records on disk ("
+          << after[s].wal_records
           << " logical records preserved via the snapshot)\n";
     }
   }
@@ -1657,24 +1539,16 @@ Status CmdCompact(const Flags& flags, std::ostream& out) {
 /// drill in README.md). Exits nonzero on divergence.
 Status CmdFollow(const Flags& flags, std::ostream& out) {
   replication::FollowerOptions options;
-  TCDP_ASSIGN_OR_RETURN(options.primary_port,
-                        FlagAsPort(flags, "primary-port", false));
-  options.primary_host = FlagOr(flags, "primary-host", options.primary_host);
-  const auto dir_it = flags.find("log-dir");
-  if (dir_it == flags.end()) {
-    return Status::InvalidArgument("missing required flag --log-dir");
-  }
-  options.log_dir = dir_it->second;
-  TCDP_ASSIGN_OR_RETURN(std::size_t promote,
-                        FlagAsSize(flags, "promote", std::size_t{0}));
-  // A promoting follower wants the stream to *end* when the primary
-  // dies; a standing replica wants to ride out restarts.
-  TCDP_ASSIGN_OR_RETURN(
-      std::size_t reconnect,
-      FlagAsSize(flags, "reconnect",
-                 promote != 0 ? std::size_t{0} : std::size_t{1}));
-  options.reconnect = reconnect != 0;
-  TCDP_ASSIGN_OR_RETURN(const bool json, JsonToStdout(flags));
+  options.primary_port = flags.Port("primary-port");
+  options.primary_host = flags.Str("primary-host");
+  options.log_dir = flags.Str("log-dir");
+  const bool promote = flags.On("promote");
+  // Without --reconnect, a promoting follower wants the stream to *end*
+  // when the primary dies; a standing replica wants to ride out
+  // restarts.
+  options.reconnect =
+      flags.Has("reconnect") ? flags.On("reconnect") : !promote;
+  const bool json = flags.Has("json");
 
   const std::string primary = options.primary_host + ":" +
                               std::to_string(options.primary_port);
@@ -1682,7 +1556,8 @@ Status CmdFollow(const Flags& flags, std::ostream& out) {
                         replication::Follower::Open(std::move(options)));
   TCDP_RETURN_IF_ERROR(follower->Start());
   if (!json) {
-    out << "following " << primary << " into " << dir_it->second << "\n";
+    out << "following " << primary << " into " << flags.Str("log-dir")
+        << "\n";
     out.flush();
   }
   while (follower->status().running) {
@@ -1692,7 +1567,7 @@ Status CmdFollow(const Flags& flags, std::ostream& out) {
 
   std::unique_ptr<server::ShardedReleaseService> promoted;
   double promote_seconds = 0.0;
-  if (promote != 0 && !status.diverged) {
+  if (promote && !status.diverged) {
     WallTimer timer;
     TCDP_ASSIGN_OR_RETURN(promoted, follower->Promote());
     promote_seconds = timer.ElapsedSeconds();
@@ -1701,59 +1576,51 @@ Status CmdFollow(const Flags& flags, std::ostream& out) {
   }
 
   if (json) {
-    out.precision(17);
-    out << "{\n"
-        << "  \"diverged\": " << (status.diverged ? "true" : "false")
-        << ",\n"
-        << "  \"num_shards\": " << status.num_shards << ",\n"
-        << "  \"release_horizon\": " << status.release_horizon << ",\n"
-        << "  \"batches_applied\": " << status.batches_applied << ",\n"
-        << "  \"records_applied\": " << status.records_applied << ",\n"
-        << "  \"acks_sent\": " << status.acks_sent << ",\n"
-        << "  \"reconnects\": " << status.reconnects << ",\n"
-        << "  \"promoted\": " << (promoted != nullptr ? "true" : "false")
-        << ",\n"
-        << "  \"promote_seconds\": " << promote_seconds;
+    bench::Json report = Object({{"diverged", status.diverged},
+                                 {"num_shards", status.num_shards},
+                                 {"release_horizon", status.release_horizon},
+                                 {"batches_applied", status.batches_applied},
+                                 {"records_applied", status.records_applied},
+                                 {"acks_sent", status.acks_sent},
+                                 {"reconnects", status.reconnects},
+                                 {"promoted", promoted != nullptr},
+                                 {"promote_seconds", promote_seconds}});
     if (promoted != nullptr) {
-      out << ",\n  \"users\": " << promoted->num_users()
-          << ",\n  \"horizon\": " << promoted->horizon();
+      report.as_object().Set("users", promoted->num_users());
+      report.as_object().Set("horizon", promoted->horizon());
     }
-    out << "\n}\n";
+    out << report.Dump();
   } else {
     Table table({"metric", "value"});
-    auto add = [&table](const std::string& name, const std::string& value) {
-      table.AddRow();
-      table.AddCell(name);
-      table.AddCell(value);
-    };
-    add("diverged", status.diverged ? "YES" : "no");
-    add("shards", std::to_string(status.num_shards));
-    add("records applied", std::to_string(status.records_applied));
-    add("batches applied", std::to_string(status.batches_applied));
-    add("acked release horizon", std::to_string(status.release_horizon));
-    add("acks sent", std::to_string(status.acks_sent));
-    add("reconnects", std::to_string(status.reconnects));
+    table.AddRowCells({"diverged", status.diverged ? "YES" : "no"});
+    table.AddRowCells({"shards", std::to_string(status.num_shards)});
+    table.AddRowCells(
+        {"records applied", std::to_string(status.records_applied)});
+    table.AddRowCells(
+        {"batches applied", std::to_string(status.batches_applied)});
+    table.AddRowCells(
+        {"acked release horizon", std::to_string(status.release_horizon)});
+    table.AddRowCells({"acks sent", std::to_string(status.acks_sent)});
+    table.AddRowCells({"reconnects", std::to_string(status.reconnects)});
     if (promoted != nullptr) {
-      add("promoted", "yes (" + FormatNumber(promote_seconds, 4) + "s)");
-      add("users", std::to_string(promoted->num_users()));
-      add("horizon", std::to_string(promoted->horizon()));
+      table.AddRowCells(
+          {"promoted", "yes (" + FormatNumber(promote_seconds, 4) + "s)"});
+      table.AddRowCells({"users", std::to_string(promoted->num_users())});
+      table.AddRowCells({"horizon", std::to_string(promoted->horizon())});
     }
     out << table.ToAlignedString();
   }
 
   // The drill's last act: the promoted replica starts serving clients.
-  if (promoted != nullptr && flags.count("listen") > 0) {
+  if (promoted != nullptr && flags.Has("listen")) {
     net::NetServerOptions net_options;
-    TCDP_ASSIGN_OR_RETURN(net_options.port, FlagAsPort(flags, "listen", true));
-    net_options.host = FlagOr(flags, "host", net_options.host);
+    net_options.port = flags.Port("listen");
+    net_options.host = flags.Str("host");
     TCDP_ASSIGN_OR_RETURN(
         auto net_server, net::NetServer::Listen(promoted.get(), net_options));
-    TCDP_RETURN_IF_ERROR(WritePortFile(flags, "port-file", net_server->port()));
-    if (!json) {
-      out << "promoted primary listening on " << net_options.host << ":"
-          << net_server->port() << "\n";
-      out.flush();
-    }
+    TCDP_RETURN_IF_ERROR(AnnouncePort(flags, "port-file", net_server->port(),
+                                      "promoted primary listening", json,
+                                      out));
     TCDP_RETURN_IF_ERROR(net_server->Serve());
     TCDP_RETURN_IF_ERROR(promoted->Flush());
   }
@@ -1773,43 +1640,37 @@ Status CmdFollow(const Flags& flags, std::ostream& out) {
 /// clear, lookup, endpoints, distribution, serve); each journals
 /// before it applies when --journal is set.
 Status CmdRoute(const Flags& flags, std::ostream& out) {
-  const std::string journal = FlagOr(flags, "journal", "");
+  // Every check comes before Open: each verb journals as it runs.
+  if (flags.Has("migrate") && !flags.Has("to")) {
+    return Status::InvalidArgument("--migrate requires --to ENDPOINT");
+  }
   TCDP_ASSIGN_OR_RETURN(
-      std::size_t virtual_nodes,
-      FlagAsSize(flags, "virtual-nodes", std::size_t{64}));
-  TCDP_ASSIGN_OR_RETURN(auto table,
-                        replication::RouterTable::Open(journal,
-                                                       virtual_nodes));
-  if (flags.count("add") > 0) {
-    TCDP_RETURN_IF_ERROR(table->AddEndpoint(flags.at("add")));
-    out << "added " << flags.at("add") << "\n";
+      auto table, replication::RouterTable::Open(
+                      flags.Str("journal"), flags.Size("virtual-nodes")));
+  if (flags.Has("add")) {
+    TCDP_RETURN_IF_ERROR(table->AddEndpoint(flags.Str("add")));
+    out << "added " << flags.Str("add") << "\n";
   }
-  if (flags.count("remove") > 0) {
-    TCDP_RETURN_IF_ERROR(table->RemoveEndpoint(flags.at("remove")));
-    out << "removed " << flags.at("remove") << "\n";
+  if (flags.Has("remove")) {
+    TCDP_RETURN_IF_ERROR(table->RemoveEndpoint(flags.Str("remove")));
+    out << "removed " << flags.Str("remove") << "\n";
   }
-  if (flags.count("migrate") > 0) {
-    const auto to_it = flags.find("to");
-    if (to_it == flags.end()) {
-      return Status::InvalidArgument("--migrate requires --to ENDPOINT");
-    }
+  if (flags.Has("migrate")) {
     TCDP_RETURN_IF_ERROR(
-        table->MigrateUser(flags.at("migrate"), to_it->second));
-    out << "pinned " << flags.at("migrate") << " -> " << to_it->second
+        table->MigrateUser(flags.Str("migrate"), flags.Str("to")));
+    out << "pinned " << flags.Str("migrate") << " -> " << flags.Str("to")
         << "\n";
   }
-  if (flags.count("clear") > 0) {
-    TCDP_RETURN_IF_ERROR(table->MigrateUser(flags.at("clear"), ""));
-    out << "cleared pin for " << flags.at("clear") << "\n";
+  if (flags.Has("clear")) {
+    TCDP_RETURN_IF_ERROR(table->MigrateUser(flags.Str("clear"), ""));
+    out << "cleared pin for " << flags.Str("clear") << "\n";
   }
-  if (flags.count("lookup") > 0) {
+  if (flags.Has("lookup")) {
     TCDP_ASSIGN_OR_RETURN(std::string endpoint,
-                          table->Lookup(flags.at("lookup")));
-    out << flags.at("lookup") << " -> " << endpoint << "\n";
+                          table->Lookup(flags.Str("lookup")));
+    out << flags.Str("lookup") << " -> " << endpoint << "\n";
   }
-  TCDP_ASSIGN_OR_RETURN(const std::size_t endpoints,
-                        FlagAsSize(flags, "endpoints", std::size_t{0}));
-  if (endpoints != 0) {
+  if (flags.On("endpoints")) {
     const replication::RouterTableStats stats = table->stats();
     out << stats.endpoints << " endpoints, " << stats.pins << " pins, "
         << stats.journal_records << " journal records\n";
@@ -1817,11 +1678,10 @@ Status CmdRoute(const Flags& flags, std::ostream& out) {
       out << "  " << endpoint << "\n";
     }
   }
-  if (flags.count("distribution") > 0) {
+  if (flags.Has("distribution")) {
     // Synthesize N users and count placements per endpoint: run it
     // before and after an --add to see that only ~1/N of them moved.
-    TCDP_ASSIGN_OR_RETURN(std::size_t users,
-                          FlagAsSize(flags, "distribution"));
+    const std::size_t users = flags.Size("distribution");
     std::map<std::string, std::size_t> counts;
     for (std::size_t i = 0; i < users; ++i) {
       TCDP_ASSIGN_OR_RETURN(std::string endpoint,
@@ -1837,18 +1697,15 @@ Status CmdRoute(const Flags& flags, std::ostream& out) {
     }
     out << dist.ToAlignedString();
   }
-  if (flags.count("serve") > 0) {
+  if (flags.Has("serve")) {
     replication::RouterServerOptions server_options;
-    TCDP_ASSIGN_OR_RETURN(server_options.port,
-                          FlagAsPort(flags, "serve", true));
-    server_options.host = FlagOr(flags, "host", server_options.host);
+    server_options.port = flags.Port("serve");
+    server_options.host = flags.Str("host");
     TCDP_ASSIGN_OR_RETURN(
         auto server,
         replication::RouterServer::Listen(table.get(), server_options));
-    TCDP_RETURN_IF_ERROR(WritePortFile(flags, "port-file", server->port()));
-    out << "router listening on " << server_options.host << ":"
-        << server->port() << "\n";
-    out.flush();
+    TCDP_RETURN_IF_ERROR(AnnouncePort(flags, "port-file", server->port(),
+                                      "router listening", false, out));
     TCDP_RETURN_IF_ERROR(server->Serve());
   }
   return Status::OK();
@@ -1856,31 +1713,19 @@ Status CmdRoute(const Flags& flags, std::ostream& out) {
 
 Status CmdBench(const Flags& flags, std::ostream& out) {
   bench::RunOptions options;
-  options.smoke = flags.count("smoke") > 0;
-  const bool list = flags.count("list") > 0;
-  const std::vector<std::string> suites =
-      SplitCommas(FlagOr(flags, "suite", ""));
-  const std::string compare_path = FlagOr(flags, "compare", "");
-  const std::string json_path = FlagOr(flags, "json", "");
-  TCDP_ASSIGN_OR_RETURN(options.repetitions,
-                        FlagAsSize(flags, "reps", options.repetitions));
-  double noise = 0.15;
-  if (flags.count("noise") > 0) {
-    TCDP_ASSIGN_OR_RETURN(noise, FlagAsDouble(flags, "noise"));
-    // A NaN or infinite band would never flag a regression.
-    if (!(noise >= 0.0 && std::isfinite(noise))) {
-      return Status::InvalidArgument("--noise must be finite and >= 0");
-    }
-  }
-  if (flags.count("kernels") > 0) {
+  options.smoke = flags.On("smoke");
+  options.repetitions = flags.Size("reps");
+  const std::string compare_path = flags.Str("compare");
+  const std::string json_path = flags.Str("json");
+  if (flags.Has("kernels")) {
     TCDP_ASSIGN_OR_RETURN(const TcdpKernelMode mode,
-                          kernels::ParseKernelMode(flags.at("kernels")));
+                          kernels::ParseKernelMode(flags.Str("kernels")));
     kernels::SetKernelMode(mode);
   }
 
   bench::Harness harness;
   bench::RegisterAllSuites(&harness);
-  if (list) {
+  if (flags.On("list")) {
     Table table({"suite", "description"});
     for (const std::string& name : harness.SuiteNames()) {
       table.AddRowCells({name, harness.FindSpec(name)->description});
@@ -1890,7 +1735,8 @@ Status CmdBench(const Flags& flags, std::ostream& out) {
   }
 
   TCDP_ASSIGN_OR_RETURN(const bench::BenchReport report,
-                        harness.Run(options, suites, out));
+                        harness.Run(options, Split(flags.Str("suite"), ","),
+                                    out));
   if (!json_path.empty()) {
     const bench::Json json = bench::ReportToJson(report);
     TCDP_RETURN_IF_ERROR(bench::ValidateReportJson(json));
@@ -1918,7 +1764,7 @@ Status CmdBench(const Flags& flags, std::ostream& out) {
     TCDP_ASSIGN_OR_RETURN(const bench::BenchReport baseline,
                           bench::ReportFromJson(parsed));
     bench::CompareOptions compare_options;
-    compare_options.default_noise_frac = noise;
+    compare_options.default_noise_frac = flags.Double("noise");
     const bench::CompareResult diff =
         bench::CompareReports(report, baseline, compare_options);
     out << "\n=== baseline comparison (" << compare_path << ")\n"
@@ -1931,167 +1777,222 @@ Status CmdBench(const Flags& flags, std::ostream& out) {
   return result;
 }
 
-/// One CLI verb and every flag it accepts; ParseFlags refuses the rest.
-struct Command {
-  const char* name;
-  Status (*run)(const Flags&, std::ostream&);
-  FlagSpec flags;
-};
-
+/// The one place a verb's flags are declared: ParseFlags converts and
+/// checks against it, and HelpText prints it.
 const std::vector<Command>& Commands() {
+  using K = Kind;
+  constexpr FlagDef matrix = {"matrix", K::kString, nullptr, "M.csv"};
+  constexpr FlagDef backward = {"backward", K::kString, nullptr, "B.csv"};
+  constexpr FlagDef forward = {"forward", K::kString, nullptr, "F.csv"};
+  constexpr FlagDef json = {"json", K::kChoice, nullptr, "-"};
+  constexpr FlagDef host = {"host", K::kString, "127.0.0.1", "H"};
+  constexpr FlagDef port = {"port", K::kPort, kRequired, "PORT"};
+  constexpr FlagDef port_file = {"port-file", K::kString, nullptr, "P"};
   static const std::vector<Command> commands = {
       {"quantify",
        CmdQuantify,
-       {{"matrix", "backward", "forward", "epsilon", "horizon", "schedule"}}},
-      {"supremum", CmdSupremum, {{"matrix", "backward", "forward", "epsilon"}}},
+       "BPL/FPL/TPL timeline of a release sequence (Eq. 13/15)",
+       {matrix,
+        backward,
+        forward,
+        {"epsilon", K::kPositive, nullptr, "E"},
+        {"horizon", K::kCount, nullptr, "T"},
+        {"schedule", K::kPositiveList, nullptr, "e1,e2,..."}}},
+      {"supremum",
+       CmdSupremum,
+       "Theorem 5 leakage supremum under a uniform budget",
+       {matrix, backward, forward, {"epsilon", K::kPositive, kRequired, "E"}}},
       {"allocate",
        CmdAllocate,
-       {{"matrix", "backward", "forward", "alpha", "horizon", "strategy"}}},
+       "alpha-DP_T budget schedule (Algorithms 2/3) with its audit",
+       {matrix,
+        backward,
+        forward,
+        {"alpha", K::kPositive, kRequired, "A"},
+        {"horizon", K::kSize, kRequired, "T"},
+        {"strategy", K::kChoice, "quantified",
+         "quantified|upper-bound|group"}}},
       {"estimate",
        CmdEstimate,
-       {{"trajectories", "states", "order", "smoothing", "out",
-         "backward-out"}}},
+       "correlation MLE from trajectories (--states 0 infers n)",
+       {{"trajectories", K::kString, kRequired, "T.csv"},
+        {"states", K::kSize, "0", "n"},
+        {"order", K::kCount, "1", "k"},
+        {"smoothing", K::kNonNegative, nullptr, "s"},
+        {"out", K::kString, nullptr, "F.csv"},
+        {"backward-out", K::kString, nullptr, "B.csv"}}},
       {"fleet",
        CmdFleet,
-       {{"users", "horizon", "epsilon", "pages", "groups", "threads", "cache",
-         "sparsity", "seed", "json"}}},
+       "synthetic clickstream fleet through the accountant bank",
+       {{"users", K::kCount, "1000", "N"},
+        {"horizon", K::kCount, "20", "T"},
+        {"epsilon", K::kPositive, "0.1", "E"},
+        {"pages", K::kSize, "16", "n"},
+        {"groups", K::kCount, "4", "g"},
+        {"threads", K::kSize, "0", "k"},
+        {"cache", K::kChoice, "on", "on|off"},
+        {"sparsity", K::kFraction, "0", "s"},
+        {"seed", K::kSize, "42", "r"},
+        json}},
       {"serve",
        CmdServe,
-       {{"script", "log-dir", "shards", "batch-window", "snapshot-every",
-         "sync-every", "auto-compact", "compact-bytes", "compact-records",
-         "threads-per-shard", "kernels", "listen", "host", "port-file",
-         "json", "repl-listen", "repl-port-file", "no-metrics",
-         "metrics-json", "metrics-prom", "metrics-interval-ms", "trace-out",
-         "trace-capacity", "watchdog-interval-ms", "stall-ticks", "diag-dir",
-         "diag-keep"}}},
+       "sharded release service: script, durable WALs, wire protocol",
+       {{"script", K::kString, nullptr, "S.txt"},
+        {"log-dir", K::kString, nullptr, "D"},
+        {"shards", K::kCount, "2", "N"},
+        {"batch-window", K::kCount, "16", "W"},
+        {"snapshot-every", K::kSize, "0", "K"},
+        {"sync-every", K::kSize, "0", "Y"},
+        {"auto-compact", K::kBool, "0", "0|1"},
+        {"compact-bytes", K::kSize, "0", "B"},
+        {"compact-records", K::kSize, "0", "R"},
+        {"threads-per-shard", K::kSize, "1", "K"},
+        {"kernels", K::kChoice, "auto", "scalar|auto"},
+        {"listen", K::kPortOrZero, nullptr, "PORT"},
+        host,
+        port_file,
+        json,
+        {"repl-listen", K::kPortOrZero, nullptr, "PORT"},
+        {"repl-port-file", K::kString, nullptr, "P"},
+        {"no-metrics", K::kBool, "0", "0|1"},
+        {"metrics-json", K::kString, nullptr, "F"},
+        {"metrics-prom", K::kString, nullptr, "F"},
+        {"metrics-interval-ms", K::kSize, "1000", "MS"},
+        {"trace-out", K::kString, nullptr, "F"},
+        {"trace-capacity", K::kSize, "8192", "N"},
+        {"watchdog-interval-ms", K::kSize, "1000", "MS"},
+        {"stall-ticks", K::kSize, "3", "N"},
+        {"diag-dir", K::kString, nullptr, "D"},
+        {"diag-keep", K::kSize, "8", "K"}}},
       {"follow",
        CmdFollow,
-       {{"primary-port", "primary-host", "log-dir", "reconnect", "promote",
-         "listen", "port-file", "host", "json"}}},
+       "replica of a --repl-listen stream; --promote 1 fails over",
+       {{"primary-port", K::kPort, kRequired, "PORT"},
+        {"primary-host", K::kString, "127.0.0.1", "H"},
+        {"log-dir", K::kString, kRequired, "D"},
+        {"reconnect", K::kBool, nullptr, "0|1"},
+        {"promote", K::kBool, "0", "0|1"},
+        {"listen", K::kPortOrZero, nullptr, "PORT"},
+        port_file,
+        host,
+        json}},
       {"route",
        CmdRoute,
-       {{"journal", "virtual-nodes", "add", "remove", "migrate", "to", "clear",
-         "lookup", "endpoints", "distribution", "serve", "port-file",
-         "host"}}},
+       "user -> server placement; the flags run in the order listed",
+       {{"journal", K::kString, nullptr, "F"},
+        {"virtual-nodes", K::kSize, "64", "N"},
+        {"add", K::kString, nullptr, "H:P"},
+        {"remove", K::kString, nullptr, "H:P"},
+        {"migrate", K::kString, nullptr, "U"},
+        {"to", K::kString, nullptr, "H:P"},
+        {"clear", K::kString, nullptr, "U"},
+        {"lookup", K::kString, nullptr, "U"},
+        {"endpoints", K::kBool, "0", "0|1"},
+        {"distribution", K::kSize, nullptr, "N"},
+        {"serve", K::kPortOrZero, nullptr, "PORT"},
+        port_file,
+        host}},
       {"client",
        CmdClient,
-       {{"port", "script", "host", "pipeline", "shutdown", "json"}}},
+       "replay a serve script against a server over the wire",
+       {port,
+        {"script", K::kString, kRequired, "S.txt"},
+        host,
+        {"pipeline", K::kSize, "8", "N"},
+        {"shutdown", K::kBool, "0", "0|1"},
+        json}},
       {"stats",
        CmdStats,
-       {{"port", "host", "json", "trace-dump", "watch", "count"}}},
-      {"health", CmdHealth, {{"port", "host", "ready", "json"}}},
-      {"top", CmdTop, {{"port", "host", "interval-ms", "count"}}},
-      {"replay", CmdReplay, {{"log-dir", "verify", "json"}}},
-      {"compact", CmdCompact, {{"log-dir", "json"}}},
+       "scrape a live server's metrics (--watch N: rates every N s)",
+       {port,
+        host,
+        json,
+        {"trace-dump", K::kBool, "0", "0|1"},
+        {"watch", K::kSize, "0", "N"},
+        {"count", K::kSize, "3", "M"}}},
+      {"health",
+       CmdHealth,
+       "probe a server's watchdog verdict; exits nonzero if false",
+       {port, host, {"ready", K::kBool, "0", "0|1"}, json}},
+      {"top",
+       CmdTop,
+       "live dashboard; without --count it refreshes only on a TTY",
+       {port,
+        host,
+        {"interval-ms", K::kCount, "1000", "MS"},
+        {"count", K::kSize, nullptr, "M"}}},
+      {"replay",
+       CmdReplay,
+       "recover a log dir; --verify 1 checks every user bitwise",
+       {{"log-dir", K::kString, kRequired, "D"},
+        {"verify", K::kBool, "0", "0|1"},
+        json}},
+      {"compact",
+       CmdCompact,
+       "recover a log dir and rewrite each WAL to anchor + suffix",
+       {{"log-dir", K::kString, kRequired, "D"}, json}},
       {"bench",
        CmdBench,
-       {{"suite", "json", "compare", "reps", "noise", "kernels"},
-        {"smoke", "list"}}},
+       "benchmark suites, gates and a diff against a baseline",
+       {{"suite", K::kString, nullptr, "a,b"},
+        {"smoke", K::kSwitch, nullptr, ""},
+        {"list", K::kSwitch, nullptr, ""},
+        {"json", K::kString, nullptr, "out.json"},
+        {"compare", K::kString, nullptr, "baseline.json"},
+        {"reps", K::kSize, "0", "N"},
+        {"noise", K::kNonNegative, "0.15", "F"},
+        {"kernels", K::kChoice, nullptr, "scalar|auto"}}},
   };
   return commands;
+}
+
+/// Help lines: the usage column and the line width.
+constexpr std::size_t kHelpIndent = 13;
+constexpr std::size_t kHelpWidth = 76;
+
+/// `--name META` if required, else `[--name META=default]`.
+std::string Usage(const FlagDef& flag) {
+  std::string usage = std::string("--") + flag.name;
+  if (flag.kind != Kind::kSwitch) usage += std::string(" ") + flag.metavar;
+  if (flag.fallback == kRequired) return usage;
+  if (flag.fallback != nullptr) usage += std::string("=") + flag.fallback;
+  return "[" + usage + "]";
 }
 
 }  // namespace
 
 std::string HelpText() {
-  return
+  std::string text =
       "tcdp — temporal-correlation-aware differential privacy toolkit\n"
       "\n"
       "usage: tcdp <command> [--flag value]...\n"
       "Each command accepts only the flags listed for it, each at most\n"
-      "once; a 0|1 flag reads 0 as off.\n"
+      "once, and checks every value before it starts; a 0|1 flag takes\n"
+      "only 0 or 1. [--flag V=D] defaults to D.\n"
       "\n"
-      "commands:\n"
-      "  quantify   BPL/FPL/TPL timeline of a release sequence\n"
-      "             --matrix M.csv | --backward B.csv | --forward F.csv\n"
-      "             --epsilon E --horizon T | --schedule \"e1,e2,...\"\n"
-      "  supremum   Theorem 5 leakage supremum under a uniform budget\n"
-      "             --matrix M.csv --epsilon E\n"
-      "  allocate   alpha-DP_T budget schedule (Algorithms 2/3)\n"
-      "             --matrix M.csv --alpha A --horizon T\n"
-      "             [--strategy quantified|upper-bound|group]\n"
-      "  estimate   correlation MLE from trajectories\n"
-      "             --trajectories T.csv [--states n] [--order k]\n"
-      "             [--smoothing s] [--out F.csv] [--backward-out B.csv]\n"
-      "  fleet      multi-user clickstream replay through the cohort-\n"
-      "             batched SoA accountant bank (shared loss cache +\n"
-      "             thread pool)\n"
-      "             [--users N] [--horizon T] [--epsilon E] [--pages n]\n"
-      "             [--groups g] [--threads k] [--cache on|off]\n"
-      "             [--sparsity s] [--seed r] [--json -]\n"
-      "  serve      sharded release service driven by a scripted request\n"
-      "             stream (join/release/flush/snapshot/compact/query\n"
-      "             commands), micro-batched, durable when --log-dir is\n"
-      "             given; --listen adds the binary wire protocol on a\n"
-      "             TCP port (script becomes an optional preload)\n"
-      "             --script S.txt [--log-dir D] [--shards N]\n"
-      "             [--batch-window W] [--snapshot-every K]\n"
-      "             [--sync-every Y] [--auto-compact 1]\n"
-      "             [--compact-bytes B] [--compact-records R]\n"
-      "             [--threads-per-shard K] [--kernels scalar|auto]\n"
-      "             [--listen PORT] [--host H] [--port-file P] [--json -]\n"
-      "             [--repl-listen PORT] [--repl-port-file P]\n"
-      "             [--no-metrics 1] [--metrics-json F] [--metrics-prom F]\n"
-      "             [--metrics-interval-ms MS] [--trace-out F]\n"
-      "             [--trace-capacity N] [--watchdog-interval-ms MS]\n"
-      "             [--stall-ticks N] [--diag-dir D] [--diag-keep K]\n"
-      "  follow     run a replica: subscribe to a primary's --repl-listen\n"
-      "             WAL stream, keep a byte-identical local log dir, ack\n"
-      "             durable horizons; --promote 1 recovers the replica\n"
-      "             into a serving primary when the stream ends (the\n"
-      "             failover drill; see docs/REPLICATION.md)\n"
-      "             --primary-port PORT --log-dir D [--primary-host H]\n"
-      "             [--reconnect 0|1] [--promote 1] [--listen PORT]\n"
-      "             [--port-file P] [--host H] [--json -]\n"
-      "  route      user -> shard-server placement (consistent hashing +\n"
-      "             journaled migration pins); flags are verbs\n"
-      "             [--journal F] [--virtual-nodes N] [--add H:P]\n"
-      "             [--remove H:P] [--migrate U --to H:P] [--clear U]\n"
-      "             [--lookup U] [--endpoints 1] [--distribution N]\n"
-      "             [--serve PORT] [--port-file P] [--host H]\n"
-      "  client     replay a serve script against a remote server over\n"
-      "             the wire protocol (pipelined; see docs/PROTOCOL.md)\n"
-      "             --port PORT --script S.txt [--host H]\n"
-      "             [--pipeline N] [--shutdown 1] [--json -]\n"
-      "  stats      scrape a live server's metrics over the wire (tick\n"
-      "             and WAL latency histograms, queue gauges, cache\n"
-      "             counters); --trace-dump 1 also asks the server to\n"
-      "             write its span ring to its --trace-out path;\n"
-      "             --watch N re-scrapes every N seconds and prints\n"
-      "             per-interval rates (--count M intervals)\n"
-      "             --port PORT [--host H] [--json -] [--trace-dump 1]\n"
-      "             [--watch N] [--count M]\n"
-      "  health     probe a live server's kHealth/kReady endpoint (the\n"
-      "             watchdog's verdict + per-component heartbeat ages);\n"
-      "             exits nonzero when the probed bit is false\n"
-      "             --port PORT [--host H] [--ready 1] [--json -]\n"
-      "  top        live dashboard over kMetrics/kStats: request and WAL\n"
-      "             throughput, cache hit ratio, net latency quantiles,\n"
-      "             per-shard queue bars; refreshes on a TTY, single\n"
-      "             rate table otherwise\n"
-      "             --port PORT [--host H] [--interval-ms MS] [--count M]\n"
-      "  replay     recover a service from its log dir; --verify 1\n"
-      "             replays every user's exported accountant blob and\n"
-      "             checks the recovered series bitwise\n"
-      "             --log-dir D [--verify 1] [--json -]\n"
-      "  compact    recover a service, then rewrite every shard WAL to\n"
-      "             its snapshot anchor + suffix (crash-safe tmp+rename;\n"
-      "             see docs/DURABILITY.md) and report the disk savings\n"
-      "             --log-dir D [--json -]\n"
-      "  bench      unified benchmark harness: run the registered suites\n"
-      "             (fleet/shard/net throughput, fig3-fig8 + table2 paper\n"
-      "             reproductions, wevent, ablation), evaluate their\n"
-      "             acceptance gates, emit one BENCH.json and optionally\n"
-      "             diff it against a committed baseline (exit nonzero on\n"
-      "             any gate or regression failure; docs/BENCHMARKING.md)\n"
-      "             [--suite a,b] [--smoke] [--list] [--json out.json]\n"
-      "             [--compare baseline.json] [--reps N] [--noise F]\n"
-      "             [--kernels scalar|auto]\n"
-      "  help       this text\n"
-      "\n"
-      "file formats: matrices are one row per line (comma/space separated\n"
-      "probabilities); trajectories are one user per line (state indices).\n"
-      "Lines starting with '#' are comments.\n";
+      "commands:\n";
+  for (const Command& command : Commands()) {
+    std::string line = "  " + std::string(command.name);
+    line.resize(kHelpIndent, ' ');
+    text += line + command.summary + "\n";
+    line = std::string(kHelpIndent, ' ');
+    for (const FlagDef& flag : command.flags) {
+      const std::string usage = Usage(flag);
+      if (line.size() > kHelpIndent &&
+          line.size() + 1 + usage.size() > kHelpWidth) {
+        text += line + "\n";
+        line = std::string(kHelpIndent, ' ');
+      }
+      line += (line.size() > kHelpIndent ? " " : "") + usage;
+    }
+    text += line + "\n";
+  }
+  return text +
+         "  help       this text\n"
+         "\n"
+         "file formats: matrices are one row per line (comma/space\n"
+         "separated probabilities); trajectories are one user per line\n"
+         "(state indices). Lines starting with '#' are comments.\n";
 }
 
 Status Run(const std::vector<std::string>& args, std::ostream& out) {
@@ -2101,7 +2002,7 @@ Status Run(const std::vector<std::string>& args, std::ostream& out) {
   }
   for (const Command& command : Commands()) {
     if (args[0] != command.name) continue;
-    TCDP_ASSIGN_OR_RETURN(const Flags flags, ParseFlags(args, command.flags));
+    TCDP_ASSIGN_OR_RETURN(const Flags flags, ParseFlags(args, command));
     return command.run(flags, out);
   }
   return Status::InvalidArgument("unknown command '" + args[0] +
