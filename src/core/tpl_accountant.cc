@@ -1,9 +1,12 @@
 #include "core/tpl_accountant.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <numeric>
-#include <sstream>
+#include <string_view>
 
 #include "core/loss_cache.h"
 #include "markov/io.h"
@@ -151,96 +154,217 @@ StatusOr<double> TplAccountant::MaxWindowTpl(std::size_t w) const {
   return best;
 }
 
+namespace {
+
+constexpr std::string_view kImageV1 = "tcdp-accountant-v1";
+constexpr std::string_view kImageV2 = "tcdp-accountant-v2";
+
+/// Reads an image token by token with the semantics of the
+/// `std::istream` extractions it replaced (C locale), so the accepted
+/// grammar is unchanged: Word, Size and Double first skip isspace bytes
+/// (space, \t, \n, \v, \f, \r) and fail if nothing is left; Skip drops
+/// one byte, whatever it is (`istream::ignore()`).
+class ImageScanner {
+ public:
+  explicit ImageScanner(std::string_view text) : text_(text) {}
+
+  /// `std::getline`: the bytes up to the next '\n', which is consumed.
+  bool Line(std::string_view* line) {
+    if (pos_ == text_.size()) return false;
+    const std::size_t eol = std::min(text_.find('\n', pos_), text_.size());
+    *line = text_.substr(pos_, eol - pos_);
+    pos_ = std::min(eol + 1, text_.size());
+    return true;
+  }
+
+  /// \p count Line()s, returned as the one span of text they cover.
+  bool Lines(std::size_t count, std::string_view* block) {
+    const std::size_t begin = pos_;
+    std::string_view line;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (!Line(&line)) return false;
+    }
+    *block = text_.substr(begin, pos_ - begin);
+    return true;
+  }
+
+  /// `in >> std::string`: a run of non-space bytes.
+  bool Word(std::string_view* word) {
+    if (!SkipSpace()) return false;
+    const std::size_t begin = pos_;
+    while (pos_ < text_.size() && !IsSpace(text_[pos_])) ++pos_;
+    *word = text_.substr(begin, pos_ - begin);
+    return true;
+  }
+
+  /// `in >> std::size_t`: an optional sign and decimal digits. A value
+  /// past SIZE_MAX fails; a '-' wraps modulo 2^64, as num_get does.
+  bool Size(std::size_t* value) {
+    if (!SkipSpace()) return false;
+    const bool negative = text_[pos_] == '-';
+    if (negative || text_[pos_] == '+') ++pos_;
+    const std::size_t digits = pos_;
+    std::size_t result = 0;
+    bool overflow = false;
+    for (; pos_ < text_.size() && IsDigit(text_[pos_]); ++pos_) {
+      const std::size_t digit = static_cast<std::size_t>(text_[pos_] - '0');
+      overflow = overflow || result > (SIZE_MAX - digit) / 10;
+      result = result * 10 + digit;
+    }
+    if (pos_ == digits || overflow) return false;
+    *value = negative ? 0 - result : result;
+    return true;
+  }
+
+  /// `in >> double`: num_get's token — sign, digits with at most one
+  /// '.', then 'e'/'E' (after a digit), a sign and digits — converted
+  /// as strtod does. Overflow fails; underflow reads as strtod's
+  /// result (0 or a subnormal).
+  bool Double(double* value) {
+    if (!SkipSpace()) return false;
+    const std::size_t begin = pos_;
+    if (text_[pos_] == '+' || text_[pos_] == '-') ++pos_;
+    bool mantissa = false;
+    bool point = false;
+    bool exponent = false;
+    while (pos_ < text_.size()) {
+      const char ch = text_[pos_];
+      if (IsDigit(ch)) {
+        mantissa = true;
+      } else if (ch == '.' && !point && !exponent) {
+        point = true;
+      } else if ((ch == 'e' || ch == 'E') && mantissa && !exponent) {
+        exponent = true;
+        if (pos_ + 1 < text_.size() &&
+            (text_[pos_ + 1] == '+' || text_[pos_ + 1] == '-')) {
+          ++pos_;
+        }
+      } else {
+        break;
+      }
+      ++pos_;
+    }
+    const std::string_view token = text_.substr(begin, pos_ - begin);
+    const char* last = token.data() + token.size();
+    const std::from_chars_result fast =
+        std::from_chars(token.data(), last, *value);
+    if (fast.ec == std::errc() && fast.ptr == last) return true;
+    // Out of range, or not a whole number ("1e", "."): strtod decides.
+    const std::string copy(token);
+    char* end = nullptr;
+    *value = std::strtod(copy.c_str(), &end);
+    return !copy.empty() && *end == '\0' && !std::isinf(*value);
+  }
+
+  /// `in.ignore()`.
+  void Skip() { pos_ = std::min(pos_ + 1, text_.size()); }
+
+ private:
+  static bool IsSpace(char ch) {
+    return ch == ' ' || (ch >= '\t' && ch <= '\r');
+  }
+  static bool IsDigit(char ch) { return ch >= '0' && ch <= '9'; }
+
+  /// The istream sentry: skip spaces; fail if nothing is left.
+  bool SkipSpace() {
+    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
+    return pos_ < text_.size();
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
+}  // namespace
+
 std::string SerializeAccountantImage(const AccountantImage& image) {
   const TemporalCorrelations& corr = image.correlations;
-  std::ostringstream out;
-  out << "tcdp-accountant-v2\n";
-  out.precision(17);
-  out << "quantization " << image.cache_alpha_resolution << "\n";
-  out << "backward " << (corr.has_backward() ? corr.backward().size() : 0)
-      << "\n";
-  if (corr.has_backward()) {
-    out << SerializeStochasticMatrix(corr.backward());
+  const std::size_t nb = corr.has_backward() ? corr.backward().size() : 0;
+  const std::size_t nf = corr.has_forward() ? corr.forward().size() : 0;
+  std::string out;
+  out.reserve(96 + 25 * (nb * nb + nf * nf + image.epsilons.size()));
+  out += kImageV2;
+  out += "\nquantization ";
+  AppendDouble(&out, image.cache_alpha_resolution);
+  out += "\nbackward ";
+  out += std::to_string(nb);
+  out += '\n';
+  if (corr.has_backward()) AppendStochasticMatrix(&out, corr.backward());
+  out += "forward ";
+  out += std::to_string(nf);
+  out += '\n';
+  if (corr.has_forward()) AppendStochasticMatrix(&out, corr.forward());
+  out += "epsilons ";
+  out += std::to_string(image.epsilons.size());
+  out += '\n';
+  for (double e : image.epsilons) {
+    AppendDouble(&out, e);
+    out += '\n';
   }
-  out << "forward " << (corr.has_forward() ? corr.forward().size() : 0)
-      << "\n";
-  if (corr.has_forward()) {
-    out << SerializeStochasticMatrix(corr.forward());
-  }
-  out << "epsilons " << image.epsilons.size() << "\n";
-  out.precision(17);
-  for (double e : image.epsilons) out << e << "\n";
-  return out.str();
+  return out;
 }
 
-StatusOr<AccountantImage> ParseAccountantImage(const std::string& text) {
-  std::istringstream in(text);
-  std::string header;
-  if (!std::getline(in, header) ||
-      (header != "tcdp-accountant-v1" && header != "tcdp-accountant-v2")) {
+StatusOr<AccountantImage> ParseAccountantImage(std::string_view text) {
+  ImageScanner in(text);
+  std::string_view header;
+  if (!in.Line(&header) || (header != kImageV1 && header != kImageV2)) {
     return Status::InvalidArgument(
         "ParseAccountantImage: bad header (expected tcdp-accountant-v1 or "
         "tcdp-accountant-v2)");
   }
   AccountantImage image;
   // v1 predates cached accounting: always restores direct evaluators.
-  if (header == "tcdp-accountant-v2") {
-    std::string word;
-    if (!(in >> word >> image.cache_alpha_resolution) ||
+  if (header == kImageV2) {
+    std::string_view word;
+    if (!in.Word(&word) || !in.Double(&image.cache_alpha_resolution) ||
         word != "quantization" ||
         !std::isfinite(image.cache_alpha_resolution)) {
       return Status::InvalidArgument(
           "ParseAccountantImage: expected 'quantization <step>'");
     }
-    in.ignore();  // trailing newline
+    in.Skip();  // trailing newline
   }
   using OptionalMatrix = std::optional<StochasticMatrix>;
   auto read_matrix =
-      [&](const std::string& keyword) -> StatusOr<OptionalMatrix> {
-    std::string word;
+      [&](std::string_view keyword) -> StatusOr<OptionalMatrix> {
+    std::string_view word;
     std::size_t n = 0;
-    if (!(in >> word >> n) || word != keyword) {
-      return Status::InvalidArgument(
-          "ParseAccountantImage: expected '" + keyword + " <n>'");
+    if (!in.Word(&word) || !in.Size(&n) || word != keyword) {
+      return Status::InvalidArgument("ParseAccountantImage: expected '" +
+                                     std::string(keyword) + " <n>'");
     }
     // A corrupted count cannot exceed the bytes available to hold the
     // rows (>= 2 chars per row): bound it before any allocation.
     if (n > text.size()) {
       return Status::InvalidArgument(
-          "ParseAccountantImage: declared " + keyword + " size " +
-          std::to_string(n) + " exceeds the input");
+          "ParseAccountantImage: declared " + std::string(keyword) +
+          " size " + std::to_string(n) + " exceeds the input");
     }
-    in.ignore();  // trailing newline
-    if (n == 0) return std::optional<StochasticMatrix>{};
-    std::string block;
-    std::string line;
-    for (std::size_t r = 0; r < n; ++r) {
-      if (!std::getline(in, line)) {
-        return Status::InvalidArgument(
-            "ParseAccountantImage: truncated " + keyword + " matrix");
-      }
-      block += line;
-      block += '\n';
+    in.Skip();  // trailing newline
+    if (n == 0) return OptionalMatrix{};
+    std::string_view rows;
+    if (!in.Lines(n, &rows)) {
+      return Status::InvalidArgument("ParseAccountantImage: truncated " +
+                                     std::string(keyword) + " matrix");
     }
     // Exact parse: blobs are machine-written, and a forgiving
     // renormalization would shift entries by ULPs — the restored
     // series would drift off the live one.
-    TCDP_ASSIGN_OR_RETURN(StochasticMatrix m,
-                          ParseStochasticMatrixExact(block));
+    TCDP_ASSIGN_OR_RETURN(StochasticMatrix m, ParseStochasticMatrixExact(rows));
     if (m.size() != n) {
       return Status::InvalidArgument(
-          "ParseAccountantImage: " + keyword + " matrix size " +
+          "ParseAccountantImage: " + std::string(keyword) + " matrix size " +
           std::to_string(m.size()) + " != declared " + std::to_string(n));
     }
-    return std::optional<StochasticMatrix>{std::move(m)};
+    return OptionalMatrix{std::move(m)};
   };
 
   TCDP_ASSIGN_OR_RETURN(auto backward, read_matrix("backward"));
   TCDP_ASSIGN_OR_RETURN(auto forward, read_matrix("forward"));
 
-  std::string word;
+  std::string_view word;
   std::size_t count = 0;
-  if (!(in >> word >> count) || word != "epsilons") {
+  if (!in.Word(&word) || !in.Size(&count) || word != "epsilons") {
     return Status::InvalidArgument(
         "ParseAccountantImage: expected 'epsilons <count>'");
   }
@@ -254,7 +378,7 @@ StatusOr<AccountantImage> ParseAccountantImage(const std::string& text) {
   }
   image.epsilons.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
-    if (!(in >> image.epsilons[i])) {
+    if (!in.Double(&image.epsilons[i])) {
       return Status::InvalidArgument(
           "ParseAccountantImage: truncated epsilon list");
     }

@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -45,7 +46,7 @@ std::string SerializeAccountantImage(const AccountantImage& image);
 /// malformed matrices, element counts exceeding the input, non-finite
 /// or negative budgets) returns InvalidArgument — never asserts,
 /// allocates unboundedly, or reads past the text.
-StatusOr<AccountantImage> ParseAccountantImage(const std::string& text);
+StatusOr<AccountantImage> ParseAccountantImage(std::string_view text);
 
 /// \brief Tracks one user's BPL/FPL/TPL across an event-level release
 /// sequence, given that user's temporal correlations.

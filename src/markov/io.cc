@@ -1,34 +1,24 @@
 #include "markov/io.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "linalg/matrix.h"
 
 namespace tcdp {
 namespace {
 
-/// Splits a line on commas and whitespace, skipping empty fields.
-std::vector<std::string> SplitFields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string current;
-  for (char ch : line) {
-    if (ch == ',' || ch == ' ' || ch == '\t' || ch == '\r') {
-      if (!current.empty()) {
-        fields.push_back(current);
-        current.clear();
-      }
-    } else {
-      current.push_back(ch);
-    }
-  }
-  if (!current.empty()) fields.push_back(current);
-  return fields;
+bool IsFieldSeparator(char ch) {
+  return ch == ',' || ch == ' ' || ch == '\t' || ch == '\r';
 }
 
-bool IsCommentOrBlank(const std::string& line) {
+bool IsCommentOrBlank(std::string_view line) {
   for (char ch : line) {
     if (ch == '#') return true;
     if (ch != ' ' && ch != '\t' && ch != '\r') return false;
@@ -36,35 +26,76 @@ bool IsCommentOrBlank(const std::string& line) {
   return true;
 }
 
-StatusOr<double> ParseDouble(const std::string& field, std::size_t line_no) {
+/// Cuts the next line (without its '\n') off the front of \p rest.
+/// False once \p rest is empty; a last line without '\n' still counts.
+bool NextLine(std::string_view* rest, std::string_view* line) {
+  if (rest->empty()) return false;
+  const std::size_t eol = rest->find('\n');
+  *line = rest->substr(0, eol);
+  rest->remove_prefix(eol == std::string_view::npos ? rest->size() : eol + 1);
+  return true;
+}
+
+/// Cuts the next field off the front of \p rest, skipping separators.
+/// False when only separators are left.
+bool NextField(std::string_view* rest, std::string_view* field) {
+  std::size_t begin = 0;
+  while (begin < rest->size() && IsFieldSeparator((*rest)[begin])) ++begin;
+  if (begin == rest->size()) return false;
+  std::size_t end = begin;
+  while (end < rest->size() && !IsFieldSeparator((*rest)[end])) ++end;
+  *field = rest->substr(begin, end - begin);
+  rest->remove_prefix(end);
+  return true;
+}
+
+/// The matrix entry that starts at \p line[*at]; moves \p *at past it.
+/// The whole field must be a number that strtod reads, finite after
+/// rounding: overflow and underflow to 0 are refused, subnormals are
+/// kept (they round-trip through %.17g).
+StatusOr<double> ParseEntry(std::string_view line, std::size_t* at,
+                            std::size_t line_no) {
+  const char* first = line.data() + *at;
+  const char* last = line.data() + line.size();
+  double value = 0.0;
+  // from_chars consumes no separator, so stopping at one (or at the end
+  // of the line) means it read the whole field.
+  const std::from_chars_result fast = std::from_chars(first, last, value);
+  if (fast.ec == std::errc() &&
+      (fast.ptr == last || IsFieldSeparator(*fast.ptr))) {
+    *at = static_cast<std::size_t>(fast.ptr - line.data());
+    return value;
+  }
+  // What from_chars leaves over is strtod's wider grammar (a leading
+  // '+' or blank, hex floats) and out-of-range input: decide those as
+  // strtod does, on a NUL-terminated copy of the field.
+  std::size_t end = *at;
+  while (end < line.size() && !IsFieldSeparator(line[end])) ++end;
+  const std::string field(line.substr(*at, end - *at));
+  *at = end;
   errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(field.c_str(), &end);
-  if (end == field.c_str() || *end != '\0' || errno == ERANGE) {
+  char* stop = nullptr;
+  value = std::strtod(field.c_str(), &stop);
+  if (stop == field.c_str() || *stop != '\0' ||
+      (errno == ERANGE && (value == 0.0 || std::isinf(value)))) {
     return Status::InvalidArgument("line " + std::to_string(line_no) +
                                    ": cannot parse number '" + field + "'");
   }
   return value;
 }
 
-StatusOr<std::size_t> ParseIndex(const std::string& field,
-                                 std::size_t line_no) {
-  for (char ch : field) {
-    if (ch < '0' || ch > '9') {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": cannot parse state index '" + field +
-                                     "'");
-    }
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(field.c_str(), &end, 10);
-  if (end == field.c_str() || *end != '\0' || errno == ERANGE) {
+/// One state index: decimal digits only (no sign), within size_t.
+StatusOr<std::size_t> ParseIndex(std::string_view field, std::size_t line_no) {
+  std::size_t value = 0;
+  const char* last = field.data() + field.size();
+  const std::from_chars_result parsed =
+      std::from_chars(field.data(), last, value);
+  if (parsed.ec != std::errc() || parsed.ptr != last) {
     return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                   ": cannot parse state index '" + field +
-                                   "'");
+                                   ": cannot parse state index '" +
+                                   std::string(field) + "'");
   }
-  return static_cast<std::size_t>(value);
+  return value;
 }
 
 StatusOr<std::string> ReadFile(const std::string& path) {
@@ -89,64 +120,81 @@ Status WriteFile(const std::string& path, const std::string& content) {
   return Status::OK();
 }
 
-}  // namespace
-
-namespace {
-
-StatusOr<Matrix> ParseMatrixRows(const std::string& text) {
-  std::vector<std::vector<double>> rows;
-  std::istringstream stream(text);
-  std::string line;
+StatusOr<Matrix> ParseMatrixRows(std::string_view text) {
+  std::vector<double> values;
+  std::size_t rows = 0;
+  std::size_t cols = 0;
   std::size_t line_no = 0;
-  while (std::getline(stream, line)) {
+  std::string_view line;
+  while (NextLine(&text, &line)) {
     ++line_no;
     if (IsCommentOrBlank(line)) continue;
-    std::vector<double> row;
-    for (const std::string& field : SplitFields(line)) {
-      TCDP_ASSIGN_OR_RETURN(double v, ParseDouble(field, line_no));
-      row.push_back(v);
+    const std::size_t row_begin = values.size();
+    std::size_t at = 0;
+    while (true) {
+      while (at < line.size() && IsFieldSeparator(line[at])) ++at;
+      if (at == line.size()) break;
+      TCDP_ASSIGN_OR_RETURN(double v, ParseEntry(line, &at, line_no));
+      values.push_back(v);
     }
-    if (!rows.empty() && row.size() != rows.front().size()) {
+    const std::size_t width = values.size() - row_begin;
+    if (rows > 0 && width != cols) {
       return Status::InvalidArgument(
           "line " + std::to_string(line_no) + ": ragged row (got " +
-          std::to_string(row.size()) + " fields, expected " +
-          std::to_string(rows.front().size()) + ")");
+          std::to_string(width) + " fields, expected " +
+          std::to_string(cols) + ")");
     }
-    rows.push_back(std::move(row));
+    if (rows == 0) {
+      cols = width;
+      // Square is the common shape; the rest of the text bounds what a
+      // hostile first row can make this reserve.
+      values.reserve(std::min(width * width, width + text.size() / 2));
+    }
+    ++rows;
   }
-  if (rows.empty()) {
+  if (rows == 0) {
     return Status::InvalidArgument("matrix text contains no data rows");
   }
-  Matrix m(rows.size(), rows.front().size());
-  for (std::size_t r = 0; r < rows.size(); ++r) m.SetRow(r, rows[r]);
-  return m;
+  return Matrix::FromFlat(rows, cols, std::move(values));
 }
 
 }  // namespace
 
-StatusOr<StochasticMatrix> ParseStochasticMatrix(const std::string& text) {
+StatusOr<StochasticMatrix> ParseStochasticMatrix(std::string_view text) {
   TCDP_ASSIGN_OR_RETURN(Matrix m, ParseMatrixRows(text));
   return StochasticMatrix::Create(std::move(m));
 }
 
-StatusOr<StochasticMatrix> ParseStochasticMatrixExact(
-    const std::string& text) {
+StatusOr<StochasticMatrix> ParseStochasticMatrixExact(std::string_view text) {
   TCDP_ASSIGN_OR_RETURN(Matrix m, ParseMatrixRows(text));
   return StochasticMatrix::CreateExact(std::move(m));
 }
 
-std::string SerializeStochasticMatrix(const StochasticMatrix& matrix,
-                                      char separator) {
-  std::ostringstream out;
-  out.precision(17);
+void AppendDouble(std::string* out, double value) {
+  char buffer[32];  // "%.17g" needs at most 24
+  const std::to_chars_result printed =
+      std::to_chars(buffer, buffer + sizeof(buffer), value,
+                    std::chars_format::general, 17);
+  out->append(buffer, printed.ptr);
+}
+
+void AppendStochasticMatrix(std::string* out, const StochasticMatrix& matrix,
+                            char separator) {
   for (std::size_t r = 0; r < matrix.size(); ++r) {
     for (std::size_t c = 0; c < matrix.size(); ++c) {
-      if (c > 0) out << separator;
-      out << matrix.At(r, c);
+      if (c > 0) out->push_back(separator);
+      AppendDouble(out, matrix.At(r, c));
     }
-    out << '\n';
+    out->push_back('\n');
   }
-  return out.str();
+}
+
+std::string SerializeStochasticMatrix(const StochasticMatrix& matrix,
+                                      char separator) {
+  std::string out;
+  out.reserve(matrix.size() * matrix.size() * 25);
+  AppendStochasticMatrix(&out, matrix, separator);
+  return out;
 }
 
 StatusOr<StochasticMatrix> LoadStochasticMatrix(const std::string& path) {
@@ -159,18 +207,17 @@ Status SaveStochasticMatrix(const StochasticMatrix& matrix,
   return WriteFile(path, SerializeStochasticMatrix(matrix));
 }
 
-StatusOr<std::vector<Trajectory>> ParseTrajectories(const std::string& text,
+StatusOr<std::vector<Trajectory>> ParseTrajectories(std::string_view text,
                                                     std::size_t num_states) {
   std::vector<Trajectory> trajectories;
-  std::istringstream stream(text);
-  std::string line;
   std::size_t line_no = 0;
-  std::size_t max_state = 0;
-  while (std::getline(stream, line)) {
+  std::string_view line;
+  while (NextLine(&text, &line)) {
     ++line_no;
     if (IsCommentOrBlank(line)) continue;
     Trajectory traj;
-    for (const std::string& field : SplitFields(line)) {
+    std::string_view field;
+    while (NextField(&line, &field)) {
       TCDP_ASSIGN_OR_RETURN(std::size_t s, ParseIndex(field, line_no));
       if (num_states > 0 && s >= num_states) {
         return Status::InvalidArgument(
@@ -178,7 +225,6 @@ StatusOr<std::vector<Trajectory>> ParseTrajectories(const std::string& text,
             std::to_string(s) + " outside domain of size " +
             std::to_string(num_states));
       }
-      max_state = std::max(max_state, s);
       traj.push_back(s);
     }
     if (traj.empty()) continue;
@@ -187,7 +233,6 @@ StatusOr<std::vector<Trajectory>> ParseTrajectories(const std::string& text,
   if (trajectories.empty()) {
     return Status::InvalidArgument("trajectory text contains no data rows");
   }
-  (void)max_state;
   return trajectories;
 }
 

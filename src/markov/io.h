@@ -6,11 +6,14 @@
 /// plug in real traces and externally estimated models:
 ///
 ///  * matrices: one row per line, comma- or whitespace-separated
-///    probabilities (a "#" prefix comments a line);
+///    probabilities (a "#" prefix comments a line); every field must be
+///    a number strtod reads in full, finite after rounding — overflow
+///    and underflow to 0 are refused, subnormals kept;
 ///  * trajectories: one user per line, comma/whitespace-separated
 ///    0-based state indices.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -23,17 +26,25 @@ namespace tcdp {
 /// on ragged rows, non-numeric fields, or rows violating stochasticity.
 /// Rows are forgivingly renormalized (Create semantics) — right for
 /// hand-authored files, wrong for bitwise round-trips.
-StatusOr<StochasticMatrix> ParseStochasticMatrix(const std::string& text);
+StatusOr<StochasticMatrix> ParseStochasticMatrix(std::string_view text);
 
 /// \brief Parses with CreateExact semantics: entries keep their exact
 /// bit patterns (no renormalization). The round-trip path for
 /// machine-written matrices — accountant blobs and the release
 /// service's WAL/snapshots parse through this so replayed accounting
 /// stays bitwise identical.
-StatusOr<StochasticMatrix> ParseStochasticMatrixExact(
-    const std::string& text);
+StatusOr<StochasticMatrix> ParseStochasticMatrixExact(std::string_view text);
 
-/// \brief Serializes with full double precision, one row per line.
+/// \brief Appends \p value as printf("%.17g") prints it in the C locale:
+/// 17 significant digits, so every finite double reads back bitwise.
+void AppendDouble(std::string* out, double value);
+
+/// \brief Appends SerializeStochasticMatrix's text to \p out.
+void AppendStochasticMatrix(std::string* out, const StochasticMatrix& matrix,
+                            char separator = ',');
+
+/// \brief Serializes with full double precision (%.17g), one row per
+/// line.
 std::string SerializeStochasticMatrix(const StochasticMatrix& matrix,
                                       char separator = ',');
 
@@ -48,7 +59,7 @@ Status SaveStochasticMatrix(const StochasticMatrix& matrix,
 /// commas and/or whitespace. \p num_states = 0 infers the domain as
 /// max index + 1; otherwise indices must be < num_states.
 StatusOr<std::vector<Trajectory>> ParseTrajectories(
-    const std::string& text, std::size_t num_states = 0);
+    std::string_view text, std::size_t num_states = 0);
 
 /// \brief Serializes trajectories, one per line.
 std::string SerializeTrajectories(const std::vector<Trajectory>& trajectories,

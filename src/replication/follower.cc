@@ -241,6 +241,14 @@ Follower::Promote() {
           "Follower::Promote: replica diverged from the primary; its "
           "state is not a prefix of any primary history");
     }
+    if (bootstrap_) {
+      // No MANIFEST ever arrived, so there is nothing to recover. The
+      // reason is the primary's refusal (a compacted primary cannot
+      // seed a follower), not the empty directory.
+      if (!status_.last_error.ok()) return status_.last_error;
+      return Status::FailedPrecondition(
+          "Follower::Promote: nothing streamed from the primary yet");
+    }
   }
   return server::ShardedReleaseService::Recover(options_.log_dir);
 }

@@ -90,7 +90,10 @@ class Follower {
 
   /// Stop + ShardedReleaseService::Recover over the replica directory:
   /// the follower becomes a primary through the crash-recovery path.
-  /// The Follower holds no state afterwards (one-shot).
+  /// The Follower holds no state afterwards (one-shot). A follower
+  /// that never received the primary's MANIFEST returns why instead
+  /// (the primary's refusal, e.g. FailedPrecondition from a compacted
+  /// primary).
   StatusOr<std::unique_ptr<server::ShardedReleaseService>> Promote();
 
   FollowerStatus status() const;

@@ -3,9 +3,12 @@
 // allocate unboundedly — and the bank's image-restore path must reject
 // every class of inconsistent image.
 
+#include <cfloat>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -88,6 +91,42 @@ TEST(AccountantCorruptionMatrix, HostileValuesRejected) {
                                     "backward 3\n0.5,0.5\n0.5,0.5\n"
                                     "forward 0\nepsilons 0\n")
                    .ok());
+}
+
+// Serialize -> Parse is the identity on every finite value the image
+// can carry: subnormals, DBL_MIN, 0, 1 and 1 - ulp in the matrices,
+// the quantization step and the epsilon list all come back bitwise.
+TEST(AccountantImageRoundTrip, EdgeValuesComeBackBitwise) {
+  const double one_minus_ulp = std::nextafter(1.0, 0.0);
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  auto backward = StochasticMatrix::CreateExact(
+      Matrix({{1.0, denorm}, {one_minus_ulp, 1.0 - one_minus_ulp}}));
+  auto forward = StochasticMatrix::CreateExact(
+      Matrix({{DBL_MIN, 1.0}, {0.0, 1.0}}));
+  ASSERT_TRUE(backward.ok() && forward.ok());
+  for (double quantization : {-1.0, 1e-6, denorm, DBL_MIN, one_minus_ulp}) {
+    AccountantImage image;
+    image.correlations =
+        TemporalCorrelations::Both(*backward, *forward).value();
+    image.cache_alpha_resolution = quantization;
+    image.epsilons = {denorm, 1e-310, DBL_MIN, 0.0, 1.0, one_minus_ulp,
+                      DBL_MAX};
+    const std::string blob = SerializeAccountantImage(image);
+    auto parsed = ParseAccountantImage(blob);
+    ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << blob;
+    const auto same_bits = [](const std::vector<double>& a,
+                              const std::vector<double>& b) {
+      return a.size() == b.size() &&
+             std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+    };
+    EXPECT_TRUE(same_bits({parsed->cache_alpha_resolution}, {quantization}));
+    EXPECT_TRUE(same_bits(parsed->epsilons, image.epsilons));
+    EXPECT_TRUE(same_bits(parsed->correlations.backward().matrix().data(),
+                          backward->matrix().data()));
+    EXPECT_TRUE(same_bits(parsed->correlations.forward().matrix().data(),
+                          forward->matrix().data()));
+    EXPECT_EQ(SerializeAccountantImage(*parsed), blob);
+  }
 }
 
 TEST(AccountantCorruptionMatrix, FieldMutationsFailOrRoundTrip) {

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -251,6 +252,48 @@ TEST_F(CrashRecoveryTest, CrashWithSnapshotsAlsoRecoversConsistently) {
     if (testing::Test::HasFatalFailure()) {
       FAIL() << "first failing truncation offset: " << cut;
     }
+    ASSERT_TRUE((*recovered)->Close().ok());
+  }
+}
+
+// A user whose matrix holds a subnormal entry is written to the WAL
+// (AddUser) and to snapshots (SnapUser) as %.17g text; both must read
+// back, or the log cannot be recovered at all.
+TEST_F(CrashRecoveryTest, SubnormalMatrixEntriesRecover) {
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  auto matrix = StochasticMatrix::CreateExact(
+      Matrix({{1.0, denorm}, {0.25, 0.75}}));
+  ASSERT_TRUE(matrix.ok()) << matrix.status();
+  const TemporalCorrelations corr =
+      TemporalCorrelations::Both(*matrix, *matrix).value();
+  for (const bool snapshot : {false, true}) {
+    fs::remove_all(pristine_);
+    ShardedServiceOptions options;
+    options.num_shards = 2;
+    options.batch_window = 1;
+    std::vector<double> live_series;
+    {
+      auto service = ShardedReleaseService::Create(pristine_, options);
+      ASSERT_TRUE(service.ok()) << service.status();
+      ASSERT_TRUE((*service)->Join("tiny", corr).ok());
+      ASSERT_TRUE((*service)->Join("plain", SmallProfile(0)).ok());
+      ASSERT_TRUE((*service)->ReleaseAll(0.1).ok());
+      if (snapshot) {
+        ASSERT_TRUE((*service)->Snapshot().ok());
+      }
+      ASSERT_TRUE((*service)->Release("tiny", 0.2).ok());
+      ASSERT_TRUE((*service)->Flush().ok());
+      auto report = (*service)->Query("tiny");
+      ASSERT_TRUE(report.ok()) << report.status();
+      live_series = report->tpl_series;
+      ASSERT_TRUE((*service)->Close().ok());
+    }
+    auto recovered = ShardedReleaseService::Recover(pristine_);
+    ASSERT_TRUE(recovered.ok()) << "snapshot " << snapshot << ": "
+                                << recovered.status();
+    auto report = (*recovered)->Query("tiny");
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report->tpl_series, live_series) << "snapshot " << snapshot;
     ASSERT_TRUE((*recovered)->Close().ok());
   }
 }

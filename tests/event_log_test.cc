@@ -101,6 +101,65 @@ TEST_F(EventLogTest, ReleaseRecordMatchesGoldenBytes) {
   EXPECT_FALSE(decoded->mask.bit(1));
 }
 
+// The exact bytes of one kSnapUser record as snapshots store it: the
+// binary user fields, then the "tcdp-accountant-v2" text at %.17g with
+// the cache's quantization step. Entries print with all 17 digits, so
+// any drift in the image printer shows up here — and would make every
+// existing snapshot unreadable.
+TEST_F(EventLogTest, SnapUserRecordMatchesGoldenBytes) {
+  auto backward = StochasticMatrix::CreateExact(
+      Matrix({{1.0 / 3.0, 2.0 / 3.0}, {0.1 + 0.2, 1.0 - (0.1 + 0.2)}}));
+  auto forward = StochasticMatrix::CreateExact(
+      Matrix({{0.7, 0.3}, {1e-3 / 7.0, 1.0 - 1e-3 / 7.0}}));
+  ASSERT_TRUE(backward.ok() && forward.ok());
+  SnapUserRecord record;
+  record.name = "bob";
+  record.join = 3;
+  record.bpl_last = 0.5;
+  record.eps_sum = 0.25;
+  record.image.correlations =
+      TemporalCorrelations::Both(*backward, *forward).value();
+  record.image.cache_alpha_resolution = 1e-6;
+  {
+    auto writer = EventLogWriter::Create(path_);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE(
+        writer->Append(EventType::kSnapUser, EncodeSnapUser(record)).ok());
+    ASSERT_TRUE(writer->Close().ok());
+  }
+  const std::string payload(
+      "\x03"
+      "bob"
+      "\x03"
+      "\x00\x00\x00\x00\x00\x00\xe0\x3f"
+      "\x00\x00\x00\x00\x00\x00\xd0\x3f"
+      "\xfa\x01"
+      "tcdp-accountant-v2\n"
+      "quantization 9.9999999999999995e-07\n"
+      "backward 2\n"
+      "0.33333333333333331,0.66666666666666663\n"
+      "0.30000000000000004,0.69999999999999996\n"
+      "forward 2\n"
+      "0.69999999999999996,0.29999999999999999\n"
+      "0.00014285714285714287,0.99985714285714289\n"
+      "epsilons 0\n",
+      273);
+  // Magic, type 17, length 273, CRC-32 of type + payload.
+  const std::string header("TCDPWAL1\x11\x11\x01\x00\x00\xae\xbd\x8e\x8a", 17);
+  EXPECT_EQ(ReadFileBytes(), header + payload);
+
+  auto decoded = DecodeSnapUser(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->name, "bob");
+  EXPECT_EQ(decoded->join, 3u);
+  EXPECT_EQ(decoded->image.cache_alpha_resolution, 1e-6);
+  EXPECT_EQ(decoded->image.correlations.backward().matrix().data(),
+            backward->matrix().data());
+  EXPECT_EQ(decoded->image.correlations.forward().matrix().data(),
+            forward->matrix().data());
+  EXPECT_EQ(EncodeSnapUser(*decoded), payload);
+}
+
 TEST_F(EventLogTest, MissingFileIsNotFound) {
   auto result = ReadEventLog("/tmp/definitely_missing_tcdp.wal");
   ASSERT_FALSE(result.ok());

@@ -25,6 +25,7 @@
 //     The final snapshot must reproduce every truth report bit for
 //     bit, and a live Follower::Promote() at the end must as well.
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -312,6 +313,66 @@ TEST(FailoverTest, PromoteMostAckedFollowerAtEveryRecord) {
 
   for (const std::string& dir :
        {truth_dir, primary_dir, replica1_dir, replica2_dir, kill_root}) {
+    std::filesystem::remove_all(dir);
+  }
+}
+
+// A primary whose WALs were compacted cannot seed a new follower over
+// the stream (the records before the compaction base live only in its
+// snapshot). Promoting such a follower must report that refusal — the
+// shard and the fix, copying the log directory — not a missing MANIFEST.
+TEST(FailoverTest, PromoteAfterACompactedPrimaryRefusedReportsWhy) {
+  const std::string primary_dir = "/tmp/tcdp_failover_compacted_primary";
+  const std::string replica_dir = "/tmp/tcdp_failover_compacted_replica";
+  for (const std::string& dir : {primary_dir, replica_dir}) {
+    std::filesystem::remove_all(dir);
+  }
+  {
+    server::ShardedServiceOptions options;
+    options.num_shards = kShards;
+    auto service = server::ShardedReleaseService::Create(primary_dir, options);
+    ASSERT_TRUE(service.ok()) << service.status();
+    for (std::size_t u = 0; u < kUsers; ++u) {
+      ASSERT_TRUE((*service)->Join(UserName(u), Profile(u)).ok());
+    }
+    ASSERT_TRUE((*service)->ReleaseAll(0.1).ok());
+    ASSERT_TRUE((*service)->Flush().ok());
+    ASSERT_TRUE((*service)->Snapshot().ok());
+    ASSERT_TRUE((*service)->Compact().ok());
+    ASSERT_TRUE((*service)->Close().ok());
+  }
+
+  LogStreamOptions stream_options;
+  stream_options.log_dir = primary_dir;
+  auto stream = LogStreamServer::Listen(stream_options);
+  ASSERT_TRUE(stream.ok()) << stream.status();
+  std::thread serve_thread([&stream] { (void)(*stream)->Serve(); });
+
+  FollowerOptions options;
+  options.primary_port = (*stream)->port();
+  options.log_dir = replica_dir;
+  options.reconnect = false;  // as `tcdp follow --promote 1` runs it
+  auto follower = Follower::Open(options);
+  ASSERT_TRUE(follower.ok()) << follower.status();
+  ASSERT_TRUE((*follower)->Start().ok());
+  for (int i = 0; i < 500 && (*follower)->status().running; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_FALSE((*follower)->status().running);
+  auto promoted = (*follower)->Promote();
+  ASSERT_FALSE(promoted.ok());
+  EXPECT_EQ(promoted.status().code(), StatusCode::kFailedPrecondition)
+      << promoted.status();
+  EXPECT_NE(promoted.status().message().find("compacted primary (shard"),
+            std::string::npos)
+      << promoted.status();
+  EXPECT_NE(promoted.status().message().find("copy the log directory"),
+            std::string::npos)
+      << promoted.status();
+
+  (*stream)->Stop();
+  serve_thread.join();
+  for (const std::string& dir : {primary_dir, replica_dir}) {
     std::filesystem::remove_all(dir);
   }
 }

@@ -3,7 +3,11 @@
 
 #include "markov/io.h"
 
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -47,6 +51,39 @@ TEST(SerializeStochasticMatrix, RoundTripsExactly) {
   auto parsed = ParseStochasticMatrix(SerializeStochasticMatrix(original));
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed->ApproxEquals(original, 1e-15));
+}
+
+// Every finite entry the printer writes reads back bitwise, subnormals
+// included: strtod flags them ERANGE, but they are exact %.17g values,
+// not overflow or underflow to 0.
+TEST(SerializeStochasticMatrix, RoundTripsEdgeEntriesBitwise) {
+  const double one_minus_ulp = std::nextafter(1.0, 0.0);
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  auto original = StochasticMatrix::CreateExact(Matrix({
+      {one_minus_ulp, 1.0 - one_minus_ulp, 0.0},
+      {1.0, denorm, -0.0},
+      {DBL_MIN, 1e-310, 1.0},
+  }));
+  ASSERT_TRUE(original.ok()) << original.status();
+  const std::string text = SerializeStochasticMatrix(*original);
+  EXPECT_NE(text.find("4.9406564584124654e-324"), std::string::npos) << text;
+  auto parsed = ParseStochasticMatrixExact(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const std::vector<double>& want = original->matrix().data();
+  const std::vector<double>& got = parsed->matrix().data();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(SerializeStochasticMatrix(*parsed), text);
+}
+
+TEST(ParseStochasticMatrix, RefusesOutOfRangeNumbers) {
+  EXPECT_FALSE(ParseStochasticMatrix("1,1e-400\n0,1\n").ok());
+  EXPECT_FALSE(ParseStochasticMatrix("1,1e999\n0,1\n").ok());
+  EXPECT_FALSE(ParseStochasticMatrix("1,-1e999\n0,1\n").ok());
+  // Subnormals are in range, however they are spelled.
+  EXPECT_TRUE(ParseStochasticMatrix("1,+5e-324\n0,1\n").ok());
+  EXPECT_TRUE(ParseStochasticMatrix("1,0x1p-1074\n0,1\n").ok());
 }
 
 TEST(MatrixFileIo, SaveAndLoad) {

@@ -157,6 +157,48 @@ TEST(MessageCodecTest, JoinCarriesCorrelationsBitwise) {
   EXPECT_EQ(EncodeJoin("alice", decoded->image.correlations), payload);
 }
 
+/// A 2-state pair whose entries print with all 17 significant digits
+/// (the shortest round-trip form of most of them needs 17, too).
+TemporalCorrelations GoldenCorrelations() {
+  auto backward = StochasticMatrix::CreateExact(
+      Matrix({{1.0 / 3.0, 2.0 / 3.0}, {0.1 + 0.2, 1.0 - (0.1 + 0.2)}}));
+  auto forward = StochasticMatrix::CreateExact(
+      Matrix({{0.7, 0.3}, {1e-3 / 7.0, 1.0 - 1e-3 / 7.0}}));
+  EXPECT_TRUE(backward.ok() && forward.ok());
+  return TemporalCorrelations::Both(*backward, *forward).value();
+}
+
+// The exact bytes of one Join payload (= a WAL AddUser record): the
+// "tcdp-accountant-v2" text at %.17g, quantization -1. Any drift in the
+// image printer breaks every existing log and client, and fails here.
+TEST(MessageCodecTest, JoinPayloadMatchesGoldenBytes) {
+  const std::string golden(
+      "\x05"
+      "alice"
+      "\xe6\x01"
+      "tcdp-accountant-v2\n"
+      "quantization -1\n"
+      "backward 2\n"
+      "0.33333333333333331,0.66666666666666663\n"
+      "0.30000000000000004,0.69999999999999996\n"
+      "forward 2\n"
+      "0.69999999999999996,0.29999999999999999\n"
+      "0.00014285714285714287,0.99985714285714289\n"
+      "epsilons 0\n");
+  const TemporalCorrelations corr = GoldenCorrelations();
+  EXPECT_EQ(EncodeJoin("alice", corr), golden);
+
+  auto decoded = DecodeJoin(golden);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->name, "alice");
+  EXPECT_EQ(decoded->image.cache_alpha_resolution, -1.0);
+  EXPECT_TRUE(decoded->image.epsilons.empty());
+  EXPECT_EQ(decoded->image.correlations.backward().matrix().data(),
+            corr.backward().matrix().data());
+  EXPECT_EQ(decoded->image.correlations.forward().matrix().data(),
+            corr.forward().matrix().data());
+}
+
 std::string ToHex(const std::string& bytes) {
   static const char kDigits[] = "0123456789abcdef";
   std::string hex;
