@@ -4,12 +4,14 @@
 //   * lfp agreement — Algorithm 1, the paper's pairwise LFP and the
 //     compact reformulation agree on L(alpha).
 //   * pair solver — the paper's iterative removal loop vs the
-//     sorted-prefix scan: identical losses, different speed.
+//     sorted-prefix scan: identical losses, different speed; plus the
+//     aggregate table `Evaluate` answers from, bitwise the scan's loss.
 //   * supremum — Theorem 5's closed form vs fixpoint iteration, and
 //     the analytic budget inverse eps = alpha - L(alpha) vs bisection.
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -78,16 +80,31 @@ Status PairSolver(SuiteContext* ctx) {
   iterative.method = PairLossMethod::kIterativeRefinement;
   LossEvalOptions sorted;
   sorted.method = PairLossMethod::kSortedPrefix;
-  double iterative_loss = 0.0, sorted_loss = 0.0;
+  double iterative_loss = 0.0, sorted_loss = 0.0, table_loss = 0.0;
   const double iterative_seconds = ctx->TimeBestOf(
       [&] { iterative_loss = loss.EvaluateDetailed(10.0, iterative).loss; });
   const double sorted_seconds = ctx->TimeBestOf(
       [&] { sorted_loss = loss.EvaluateDetailed(10.0, sorted).loss; });
+  // The table answers the same question: bitwise the scan's loss over
+  // an alpha grid spanning both sides of the alpha = 30 switch (the
+  // first call builds the table, so the timing below excludes it).
+  bool table_bitwise = true;
+  for (double alpha : {1e-9, 0.001, 0.05, 0.3, 1.0, 2.5, 10.0, 29.999,
+                       30.0, 100.0, 1e4}) {
+    const double table = loss.Evaluate(alpha);
+    const double scan = loss.EvaluateDetailed(alpha, sorted).loss;
+    table_bitwise &= std::memcmp(&table, &scan, sizeof(double)) == 0;
+  }
+  const double table_seconds =
+      ctx->TimeBestOf([&] { table_loss = loss.Evaluate(10.0); });
+  table_bitwise &= std::memcmp(&table_loss, &sorted_loss, sizeof(double)) == 0;
   ctx->Record("pair_solver",
               {{"n", static_cast<double>(n)}, {"alpha", 10.0}},
               {{"dev", std::fabs(iterative_loss - sorted_loss)},
                {"iterative_ms", iterative_seconds * 1e3},
-               {"sorted_ms", sorted_seconds * 1e3}});
+               {"sorted_ms", sorted_seconds * 1e3},
+               {"table_ms", table_seconds * 1e3},
+               {"table_bitwise", table_bitwise ? 1.0 : 0.0}});
   return Status::OK();
 }
 
@@ -163,6 +180,7 @@ void RegisterAblationSuite(Harness* harness) {
   spec.metric_policies = {
       {"iterative_ms", MetricPolicy::Latency()},
       {"sorted_ms", MetricPolicy::Latency()},
+      {"table_ms", MetricPolicy::Latency()},
   };
   spec.gates = {
       // All three routes to L(alpha) agree (DESIGN.md 4.1).
@@ -172,6 +190,9 @@ void RegisterAblationSuite(Harness* harness) {
        "lfp_agreement.dev_dinkelbach <= 1e-6"},
       // The two exact pair solvers return identical losses (4.4).
       {"pair_solvers_agree", "pair_solver.dev <= 1e-9"},
+      // Evaluate's aggregate table returns Algorithm 1's loss bit for
+      // bit.
+      {"table_matches_algorithm1", "pair_solver.table_bitwise == 1"},
       // Theorem 5 matches the iterated recurrence on existence and
       // value, and the analytic inverse matches bisection (4.2).
       {"supremum_routes_agree",

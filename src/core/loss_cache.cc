@@ -102,8 +102,9 @@ class TemporalLossCache::Impl {
         return it->second;
       }
     }
-    // Compute outside the lock: Algorithm 1 is the expensive part, and a
-    // concurrent duplicate computes the identical value anyway. Only the
+    // Compute outside the lock: a miss evaluates the matrix's aggregate
+    // table (built by its first miss, the costly one), and a concurrent
+    // duplicate computes the identical value anyway. Only the
     // thread whose insert wins counts the miss, so hits + misses always
     // equals lookups even when a cold bucket is raced.
     const double value = entry.loss.Evaluate(alpha);
@@ -132,6 +133,7 @@ class TemporalLossCache::Impl {
     for (const auto& [fp, entries] : registry_) {
       s.distinct_matrices += entries.size();
       for (const auto& entry : entries) {
+        s.table_bytes += entry->loss.table_bytes();
         for (auto& shard : entry->shards) {
           std::lock_guard<std::mutex> shard_lock(shard.mu);
           s.entries += shard.values.size();

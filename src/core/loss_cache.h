@@ -10,7 +10,8 @@
 /// instances over and over. `TemporalLossCache` removes that redundancy:
 ///
 ///  * `Intern` content-deduplicates transition matrices, so all users
-///    sharing a matrix share one `TemporalLossFunction` and one value
+///    sharing a matrix share one `TemporalLossFunction` (and the
+///    aggregate table it builds on its first miss) and one value
 ///    table;
 ///  * evaluations are memoized keyed by the *quantized* argument: the
 ///    `alpha_resolution` grid point at or above alpha, so the cached
@@ -53,6 +54,9 @@ class TemporalLossCache {
     std::uint64_t misses = 0;
     std::size_t entries = 0;            ///< memoized (matrix, alpha) pairs
     std::size_t distinct_matrices = 0;  ///< interned after deduplication
+    /// Bytes of the interned functions' aggregate tables (built on a
+    /// matrix's first miss; see TemporalLossFunction).
+    std::size_t table_bytes = 0;
     double HitRate() const {
       const std::uint64_t total = hits + misses;
       return total == 0 ? 0.0 : static_cast<double>(hits) / total;

@@ -21,6 +21,7 @@
 /// (Remark 1) — property-tested.
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -91,18 +92,48 @@ struct LossEvalOptions {
 /// \brief The full loss function for a transition matrix: the maximum
 /// pair loss over all ordered pairs of distinct rows (Algorithm 1).
 ///
-/// Construction copies the matrix; evaluation is O(n^4) worst case
-/// (n^2 pairs x O(n^2) subset refinement), matching the paper's bound.
+/// `EvaluateDetailed` runs Algorithm 1 per alpha: n(n-1) ordered pairs,
+/// each an O(n log n) sorted-prefix scan (O(n^2) rounds for the
+/// literal refinement loop). `Evaluate` answers from a table instead.
+/// In the sorted scan only the two LogLinearInExpAlpha calls per prefix
+/// depend on alpha; every pair's candidate order and prefix sums
+/// (q_hat, d_hat) depend on the matrix alone, and L(alpha) is exactly
+/// max(0, max over all pairs and prefixes of g(q_hat) - g(d_hat)).
+/// The first `Evaluate` with alpha > 0 therefore collects those
+/// aggregates once, dedupes them, and splits them into their Pareto
+/// frontier (max q_hat, min d_hat) and the dominated rest; later calls
+/// evaluate the frontier and recheck only dominated points that could
+/// come within rounding of the maximum. The result is the same double
+/// as `EvaluateDetailed(alpha).loss`, bit for bit (tests/
+/// loss_table_test.cc).
+///
+/// Memory bound: a pair (a, b) has at most as many prefixes as
+/// coordinates with P[a][j] > P[b][j], and a pair and its reverse split
+/// the n coordinates, so a matrix has at most n^2 (n-1) / 2 aggregates
+/// of 16 bytes each before dedupe: 30 KB for n = 16, 2 MB for n = 64.
+/// The kept table adds 12 bytes per staircase corner, at most one per
+/// dominated aggregate. The table is built only for a matrix that is
+/// evaluated, never by the constructor, and only for n <=
+/// kMaxTableStates (16.6 MB of aggregates at n = 128); larger matrices,
+/// and matrices with a subnormal entry, keep the per-alpha scan.
 class TemporalLossFunction : public LossEvaluator {
  public:
+  /// Largest domain size that gets an aggregate table.
+  static constexpr std::size_t kMaxTableStates = 128;
+
   explicit TemporalLossFunction(StochasticMatrix transition);
 
   const StochasticMatrix& transition() const { return transition_; }
   std::size_t domain_size() const { return transition_.size(); }
 
   /// L(alpha) for alpha >= 0. alpha = 0 gives 0. Asserts on negative
-  /// alpha in debug builds; clamps to 0 otherwise.
+  /// alpha in debug builds; clamps to 0 otherwise. Thread-safe; the
+  /// first call with alpha > 0 builds the aggregate table.
   double Evaluate(double alpha) const override;
+
+  /// Bytes held by the aggregate table; 0 until the first Evaluate
+  /// builds it, and for matrices that never get one.
+  std::size_t table_bytes() const;
 
   using EvalOptions = LossEvalOptions;
 
@@ -120,7 +151,12 @@ class TemporalLossFunction : public LossEvaluator {
   Detail EvaluateDetailed(double alpha, const EvalOptions& options = {}) const;
 
  private:
+  struct Table;
+  struct LazyTable;
+
   StochasticMatrix transition_;
+  // Shared by copies (they hold the same matrix); built on first use.
+  std::shared_ptr<LazyTable> lazy_;
 };
 
 /// \brief Trivial loss function L(alpha) = 0 used when the adversary

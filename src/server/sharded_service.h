@@ -28,6 +28,10 @@
 /// every user's skip-leakage still propagates and all shards share one
 /// global time axis. Joins dispatch at the head of the tick that closes
 /// their window (a user can join and release in the same window).
+/// Within one window a user joins each epsilon's group at most once:
+/// two Release(u, eps) requests with the same eps both return Ok, but
+/// u is charged eps once, at that group's one global release (a
+/// different eps forms its own group and is charged separately).
 /// Batching is purely count/flush-driven — never wall-clock — so a
 /// request stream maps to one deterministic event sequence, and
 /// per-user series are **bitwise independent of the shard count**
