@@ -1,14 +1,14 @@
 #include "common/packed_mask.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/binary_io.h"
 
 namespace tcdp {
 namespace {
 
-/// Below this width RLE never pays: the dense row is at most four
-/// words and bit() stays a single index (the short-horizon dense path).
+/// Rows narrower than this stay dense: the bookkeeping of runs is not
+/// worth its few saved bytes.
 constexpr std::size_t kMinRleWords = 4;
 
 }  // namespace
@@ -44,21 +44,6 @@ PackedMask PackedMask::FromWordSpan(const std::uint64_t* words,
   return mask;
 }
 
-bool PackedMask::bit(std::size_t i) const {
-  if (kind_ == Kind::kAll) return true;
-  const std::size_t word = i >> 6;
-  if (word >= num_words_) return false;
-  std::uint64_t value;
-  if (kind_ == Kind::kDense) {
-    value = dense_[word];
-  } else {
-    const auto it =
-        std::upper_bound(run_end_.begin(), run_end_.end(), word);
-    value = run_value_[static_cast<std::size_t>(it - run_end_.begin())];
-  }
-  return (value >> (i & 63u)) & 1u;
-}
-
 std::vector<std::uint64_t> PackedMask::ToWords(std::size_t num_words) const {
   if (kind_ == Kind::kAll) {
     return std::vector<std::uint64_t>(num_words, ~std::uint64_t{0});
@@ -77,12 +62,6 @@ std::vector<std::uint64_t> PackedMask::ToWords(std::size_t num_words) const {
   }
   words.resize(num_words, 0);
   return words;
-}
-
-std::size_t PackedMask::MemoryBytes() const {
-  return dense_.capacity() * sizeof(std::uint64_t) +
-         run_end_.capacity() * sizeof(std::uint64_t) +
-         run_value_.capacity() * sizeof(std::uint64_t);
 }
 
 void PackedMask::EncodeTo(std::string* dst) const {

@@ -2,28 +2,23 @@
 #define TCDP_COMMON_PACKED_MASK_H_
 
 /// \file
-/// Participation bitmask rows for the accountant bank, write-ahead log,
-/// and snapshots.
+/// The participation-row codec of the write-ahead log and snapshots.
 ///
 /// A release's participation row is one bit per enrolled user. Fleets
 /// are large and sparse schedules repeat long stretches of identical
 /// words (all-zeros between coherent cohort blocks, all-ones in dense
-/// phases), so rows beyond a small threshold are stored with
+/// phases), so rows beyond a small threshold are encoded with
 /// **word-level run-length encoding**: consecutive equal 64-bit words
-/// collapse into (run length, word) pairs. Short rows keep the dense
-/// path — at a handful of words RLE bookkeeping costs more than it
-/// saves and the hot per-bit lookup stays a single index.
+/// collapse into (run length, word) pairs. Short rows stay dense — at a
+/// handful of words RLE bookkeeping costs more than it saves.
 ///
 /// Three states:
-///   * kAll   — "every user enrolled at write time participated"
-///              (the bank's historical empty-row convention);
+///   * kAll   — "every user enrolled at write time participated";
 ///   * kDense — raw word vector;
-///   * kRle   — runs, with cumulative word offsets for O(log runs)
-///              random-access bit().
+///   * kRle   — runs, with cumulative word offsets.
 ///
-/// Bit semantics match the bank: bit(i) is true for kAll, and false for
-/// any i at or past the row's word width (the user was not enrolled
-/// when the row was written).
+/// A user at or past the row's word width was not enrolled when the
+/// row was written and is not selected by it.
 
 #include <cstddef>
 #include <cstdint>
@@ -46,18 +41,15 @@ class PackedMask {
   static PackedMask FromWords(std::vector<std::uint64_t> words);
 
   /// FromWords without taking ownership: packs words[0, n) and leaves
-  /// the caller's buffer untouched, so reusable scratch buffers (the
-  /// bank's per-release mask staging) never churn. Copies only when the
-  /// dense representation wins.
+  /// the caller's buffer untouched, so a reusable scratch buffer (the
+  /// bank's ExportImage rows) never churns. Copies only when the dense
+  /// representation wins.
   static PackedMask FromWordSpan(const std::uint64_t* words, std::size_t n);
 
   bool is_all() const { return kind_ == Kind::kAll; }
   bool is_rle() const { return kind_ == Kind::kRle; }
   /// Width in 64-bit words (0 for kAll).
   std::size_t num_words() const { return num_words_; }
-
-  /// Membership of user \p i under the bank's conventions.
-  bool bit(std::size_t i) const;
 
   /// The dense representation (kAll expands to \p num_words ones-words).
   std::vector<std::uint64_t> ToWords(std::size_t num_words) const;
@@ -86,9 +78,6 @@ class PackedMask {
       begin = static_cast<std::size_t>(run_end_[r]);
     }
   }
-
-  /// Heap bytes held by this row (the compression metric).
-  std::size_t MemoryBytes() const;
 
   /// \name Durable wire format (varint-framed, see binary_io.h).
   /// @{

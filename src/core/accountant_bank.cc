@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <optional>
 
 #include "core/tpl_accountant.h"
@@ -473,10 +474,6 @@ Status AccountantBank::Record(double epsilon,
     all_releases_.push_back(t);
   }
   schedule_.push_back(epsilon);
-  participation_.push_back(
-      participants != nullptr
-          ? PackedMask::FromWordSpan(mask_scratch_.data(), mask_scratch_.size())
-          : PackedMask::All());
   return Status::OK();
 }
 
@@ -487,11 +484,6 @@ Status AccountantBank::RecordRelease(double epsilon) {
 Status AccountantBank::RecordRelease(
     double epsilon, const std::vector<std::size_t>& participants) {
   return Record(epsilon, &participants);
-}
-
-bool AccountantBank::Participated(std::size_t user, std::size_t t) const {
-  assert(user < num_users() && t < horizon());
-  return t >= user_join_[user] && participation_[t].bit(user);
 }
 
 double AccountantBank::UserEpsSum(std::size_t user) const {
@@ -521,7 +513,7 @@ std::vector<std::uint32_t> AccountantBank::ParticipationsOf(
       std::lower_bound(all_releases_.begin(), all_releases_.end(), join);
   std::vector<std::uint32_t> out(
       static_cast<std::size_t>(all_releases_.end() - all) + own.size());
-  // A release is either an All row or an explicit one, never both.
+  // A release is either dense or sparse, never both.
   std::merge(all, all_releases_.end(), own.begin(), own.end(), out.begin());
   for (std::uint32_t& t : out) t -= join;
   return out;
@@ -689,12 +681,6 @@ std::string AccountantBank::SerializeUser(std::size_t user) const {
   return SerializeAccountantImage(image);
 }
 
-std::size_t AccountantBank::ParticipationBytes() const {
-  std::size_t bytes = 0;
-  for (const PackedMask& row : participation_) bytes += row.MemoryBytes();
-  return bytes;
-}
-
 std::size_t AccountantBank::ParticipationIndexEntries() const {
   std::size_t entries = all_releases_.size();
   for (const std::vector<std::uint32_t>& releases : user_releases_) {
@@ -706,7 +692,43 @@ std::size_t AccountantBank::ParticipationIndexEntries() const {
 AccountantBank::Image AccountantBank::ExportImage() const {
   Image image;
   image.schedule = schedule_;
-  image.participation = participation_;
+  // Counting sort of the sparse participations by release: members
+  // [first[t], first[t + 1]) select release t, ascending by user.
+  const std::size_t releases = horizon();
+  std::vector<std::size_t> first(releases + 1, 0);
+  for (const std::vector<std::uint32_t>& own : user_releases_) {
+    for (const std::uint32_t t : own) ++first[t + 1];
+  }
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<std::uint32_t> members(first.back());
+  std::vector<std::size_t> next(first.begin(), first.end() - 1);
+  for (std::size_t u = 0; u < num_users(); ++u) {
+    for (const std::uint32_t t : user_releases_[u]) {
+      members[next[t]++] = static_cast<std::uint32_t>(u);
+    }
+  }
+  // Each sparse row as Record staged it: one bit per user enrolled at
+  // t (a prefix, since joins never decrease), at least one word.
+  image.participation.reserve(releases);
+  std::vector<std::uint64_t> words(
+      std::max<std::size_t>((num_users() + 63) / 64, 1), 0);
+  auto all = all_releases_.begin();
+  std::size_t enrolled = 0;
+  for (std::size_t t = 0; t < releases; ++t) {
+    if (all != all_releases_.end() && *all == t) {
+      image.participation.push_back(PackedMask::All());
+      ++all;
+      continue;
+    }
+    while (enrolled < num_users() && user_join_[enrolled] <= t) ++enrolled;
+    const std::size_t width = std::max<std::size_t>((enrolled + 63) / 64, 1);
+    for (std::size_t i = first[t]; i < first[t + 1]; ++i) {
+      words[members[i] >> 6] |= std::uint64_t{1} << (members[i] & 63u);
+    }
+    image.participation.push_back(
+        PackedMask::FromWordSpan(words.data(), width));
+    std::fill_n(words.begin(), width, 0);
+  }
   image.users.reserve(num_users());
   for (std::size_t u = 0; u < num_users(); ++u) {
     UserImage user;
@@ -743,11 +765,17 @@ StatusOr<AccountantBank> AccountantBank::Restore(
     }
   }
   AccountantBank bank(std::move(options));
-  for (const UserImage& user : image.users) {
+  for (std::size_t u = 0; u < image.users.size(); ++u) {
+    const UserImage& user = image.users[u];
     if (user.join > image.schedule.size()) {
       return Status::InvalidArgument(
           "AccountantBank::Restore: user join " + std::to_string(user.join) +
           " past horizon " + std::to_string(image.schedule.size()));
+    }
+    if (u > 0 && user.join < image.users[u - 1].join) {
+      return Status::InvalidArgument(
+          "AccountantBank::Restore: user " + std::to_string(u) +
+          " joins before user " + std::to_string(u - 1));
     }
     if (!std::isfinite(user.bpl_last) || user.bpl_last < 0.0 ||
         !std::isfinite(user.eps_sum) || user.eps_sum < 0.0) {
@@ -757,7 +785,6 @@ StatusOr<AccountantBank> AccountantBank::Restore(
     bank.AddUser(user.correlations);
   }
   bank.schedule_ = std::move(image.schedule);
-  bank.participation_ = std::move(image.participation);
   // The accrued sum is a pure function of (mask, schedule) and must
   // match bitwise, so it is replayed in the live bank's order: one pass
   // over the rows in release order, adding each row's budget to the
@@ -775,7 +802,7 @@ StatusOr<AccountantBank> AccountantBank::Restore(
     return true;
   };
   for (std::size_t t = 0; t < bank.schedule_.size(); ++t) {
-    const PackedMask& row = bank.participation_[t];
+    const PackedMask& row = image.participation[t];
     const auto release = static_cast<std::uint32_t>(t);
     if (row.is_all()) {
       bank.all_releases_.push_back(release);

@@ -115,8 +115,6 @@ class AccountantBank {
   std::size_t user_horizon(std::size_t user) const {
     return horizon() - user_join_[user];
   }
-  /// Whether the user accrued budget at global release \p t (0-based).
-  bool Participated(std::size_t user, std::size_t t) const;
   /// Lifetime accrued budget — the user-level TPL (Corollary 1).
   double UserEpsSum(std::size_t user) const;
   /// The user's effective spend sequence (0 entries are skips), index 0
@@ -180,14 +178,8 @@ class AccountantBank {
   /// TplAccountant::Deserialize on it reproduces the user's series
   /// bitwise (given the bank's quantization).
   std::string SerializeUser(std::size_t user) const;
-  /// Stored participation row of global release \p t (0-based).
-  const PackedMask& participation_row(std::size_t t) const {
-    return participation_[t];
-  }
-  /// Heap bytes held by stored participation rows (the RLE metric).
-  std::size_t ParticipationBytes() const;
-  /// Participation-index entries, 4 B each: one per All row (shared by
-  /// every user) plus one per explicit participation.
+  /// Participation-index entries, 4 B each: one per dense release
+  /// (shared by every user) plus one per explicit participation.
   std::size_t ParticipationIndexEntries() const;
 
   /// Everything needed to rebuild a bank without replaying releases.
@@ -202,17 +194,21 @@ class AccountantBank {
     std::vector<PackedMask> participation;  ///< aligned with schedule
     std::vector<UserImage> users;           ///< in user-index order
   };
+  /// Rebuilds the participation rows from the index in one counting
+  /// pass: All for a dense release, else one bit per user enrolled at
+  /// the release (at least one word), as Record staged its mask.
   Image ExportImage() const;
 
   /// Rebuilds a bank from \p image in one pass over its rows (linear in
   /// users, stored mask runs and participations) with **no** loss
-  /// evaluations: cohorts are re-interned, columns injected directly.
-  /// Hardened restore path: malformed images (non-finite or
+  /// evaluations: cohorts are re-interned, columns injected directly,
+  /// and the rows are folded into the participation index, then
+  /// dropped. Hardened restore path: malformed images (non-finite or
   /// non-positive schedule entries, row/schedule length mismatch,
-  /// out-of-range joins, mask rows wider than the fleet, or an eps_sum
-  /// that does not equal the mask-selected schedule sum bitwise) return
-  /// InvalidArgument. Series queried from the restored bank are bitwise
-  /// identical to the originals.
+  /// out-of-range or decreasing joins, mask rows wider than the fleet,
+  /// or an eps_sum that does not equal the mask-selected schedule sum
+  /// bitwise) return InvalidArgument. Series queried from the restored
+  /// bank are bitwise identical to the originals.
   static StatusOr<AccountantBank> Restore(Image image,
                                           AccountantBankOptions options = {});
   /// @}
@@ -273,7 +269,7 @@ class AccountantBank {
                          const std::vector<std::size_t>& participants);
   Status Record(double epsilon, const std::vector<std::size_t>* participants);
   /// The user's participations as indices into its own series
-  /// (release - join), ascending: a merge of its All-row releases and
+  /// (release - join), ascending: a merge of its dense releases and
   /// its explicit ones.
   std::vector<std::uint32_t> ParticipationsOf(std::size_t user) const;
   /// Rebuilds cohort_offsets_ from the cohort sizes when AddUser has
@@ -296,31 +292,23 @@ class AccountantBank {
   mutable std::vector<std::size_t> cohort_offsets_;
   mutable bool offsets_dirty_ = false;
 
-  /// Reusable staging for Record's participation bitmask — rebuilt (not
-  /// reallocated) per masked release, packed via PackedMask::FromWordSpan.
+  /// The step kernels' participation bitmask for the release in
+  /// progress, rebuilt (not reallocated) per masked release.
   std::vector<std::uint64_t> mask_scratch_;
   /// Every slot may still move (after a dense release or Restore): the
   /// cohorts' active lists are stale and the next sparse release sweeps.
   bool all_active_ = false;
 
   // Per-user global state (SoA).
-  std::vector<std::uint32_t> user_join_;    ///< global release at join
+  std::vector<std::uint32_t> user_join_;    ///< release at join, ascending
   std::vector<std::uint32_t> user_cohort_;  ///< owning cohort
   std::vector<std::uint32_t> user_slot_;    ///< slot within the cohort
 
   std::vector<double> schedule_;  ///< global per-release budgets
-  /// Participation row per release over global user indices; an All row
-  /// means "every user enrolled at that time participated". Rows beyond
-  /// a few words store word-level RLE (see common/packed_mask.h) so
-  /// 10^5-release histories — and the snapshots/logs derived from them —
-  /// stay small.
-  std::vector<PackedMask> participation_;
-  /// Participation index, the transpose of participation_ that
-  /// EpsilonsFor and SeriesFor walk instead of probing every row. All
-  /// rows are listed once for everyone (a user's are those at or after
-  /// its join); each user lists the explicit rows that select it. Both
-  /// are ascending release indices. Derived state: Restore rebuilds it,
-  /// images and logs never carry it.
+  /// Participation index, the bank's only record of who took part in
+  /// which release. Dense releases are listed once for everyone (a
+  /// user's are those at or after its join); each user lists the sparse
+  /// releases that select it. Both are ascending release indices.
   std::vector<std::uint32_t> all_releases_;
   std::vector<std::vector<std::uint32_t>> user_releases_;
 };

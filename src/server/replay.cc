@@ -21,10 +21,11 @@ Status ApplyWalRecord(const EventRecord& record, AccountantBank* bank,
     if (release.all) {
       return bank->RecordRelease(release.epsilon);
     }
+    // A bit past the enrolled users selects nobody, as in Restore.
     std::vector<std::size_t> participants;
-    for (std::size_t u = 0; u < names->size(); ++u) {
-      if (release.mask.bit(u)) participants.push_back(u);
-    }
+    release.mask.ForEachSetBit([&](std::size_t u) {
+      if (u < names->size()) participants.push_back(u);
+    });
     return bank->RecordRelease(release.epsilon, participants);
   }
   return Status::InvalidArgument(

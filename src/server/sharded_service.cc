@@ -19,6 +19,7 @@
 #include "common/atomic_file.h"
 #include "common/thread_pool.h"
 #include "core/accountant_bank.h"
+#include "core/privacy_loss.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
@@ -931,6 +932,15 @@ Status ShardedReleaseService::Join(const std::string& name,
                                    TemporalCorrelations correlations) {
   if (closed_) {
     return Status::FailedPrecondition("service is closed");
+  }
+  constexpr std::size_t kMaxStates = TemporalLossFunction::kMaxTableStates;
+  if ((correlations.has_backward() &&
+       correlations.backward().size() > kMaxStates) ||
+      (correlations.has_forward() &&
+       correlations.forward().size() > kMaxStates)) {
+    return Status::InvalidArgument(
+        "Join: '" + name + "' has a matrix of more than " +
+        std::to_string(kMaxStates) + " states");
   }
   const std::size_t shard = ShardOf(name, shards_.size());
   const std::uint32_t local = shard_user_count_[shard];

@@ -190,7 +190,10 @@ class ShardedReleaseService {
   ShardedReleaseService& operator=(const ShardedReleaseService&) = delete;
 
   /// Enrolls a user (effective at the tick closing this window).
-  /// AlreadyExists for duplicate names.
+  /// AlreadyExists for duplicate names; InvalidArgument for a matrix of
+  /// more than TemporalLossFunction::kMaxTableStates states, which
+  /// would put a per-alpha scan on the shard worker for every new alpha.
+  /// WAL replay does not apply the bound, so existing logs recover.
   Status Join(const std::string& name, TemporalCorrelations correlations);
 
   /// One per-user release request: \p name spends \p epsilon at the

@@ -6,6 +6,9 @@
 #include "core/accountant_bank.h"
 
 #include <gtest/gtest.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <algorithm>
 #include <cstddef>
@@ -13,6 +16,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -92,8 +96,6 @@ TEST(AccountantBank, SkippedUsersPropagateLossWithoutAccruingBudget) {
   ASSERT_TRUE(bank.RecordRelease(0.5, {}).ok());  // nobody participates
   ASSERT_TRUE(bank.RecordRelease(0.5, {user}).ok());
   EXPECT_DOUBLE_EQ(bank.UserEpsSum(user), 1.0);
-  EXPECT_TRUE(bank.Participated(user, 0));
-  EXPECT_FALSE(bank.Participated(user, 1));
   EXPECT_EQ(bank.EpsilonsFor(user), (std::vector<double>{0.5, 0.0, 0.5}));
 
   const auto bpl = bank.BplSeriesFor(user);
@@ -857,9 +859,9 @@ TEST(AccountantBank, ParticipantAtItsBplFixedPointStaysActive) {
 
 // ----------------------------------------------------------------------
 // Participation index: EpsilonsFor and SeriesFor read the per-user
-// index (the transpose of the stored rows) and fill converged gaps.
-// Both must match, bitwise, a row-probe reference — Participated(u, t)
-// for every t — and TplAccountant driven with that sequence.
+// index and fill converged gaps. Both must match, bitwise, each user's
+// spend sequence as the test drove it — recorded beside the bank, never
+// read back from it — and TplAccountant driven with that sequence.
 
 bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
@@ -867,24 +869,25 @@ bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-/// The user's spend sequence probed row by row.
-std::vector<double> ProbedEpsilons(const AccountantBank& bank,
-                                   std::size_t u) {
-  std::vector<double> eps;
-  for (std::size_t t = bank.join_release(u); t < bank.horizon(); ++t) {
-    eps.push_back(bank.Participated(u, t) ? bank.schedule()[t] : 0.0);
-  }
-  return eps;
+/// Per user, the spend sequence a test drove, from its join on.
+using Recorded = std::vector<std::vector<double>>;
+
+void AddRecordedUser(const TemporalCorrelations& correlations,
+                     AccountantBank* bank, Recorded* recorded) {
+  bank->AddUser(correlations);
+  recorded->emplace_back();
 }
 
-/// Checks every user of \p bank against the row probe and a reference
-/// accountant through identically configured evaluators.
-void ExpectIndexMatchesProbeAndReference(const AccountantBank& bank,
-                                         const AccountantBankOptions& options) {
+/// Checks every user of \p bank against its recorded sequence and a
+/// reference accountant through identically configured evaluators.
+void ExpectIndexMatchesRecordAndReference(
+    const AccountantBank& bank, const AccountantBankOptions& options,
+    const Recorded& recorded) {
   TemporalLossCache reference_cache(options.cache);
+  ASSERT_EQ(recorded.size(), bank.num_users());
   for (std::size_t u = 0; u < bank.num_users(); ++u) {
-    const std::vector<double> probed = ProbedEpsilons(bank, u);
-    EXPECT_TRUE(BitwiseEqual(bank.EpsilonsFor(u), probed)) << "user " << u;
+    const std::vector<double>& expected = recorded[u];
+    EXPECT_TRUE(BitwiseEqual(bank.EpsilonsFor(u), expected)) << "user " << u;
 
     TemporalCorrelations corr = bank.user_correlations(u);
     std::optional<TplAccountant> reference;
@@ -898,13 +901,13 @@ void ExpectIndexMatchesProbeAndReference(const AccountantBank& bank,
     } else {
       reference.emplace(std::move(corr));
     }
-    for (double eps : probed) {
+    for (double eps : expected) {
       ASSERT_TRUE((eps > 0.0 ? reference->RecordRelease(eps)
                              : reference->RecordSkip())
                       .ok());
     }
     const AccountantBank::UserSeries series = bank.SeriesFor(u);
-    EXPECT_TRUE(BitwiseEqual(series.epsilons, probed)) << "user " << u;
+    EXPECT_TRUE(BitwiseEqual(series.epsilons, expected)) << "user " << u;
     EXPECT_TRUE(BitwiseEqual(series.bpl, reference->BplSeries()))
         << "user " << u;
     EXPECT_TRUE(BitwiseEqual(series.fpl, reference->FplSeries()))
@@ -927,26 +930,37 @@ class ParticipationIndexTest
 
   /// Dense (All-row) and sparse releases interleaved, duplicate
   /// participants, late joiners, long quiet stretches so gaps settle.
+  /// Appends each user's spend at every release to \p recorded.
   void DriveMixed(Rng* rng, const std::vector<TemporalCorrelations>& profiles,
-                  std::size_t releases, AccountantBank* bank) {
+                  std::size_t releases, AccountantBank* bank,
+                  Recorded* recorded) {
     for (std::size_t i = 0; i < releases; ++i) {
       if (bank->num_users() == 0 || rng->Uniform() < 0.02) {
-        bank->AddUser(profiles[static_cast<std::size_t>(rng->UniformInt(
-            0, static_cast<std::int64_t>(profiles.size()) - 1))]);
+        const auto pick = static_cast<std::size_t>(rng->UniformInt(
+            0, static_cast<std::int64_t>(profiles.size()) - 1));
+        AddRecordedUser(profiles[pick], bank, recorded);
       }
       const double eps = 0.05 + 0.4 * rng->Uniform();
       if (rng->Uniform() < 0.1) {
         ASSERT_TRUE(bank->RecordRelease(eps).ok());
+        for (std::vector<double>& spends : *recorded) spends.push_back(eps);
         continue;
       }
       std::vector<std::size_t> participants;
+      std::vector<bool> selected(bank->num_users(), false);
       for (std::size_t u = 0; u < bank->num_users(); ++u) {
-        if (rng->Uniform() < 0.04) participants.push_back(u);
+        if (rng->Uniform() < 0.04) {
+          participants.push_back(u);
+          selected[u] = true;
+        }
       }
       if (!participants.empty() && rng->Uniform() < 0.3) {
         participants.push_back(participants.front());  // a duplicate
       }
       ASSERT_TRUE(bank->RecordRelease(eps, participants).ok());
+      for (std::size_t u = 0; u < recorded->size(); ++u) {
+        (*recorded)[u].push_back(selected[u] ? eps : 0.0);
+      }
     }
   }
 };
@@ -960,7 +974,7 @@ std::vector<TemporalCorrelations> IndexProfiles(Rng* rng) {
           TemporalCorrelations::None()};
 }
 
-TEST_P(ParticipationIndexTest, SeriesMatchRowProbeAndReference) {
+TEST_P(ParticipationIndexTest, SeriesMatchRecordAndReference) {
   Rng rng(static_cast<std::uint64_t>(std::get<2>(GetParam())) + 55000);
   const std::vector<TemporalCorrelations> profiles = IndexProfiles(&rng);
   const int threads = std::get<1>(GetParam());
@@ -970,26 +984,34 @@ TEST_P(ParticipationIndexTest, SeriesMatchRowProbeAndReference) {
     pool.emplace(static_cast<std::size_t>(threads));
     bank.set_pool(&*pool);
   }
-  for (int u = 0; u < 20; ++u) bank.AddUser(profiles[u % profiles.size()]);
-  DriveMixed(&rng, profiles, 600, &bank);
-  ExpectIndexMatchesProbeAndReference(bank, Options());
+  Recorded recorded;
+  for (int u = 0; u < 20; ++u) {
+    AddRecordedUser(profiles[u % profiles.size()], &bank, &recorded);
+  }
+  DriveMixed(&rng, profiles, 600, &bank, &recorded);
+  ExpectIndexMatchesRecordAndReference(bank, Options(), recorded);
 }
 
 TEST_P(ParticipationIndexTest, RestoreThenSparseReleasesMatch) {
   Rng rng(static_cast<std::uint64_t>(std::get<2>(GetParam())) + 56000);
   const std::vector<TemporalCorrelations> profiles = IndexProfiles(&rng);
   AccountantBank bank(Options());
-  for (int u = 0; u < 20; ++u) bank.AddUser(profiles[u % profiles.size()]);
-  DriveMixed(&rng, profiles, 300, &bank);
+  Recorded recorded;
+  for (int u = 0; u < 20; ++u) {
+    AddRecordedUser(profiles[u % profiles.size()], &bank, &recorded);
+  }
+  DriveMixed(&rng, profiles, 300, &bank, &recorded);
   auto restored = AccountantBank::Restore(bank.ExportImage(), Options());
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_EQ(restored->ParticipationIndexEntries(),
             bank.ParticipationIndexEntries());
   // Both banks take the same further releases.
   Rng again = rng;
-  DriveMixed(&rng, profiles, 300, &bank);
-  DriveMixed(&again, profiles, 300, &*restored);
-  ExpectIndexMatchesProbeAndReference(*restored, Options());
+  Recorded restored_recorded = recorded;
+  DriveMixed(&rng, profiles, 300, &bank, &recorded);
+  DriveMixed(&again, profiles, 300, &*restored, &restored_recorded);
+  ExpectIndexMatchesRecordAndReference(*restored, Options(),
+                                       restored_recorded);
   ASSERT_EQ(restored->num_users(), bank.num_users());
   for (std::size_t u = 0; u < bank.num_users(); ++u) {
     EXPECT_TRUE(BitwiseEqual(restored->TplSeriesFor(u), bank.TplSeriesFor(u)))
@@ -1020,6 +1042,58 @@ TEST(AccountantBank, DenseReleaseAddsOneSharedIndexEntry) {
   EXPECT_EQ(bank.EpsilonsFor(late), std::vector<double>({0.4}));
   EXPECT_EQ(bank.EpsilonsFor(3), std::vector<double>({0.1, 0.2, 0.3, 0.4}));
   EXPECT_EQ(bank.EpsilonsFor(4), std::vector<double>({0.1, 0.0, 0.3, 0.4}));
+}
+
+// ----------------------------------------------------------------------
+// Memory: the participation index is the bank's only per-release store,
+// so a sparse release costs its few index entries and a schedule slot,
+// not a row over the whole fleet.
+
+/// Bytes the process holds from malloc: arena chunks plus the mmapped
+/// ones that back large vectors (glibc only; the test skips elsewhere).
+std::size_t HeapBytesInUse() {
+#if defined(__GLIBC__)
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+TEST(AccountantBankMemory, SparseReleaseCostsAtMost100HeapBytes) {
+#if !defined(__GLIBC__) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "needs glibc's own allocator (mallinfo2)";
+#endif
+  // 5k users over 8 random n=16 profiles, 100k releases of 5 random
+  // participants each (duplicates allowed).
+  Rng rng(20261018);
+  std::vector<TemporalCorrelations> profiles;
+  for (int p = 0; p < 8; ++p) {
+    profiles.push_back(
+        TemporalCorrelations::Both(StochasticMatrix::Random(16, &rng),
+                                   StochasticMatrix::Random(16, &rng))
+            .value());
+  }
+  constexpr std::size_t kUsers = 5000;
+  constexpr std::size_t kReleases = 100000;
+  AccountantBank bank;
+  for (std::size_t u = 0; u < kUsers; ++u) bank.AddUser(profiles[u % 8]);
+  std::vector<std::size_t> participants(5);
+  const std::size_t before = HeapBytesInUse();
+  for (std::size_t t = 0; t < kReleases; ++t) {
+    for (std::size_t& p : participants) {
+      p = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(kUsers) - 1));
+    }
+    ASSERT_TRUE(bank.RecordRelease(0.1, participants).ok());
+  }
+  const double per_release =
+      (static_cast<double>(HeapBytesInUse()) - static_cast<double>(before)) /
+      kReleases;
+  EXPECT_LE(per_release, 100.0);
+  RecordProperty("heap_bytes_per_sparse_release",
+                 std::to_string(per_release));
 }
 
 }  // namespace

@@ -199,6 +199,16 @@ TEST(AccountantBankRestore, RejectsInconsistentImages) {
   }
   {
     AccountantBank::Image bad = good;
+    bad.users[0].join = 1;  // user 0 joins after user 1
+    const auto rejected = AccountantBank::Restore(bad);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rejected.status().message().find("user 1 joins before user 0"),
+              std::string::npos)
+        << rejected.status().message();
+  }
+  {
+    AccountantBank::Image bad = good;
     bad.users[1].eps_sum += 0.25;  // columns disagree with masks
     EXPECT_FALSE(AccountantBank::Restore(bad).ok());
   }
@@ -311,12 +321,13 @@ TEST(AccountantBankParticipation, LongHistoriesCompress) {
   for (int t = 0; t < 200; ++t) {
     ASSERT_TRUE(bank.RecordRelease(0.01, clique).ok());
   }
-  const std::size_t dense_bytes = 200 * ((2048 + 63) / 64) * 8;
-  EXPECT_LT(bank.ParticipationBytes(), dense_bytes / 4)
-      << "RLE rows should be far below the dense footprint";
-  // And the compressed rows still answer membership exactly.
-  EXPECT_TRUE(bank.Participated(2, 150));
-  EXPECT_FALSE(bank.Participated(3, 150));
+  const AccountantBank::Image image = bank.ExportImage();
+  for (const PackedMask& row : image.participation) {
+    EXPECT_TRUE(row.is_rle()) << "rows should RLE below the dense footprint";
+  }
+  // And the index still answers membership exactly.
+  EXPECT_EQ(bank.EpsilonsFor(2)[150], 0.01);
+  EXPECT_EQ(bank.EpsilonsFor(3)[150], 0.0);
   EXPECT_EQ(bank.UserEpsSum(3), 0.0);
 }
 

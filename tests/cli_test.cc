@@ -699,7 +699,8 @@ TEST_F(ServeCliTest, JsonOutputsParseWithTheKeysScriptsRead) {
                            "sparsity", "epsilon", "cache", "user_releases",
                            "user_releases_per_sec", "overall_alpha",
                            "min_personalized_alpha", "cache_hits",
-                           "cache_misses", "distinct_matrices"});
+                           "cache_misses", "distinct_matrices",
+                           "cache_table_bytes"});
 
   // A durable served run, then a client, a health probe, replay and
   // compact against what it left behind. perfbench reads

@@ -1,6 +1,7 @@
 // The write-ahead event log: framing round-trips, torn-tail recovery at
-// every byte offset, CRC detection of flipped bytes, and
-// truncate-then-append resumption.
+// every byte offset, CRC detection of flipped bytes,
+// truncate-then-append resumption, and the golden bytes of WAL and
+// snapshot records.
 
 #include "server/event_log.h"
 
@@ -8,11 +9,17 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/packed_mask.h"
+#include "core/accountant_bank.h"
+#include "markov/stochastic_matrix.h"
 #include "server/records.h"
+#include "server/snapshot.h"
 
 namespace tcdp {
 namespace server {
@@ -97,8 +104,8 @@ TEST_F(EventLogTest, ReleaseRecordMatchesGoldenBytes) {
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->epsilon, 0.1);
   EXPECT_FALSE(decoded->all);
-  EXPECT_TRUE(decoded->mask.bit(70));
-  EXPECT_FALSE(decoded->mask.bit(1));
+  EXPECT_EQ(decoded->mask.ToWords(2),
+            (std::vector<std::uint64_t>{0x9, 0x40}));
 }
 
 // The exact bytes of one kSnapUser record as snapshots store it: the
@@ -158,6 +165,76 @@ TEST_F(EventLogTest, SnapUserRecordMatchesGoldenBytes) {
   EXPECT_EQ(decoded->image.correlations.forward().matrix().data(),
             forward->matrix().data());
   EXPECT_EQ(EncodeSnapUser(*decoded), payload);
+}
+
+// The exact bytes of a snapshot of a live bank. Its rows are rebuilt
+// from the bank's participation index, and this pins them to the
+// layout existing snapshots hold: All rows, dense rows of up to four
+// words, RLE rows, an empty participant list, releases at 0 users,
+// duplicate participants and late joiners. No user has a backward
+// matrix, so every stored double is a sum of budgets and the bytes do
+// not depend on the platform's libm.
+TEST_F(EventLogTest, LiveBankSnapshotMatchesGoldenBytes) {
+  const TemporalCorrelations profiles[] = {
+      TemporalCorrelations::None(),
+      TemporalCorrelations::ForwardOnly(
+          StochasticMatrix::FromRows({{0.8, 0.2}, {0.0, 1.0}})),
+      TemporalCorrelations::ForwardOnly(StochasticMatrix::FromRows(
+          {{0.6, 0.3, 0.1}, {0.2, 0.5, 0.3}, {0.1, 0.1, 0.8}}))};
+  AccountantBank bank;
+  std::vector<std::string> names;
+  const auto add_users = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      bank.AddUser(profiles[names.size() % 3]);
+      names.push_back("u" + std::to_string(names.size()));
+    }
+  };
+  ASSERT_TRUE(bank.RecordRelease(0.25, {}).ok());  // 0 users: one zero word
+  ASSERT_TRUE(bank.RecordRelease(0.5).ok());       // 0 users: All
+  add_users(70);
+  ASSERT_TRUE(bank.RecordRelease(0.1, {0, 3, 69, 3}).ok());
+  ASSERT_TRUE(bank.RecordRelease(0.2).ok());
+  ASSERT_TRUE(bank.RecordRelease(0.3, {}).ok());
+  add_users(130);
+  ASSERT_TRUE(bank.RecordRelease(0.15, {5, 199}).ok());
+  ASSERT_TRUE(bank.RecordRelease(0.05, {}).ok());
+  add_users(100);
+  ASSERT_TRUE(bank.RecordRelease(0.05, {7, 7}).ok());
+  ASSERT_TRUE(bank.RecordRelease(0.35, {1, 130, 299}).ok());
+  ASSERT_TRUE(bank.RecordRelease(0.45).ok());
+  ASSERT_TRUE(bank.RecordRelease(0.4, {256, 260, 256}).ok());
+
+  ShardSnapshot snapshot;
+  snapshot.applied_records = 1 + names.size() + bank.horizon();
+  snapshot.names = names;
+  snapshot.bank = bank.ExportImage();
+  snapshot.alpha_resolution = bank.cache_alpha_resolution();
+  // (kind, words) per row: 'A'll, 'D'ense or 'R'LE.
+  const std::vector<std::pair<char, std::size_t>> shapes = {
+      {'D', 1}, {'A', 0}, {'D', 2}, {'A', 0}, {'D', 2}, {'D', 4},
+      {'R', 4}, {'R', 5}, {'D', 5}, {'A', 0}, {'R', 5}};
+  ASSERT_EQ(snapshot.bank.participation.size(), shapes.size());
+  for (std::size_t t = 0; t < shapes.size(); ++t) {
+    const PackedMask& row = snapshot.bank.participation[t];
+    const char kind = row.is_all() ? 'A' : row.is_rle() ? 'R' : 'D';
+    EXPECT_EQ(kind, shapes[t].first) << "release " << t;
+    EXPECT_EQ(row.num_words(), shapes[t].second) << "release " << t;
+  }
+  ASSERT_TRUE(WriteShardSnapshot(path_, snapshot).ok());
+  const std::string bytes = ReadFileBytes();
+  EXPECT_EQ(bytes.size(), 56994u);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0xfec22188u);
+
+  // Restore, then export: the same image, written to the same bytes.
+  auto read = ReadShardSnapshot(path_);
+  ASSERT_TRUE(read.ok()) << read.status();
+  auto restored = AccountantBank::Restore(read->bank);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  snapshot.bank = restored->ExportImage();
+  EXPECT_EQ(snapshot.bank.schedule, bank.schedule());
+  EXPECT_TRUE(snapshot.bank.participation == read->bank.participation);
+  ASSERT_TRUE(WriteShardSnapshot(path_, snapshot).ok());
+  EXPECT_EQ(ReadFileBytes(), bytes);
 }
 
 TEST_F(EventLogTest, MissingFileIsNotFound) {

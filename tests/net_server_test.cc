@@ -29,6 +29,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/privacy_loss.h"
+#include "markov/stochastic_matrix.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "server/sharded_service.h"
@@ -285,6 +287,29 @@ TEST(NetServerTest, ServiceErrorsAreReportedAndDoNotKillTheStream) {
   ASSERT_TRUE(fresh.ok());
   EXPECT_TRUE((*fresh)->Release("alice", 0.1).ok());
   EXPECT_TRUE((*fresh)->Flush().ok());
+  EXPECT_TRUE((*fresh)->Shutdown().ok());
+  ts->Finish();
+}
+
+TEST(NetServerTest, OversizedMatrixJoinIsRefusedAndTheNextJoinSucceeds) {
+  auto ts = TestServer::Start(2, 4);
+  ASSERT_NE(ts, nullptr);
+  auto client = Connect(*ts);
+  ASSERT_TRUE(client.ok());
+  const Status refused = (*client)->Join(
+      "wide", TemporalCorrelations::BackwardOnly(StochasticMatrix::Identity(
+                  TemporalLossFunction::kMaxTableStates + 1)));
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << refused;
+  // The refusal latches that client only; the server takes the next
+  // Join, and the refused name was never registered.
+  auto fresh = Connect(*ts);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_TRUE((*fresh)->Join("alice", Profile(0)).ok());
+  EXPECT_TRUE((*fresh)->ReleaseAll(0.1).ok());
+  EXPECT_TRUE((*fresh)->Flush().ok());
+  EXPECT_TRUE((*fresh)->Query("alice").ok());
+  auto wide = (*fresh)->Query("wide");
+  EXPECT_EQ(wide.status().code(), StatusCode::kNotFound);
   EXPECT_TRUE((*fresh)->Shutdown().ok());
   ts->Finish();
 }

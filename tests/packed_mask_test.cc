@@ -1,10 +1,12 @@
-// PackedMask: all/dense/RLE representation choice, bit semantics, wire
-// round-trips, and corrupted-input rejection.
+// PackedMask: all/dense/RLE representation choice, word expansion past
+// the width, set-bit walks, wire round-trips, and corrupted-input
+// rejection.
 
 #include "common/packed_mask.h"
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -34,16 +36,17 @@ std::vector<std::uint64_t> RandomWords(Rng* rng, std::size_t n,
 TEST(PackedMask, AllMaskIsEveryone) {
   const PackedMask mask = PackedMask::All();
   EXPECT_TRUE(mask.is_all());
-  EXPECT_TRUE(mask.bit(0));
-  EXPECT_TRUE(mask.bit(1'000'000));
+  EXPECT_EQ(mask.ToWords(3), std::vector<std::uint64_t>(3, ~0ull));
   EXPECT_EQ(mask.num_words(), 0u);
 }
 
 TEST(PackedMask, EmptyExplicitMaskIsNobody) {
   const PackedMask mask = PackedMask::FromWords({});
   EXPECT_FALSE(mask.is_all());
-  EXPECT_FALSE(mask.bit(0));
-  EXPECT_FALSE(mask.bit(63));
+  EXPECT_EQ(mask.ToWords(1), std::vector<std::uint64_t>{0});
+  bool visited = false;
+  mask.ForEachSetBit([&visited](std::size_t) { visited = true; });
+  EXPECT_FALSE(visited);
 }
 
 TEST(PackedMask, ShortRowsStayDense) {
@@ -51,21 +54,20 @@ TEST(PackedMask, ShortRowsStayDense) {
   // dense path.
   const PackedMask mask = PackedMask::FromWords({0xFFull, 0xFFull, 0xFFull});
   EXPECT_FALSE(mask.is_rle());
-  EXPECT_TRUE(mask.bit(0));
-  EXPECT_FALSE(mask.bit(8));
-  EXPECT_TRUE(mask.bit(64));
-  EXPECT_FALSE(mask.bit(3 * 64));  // past the width
+  // Past the width every word is zero.
+  EXPECT_EQ(mask.ToWords(4),
+            (std::vector<std::uint64_t>{0xFFull, 0xFFull, 0xFFull, 0}));
 }
 
 TEST(PackedMask, LongUniformRowsCompress) {
   const std::vector<std::uint64_t> words(1000, ~std::uint64_t{0});
   const PackedMask mask = PackedMask::FromWords(words);
   EXPECT_TRUE(mask.is_rle());
-  EXPECT_LT(mask.MemoryBytes(), 100u);  // 2 u64 arrays of 1 run each
-  EXPECT_TRUE(mask.bit(0));
-  EXPECT_TRUE(mask.bit(999 * 64 + 63));
-  EXPECT_FALSE(mask.bit(1000 * 64));
+  std::string encoded;
+  mask.EncodeTo(&encoded);
+  EXPECT_LT(encoded.size(), 16u);  // one run: length and word
   EXPECT_EQ(mask.ToWords(1000), words);
+  EXPECT_EQ(mask.ToWords(1001).back(), 0u);
 }
 
 TEST(PackedMask, MixedRowsMatchDenseReference) {
@@ -75,12 +77,10 @@ TEST(PackedMask, MixedRowsMatchDenseReference) {
     const double bias = rng.Uniform();
     const std::vector<std::uint64_t> words = RandomWords(&rng, n, bias);
     const PackedMask mask = PackedMask::FromWords(words);
-    for (std::size_t i = 0; i < n * 64 + 64; ++i) {
-      const bool expected =
-          (i >> 6) < n && ((words[i >> 6] >> (i & 63)) & 1u);
-      ASSERT_EQ(mask.bit(i), expected) << "iter " << iter << " bit " << i;
-    }
-    EXPECT_EQ(mask.ToWords(n), words);
+    EXPECT_EQ(mask.ToWords(n), words) << "iter " << iter;
+    std::vector<std::uint64_t> wider = words;
+    wider.push_back(0);
+    EXPECT_EQ(mask.ToWords(n + 1), wider) << "iter " << iter;
   }
 }
 

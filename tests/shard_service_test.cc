@@ -19,10 +19,15 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/accountant_bank.h"
 #include "core/loss_cache.h"
+#include "core/privacy_loss.h"
 #include "core/tpl_accountant.h"
 #include "kernels/kernels.h"
 #include "markov/stochastic_matrix.h"
+#include "server/event_log.h"
+#include "server/records.h"
+#include "server/replay.h"
 
 namespace tcdp {
 namespace server {
@@ -249,6 +254,48 @@ TEST(ShardedService, RoutesAndReportsBasics) {
   EXPECT_GE(*overall, alice->max_tpl);
   ASSERT_TRUE(s.Close().ok());
   EXPECT_FALSE(s.Release("alice", 0.1).ok());  // closed
+}
+
+TEST(ShardedService, JoinRefusesMatricesPastTheTableBound) {
+  constexpr std::size_t kMax = TemporalLossFunction::kMaxTableStates;
+  auto service = ShardedReleaseService::Create("", {});
+  ASSERT_TRUE(service.ok()) << service.status();
+  ShardedReleaseService& s = **service;
+  const StochasticMatrix big = StochasticMatrix::Identity(kMax + 1);
+  for (const TemporalCorrelations& corr :
+       {TemporalCorrelations::BackwardOnly(big),
+        TemporalCorrelations::ForwardOnly(big)}) {
+    const Status refused = s.Join("wide", corr);
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << refused;
+  }
+  // Refused before registration: the name stays free, and the bound
+  // itself is accepted.
+  ASSERT_TRUE(s.Join("wide", TemporalCorrelations::BackwardOnly(
+                                 StochasticMatrix::Identity(kMax)))
+                  .ok());
+  ASSERT_TRUE(s.ReleaseAll(0.1).ok());
+  ASSERT_TRUE(s.Flush().ok());
+  EXPECT_EQ(s.num_users(), 1u);
+  auto wide = s.Query("wide");
+  ASSERT_TRUE(wide.ok()) << wide.status();
+  EXPECT_EQ(wide->user_level_tpl, 0.1);
+  ASSERT_TRUE(s.Close().ok());
+}
+
+TEST(ShardedService, ReplayedJoinIsNotBoundByTheTableLimit) {
+  // Logs written before the Join bound still recover: replay enrolls
+  // through AccountantBank::AddUser, which takes any size.
+  AddUserRecord add;
+  add.name = "wide";
+  add.image.correlations = TemporalCorrelations::BackwardOnly(
+      StochasticMatrix::Identity(TemporalLossFunction::kMaxTableStates + 1));
+  AccountantBank bank;
+  std::vector<std::string> names;
+  ASSERT_TRUE(
+      ApplyWalRecord({EventType::kAddUser, EncodeAddUser(add)}, &bank, &names)
+          .ok());
+  EXPECT_EQ(bank.num_users(), 1u);
+  EXPECT_EQ(names, std::vector<std::string>{"wide"});
 }
 
 TEST(ShardedService, ShardOfIsStableAndCoversShards) {

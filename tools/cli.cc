@@ -17,6 +17,9 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #endif
 
 #include "bench/compare.h"
@@ -562,7 +565,8 @@ Status CmdFleet(const Flags& flags, std::ostream& out) {
                    {"min_personalized_alpha", min_alpha},
                    {"cache_hits", cache.hits},
                    {"cache_misses", cache.misses},
-                   {"distinct_matrices", cache.distinct_matrices}})
+                   {"distinct_matrices", cache.distinct_matrices},
+                   {"cache_table_bytes", cache.table_bytes}})
                .Dump();
     return Status::OK();
   }
@@ -772,6 +776,17 @@ Status CmdServe(const Flags& flags, std::ostream& out) {
     return Status::InvalidArgument(
         "missing required flag --script (or --listen)");
   }
+#if defined(__GLIBC__)
+  // A Query answer allocates arrays as long as the user's horizon, a
+  // little longer each time. glibc's mmap threshold otherwise rises only
+  // to the largest block freed so far, so each answer's arrays would be
+  // mapped and page-faulted anew. These are the ceilings its dynamic
+  // rule moves toward (the trim threshold at twice the mmap one); fixed,
+  // they keep such arrays in the heap, and the heap is not trimmed back
+  // between them.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 64 << 20);
+#endif
   server::ShardedServiceOptions options;
   options.num_shards = flags.Size("shards");
   options.batch_window = flags.Size("batch-window");
