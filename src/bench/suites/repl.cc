@@ -21,17 +21,18 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/suites/common.h"
 #include "bench/suites/suites.h"
+#include "common/atomic_file.h"
 #include "common/timer.h"
 #include "replication/follower.h"
 #include "replication/log_stream.h"
 #include "server/event_log.h"
+#include "server/log_dir.h"
 #include "server/sharded_service.h"
 
 namespace tcdp {
@@ -41,22 +42,12 @@ namespace {
 constexpr std::size_t kShards = 2;
 constexpr std::size_t kBatchWindow = 16;
 
-std::string ShardWal(const std::string& dir, std::size_t shard) {
-  return dir + "/shard-" + std::to_string(shard) + ".wal";
-}
-
-StatusOr<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return Status::NotFound("cannot read " + path);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
 StatusOr<std::vector<std::uint64_t>> WalRecordCounts(
     const std::string& dir) {
   std::vector<std::uint64_t> counts;
   for (std::size_t s = 0; s < kShards; ++s) {
-    TCDP_ASSIGN_OR_RETURN(auto read, server::ReadEventLog(ShardWal(dir, s)));
+    TCDP_ASSIGN_OR_RETURN(auto read,
+                          server::ReadEventLog(server::ShardWalPath(dir, s)));
     counts.push_back(read.records.size());
   }
   return counts;
@@ -107,15 +98,15 @@ Status AwaitConverged(replication::Follower* follower,
 Status ExpectBitwiseIdentical(const std::string& primary,
                               const std::string& replica, bool* identical) {
   TCDP_ASSIGN_OR_RETURN(const std::string manifest_a,
-                        ReadFileBytes(primary + "/MANIFEST"));
+                        ReadFileWhole(server::ManifestPath(primary)));
   TCDP_ASSIGN_OR_RETURN(const std::string manifest_b,
-                        ReadFileBytes(replica + "/MANIFEST"));
+                        ReadFileWhole(server::ManifestPath(replica)));
   *identical = manifest_a == manifest_b;
   for (std::size_t s = 0; *identical && s < kShards; ++s) {
     TCDP_ASSIGN_OR_RETURN(const std::string a,
-                          ReadFileBytes(ShardWal(primary, s)));
+                          ReadFileWhole(server::ShardWalPath(primary, s)));
     TCDP_ASSIGN_OR_RETURN(const std::string b,
-                          ReadFileBytes(ShardWal(replica, s)));
+                          ReadFileWhole(server::ShardWalPath(replica, s)));
     *identical = a == b;
   }
   return Status::OK();

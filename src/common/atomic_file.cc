@@ -1,6 +1,7 @@
 #include "common/atomic_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -41,6 +42,27 @@ Status WriteFileAtomic(const std::string& path, const std::string& contents) {
                             ": " + std::strerror(errno));
   }
   return Status::OK();
+}
+
+StatusOr<std::string> ReadFileWhole(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::NotFound("cannot open " + path);
+  struct stat info {};
+  std::string contents;
+  if (::fstat(fd, &info) == 0) contents.reserve(info.st_size);
+  char buffer[64 * 1024];
+  ssize_t n = 0;
+  while ((n = ::read(fd, buffer, sizeof(buffer))) != 0) {
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) break;
+    contents.append(buffer, static_cast<std::size_t>(n));
+  }
+  const Status status = n < 0 ? Status::Internal("read " + path + ": " +
+                                                 std::strerror(errno))
+                              : Status::OK();
+  ::close(fd);
+  if (!status.ok()) return status;
+  return contents;
 }
 
 }  // namespace tcdp

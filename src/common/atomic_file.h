@@ -2,9 +2,9 @@
 #define TCDP_COMMON_ATOMIC_FILE_H_
 
 /// \file
-/// Whole-file publication for small files other processes or a later
-/// recovery read: the MANIFEST, compaction anchors, metrics and trace
-/// dumps.
+/// Whole-file I/O: publication for small files other processes or a
+/// later recovery read (the MANIFEST, compaction anchors, metrics and
+/// trace dumps), and the one whole-file read.
 
 #include <string>
 
@@ -18,6 +18,10 @@ namespace tcdp {
 /// torn. The directory entry is not fsynced: the rename itself may be
 /// lost in a power failure (docs/DURABILITY.md).
 Status WriteFileAtomic(const std::string& path, const std::string& contents);
+
+/// Reads \p path whole. NotFound ("cannot open <path>") when it cannot
+/// be opened, Internal when a read fails.
+StatusOr<std::string> ReadFileWhole(const std::string& path);
 
 }  // namespace tcdp
 

@@ -37,12 +37,6 @@ inline double Clamp(double x, double lo, double hi) {
   return x < lo ? lo : (x > hi ? hi : x);
 }
 
-/// \brief exp(x) - 1 computed stably for small x.
-inline double ExpM1(double x) { return std::expm1(x); }
-
-/// \brief log(1 + x) computed stably for small x.
-inline double Log1P(double x) { return std::log1p(x); }
-
 /// \brief Natural log that maps non-positive inputs to -inf instead of NaN.
 inline double SafeLog(double x) {
   if (x < 0.0) return std::numeric_limits<double>::quiet_NaN();

@@ -5,10 +5,10 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string_view>
 
+#include "common/atomic_file.h"
 #include "linalg/matrix.h"
 
 namespace tcdp {
@@ -98,28 +98,6 @@ StatusOr<std::size_t> ParseIndex(std::string_view field, std::size_t line_no) {
   return value;
 }
 
-StatusOr<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::NotFound("cannot open file: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-Status WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) {
-    return Status::NotFound("cannot write file: " + path);
-  }
-  out << content;
-  if (!out) {
-    return Status::Internal("write failed for file: " + path);
-  }
-  return Status::OK();
-}
-
 StatusOr<Matrix> ParseMatrixRows(std::string_view text) {
   std::vector<double> values;
   std::size_t rows = 0;
@@ -198,13 +176,13 @@ std::string SerializeStochasticMatrix(const StochasticMatrix& matrix,
 }
 
 StatusOr<StochasticMatrix> LoadStochasticMatrix(const std::string& path) {
-  TCDP_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  TCDP_ASSIGN_OR_RETURN(std::string text, ReadFileWhole(path));
   return ParseStochasticMatrix(text);
 }
 
 Status SaveStochasticMatrix(const StochasticMatrix& matrix,
                             const std::string& path) {
-  return WriteFile(path, SerializeStochasticMatrix(matrix));
+  return WriteFileAtomic(path, SerializeStochasticMatrix(matrix));
 }
 
 StatusOr<std::vector<Trajectory>> ParseTrajectories(std::string_view text,
@@ -251,13 +229,13 @@ std::string SerializeTrajectories(const std::vector<Trajectory>& trajectories,
 
 StatusOr<std::vector<Trajectory>> LoadTrajectories(const std::string& path,
                                                    std::size_t num_states) {
-  TCDP_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  TCDP_ASSIGN_OR_RETURN(std::string text, ReadFileWhole(path));
   return ParseTrajectories(text, num_states);
 }
 
 Status SaveTrajectories(const std::vector<Trajectory>& trajectories,
                         const std::string& path) {
-  return WriteFile(path, SerializeTrajectories(trajectories));
+  return WriteFileAtomic(path, SerializeTrajectories(trajectories));
 }
 
 }  // namespace tcdp

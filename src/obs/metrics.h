@@ -90,13 +90,6 @@ class Gauge {
   void Sub(std::int64_t delta) {
     value_.fetch_sub(delta, std::memory_order_relaxed);
   }
-  /// Raises the gauge to \p value if it is below it (CAS loop).
-  void SetMax(std::int64_t value) {
-    std::int64_t cur = value_.load(std::memory_order_relaxed);
-    while (cur < value && !value_.compare_exchange_weak(
-                              cur, value, std::memory_order_relaxed)) {
-    }
-  }
   std::int64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }

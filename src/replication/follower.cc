@@ -7,12 +7,8 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
-#include "common/atomic_file.h"
 #include "common/logging.h"
 #include "net/event_loop.h"
 #include "net/messages.h"
@@ -21,12 +17,11 @@
 #include "obs/watchdog.h"
 #include "replication/repl_messages.h"
 #include "server/event_log.h"
+#include "server/log_dir.h"
 
 namespace tcdp {
 namespace replication {
 namespace {
-
-constexpr char kManifestHeader[] = "tcdp-shard-manifest-v1";
 
 using net::ErrnoStatus;
 
@@ -54,31 +49,6 @@ struct FollowerObs {
     return instruments;
   }
 };
-
-std::string ShardWalPath(const std::string& dir, std::size_t shard) {
-  return dir + "/shard-" + std::to_string(shard) + ".wal";
-}
-
-StatusOr<std::size_t> ParseManifestShards(const std::string& text) {
-  std::istringstream in(text);
-  std::string header;
-  if (!std::getline(in, header) || header != kManifestHeader) {
-    return Status::InvalidArgument("bad manifest header");
-  }
-  std::string key;
-  while (in >> key) {
-    if (key == "shards") {
-      std::size_t shards = 0;
-      if (!(in >> shards) || shards == 0) {
-        return Status::InvalidArgument("malformed manifest 'shards' value");
-      }
-      return shards;
-    }
-    std::string skipped;
-    if (!(in >> skipped)) break;
-  }
-  return Status::InvalidArgument("manifest carries no 'shards' key");
-}
 
 /// Is this kError a divergence verdict (terminal) rather than a
 /// transient transport/availability problem? The primary prefixes
@@ -111,8 +81,9 @@ StatusOr<std::unique_ptr<Follower>> Follower::Open(FollowerOptions options) {
 }
 
 Status Follower::LoadLocalState() {
-  std::ifstream manifest(options_.log_dir + "/MANIFEST");
-  if (!manifest) {
+  StatusOr<server::ShardedServiceOptions> manifest =
+      server::ReadManifest(options_.log_dir);
+  if (manifest.status().code() == StatusCode::kNotFound) {
     // Fresh replica: the shard count and MANIFEST text arrive in
     // kSubscribeOk. Make sure the directory exists.
     if (::mkdir(options_.log_dir.c_str(), 0755) != 0 && errno != EEXIST) {
@@ -121,12 +92,10 @@ Status Follower::LoadLocalState() {
     bootstrap_ = true;
     return Status::OK();
   }
-  std::string manifest_text((std::istreambuf_iterator<char>(manifest)),
-                            std::istreambuf_iterator<char>());
-  TCDP_ASSIGN_OR_RETURN(const std::size_t num_shards,
-                        ParseManifestShards(manifest_text));
+  TCDP_RETURN_IF_ERROR(manifest.status());
+  const std::size_t num_shards = manifest->num_shards;
   for (std::size_t i = 0; i < num_shards; ++i) {
-    const std::string path = ShardWalPath(options_.log_dir, i);
+    const std::string path = server::ShardWalPath(options_.log_dir, i);
     TCDP_ASSIGN_OR_RETURN(server::ReadLogResult log,
                           server::ReadEventLog(path));
     if (!log.clean) {
@@ -174,28 +143,29 @@ Status Follower::LoadLocalState() {
 
 Status Follower::BootstrapFromManifest(const std::string& manifest_text,
                                        std::size_t num_shards) {
-  TCDP_ASSIGN_OR_RETURN(const std::size_t manifest_shards,
-                        ParseManifestShards(manifest_text));
-  if (manifest_shards != num_shards) {
+  // The one MANIFEST parser, with its shard and thread bounds: a
+  // primary cannot make this replica lay down a directory the service
+  // could not recover.
+  TCDP_ASSIGN_OR_RETURN(
+      const server::ShardedServiceOptions manifest,
+      server::ParseManifest(manifest_text, "kSubscribeOk MANIFEST"));
+  if (manifest.num_shards != num_shards) {
     return Status::InvalidArgument(
         "Follower: kSubscribeOk shard count " + std::to_string(num_shards) +
         " disagrees with its own manifest (" +
-        std::to_string(manifest_shards) + ")");
+        std::to_string(manifest.num_shards) + ")");
   }
-  // The MANIFEST lands verbatim, so the replica directory is
-  // byte-for-byte the primary's.
-  TCDP_RETURN_IF_ERROR(
-      WriteFileAtomic(options_.log_dir + "/MANIFEST", manifest_text));
-  for (std::size_t i = 0; i < num_shards; ++i) {
-    auto shard = std::make_unique<ShardState>();
-    TCDP_ASSIGN_OR_RETURN(
-        shard->writer,
-        server::EventLogWriter::Create(ShardWalPath(options_.log_dir, i)));
-    // Put the magic on disk now: a replica directory is well-formed
-    // from the instant it exists, even for shards that have not
-    // received a record yet (matters for promotion-at-every-prefix).
-    TCDP_RETURN_IF_ERROR(shard->writer.Sync());
-    shards_.push_back(std::move(shard));
+  // Every WAL (magic only, synced) before the MANIFEST, which lands
+  // verbatim so the replica directory is byte-for-byte the primary's:
+  // a directory is well-formed from the instant its MANIFEST exists,
+  // and a failed attempt leaves none, so the next one starts over.
+  TCDP_ASSIGN_OR_RETURN(
+      std::vector<server::EventLogWriter> wals,
+      server::CreateLogDir(options_.log_dir, manifest, manifest_text,
+                           /*manifest_records=*/false));
+  for (server::EventLogWriter& wal : wals) {
+    shards_.push_back(std::make_unique<ShardState>());
+    shards_.back()->writer = std::move(wal);
   }
   bootstrap_ = false;
   std::lock_guard<std::mutex> lock(mutex_);
@@ -256,11 +226,6 @@ Follower::Promote() {
 FollowerStatus Follower::status() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return status_;
-}
-
-void Follower::SetError(const Status& error) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  status_.last_error = error;
 }
 
 void Follower::MarkDiverged(const Status& why) {

@@ -110,7 +110,6 @@ class Follower {
                                std::size_t num_shards);
   Status HandleBatch(const std::string& payload, bool* applied);
   Status SyncAndAck(int fd);
-  void SetError(const Status& error);
   void MarkDiverged(const Status& why);
 
   FollowerOptions options_;

@@ -5,26 +5,20 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
-#include "common/binary_io.h"
 #include "common/logging.h"
 #include "net/messages.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "replication/repl_messages.h"
+#include "server/event_log.h"
+#include "server/log_dir.h"
 
 namespace tcdp {
 namespace replication {
 namespace {
-
-constexpr char kWalMagic[8] = {'T', 'C', 'D', 'P', 'W', 'A', 'L', '1'};
-constexpr std::size_t kWalMagicBytes = sizeof(kWalMagic);
-constexpr std::size_t kWalHeaderBytes = 1 + 4 + 4;  // type + len + crc
-constexpr char kManifestHeader[] = "tcdp-shard-manifest-v1";
 
 using net::ErrnoStatus;
 
@@ -58,39 +52,6 @@ struct ReplObs {
     return instruments;
   }
 };
-
-/// Reads a file whole (the directory MANIFEST: a few hundred bytes).
-StatusOr<std::string> ReadFileText(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  return contents;
-}
-
-/// Pulls `shards N` out of the MANIFEST text. The replication layer
-/// needs only the shard count; everything else is the service's
-/// business and travels to followers verbatim.
-StatusOr<std::size_t> ParseManifestShards(const std::string& text) {
-  std::istringstream in(text);
-  std::string header;
-  if (!std::getline(in, header) || header != kManifestHeader) {
-    return Status::InvalidArgument("bad manifest header");
-  }
-  std::string key;
-  while (in >> key) {
-    if (key == "shards") {
-      std::size_t shards = 0;
-      if (!(in >> shards) || shards == 0) {
-        return Status::InvalidArgument("malformed manifest 'shards' value");
-      }
-      return shards;
-    }
-    std::string skipped;
-    if (!(in >> skipped)) break;
-  }
-  return Status::InvalidArgument("manifest carries no 'shards' key");
-}
 
 /// Answers \p conn with a kError and closes it once that flushes.
 void Refuse(net::Connection* conn, const Status& why) {
@@ -133,7 +94,7 @@ struct LogStreamServer::ShardTail {
     return next_record == 0 ? kChainSeed : chain_after[next_record - 1];
   }
   std::uint64_t record_start(std::uint64_t index) const {
-    return index == 0 ? kWalMagicBytes : record_end[index - 1];
+    return index == 0 ? server::kEventLogMagicBytes : record_end[index - 1];
   }
 };
 
@@ -159,18 +120,16 @@ StatusOr<std::unique_ptr<LogStreamServer>> LogStreamServer::Listen(
   server->options_ = std::move(options);
 
   TCDP_ASSIGN_OR_RETURN(
-      server->manifest_text_,
-      ReadFileText(server->options_.log_dir + "/MANIFEST"));
-  TCDP_ASSIGN_OR_RETURN(server->num_shards_,
-                        ParseManifestShards(server->manifest_text_));
+      const server::ShardedServiceOptions manifest,
+      server::ReadManifest(server->options_.log_dir, &server->manifest_text_));
+  server->num_shards_ = manifest.num_shards;
   if (server->manifest_text_.size() > net::kMaxFramePayload / 2) {
     return Status::InvalidArgument(
         "LogStreamServer: MANIFEST too large to stream");
   }
   for (std::size_t i = 0; i < server->num_shards_; ++i) {
     auto tail = std::make_unique<ShardTail>();
-    tail->path = server->options_.log_dir + "/shard-" + std::to_string(i) +
-                 ".wal";
+    tail->path = server::ShardWalPath(server->options_.log_dir, i);
     tail->fd = ::open(tail->path.c_str(), O_RDONLY);
     if (tail->fd < 0) {
       return ErrnoStatus("LogStreamServer: open " + tail->path);
@@ -245,74 +204,55 @@ void LogStreamServer::ScanShard(std::size_t shard) {
   const std::uint64_t size = static_cast<std::uint64_t>(by_fd.st_size);
 
   if (!tail->magic_checked) {
-    if (size < kWalMagicBytes) return;  // writer has not flushed yet
-    char magic[kWalMagicBytes];
-    if (::pread(tail->fd, magic, kWalMagicBytes, 0) !=
-            static_cast<ssize_t>(kWalMagicBytes) ||
-        std::memcmp(magic, kWalMagic, kWalMagicBytes) != 0) {
+    if (size < server::kEventLogMagicBytes) return;  // not flushed yet
+    char magic[server::kEventLogMagicBytes];
+    if (::pread(tail->fd, magic, sizeof(magic), 0) !=
+            static_cast<ssize_t>(sizeof(magic)) ||
+        !server::HasEventLogMagic(magic)) {
       tail->error = Status::InvalidArgument(tail->path +
                                             " is not a tcdp event log");
       return;
     }
     tail->magic_checked = true;
-    tail->scan_offset = kWalMagicBytes;
+    tail->scan_offset = sizeof(magic);
   }
+  if (tail->scan_offset >= size) return;
 
-  while (tail->scan_offset + kWalHeaderBytes <= size) {
-    char header[kWalHeaderBytes];
-    if (::pread(tail->fd, header, kWalHeaderBytes,
-                static_cast<off_t>(tail->scan_offset)) !=
-        static_cast<ssize_t>(kWalHeaderBytes)) {
-      tail->error = ErrnoStatus("pread " + tail->path);
-      return;
-    }
-    const std::uint8_t type_byte = static_cast<std::uint8_t>(header[0]);
-    std::uint32_t payload_len = 0;
-    std::uint32_t stored_crc = 0;
-    BinaryCursor cursor(header + 1, kWalHeaderBytes - 1);
-    (void)cursor.ReadFixed32(&payload_len);
-    (void)cursor.ReadFixed32(&stored_crc);
-    const std::uint64_t end =
-        tail->scan_offset + kWalHeaderBytes + payload_len;
-    if (end > size) return;  // partial record: wait for the writer
-    // The record's bytes are all durable in the file now (the writer
-    // appends via a retrying write loop, so a record fully inside the
-    // file size is final). A CRC mismatch here is real corruption, not
-    // an in-progress append.
-    std::string payload(payload_len, '\0');
-    if (payload_len > 0 &&
-        ::pread(tail->fd, &payload[0], payload_len,
-                static_cast<off_t>(tail->scan_offset + kWalHeaderBytes)) !=
-            static_cast<ssize_t>(payload_len)) {
-      tail->error = ErrnoStatus("pread " + tail->path);
-      return;
-    }
-    std::uint32_t crc = Crc32(&type_byte, 1);
-    crc = Crc32(payload.data(), payload.size(), crc);
-    if (crc != stored_crc) {
+  std::string bytes(size - tail->scan_offset, '\0');
+  if (::pread(tail->fd, &bytes[0], bytes.size(),
+              static_cast<off_t>(tail->scan_offset)) !=
+      static_cast<ssize_t>(bytes.size())) {
+    tail->error = ErrnoStatus("pread " + tail->path);
+    return;
+  }
+  std::string_view rest(bytes);
+  for (;;) {
+    StatusOr<server::RecordFrame> frame = server::DecodeRecordFrame(rest);
+    // A partial record: wait for the writer.
+    if (frame.status().code() == StatusCode::kOutOfRange) return;
+    if (!frame.ok()) {
+      // The writer appends via a retrying write loop, so a record
+      // fully inside the file size is final: a bad one is real
+      // corruption, not an in-progress append.
       tail->error = Status::Internal(
-          tail->path + ": CRC mismatch at offset " +
+          tail->path + ": " + frame.status().message() + " at offset " +
           std::to_string(tail->scan_offset) + " (committed prefix)");
       TCDP_LOG(kWarning) << "repl: " << tail->error.message();
       DropAllFollowers(tail->error);
       return;
     }
     const std::uint64_t index = tail->records();
-    if (index == 1 &&
-        static_cast<server::EventType>(type_byte) ==
-            server::EventType::kCompaction) {
+    if (index == 1 && frame->type == server::EventType::kCompaction) {
       tail->compacted = true;
     }
-    const std::uint64_t prior_releases =
-        index == 0 ? 0 : tail->releases_through[index - 1];
     tail->releases_through.push_back(
-        prior_releases + (static_cast<server::EventType>(type_byte) ==
-                                  server::EventType::kRelease
-                              ? 1
-                              : 0));
-    tail->chain_after.push_back(AdvanceChainCrc(tail->chain_at(index), crc));
-    tail->record_end.push_back(end);
-    tail->scan_offset = end;
+        (index == 0 ? 0 : tail->releases_through[index - 1]) +
+        (frame->type == server::EventType::kRelease ? 1 : 0));
+    tail->chain_after.push_back(
+        AdvanceChainCrc(tail->chain_at(index), frame->crc));
+    tail->scan_offset += frame->size;
+    tail->record_end.push_back(tail->scan_offset);
+    rest.remove_prefix(frame->size);
   }
 }
 
@@ -485,27 +425,27 @@ bool LogStreamServer::PumpBatches(net::Connection* conn, Follower* follower) {
       }
       const std::uint64_t span =
           tail.record_end[end_record - 1] - start_offset;
+      // Re-frame the raw span into batch records.
       std::string bytes(span, '\0');
-      if (::pread(tail.fd, &bytes[0], span,
-                  static_cast<off_t>(start_offset)) !=
-          static_cast<ssize_t>(span)) {
-        tail.error = ErrnoStatus("pread " + tail.path);
+      Status reframed = ::pread(tail.fd, &bytes[0], span,
+                                static_cast<off_t>(start_offset)) ==
+                                static_cast<ssize_t>(span)
+                            ? Status::OK()
+                            : ErrnoStatus("pread " + tail.path);
+      std::string_view rest(bytes);
+      for (std::uint64_t r = from; reframed.ok() && r < end_record; ++r) {
+        StatusOr<server::RecordFrame> frame = server::DecodeRecordFrame(rest);
+        if (!frame.ok()) {
+          reframed = frame.status();
+          break;
+        }
+        batch.records.push_back({frame->type, std::string(frame->payload)});
+        rest.remove_prefix(frame->size);
+      }
+      if (!reframed.ok()) {
+        tail.error = reframed;
         DropAllFollowers(tail.error);
         return queued;
-      }
-      // Re-frame the raw span into batch records (headers were CRC-
-      // verified at scan time).
-      std::size_t pos = 0;
-      for (std::uint64_t r = from; r < end_record; ++r) {
-        const std::uint8_t type_byte = static_cast<std::uint8_t>(bytes[pos]);
-        BinaryCursor header(bytes.data() + pos + 1, 8);
-        std::uint32_t payload_len = 0;
-        (void)header.ReadFixed32(&payload_len);
-        server::EventRecord record;
-        record.type = static_cast<server::EventType>(type_byte);
-        record.payload.assign(bytes, pos + kWalHeaderBytes, payload_len);
-        batch.records.push_back(std::move(record));
-        pos += kWalHeaderBytes + payload_len;
       }
       const std::string encoded = EncodeLogBatch(batch);
       if (encoded.size() > net::kMaxFramePayload) {

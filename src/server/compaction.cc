@@ -1,7 +1,6 @@
 #include "server/compaction.h"
 
 #include <cstdio>
-#include <fstream>
 
 #include "common/atomic_file.h"
 
@@ -10,13 +9,12 @@ namespace server {
 
 Status PersistAnchorCopy(const std::string& snap_path,
                          const std::string& anchor_path) {
-  std::ifstream in(snap_path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("PersistAnchorCopy: cannot read " + snap_path);
-  }
-  const std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
+  TCDP_ASSIGN_OR_RETURN(const std::string bytes, ReadFileWhole(snap_path));
   return WriteFileAtomic(anchor_path, bytes);
+}
+
+std::string CompactionTmpPath(const std::string& wal_path) {
+  return wal_path + ".compact.tmp";
 }
 
 StatusOr<WalBase> InspectWalBase(const ReadLogResult& log) {
@@ -49,26 +47,21 @@ StatusOr<CompactionResult> CompactShardWal(const std::string& wal_path,
                                    " has no manifest record");
   }
   TCDP_ASSIGN_OR_RETURN(WalBase prev, InspectWalBase(log));
-  const std::uint64_t logical_count =
-      prev.compacted
-          ? prev.record.base_records + (log.records.size() - 2)
-          : log.records.size();
+  const std::uint64_t logical_count = prev.logical(log.records.size());
   if (base_records < 1 || base_records > logical_count ||
-      (prev.compacted && base_records < prev.record.base_records)) {
+      base_records < prev.record.base_records) {
     return Status::InvalidArgument(
         "CompactShardWal: snapshot covers logical record " +
         std::to_string(base_records) + " of a log holding [" +
-        std::to_string(prev.compacted ? prev.record.base_records : 0) +
-        ", " + std::to_string(logical_count) + ")");
+        std::to_string(prev.record.base_records) + ", " +
+        std::to_string(logical_count) + ")");
   }
   // Physical index of the first record NOT replaced by the snapshot.
-  const std::size_t replay_from = static_cast<std::size_t>(
-      prev.compacted ? 2 + (base_records - prev.record.base_records)
-                     : base_records);
+  const std::size_t replay_from = prev.physical(base_records);
   // Cross-check the base counts against the prefix actually on disk: a
   // snapshot that does not describe this log must not erase it.
-  std::uint64_t releases = prev.compacted ? prev.record.base_releases : 0;
-  std::uint64_t users = prev.compacted ? prev.record.base_users : 0;
+  std::uint64_t releases = prev.record.base_releases;
+  std::uint64_t users = prev.record.base_users;
   for (std::size_t r = prev.suffix_start; r < replay_from; ++r) {
     if (log.records[r].type == EventType::kRelease) ++releases;
     if (log.records[r].type == EventType::kAddUser) ++users;
@@ -95,7 +88,7 @@ StatusOr<CompactionResult> CompactShardWal(const std::string& wal_path,
   compaction.base_releases = base_releases;
   compaction.base_users = base_users;
 
-  const std::string tmp_path = wal_path + ".compact.tmp";
+  const std::string tmp_path = CompactionTmpPath(wal_path);
   TCDP_ASSIGN_OR_RETURN(EventLogWriter writer,
                         EventLogWriter::Create(tmp_path));
   TCDP_RETURN_IF_ERROR(

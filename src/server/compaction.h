@@ -49,11 +49,20 @@ namespace server {
 /// How a scanned WAL's records map to logical indices.
 struct WalBase {
   bool compacted = false;
-  /// Valid when `compacted`: the base counts of physical record 1.
+  /// The base counts of physical record 1; all zero for a plain log.
   CompactionRecord record;
   /// Physical index of the first replayable (kAddUser/kRelease)
   /// record: 1 for a plain log, 2 for a compacted one.
   std::size_t suffix_start = 1;
+
+  /// Logical index of physical record \p p, and back.
+  std::uint64_t logical(std::size_t p) const {
+    return compacted ? record.base_records + (p - 2) : p;
+  }
+  std::size_t physical(std::uint64_t l) const {
+    return static_cast<std::size_t>(compacted ? 2 + (l - record.base_records)
+                                              : l);
+  }
 };
 
 /// \brief Classifies \p log (a scanned shard WAL whose record 0 is the
@@ -69,6 +78,10 @@ struct CompactionResult {
   /// Records carried past the base (the post-snapshot suffix).
   std::uint64_t suffix_records = 0;
 };
+
+/// Where CompactShardWal assembles the rewrite of \p wal_path before
+/// renaming it over the WAL (a stray one is a crash mid-rewrite).
+std::string CompactionTmpPath(const std::string& wal_path);
 
 /// \brief Atomically copies the snapshot at \p snap_path to
 /// \p anchor_path (tmp + fdatasync + rename). Compaction persists its

@@ -5,9 +5,9 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <utility>
 
+#include "common/atomic_file.h"
 #include "common/binary_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -40,7 +40,8 @@ struct WalObs {
   }
 };
 
-constexpr char kMagic[8] = {'T', 'C', 'D', 'P', 'W', 'A', 'L', '1'};
+constexpr char kMagic[kEventLogMagicBytes] = {'T', 'C', 'D', 'P',
+                                             'W', 'A', 'L', '1'};
 constexpr std::size_t kHeaderBytes = 1 + 4 + 4;  // type + len + crc
 
 Status ErrnoStatus(const std::string& op, const std::string& path) {
@@ -127,7 +128,8 @@ StatusOr<EventLogWriter> EventLogWriter::OpenForAppend(
 
 Status EventLogWriter::Append(EventType type, const std::string& payload) {
   if (fd_ < 0) {
-    return Status::FailedPrecondition("EventLogWriter: appending to a closed log");
+    return Status::FailedPrecondition(
+        "EventLogWriter: appending to a closed log");
   }
   if (payload.size() > 0xFFFFFFFFull) {
     return Status::InvalidArgument("EventLogWriter: payload exceeds 4 GiB");
@@ -189,15 +191,45 @@ Status EventLogWriter::Close() {
   return Status::OK();
 }
 
-StatusOr<ReadLogResult> ReadEventLog(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("ReadEventLog: cannot open " + path);
+bool HasEventLogMagic(const char* data) {
+  return std::memcmp(data, kMagic, sizeof(kMagic)) == 0;
+}
+
+StatusOr<RecordFrame> DecodeRecordFrame(std::string_view bytes) {
+  if (bytes.size() < kHeaderBytes) {
+    return Status::OutOfRange("truncated record header");
   }
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
+  const std::uint8_t type_byte = static_cast<std::uint8_t>(bytes[0]);
+  RecordFrame frame;
+  std::uint32_t payload_len = 0;
+  BinaryCursor cursor(bytes.data() + 1, kHeaderBytes - 1);
+  (void)cursor.ReadFixed32(&payload_len);
+  (void)cursor.ReadFixed32(&frame.crc);
+  if (!ValidEventType(type_byte)) {
+    return Status::InvalidArgument("unknown record type " +
+                                   std::to_string(type_byte));
+  }
+  if (bytes.size() - kHeaderBytes < payload_len) {
+    return Status::OutOfRange("truncated record payload");
+  }
+  frame.payload = bytes.substr(kHeaderBytes, payload_len);
+  const std::uint32_t crc =
+      Crc32(frame.payload.data(), payload_len, Crc32(&type_byte, 1));
+  if (crc != frame.crc) return Status::InvalidArgument("CRC mismatch");
+  frame.type = static_cast<EventType>(type_byte);
+  frame.size = kHeaderBytes + payload_len;
+  return frame;
+}
+
+StatusOr<ReadLogResult> ReadEventLog(const std::string& path) {
+  StatusOr<std::string> read = ReadFileWhole(path);
+  if (!read.ok()) {
+    return Status(read.status().code(),
+                  "ReadEventLog: " + read.status().message());
+  }
+  const std::string& contents = read.value();
   if (contents.size() < sizeof(kMagic) ||
-      std::memcmp(contents.data(), kMagic, sizeof(kMagic)) != 0) {
+      !HasEventLogMagic(contents.data())) {
     return Status::InvalidArgument("ReadEventLog: " + path +
                                    " is not a tcdp event log (bad magic)");
   }
@@ -205,46 +237,16 @@ StatusOr<ReadLogResult> ReadEventLog(const std::string& path) {
   std::size_t pos = sizeof(kMagic);
   result.valid_bytes = pos;
   while (pos < contents.size()) {
-    if (contents.size() - pos < kHeaderBytes) {
-      result.clean = false;
-      result.tail_error = "truncated record header at offset " +
-                          std::to_string(pos);
-      break;
-    }
-    const std::uint8_t type_byte =
-        static_cast<std::uint8_t>(contents[pos]);
-    BinaryCursor cursor(contents.data() + pos + 1, 8);
-    std::uint32_t payload_len = 0;
-    std::uint32_t stored_crc = 0;
-    (void)cursor.ReadFixed32(&payload_len);
-    (void)cursor.ReadFixed32(&stored_crc);
-    if (!ValidEventType(type_byte)) {
-      result.clean = false;
-      result.tail_error = "unknown record type " +
-                          std::to_string(type_byte) + " at offset " +
-                          std::to_string(pos);
-      break;
-    }
-    if (contents.size() - pos - kHeaderBytes < payload_len) {
-      result.clean = false;
-      result.tail_error = "truncated record payload at offset " +
-                          std::to_string(pos);
-      break;
-    }
-    const char* payload = contents.data() + pos + kHeaderBytes;
-    std::uint32_t crc = Crc32(&type_byte, 1);
-    crc = Crc32(payload, payload_len, crc);
-    if (crc != stored_crc) {
+    StatusOr<RecordFrame> frame =
+        DecodeRecordFrame(std::string_view(contents).substr(pos));
+    if (!frame.ok()) {
       result.clean = false;
       result.tail_error =
-          "CRC mismatch at offset " + std::to_string(pos);
+          frame.status().message() + " at offset " + std::to_string(pos);
       break;
     }
-    EventRecord record;
-    record.type = static_cast<EventType>(type_byte);
-    record.payload.assign(payload, payload_len);
-    result.records.push_back(std::move(record));
-    pos += kHeaderBytes + payload_len;
+    result.records.push_back({frame->type, std::string(frame->payload)});
+    pos += frame->size;
     result.record_end.push_back(pos);
     result.valid_bytes = pos;
   }

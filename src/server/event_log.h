@@ -25,8 +25,10 @@
 /// is NOT an error (it is what a crash looks like); it is surfaced in
 /// the result so callers can log it.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -100,6 +102,28 @@ class EventLogWriter {
   std::uint64_t bytes_written_ = 0;
   std::uint64_t records_written_ = 0;
 };
+
+/// Bytes of the magic every log file starts with.
+inline constexpr std::size_t kEventLogMagicBytes = 8;
+
+/// Whether \p data (at least kEventLogMagicBytes long) starts with the
+/// magic.
+bool HasEventLogMagic(const char* data);
+
+/// One record frame, decoded in place.
+struct RecordFrame {
+  EventType type = EventType::kManifest;
+  std::string_view payload;
+  std::uint32_t crc = 0;  ///< the frame's CRC (type byte and payload)
+  std::size_t size = 0;   ///< header plus payload bytes
+};
+
+/// \brief Decodes the frame \p bytes starts with: the one reading of
+/// the framing, for ReadEventLog and for a tailer of a growing log.
+/// OutOfRange when \p bytes ends inside the frame (a torn tail, or an
+/// append still in flight); InvalidArgument for an unknown type or a
+/// CRC mismatch.
+StatusOr<RecordFrame> DecodeRecordFrame(std::string_view bytes);
 
 /// \brief Result of scanning a log: every decodable record plus where
 /// the valid prefix ends.

@@ -1,23 +1,18 @@
 #include "server/sharded_service.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <cstdio>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <sstream>
 #include <thread>
 #include <unordered_set>
 #include <utility>
 
-#include <atomic>
-
-#include "common/atomic_file.h"
-#include "common/thread_pool.h"
 #include "core/accountant_bank.h"
 #include "core/privacy_loss.h"
 #include "obs/metrics.h"
@@ -25,140 +20,12 @@
 #include "obs/watchdog.h"
 #include "server/compaction.h"
 #include "server/event_log.h"
+#include "server/log_dir.h"
 #include "server/records.h"
-#include "server/replay.h"
 #include "server/snapshot.h"
 
 namespace tcdp {
 namespace server {
-namespace {
-
-constexpr char kManifestFile[] = "MANIFEST";
-constexpr char kManifestHeader[] = "tcdp-shard-manifest-v1";
-
-std::string ShardWalPath(const std::string& dir, std::size_t shard) {
-  return dir + "/shard-" + std::to_string(shard) + ".wal";
-}
-
-std::string ShardSnapPath(const std::string& dir, std::size_t shard) {
-  return dir + "/shard-" + std::to_string(shard) + ".snap";
-}
-
-/// The compaction anchor: a copy of the snapshot a compacted WAL's
-/// base points at, immune to later snapshot overwrites.
-std::string ShardAnchorPath(const std::string& dir, std::size_t shard) {
-  return ShardSnapPath(dir, shard) + ".anchor";
-}
-
-AccountantBankOptions BankOptions(const ShardedServiceOptions& options) {
-  AccountantBankOptions bank;
-  bank.share_loss_cache = options.share_loss_cache;
-  bank.cache = options.cache;
-  return bank;
-}
-
-/// InvalidArgument when \p options would start more than
-/// kMaxServiceThreads threads (each factor is bounded first, so the
-/// product cannot overflow).
-Status CheckThreadBound(const ShardedServiceOptions& options) {
-  const std::size_t shards = std::max<std::size_t>(options.num_shards, 1);
-  const std::size_t pool =
-      options.threads_per_shard > 1 ? options.threads_per_shard : 0;
-  if (shards > kMaxServiceThreads || pool > kMaxServiceThreads ||
-      shards * (1 + pool) > kMaxServiceThreads) {
-    return Status::InvalidArgument(
-        "num_shards " + std::to_string(options.num_shards) +
-        " x threads_per_shard " + std::to_string(options.threads_per_shard) +
-        " needs more than " + std::to_string(kMaxServiceThreads) +
-        " threads");
-  }
-  return Status::OK();
-}
-
-Status WriteManifestFile(const std::string& dir,
-                         const ShardedServiceOptions& options) {
-  std::ostringstream out;
-  out.precision(17);
-  out << kManifestHeader << "\n"
-      << "shards " << options.num_shards << "\n"
-      << "batch_window " << options.batch_window << "\n"
-      << "queue_capacity " << options.queue_capacity << "\n"
-      << "threads_per_shard " << options.threads_per_shard << "\n"
-      << "snapshot_every " << options.snapshot_every << "\n"
-      << "sync_every " << options.sync_every << "\n"
-      << "share_cache " << (options.share_loss_cache ? 1 : 0) << "\n"
-      << "alpha_resolution " << options.cache.alpha_resolution << "\n"
-      << "compact_after_snapshot "
-      << (options.compaction.after_snapshot ? 1 : 0) << "\n"
-      << "compact_max_bytes " << options.compaction.max_wal_bytes << "\n"
-      << "compact_max_records " << options.compaction.max_wal_records
-      << "\n";
-  return WriteFileAtomic(std::string(dir) + "/" + kManifestFile, out.str());
-}
-
-StatusOr<ShardedServiceOptions> ReadManifestFile(const std::string& dir) {
-  const std::string path = std::string(dir) + "/" + kManifestFile;
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("no manifest at " + path);
-  std::string header;
-  if (!std::getline(in, header) || header != kManifestHeader) {
-    return Status::InvalidArgument(path + ": bad manifest header");
-  }
-  ShardedServiceOptions options;
-  std::string key;
-  while (in >> key) {
-    // A key whose value fails to parse is corruption, not EOF: silently
-    // stopping here would hand back default options for everything the
-    // loop never reached.
-    auto bad_value = [&] {
-      return Status::InvalidArgument(path + ": malformed value for '" +
-                                     key + "'");
-    };
-    if (key == "shards") {
-      if (!(in >> options.num_shards)) return bad_value();
-    } else if (key == "batch_window") {
-      if (!(in >> options.batch_window)) return bad_value();
-    } else if (key == "queue_capacity") {
-      if (!(in >> options.queue_capacity)) return bad_value();
-    } else if (key == "threads_per_shard") {
-      // Absent in pre-hybrid manifests (defaults to 1); 0 is clamped
-      // to 1 by the service constructor.
-      if (!(in >> options.threads_per_shard)) return bad_value();
-    } else if (key == "snapshot_every") {
-      if (!(in >> options.snapshot_every)) return bad_value();
-    } else if (key == "sync_every") {
-      if (!(in >> options.sync_every)) return bad_value();
-    } else if (key == "share_cache") {
-      int v = 0;
-      if (!(in >> v)) return bad_value();
-      options.share_loss_cache = v != 0;
-    } else if (key == "alpha_resolution") {
-      if (!(in >> options.cache.alpha_resolution)) return bad_value();
-    } else if (key == "compact_after_snapshot") {
-      int v = 0;
-      if (!(in >> v)) return bad_value();
-      options.compaction.after_snapshot = v != 0;
-    } else if (key == "compact_max_bytes") {
-      if (!(in >> options.compaction.max_wal_bytes)) return bad_value();
-    } else if (key == "compact_max_records") {
-      if (!(in >> options.compaction.max_wal_records)) return bad_value();
-    } else {
-      // Unknown keys are forward-compatible: skip the value.
-      std::string ignored;
-      if (!(in >> ignored)) return bad_value();
-    }
-  }
-  if (options.num_shards == 0 || options.batch_window == 0 ||
-      options.queue_capacity == 0 ||
-      !std::isfinite(options.cache.alpha_resolution)) {
-    return Status::InvalidArgument(path + ": malformed manifest values");
-  }
-  TCDP_RETURN_IF_ERROR(CheckThreadBound(options));
-  return options;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------- commands
 
 namespace {
@@ -186,24 +53,20 @@ struct ShardedReleaseService::PendingGroup {
 
 // ------------------------------------------------------------------ shard
 
-struct ShardedReleaseService::Shard {
+/// A shard: its accounting state (log_dir.h) plus its files, worker
+/// thread and bounded command queue.
+struct ShardedReleaseService::Shard : ShardState {
   std::size_t index = 0;
   const ShardedServiceOptions* options = nullptr;
-  AccountantBank bank;
-  std::vector<std::string> names;
 
   bool durable = false;
-  EventLogWriter wal;
   std::string wal_path;
   std::string snap_path;
   std::string anchor_path;
-  std::uint64_t wal_records = 0;  ///< LOGICAL records, manifest included
   std::uint64_t releases_since_snapshot = 0;
   std::uint64_t releases_since_sync = 0;
   std::uint64_t snapshots_written = 0;
-  std::uint64_t replayed_records = 0;
   std::uint64_t compactions = 0;
-  bool restored_from_snapshot = false;
   /// On-disk footprint gauges, published by the worker after each
   /// apply so the service thread can check retention thresholds at
   /// tick boundaries without draining the shard.
@@ -282,16 +145,20 @@ struct ShardedReleaseService::Shard {
     }
   }
 
-  /// Hybrid mode: the shard worker fans the bank's column updates out
-  /// to this pool (declared after `bank` so it joins first on
-  /// destruction). Null when threads_per_shard <= 1.
-  std::unique_ptr<ThreadPool> bank_pool;
-
-  explicit Shard(const ShardedServiceOptions& opts)
-      : options(&opts), bank(BankOptions(opts)) {
-    if (opts.threads_per_shard > 1) {
-      bank_pool = std::make_unique<ThreadPool>(opts.threads_per_shard);
-      bank.set_pool(bank_pool.get());
+  /// Shard \p shard_index, starting from \p state; durable (its files
+  /// in \p log_dir) unless \p log_dir is empty.
+  Shard(const ShardedServiceOptions& opts, std::size_t shard_index,
+        const std::string& log_dir, ShardState state)
+      : ShardState(std::move(state)),
+        index(shard_index),
+        options(&opts),
+        durable(!log_dir.empty()) {
+    InitObs();
+    if (durable) {
+      wal_path = ShardWalPath(log_dir, index);
+      snap_path = ShardSnapPath(log_dir, index);
+      anchor_path = ShardAnchorPath(log_dir, index);
+      PublishGauges();
     }
   }
 
@@ -553,14 +420,10 @@ struct ShardedReleaseService::Shard {
     // A crash between this rename and the WAL rename leaves an
     // uncompacted log with a harmless anchor (recovery removes it).
     TCDP_RETURN_IF_ERROR(PersistAnchorCopy(snap_path, anchor_path));
-    ManifestRecord manifest;
-    manifest.shard_index = index;
-    manifest.num_shards = options->num_shards;
-    manifest.share_loss_cache = options->share_loss_cache;
-    manifest.alpha_resolution = options->cache.alpha_resolution;
     TCDP_ASSIGN_OR_RETURN(
         CompactionResult result,
-        CompactShardWal(wal_path, manifest, anchor.applied_records,
+        CompactShardWal(wal_path, ShardManifestRecord(*options, index),
+                        anchor.applied_records,
                         anchor.bank.schedule.size(),
                         anchor.bank.users.size()));
     // Swap the writer onto the rewritten file (closing the old fd,
@@ -596,34 +459,21 @@ ShardedReleaseService::ShardedReleaseService(ShardedServiceOptions options)
 
 ShardedReleaseService::~ShardedReleaseService() { (void)Close(); }
 
-Status ShardedReleaseService::InitShardsFresh(const std::string& log_dir) {
-  log_dir_ = log_dir;
-  shard_user_count_.assign(options_.num_shards, 0);
-  for (std::size_t i = 0; i < options_.num_shards; ++i) {
-    auto shard = std::make_unique<Shard>(options_);
-    shard->index = i;
-    shard->InitObs();
-    if (!log_dir_.empty()) {
-      shard->durable = true;
-      shard->wal_path = ShardWalPath(log_dir_, i);
-      shard->snap_path = ShardSnapPath(log_dir_, i);
-      shard->anchor_path = ShardAnchorPath(log_dir_, i);
-      TCDP_ASSIGN_OR_RETURN(shard->wal,
-                            EventLogWriter::Create(shard->wal_path));
-      ManifestRecord manifest;
-      manifest.shard_index = i;
-      manifest.num_shards = options_.num_shards;
-      manifest.share_loss_cache = options_.share_loss_cache;
-      manifest.alpha_resolution = options_.cache.alpha_resolution;
-      TCDP_RETURN_IF_ERROR(shard->wal.Append(EventType::kManifest,
-                                             EncodeManifest(manifest)));
-      TCDP_RETURN_IF_ERROR(shard->wal.Sync());
-      shard->wal_records = 1;
-      shard->PublishGauges();
+Status ShardedReleaseService::StartShard(ShardState state) {
+  const std::size_t i = shards_.size();
+  auto shard = std::make_unique<Shard>(options_, i, log_dir_, std::move(state));
+  for (std::size_t u = 0; u < shard->names.size(); ++u) {
+    auto [it, inserted] = registry_.try_emplace(
+        shard->names[u], static_cast<std::uint32_t>(i),
+        static_cast<std::uint32_t>(u));
+    if (!inserted) {
+      return Status::InvalidArgument("user '" + shard->names[u] +
+                                     "' appears on two shards");
     }
-    shard->Start();
-    shards_.push_back(std::move(shard));
   }
+  shard_user_count_.push_back(static_cast<std::uint32_t>(shard->names.size()));
+  shard->Start();
+  shards_.push_back(std::move(shard));
   return Status::OK();
 }
 
@@ -632,25 +482,21 @@ StatusOr<std::unique_ptr<ShardedReleaseService>> ShardedReleaseService::Create(
   TCDP_RETURN_IF_ERROR(CheckThreadBound(options));
   std::unique_ptr<ShardedReleaseService> service(
       new ShardedReleaseService(std::move(options)));
+  service->log_dir_ = log_dir;
+  const ShardedServiceOptions& effective = service->options_;
+  std::vector<EventLogWriter> wals;
   if (!log_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(log_dir, ec);
-    if (ec) {
-      return Status::Internal("cannot create log dir " + log_dir + ": " +
-                              ec.message());
-    }
-    if (std::filesystem::exists(log_dir + "/" + kManifestFile)) {
-      return Status::AlreadyExists(log_dir +
-                                   " already holds a service (use Recover)");
-    }
+    TCDP_ASSIGN_OR_RETURN(wals, CreateLogDir(log_dir, effective,
+                                             FormatManifest(effective),
+                                             /*manifest_records=*/true));
   }
-  TCDP_RETURN_IF_ERROR(service->InitShardsFresh(log_dir));
-  // The MANIFEST is the directory's commit point: written only after
-  // every shard WAL exists with a synced manifest record. A crash
-  // before this line leaves a manifest-less directory that a rerun of
-  // Create simply re-initializes (no AlreadyExists wedge).
-  if (!log_dir.empty()) {
-    TCDP_RETURN_IF_ERROR(WriteManifestFile(log_dir, service->options_));
+  for (std::size_t i = 0; i < effective.num_shards; ++i) {
+    ShardState state = EmptyShard(effective);
+    if (!wals.empty()) {
+      state.wal = std::move(wals[i]);
+      state.wal_records = 1;  // the manifest record
+    }
+    TCDP_RETURN_IF_ERROR(service->StartShard(std::move(state)));
   }
   return service;
 }
@@ -659,271 +505,17 @@ StatusOr<std::unique_ptr<ShardedReleaseService>>
 ShardedReleaseService::Recover(const std::string& log_dir,
                                std::size_t recovery_threads) {
   TCDP_ASSIGN_OR_RETURN(ShardedServiceOptions options,
-                        ReadManifestFile(log_dir));
+                        ReadManifest(log_dir));
   std::unique_ptr<ShardedReleaseService> service(
       new ShardedReleaseService(std::move(options)));
   service->log_dir_ = log_dir;
-  const std::size_t num_shards = service->options_.num_shards;
-
-  // Pass 1: scan every shard's valid WAL prefix and find the minimum
-  // common horizon — a global release is committed only when every
-  // shard holds it. A compacted WAL's base releases count toward its
-  // horizon (they are durable inside the shard snapshot).
-  std::vector<ReadLogResult> logs;
-  std::vector<WalBase> bases;
-  logs.reserve(num_shards);
-  bases.reserve(num_shards);
-  std::size_t global_horizon = SIZE_MAX;
-  for (std::size_t i = 0; i < num_shards; ++i) {
-    TCDP_ASSIGN_OR_RETURN(ReadLogResult log,
-                          ReadEventLog(ShardWalPath(log_dir, i)));
-    if (log.records.empty() ||
-        log.records[0].type != EventType::kManifest) {
-      return Status::InvalidArgument("shard " + std::to_string(i) +
-                                     " WAL has no manifest record");
-    }
-    TCDP_ASSIGN_OR_RETURN(ManifestRecord manifest,
-                          DecodeManifest(log.records[0].payload));
-    if (manifest.shard_index != i || manifest.num_shards != num_shards) {
-      return Status::InvalidArgument(
-          "shard " + std::to_string(i) +
-          " WAL manifest disagrees with the directory MANIFEST");
-    }
-    TCDP_ASSIGN_OR_RETURN(WalBase base, InspectWalBase(log));
-    std::size_t releases =
-        base.compacted
-            ? static_cast<std::size_t>(base.record.base_releases)
-            : 0;
-    for (std::size_t r = base.suffix_start; r < log.records.size(); ++r) {
-      if (log.records[r].type == EventType::kRelease) ++releases;
-    }
-    global_horizon = std::min(global_horizon, releases);
-    logs.push_back(std::move(log));
-    bases.push_back(base);
-  }
-  if (global_horizon == SIZE_MAX) global_horizon = 0;
-
-  // Pass 2: per shard, cut the log at the common horizon (keeping any
-  // trailing joins), restore snapshot + replay the suffix, truncate,
-  // and reopen for append. Shards share no state (each owns its bank,
-  // cache, WAL, and snapshot), so replay fans out over a thread pool;
-  // registration below stays serial so registry order is shard-major
-  // regardless of which shard finishes first.
-  std::vector<std::unique_ptr<Shard>> recovered(num_shards);
-  std::vector<Status> shard_status(num_shards, Status::OK());
-  auto recover_one = [&](std::size_t i) -> Status {
-    obs::ScopedSpan span("recover_shard", "recovery", i);
-    const ReadLogResult& log = logs[i];
-    const WalBase& base = bases[i];
-    const std::size_t base_releases =
-        base.compacted ? static_cast<std::size_t>(base.record.base_releases)
-                       : 0;
-    if (base.compacted && global_horizon < base_releases) {
-      // Another shard's durable log ends below this shard's compaction
-      // floor. Compact() makes every shard durable at the compaction
-      // horizon before any rewrite, so reaching here means the logs
-      // were tampered with or compacted by a broken external tool.
-      return Status::FailedPrecondition(
-          "shard " + std::to_string(i) + " is compacted at horizon " +
-          std::to_string(base_releases) +
-          " but the common durable horizon is only " +
-          std::to_string(global_horizon) +
-          " — the shards cannot be aligned");
-    }
-    std::size_t keep = log.records.size();
-    std::size_t releases = base_releases;
-    if (global_horizon == base_releases) {
-      // Nothing past the base commits; keep only trailing joins (a
-      // user may exist with an empty series).
-      keep = base.suffix_start;
-      while (keep < log.records.size() &&
-             log.records[keep].type == EventType::kAddUser) {
-        ++keep;
-      }
-    } else {
-      for (std::size_t r = base.suffix_start; r < log.records.size();
-           ++r) {
-        if (log.records[r].type != EventType::kRelease) continue;
-        ++releases;
-        if (releases == global_horizon) {
-          keep = r + 1;
-          // Joins after the last committed release are shard-local
-          // facts; keep them (the user exists with an empty series).
-          while (keep < log.records.size() &&
-                 log.records[keep].type == EventType::kAddUser) {
-            ++keep;
-          }
-          break;
-        }
-      }
-    }
-    // Logical index just past the kept physical prefix.
-    const std::uint64_t logical_keep =
-        base.compacted ? base.record.base_records + (keep - 2) : keep;
-
-    auto shard = std::make_unique<Shard>(service->options_);
-    shard->index = i;
-    shard->InitObs();
-    shard->durable = true;
-    shard->wal_path = ShardWalPath(log_dir, i);
-    shard->snap_path = ShardSnapPath(log_dir, i);
-    shard->anchor_path = ShardAnchorPath(log_dir, i);
-    // Stray temporaries from a crash mid-snapshot/mid-compaction are
-    // dead weight; the durable files are the only truth. An anchor
-    // next to an UNCOMPACTED log is the same (the compaction that
-    // wrote it never renamed its WAL into place).
-    std::error_code ignored;
-    std::filesystem::remove(shard->snap_path + ".tmp", ignored);
-    std::filesystem::remove(shard->wal_path + ".compact.tmp", ignored);
-    std::filesystem::remove(shard->anchor_path + ".tmp", ignored);
-    if (!base.compacted) {
-      std::filesystem::remove(shard->anchor_path, ignored);
-    }
-
-    // Snapshot restore when one exists, is readable, and fits inside
-    // the kept prefix. An uncompacted shard falls back to full replay
-    // on any mismatch; a compacted shard CANNOT (its prefix exists
-    // only as the snapshot), so there a bad snapshot fails recovery
-    // loudly instead of resurrecting partial state.
-    std::size_t replay_from = base.suffix_start;
-    std::string snap_reject;
-    if (std::filesystem::exists(shard->snap_path)) {
-      auto snapshot = ReadShardSnapshot(shard->snap_path);
-      if (snapshot.ok() && snapshot->applied_records <= logical_keep &&
-          snapshot->bank.schedule.size() <= global_horizon &&
-          (!base.compacted ||
-           snapshot->applied_records >= base.record.base_records)) {
-        // Cross-check: the snapshot's horizon must equal the number of
-        // releases among the logical records it claims to cover.
-        const std::size_t snap_end = static_cast<std::size_t>(
-            base.compacted
-                ? 2 + (snapshot->applied_records - base.record.base_records)
-                : snapshot->applied_records);
-        std::size_t covered = base_releases;
-        for (std::size_t r = base.suffix_start; r < snap_end; ++r) {
-          if (log.records[r].type == EventType::kRelease) ++covered;
-        }
-        if (covered == snapshot->bank.schedule.size() &&
-            snapshot->alpha_resolution ==
-                shard->bank.cache_alpha_resolution()) {
-          auto restored = AccountantBank::Restore(
-              std::move(snapshot->bank), BankOptions(service->options_));
-          if (restored.ok()) {
-            shard->bank = std::move(restored).value();
-            shard->names = std::move(snapshot->names);
-            replay_from = snap_end;
-            shard->restored_from_snapshot = true;
-          } else {
-            snap_reject = restored.status().ToString();
-          }
-        } else {
-          snap_reject = "snapshot horizon/quantization disagrees with "
-                        "the WAL prefix";
-        }
-      } else {
-        snap_reject = snapshot.ok()
-                          ? "snapshot does not fit under the common horizon"
-                          : snapshot.status().ToString();
-      }
-    } else {
-      snap_reject = "no snapshot at " + shard->snap_path;
-    }
-    // Compacted shard whose current snapshot is unusable (most often:
-    // a newer snapshot that does not fit under the common horizon):
-    // fall back to the anchor copy preserved at compaction time — it
-    // sits at exactly the base, which the compaction invariants made
-    // durable on every shard, so it always fits.
-    if (base.compacted && !shard->restored_from_snapshot &&
-        std::filesystem::exists(shard->anchor_path)) {
-      auto anchor = ReadShardSnapshot(shard->anchor_path);
-      if (anchor.ok() &&
-          anchor->applied_records == base.record.base_records &&
-          anchor->bank.schedule.size() == base_releases &&
-          anchor->alpha_resolution ==
-              shard->bank.cache_alpha_resolution()) {
-        auto restored = AccountantBank::Restore(
-            std::move(anchor->bank), BankOptions(service->options_));
-        if (restored.ok()) {
-          shard->bank = std::move(restored).value();
-          shard->names = std::move(anchor->names);
-          replay_from = base.suffix_start;
-          shard->restored_from_snapshot = true;
-        } else {
-          snap_reject += "; anchor: " + restored.status().ToString();
-        }
-      } else if (!anchor.ok()) {
-        snap_reject += "; anchor: " + anchor.status().ToString();
-      } else {
-        snap_reject += "; anchor does not sit at the compaction base";
-      }
-    }
-    if (base.compacted && !shard->restored_from_snapshot) {
-      return Status::FailedPrecondition(
-          "shard " + std::to_string(i) +
-          " is compacted but neither its snapshot nor its anchor is "
-          "usable (" + snap_reject +
-          ") — the compacted prefix cannot be replayed");
-    }
-
-    for (std::size_t r = replay_from; r < keep; ++r) {
-      const Status applied =
-          ApplyWalRecord(log.records[r], &shard->bank, &shard->names);
-      if (!applied.ok()) {
-        return Status(applied.code(),
-                      "shard " + std::to_string(i) + " WAL record " +
-                          std::to_string(r) + ": " + applied.message());
-      }
-      ++shard->replayed_records;
-    }
-
-    const std::uint64_t resume_offset =
-        keep > 0 ? log.record_end[keep - 1] : log.valid_bytes;
-    TCDP_RETURN_IF_ERROR(
-        TruncateFile(ShardWalPath(log_dir, i), resume_offset));
-    TCDP_ASSIGN_OR_RETURN(
-        shard->wal,
-        EventLogWriter::OpenForAppend(ShardWalPath(log_dir, i),
-                                      resume_offset, keep));
-    shard->wal_records = logical_keep;
-    shard->PublishGauges();
-    recovered[i] = std::move(shard);
-    return Status::OK();
-  };
-
-  const std::size_t hw = std::thread::hardware_concurrency();
-  std::size_t threads =
-      recovery_threads == 0 ? std::max<std::size_t>(hw, 1)
-                            : recovery_threads;
-  threads = std::min(threads, num_shards);
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < num_shards; ++i) {
-      shard_status[i] = recover_one(i);
-    }
-  } else {
-    ThreadPool pool(threads);
-    pool.ParallelFor(0, num_shards,
-                     [&](std::size_t i) { shard_status[i] = recover_one(i); });
-  }
-  for (const Status& status : shard_status) {
-    TCDP_RETURN_IF_ERROR(status);
-  }
-
-  service->shard_user_count_.assign(num_shards, 0);
-  for (std::size_t i = 0; i < num_shards; ++i) {
-    std::unique_ptr<Shard>& shard = recovered[i];
-    for (std::size_t u = 0; u < shard->names.size(); ++u) {
-      auto [it, inserted] = service->registry_.try_emplace(
-          shard->names[u], static_cast<std::uint32_t>(i),
-          static_cast<std::uint32_t>(u));
-      if (!inserted) {
-        return Status::InvalidArgument("user '" + shard->names[u] +
-                                       "' appears on two shards");
-      }
-    }
-    service->shard_user_count_[i] =
-        static_cast<std::uint32_t>(shard->names.size());
-    shard->Start();
-    service->shards_.push_back(std::move(shard));
+  TCDP_ASSIGN_OR_RETURN(
+      std::vector<ShardState> states,
+      RecoverShards(log_dir, service->options_, recovery_threads));
+  // Registration is serial, so registry order is shard-major whichever
+  // shard finished recovering first.
+  for (ShardState& state : states) {
+    TCDP_RETURN_IF_ERROR(service->StartShard(std::move(state)));
   }
   return service;
 }

@@ -40,14 +40,11 @@
 /// **Durability.** Each shard write-ahead logs every command to its
 /// event log before applying it (src/server/event_log.h), fdatasyncing
 /// every `sync_every` releases, and writes a point-in-time snapshot
-/// (src/server/snapshot.h) every `snapshot_every` releases. `Recover`
-/// reads every shard's valid WAL prefix, aligns all shards to the
-/// minimum common horizon (a global release is committed only once
-/// every shard has logged it), truncates torn or over-the-horizon
-/// tails, restores from snapshots when they fit under that horizon
-/// (replaying only the WAL suffix), and resumes appending. Recovered
-/// per-user TPL series are bitwise identical to the uninterrupted
-/// run's at the recovered horizon.
+/// (src/server/snapshot.h) every `snapshot_every` releases. The
+/// directory's files, its MANIFEST and `Recover`'s alignment of every
+/// shard to the minimum common horizon live in src/server/log_dir.h.
+/// Recovered per-user TPL series are bitwise identical to the
+/// uninterrupted run's at the recovered horizon.
 ///
 /// Thread-compatible like the bank: calls on one service must be
 /// externally serialized (the internal shard parallelism is the
@@ -66,6 +63,8 @@
 
 namespace tcdp {
 namespace server {
+
+struct ShardState;
 
 /// Retention policy for snapshot-anchored WAL compaction
 /// (server/compaction.h; on-disk format in docs/DURABILITY.md).
@@ -281,7 +280,9 @@ class ShardedReleaseService {
 
   explicit ShardedReleaseService(ShardedServiceOptions options);
 
-  Status InitShardsFresh(const std::string& log_dir);
+  /// Starts the next shard on \p state (durable when log_dir_ is set)
+  /// and registers its users.
+  Status StartShard(ShardState state);
   /// The pending window's group for \p epsilon (created on first use).
   PendingGroup& GroupFor(double epsilon);
   Status Tick();

@@ -271,6 +271,120 @@ TEST(DivergenceTest, ReplicaAheadOfPrimaryIsRefused) {
   std::filesystem::remove_all(replica_dir);
 }
 
+// ----------------------------------------------------- bootstrap faults
+
+/// Blocks \p replica_dir's shard-1.wal with a directory, so a
+/// bootstrap creates shard 0's WAL and then fails on shard 1's.
+void BlockShardOneWal(const std::string& replica_dir) {
+  std::filesystem::remove_all(replica_dir);
+  std::filesystem::create_directories(ShardWal(replica_dir, 1));
+}
+
+bool SameDirectoryBytes(const std::string& a, const std::string& b) {
+  bool same =
+      ReadFileBytes(a + "/MANIFEST") == ReadFileBytes(b + "/MANIFEST");
+  for (std::size_t s = 0; s < kShards; ++s) {
+    same = same &&
+           ReadFileBytes(ShardWal(a, s)) == ReadFileBytes(ShardWal(b, s));
+  }
+  return same;
+}
+
+TEST(DivergenceTest, FailedBootstrapLeavesNoManifestAndReopens) {
+  const std::string primary_dir = "/tmp/tcdp_bootstrap_reopen_primary";
+  const std::string replica_dir = "/tmp/tcdp_bootstrap_reopen_replica";
+  RunForkedService(primary_dir, 0.2);
+  BlockShardOneWal(replica_dir);
+  {
+    LogStreamOptions stream_options;
+    stream_options.log_dir = primary_dir;
+    auto stream = LogStreamServer::Listen(stream_options);
+    ASSERT_TRUE(stream.ok()) << stream.status();
+    std::thread serve_thread([&stream] { (void)(*stream)->Serve(); });
+    FollowerOptions options;
+    options.primary_port = (*stream)->port();
+    options.log_dir = replica_dir;
+    options.reconnect = false;
+    auto follower = Follower::Open(options);
+    ASSERT_TRUE(follower.ok()) << follower.status();
+    ASSERT_TRUE((*follower)->Start().ok());
+    for (int i = 0; i < 500 && (*follower)->status().running; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_FALSE((*follower)->status().last_error.ok());
+    (*follower)->Stop();
+    (*stream)->Stop();
+    serve_thread.join();
+  }
+  // The MANIFEST commits the directory, so a bootstrap that failed
+  // half way must not have written one.
+  EXPECT_FALSE(std::filesystem::exists(replica_dir + "/MANIFEST"));
+
+  // Once the fault clears, the replica reopens and bootstraps again
+  // from scratch instead of failing for good on the WAL that was never
+  // created.
+  std::filesystem::remove_all(ShardWal(replica_dir, 1));
+  {
+    FollowerOptions options;
+    options.log_dir = replica_dir;
+    auto reopened = Follower::Open(options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+  }
+  ReplicateFully(primary_dir, replica_dir);
+  EXPECT_TRUE(SameDirectoryBytes(primary_dir, replica_dir));
+  auto promoted = server::ShardedReleaseService::Recover(replica_dir);
+  ASSERT_TRUE(promoted.ok()) << promoted.status();
+  EXPECT_TRUE((*promoted)->Close().ok());
+  std::filesystem::remove_all(primary_dir);
+  std::filesystem::remove_all(replica_dir);
+}
+
+TEST(DivergenceTest, BootstrapRetriedAfterAFaultPublishesOneShardList) {
+  const std::string primary_dir = "/tmp/tcdp_bootstrap_retry_primary";
+  const std::string replica_dir = "/tmp/tcdp_bootstrap_retry_replica";
+  RunForkedService(primary_dir, 0.2);
+  const std::vector<std::uint64_t> want = WalRecordCounts(primary_dir);
+  BlockShardOneWal(replica_dir);
+  LogStreamOptions stream_options;
+  stream_options.log_dir = primary_dir;
+  auto stream = LogStreamServer::Listen(stream_options);
+  ASSERT_TRUE(stream.ok()) << stream.status();
+  std::thread serve_thread([&stream] { (void)(*stream)->Serve(); });
+
+  FollowerOptions options;
+  options.primary_port = (*stream)->port();
+  options.log_dir = replica_dir;
+  options.reconnect = true;
+  options.reconnect_delay_ms = 10;
+  auto follower = Follower::Open(options);
+  ASSERT_TRUE(follower.ok()) << follower.status();
+  ASSERT_TRUE((*follower)->Start().ok());
+  // Let a few bootstrap attempts fail, then clear the fault while the
+  // follower keeps retrying.
+  for (int i = 0; i < 500 && (*follower)->status().reconnects < 3; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GE((*follower)->status().reconnects, 3u);
+  std::filesystem::remove_all(ShardWal(replica_dir, 1));
+  for (int i = 0; i < 500; ++i) {
+    if ((*follower)->status().durable_records == want) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const FollowerStatus status = (*follower)->status();
+  EXPECT_EQ(status.num_shards, kShards);
+  EXPECT_EQ(status.durable_records, want)
+      << "each failed attempt must leave no shard state behind";
+  EXPECT_FALSE(status.diverged);
+  auto promoted = (*follower)->Promote();
+  (*stream)->Stop();
+  serve_thread.join();
+  ASSERT_TRUE(promoted.ok()) << promoted.status();
+  EXPECT_TRUE((*promoted)->Close().ok());
+  EXPECT_TRUE(SameDirectoryBytes(primary_dir, replica_dir));
+  std::filesystem::remove_all(primary_dir);
+  std::filesystem::remove_all(replica_dir);
+}
+
 // ------------------------------------------------------- fake primary
 
 /// A scripted primary: accepts replication connections, waits for the
@@ -396,9 +510,10 @@ std::string SeedManifestText() {
   return text;
 }
 
-std::string SubscribeOkFrame(const std::string& manifest_text) {
+std::string SubscribeOkFrame(const std::string& manifest_text,
+                             std::uint64_t num_shards = 1) {
   SubscribeOk ok;
-  ok.num_shards = 1;
+  ok.num_shards = num_shards;
   ok.manifest_text = manifest_text;
   std::string bytes;
   net::AppendFrame(&bytes, net::MsgType::kSubscribeOk,
@@ -489,6 +604,53 @@ TEST(DivergenceTest, OutOfSequenceBatchIsTransportErrorNotDivergence) {
   EXPECT_GE(status.reconnects, 2u);
   EXPECT_EQ(status.records_applied, 0u);
   primary->Stop();
+  std::filesystem::remove_all(replica_dir);
+}
+
+TEST(DivergenceTest, SubscribeOkPastTheShardBoundIsRefusedBeforeAnyFile) {
+  const std::string replica_dir = "/tmp/tcdp_diverge_bound_replica";
+  const std::string manifest = SeedManifestText();
+  const std::string shards_line = "shards 1\n";
+  const std::size_t at = manifest.find(shards_line);
+  ASSERT_NE(at, std::string::npos) << manifest;
+  auto with_line = [&](const std::string& line) {
+    return std::string(manifest).replace(at, shards_line.size(), line);
+  };
+  const std::size_t too_many = server::kMaxServiceThreads + 1;
+  const std::string bad_window = "batch_window 64\n";
+  const std::size_t window_at = manifest.find(bad_window);
+  ASSERT_NE(window_at, std::string::npos) << manifest;
+  const std::string malformed =
+      std::string(manifest).replace(window_at, bad_window.size(),
+                                    "batch_window x\n");
+  const std::string frames[] = {
+      SubscribeOkFrame(with_line("shards " + std::to_string(too_many) + "\n"),
+                       too_many),
+      SubscribeOkFrame(malformed),
+  };
+  for (const std::string& frame : frames) {
+    std::filesystem::remove_all(replica_dir);
+    auto primary = FakePrimary::Start({frame});
+    ASSERT_NE(primary, nullptr);
+    FollowerOptions options;
+    options.primary_port = primary->port();
+    options.log_dir = replica_dir;
+    options.reconnect = false;
+    auto follower = Follower::Open(options);
+    ASSERT_TRUE(follower.ok()) << follower.status();
+    ASSERT_TRUE((*follower)->Start().ok());
+    for (int i = 0; i < 500 && (*follower)->status().running; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    const FollowerStatus status = (*follower)->status();
+    EXPECT_FALSE(status.running);
+    EXPECT_EQ(status.last_error.code(), StatusCode::kInvalidArgument)
+        << status.last_error;
+    EXPECT_TRUE(std::filesystem::is_empty(replica_dir))
+        << "a refused kSubscribeOk must not lay down any file";
+    EXPECT_FALSE((*follower)->Promote().ok());
+    primary->Stop();
+  }
   std::filesystem::remove_all(replica_dir);
 }
 

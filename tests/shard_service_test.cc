@@ -26,8 +26,8 @@
 #include "kernels/kernels.h"
 #include "markov/stochastic_matrix.h"
 #include "server/event_log.h"
+#include "server/log_dir.h"
 #include "server/records.h"
-#include "server/replay.h"
 
 namespace tcdp {
 namespace server {

@@ -291,9 +291,8 @@ Status AnnouncePort(const Flags& flags, const char* port_file,
                     std::uint16_t port, const std::string& what, bool quiet,
                     std::ostream& out) {
   if (flags.Has(port_file)) {
-    std::ofstream file(flags.Str(port_file));
-    file << port << "\n";
-    if (!file) return Status::Internal("cannot write " + flags.Str(port_file));
+    TCDP_RETURN_IF_ERROR(
+        WriteFileAtomic(flags.Str(port_file), std::to_string(port) + "\n"));
   }
   if (!quiet) {
     out << what << " on " << flags.Str("host") << ":" << port << "\n";
@@ -1755,11 +1754,7 @@ Status CmdBench(const Flags& flags, std::ostream& out) {
   if (!json_path.empty()) {
     const bench::Json json = bench::ReportToJson(report);
     TCDP_RETURN_IF_ERROR(bench::ValidateReportJson(json));
-    std::ofstream file(json_path);
-    file << json.Dump();
-    if (!file) {
-      return Status::Internal("cannot write '" + json_path + "'");
-    }
+    TCDP_RETURN_IF_ERROR(WriteFileAtomic(json_path, json.Dump()));
     out << "wrote " << json_path << "\n";
   }
 
@@ -1768,14 +1763,10 @@ Status CmdBench(const Flags& flags, std::ostream& out) {
     result = Status::Internal("acceptance gate failure (see report above)");
   }
   if (!compare_path.empty()) {
-    std::ifstream file(compare_path);
-    if (!file) {
-      return Status::NotFound("cannot read baseline '" + compare_path + "'");
-    }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
+    TCDP_ASSIGN_OR_RETURN(const std::string baseline_text,
+                          ReadFileWhole(compare_path));
     TCDP_ASSIGN_OR_RETURN(const bench::Json parsed,
-                          bench::Json::Parse(buffer.str()));
+                          bench::Json::Parse(baseline_text));
     TCDP_ASSIGN_OR_RETURN(const bench::BenchReport baseline,
                           bench::ReportFromJson(parsed));
     bench::CompareOptions compare_options;
