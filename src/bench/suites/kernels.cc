@@ -2,7 +2,9 @@
 // the best backend the host supports, timed through the same Backend
 // function-pointer table the production call sites use (so nothing
 // here can be constant-folded away), plus a bitwise scalar/vector
-// equivalence sweep over tail-heavy sizes.
+// equivalence sweep over tail-heavy sizes, and CRC-32's table path
+// against the path Crc32 dispatches to (the carry-less-multiply fold
+// on x86-64 CPUs with PCLMULQDQ) over one 400 KB buffer.
 //
 // The speedup gates carry `min_simd_width = 4`: on hosts whose best
 // backend is narrower (NEON = 2 doubles, scalar-only = 1) the harness
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "bench/suites/suites.h"
+#include "common/binary_io.h"
 #include "common/random.h"
 #include "kernels/kernels.h"
 
@@ -141,6 +144,21 @@ bool BackendsMatch(const Backend& s, const Backend& v) {
   return true;
 }
 
+/// Crc32 (the dispatched path) against the table path over \p bytes
+/// at a few offsets and lengths around the fold's 16-byte blocks.
+bool Crc32PathsMatch(const std::string& bytes) {
+  for (std::size_t offset : {0u, 1u, 3u, 7u}) {
+    for (std::size_t trim : {0u, 1u, 15u, 16u, 17u, 63u}) {
+      const std::size_t size = bytes.size() - offset - trim;
+      if (Crc32(bytes.data() + offset, size) !=
+          Crc32Table(bytes.data() + offset, size)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 struct TimedCase {
   double scalar_seconds = 0.0;
   double vector_seconds = 0.0;
@@ -245,6 +263,34 @@ Status RunSuite(SuiteContext* ctx) {
   ctx->Record("pair_scan", params(), metrics(pair_scan));
   ctx->Derived("dot_checksum_finite", std::isfinite(dot_sink) ? 1.0 : 0.0);
 
+  // (d) CRC-32 over a report-sized frame (a Query answer at T ~ 25k is
+  // about 400 KB): the slice-by-8 table vs what Crc32 dispatches to.
+  std::string frame(400 * 1024, '\0');
+  Rng crc_rng(20261019);
+  for (char& c : frame) {
+    c = static_cast<char>(crc_rng.UniformInt(0, 255));
+  }
+  const std::size_t crc_passes = ctx->smoke() ? 4 : 32;
+  std::uint32_t crc_sink = 0;
+  const auto time_crc = [&](auto crc32) {
+    return ctx->TimeBestOf([&] {
+             for (std::size_t it = 0; it < crc_passes; ++it) {
+               crc_sink ^= crc32(frame.data(), frame.size(), crc_sink);
+             }
+           }) /
+           static_cast<double>(crc_passes);
+  };
+  ctx->Derived("crc32_table_seconds",
+               time_crc([](const void* p, std::size_t n, std::uint32_t seed) {
+                 return Crc32Table(p, n, seed);
+               }));
+  ctx->Derived("crc32_fold_seconds",
+               time_crc([](const void* p, std::size_t n, std::uint32_t seed) {
+                 return Crc32(p, n, seed);
+               }));
+  ctx->Derived("crc32_uses_fold", Crc32UsesFold() ? 1.0 : 0.0);
+  ctx->Derived("crc32_bitwise", Crc32PathsMatch(frame) ? 1.0 : 0.0);
+
   ctx->Derived("simd_width", static_cast<double>(kernels::HostSimdWidth()));
   ctx->Derived("bitwise_match",
                BackendsMatch(kernels::ScalarBackend(), kernels::BestBackend())
@@ -265,7 +311,8 @@ void RegisterKernelsSuite(Harness* harness) {
   spec.name = "kernels";
   spec.description =
       "dispatched kernel microbenchmarks: scalar reference vs best "
-      "backend (fused BPL update, axpy/dot, pair scan) + bitwise sweep";
+      "backend (fused BPL update, axpy/dot, pair scan) + bitwise sweep; "
+      "CRC-32 table vs dispatched path over 400 KB";
   spec.repetitions = 5;
   spec.metric_policies = {
       {"scalar_seconds", MetricPolicy::Latency()},
@@ -277,6 +324,9 @@ void RegisterKernelsSuite(Harness* harness) {
       // equal to the scalar reference. Enforced everywhere, always.
       {"scalar_vector_bitwise",
        "bitwise_match == 1 && dot_checksum_finite == 1"},
+      // Crc32's carry-less-multiply fold (where the CPU has one) gives
+      // the table path's value at every offset and tail length tried.
+      {"crc32_fold_matches_table", "crc32_bitwise == 1"},
       // ISSUE 7 acceptance: vector >= 2x scalar on >= 4-wide hosts for
       // the fused BPL column update, the tentpole hot path;
       // skip-with-reason on narrower hosts. Timing bars, full only.

@@ -3,18 +3,6 @@
 #include <cstring>
 
 namespace tcdp {
-namespace {
-
-/// \p value with its bytes in little-endian memory order.
-std::uint64_t ToLittleEndian64(std::uint64_t value) {
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-  return __builtin_bswap64(value);
-#else
-  return value;
-#endif
-}
-
-}  // namespace
 
 void PutFixed32(std::string* dst, std::uint32_t value) {
   char buf[4];
@@ -50,18 +38,22 @@ void PutDoubleBits(std::string* dst, double value) {
 
 void PutDoubleBitsArray(std::string* dst, const double* values,
                         std::size_t count) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
   const std::size_t offset = dst->size();
   dst->resize(offset + 8 * count);
   char* out = &(*dst)[offset];
   for (std::size_t i = 0; i < count; ++i) {
     std::uint64_t bits;
     std::memcpy(&bits, &values[i], sizeof(bits));
-    // Stored as a whole word once its bytes are in little-endian order:
-    // a per-byte store loop here vectorizes into shuffles at -O3 and
-    // runs several times slower than this copy.
-    const std::uint64_t le = ToLittleEndian64(bits);
-    std::memcpy(out + 8 * i, &le, sizeof(le));
+    bits = __builtin_bswap64(bits);
+    std::memcpy(out + 8 * i, &bits, sizeof(bits));
   }
+#else
+  // The doubles' bytes are already in little-endian order: one append
+  // copies them, without zero-filling the grown string first.
+  static_assert(sizeof(double) == 8, "doubles travel as 8 bytes");
+  dst->append(reinterpret_cast<const char*>(values), 8 * count);
+#endif
 }
 
 void PutLengthPrefixed(std::string* dst, const std::string& value) {
@@ -191,13 +183,11 @@ struct Crc32Tables {
   }
 };
 
-}  // namespace
-
-std::uint32_t Crc32(const void* data, std::size_t size, std::uint32_t seed) {
+/// The slice-by-8 loop over the register \p crc.
+std::uint32_t Crc32TableUpdate(const unsigned char* p, std::size_t size,
+                               std::uint32_t crc) {
   static const Crc32Tables tables;
   const auto& t = tables.entries;
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  std::uint32_t crc = seed ^ 0xFFFFFFFFu;
   // Byte loads keep this independent of host endianness and alignment.
   for (; size >= 8; p += 8, size -= 8) {
     const std::uint32_t lo = LoadLe32(p) ^ crc;
@@ -209,7 +199,36 @@ std::uint32_t Crc32(const void* data, std::size_t size, std::uint32_t seed) {
   for (; size > 0; ++p, --size) {
     crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   }
-  return crc ^ 0xFFFFFFFFu;
+  return crc;
+}
+
+}  // namespace
+
+// Implemented in crc32_fold.cc, the one TU built with PCLMULQDQ and
+// SSE4.1 enabled (as is Crc32UsesFold). Advances the (pre-inverted)
+// register over \p size bytes, size >= 64 and a multiple of 16; may
+// only run when Crc32UsesFold() is true.
+std::uint32_t Crc32Fold(const unsigned char* p, std::size_t size,
+                        std::uint32_t crc);
+
+std::uint32_t Crc32(const void* data, std::size_t size, std::uint32_t seed) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  std::uint32_t crc = seed ^ 0xFFFFFFFFu;
+  if (size >= 64 && Crc32UsesFold()) {
+    // The fold takes whole 16-byte blocks; the table finishes the tail.
+    const std::size_t bulk = size & ~std::size_t{15};
+    crc = Crc32Fold(p, bulk, crc);
+    p += bulk;
+    size -= bulk;
+  }
+  return Crc32TableUpdate(p, size, crc) ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t Crc32Table(const void* data, std::size_t size,
+                         std::uint32_t seed) {
+  return Crc32TableUpdate(static_cast<const unsigned char*>(data), size,
+                          seed ^ 0xFFFFFFFFu) ^
+         0xFFFFFFFFu;
 }
 
 }  // namespace tcdp

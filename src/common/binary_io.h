@@ -33,8 +33,8 @@ void PutVarint64(std::string* dst, std::uint64_t value);
 std::size_t VarintLength(std::uint64_t value);
 /// The exact bit pattern of \p value (NaNs and signed zeros included).
 void PutDoubleBits(std::string* dst, double value);
-/// \p count doubles as consecutive PutDoubleBits fields, written with
-/// one resize of \p dst.
+/// \p count doubles as consecutive PutDoubleBits fields, appended in
+/// one piece.
 void PutDoubleBitsArray(std::string* dst, const double* values,
                         std::size_t count);
 /// Varint length prefix followed by the raw bytes.
@@ -71,10 +71,21 @@ class BinaryCursor {
   const char* end_;
 };
 
-/// \brief CRC-32 (ISO-HDLC, polynomial 0xEDB88320) of \p size bytes,
-/// seedable for incremental computation over discontiguous spans.
+/// \brief CRC-32/ISO-HDLC (reflected polynomial 0xEDB88320, check value
+/// 0xCBF43926) of \p size bytes, seedable for incremental computation
+/// over discontiguous spans. Inputs of 64 bytes and more are folded
+/// with carry-less multiplies when the CPU has them (Crc32UsesFold);
+/// the slice-by-8 table finishes the tail and runs everything else.
+/// Both paths compute the same value.
 std::uint32_t Crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0);
+/// The slice-by-8 table path alone, on any CPU: what Crc32 runs on
+/// short inputs and CPUs without carry-less multiply.
+std::uint32_t Crc32Table(const void* data, std::size_t size,
+                         std::uint32_t seed = 0);
+/// True when Crc32 takes the fold: an x86-64 build on a CPU reporting
+/// PCLMULQDQ and SSE4.1, probed once.
+bool Crc32UsesFold();
 
 }  // namespace tcdp
 

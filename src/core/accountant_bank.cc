@@ -188,6 +188,18 @@ class RepeatArgLoss {
   double last_value_ = 0.0;
 };
 
+/// Per-thread scratch of FillSeries, kept across calls so a series at
+/// a horizon already seen allocates nothing.
+struct SeriesScratch {
+  std::vector<std::uint32_t> marks;     ///< participations, then len
+  std::vector<std::uint32_t> bpl_flat;  ///< per gap: BPL flat from here
+};
+
+SeriesScratch& SeriesScratchForThread() {
+  thread_local SeriesScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 AccountantBank::AccountantBank(AccountantBankOptions options)
@@ -505,111 +517,166 @@ std::vector<double> AccountantBank::EpsilonsFor(std::size_t user) const {
   return out;
 }
 
-std::vector<std::uint32_t> AccountantBank::ParticipationsOf(
-    std::size_t user) const {
+double AccountantBank::FillSeries(std::size_t user,
+                                  std::vector<double>* epsilons,
+                                  std::vector<double>* bpl_out,
+                                  std::vector<double>* fpl_out,
+                                  std::vector<double>* tpl_out) const {
+  assert(user < num_users());
+  const Cohort& cohort = cohorts_[user_cohort_[user]];
   const std::uint32_t join = user_join_[user];
+  const std::size_t len = horizon() - join;
+
+  // The user's participations as indices into its own series (a merge
+  // of its dense releases and its explicit ones; a release is never
+  // both), then len: the end of the last gap.
+  SeriesScratch& scratch = SeriesScratchForThread();
+  std::vector<std::uint32_t>& marks = scratch.marks;
   const std::vector<std::uint32_t>& own = user_releases_[user];
   const auto all =
       std::lower_bound(all_releases_.begin(), all_releases_.end(), join);
-  std::vector<std::uint32_t> out(
-      static_cast<std::size_t>(all_releases_.end() - all) + own.size());
-  // A release is either dense or sparse, never both.
-  std::merge(all, all_releases_.end(), own.begin(), own.end(), out.begin());
-  for (std::uint32_t& t : out) t -= join;
-  return out;
-}
-
-AccountantBank::UserSeries AccountantBank::SeriesFor(std::size_t user) const {
-  assert(user < num_users());
-  const Cohort& cohort = cohorts_[user_cohort_[user]];
-  UserSeries s;
-  s.epsilons = EpsilonsFor(user);
-  const std::vector<double>& eps = s.epsilons;
-  const std::size_t len = eps.size();
-  s.bpl.resize(len);
-  s.fpl.resize(len);
-  s.tpl.resize(len);
-  // Participation indices, then len: the end of the last gap.
-  std::vector<std::uint32_t> marks = ParticipationsOf(user);
+  marks.resize(static_cast<std::size_t>(all_releases_.end() - all) +
+               own.size());
+  std::merge(all, all_releases_.end(), own.begin(), own.end(), marks.begin());
+  for (std::uint32_t& t : marks) t -= join;
   marks.push_back(static_cast<std::uint32_t>(len));
+  // Per gap, the index from which its BPL is one filled value.
+  std::vector<std::uint32_t>& bpl_flat = scratch.bpl_flat;
+  bpl_flat.resize(marks.size());
 
   std::optional<RepeatArgLoss> backward;
   std::optional<RepeatArgLoss> forward;
   if (cohort.backward != nullptr) backward.emplace(*cohort.backward);
   if (cohort.forward != nullptr) forward.emplace(*cohort.forward);
 
-  // Gap m is [gap_start(m), marks[m]): the skips (eps = 0) before
-  // participation m, or before the end of the series.
-  const auto gap_start = [&marks](std::size_t m) -> std::size_t {
-    return m > 0 ? marks[m - 1] + std::size_t{1} : 0;
-  };
-
-  // Equation 13 forward. Once a step in a gap returns its argument's
-  // bits, every later step in the gap returns them again (evaluators
-  // are pure), so the rest of the gap is filled.
+  // Equation 13 forward, appending to eps and BPL (BPL goes to the TPL
+  // array when the caller wants no BPL; the backward sweep overwrites
+  // it). Gap m is [marks[m - 1] + 1, marks[m]): the skips (eps = 0)
+  // before participation m, or before the end of the series. Once a
+  // step in a gap returns its argument's bits, every later step in the
+  // gap returns them again (evaluators are pure), so the rest of the
+  // gap is filled.
+  std::vector<double>& eps = *epsilons;
+  std::vector<double>& bpl = bpl_out != nullptr ? *bpl_out : *tpl_out;
+  eps.clear();
+  eps.reserve(len);
+  bpl.clear();
+  bpl.reserve(len);
   double prev = 0.0;
-  const auto step_bpl = [&](std::size_t i) {
+  const auto step_bpl = [&](double e) {
     const double loss =
         backward && prev > 0.0 ? backward->Evaluate(prev) : 0.0;
-    prev = loss + eps[i];
-    s.bpl[i] = prev;
+    prev = loss + e;
+    eps.push_back(e);
+    bpl.push_back(prev);
   };
+  std::size_t start = 0;
   for (std::size_t m = 0; m < marks.size(); ++m) {
     const std::size_t end = marks[m];
-    for (std::size_t i = gap_start(m); i < end; ++i) {
+    bpl_flat[m] = static_cast<std::uint32_t>(end);
+    for (std::size_t i = start; i < end; ++i) {
       const double arg = prev;
-      step_bpl(i);
+      step_bpl(0.0);
       if (SameBits(prev, arg)) {
-        std::fill(s.bpl.begin() + i + 1, s.bpl.begin() + end, prev);
+        eps.insert(eps.end(), end - i - 1, 0.0);
+        bpl.insert(bpl.end(), end - i - 1, prev);
+        bpl_flat[m] = static_cast<std::uint32_t>(i);
         break;
       }
     }
-    if (end < len) step_bpl(end);
+    if (end < len) step_bpl(schedule_[join + end]);
+    start = end + 1;
   }
   // The recomputed tail must land exactly on the running column.
-  assert(s.bpl.empty() || s.bpl.back() == cohort.bpl_last[user_slot_[user]]);
+  assert(len == 0 || prev == cohort.bpl_last[user_slot_[user]]);
 
   // Equation 15 backward, the same way: a step in a gap that returns
-  // the next index's bits fills the gap down to its start.
-  const auto step_fpl = [&](std::size_t i) {
-    double fpl = eps[i];
-    if (i + 1 < len && forward) fpl += forward->Evaluate(s.fpl[i + 1]);
-    s.fpl[i] = fpl;
+  // the next index's bits fills the gap down to its start. FPL runs in
+  // `next`; TPL = BPL + FPL - eps and its max are formed as it goes.
+  if (tpl_out != &bpl) tpl_out->resize(len);
+  if (fpl_out != nullptr) fpl_out->resize(len);
+  const double* const b = bpl.data();  // may be the TPL array itself
+  double* const tpl = tpl_out->data();
+  double* const fpl = fpl_out != nullptr ? fpl_out->data() : nullptr;
+  double next = 0.0;  // FPL at the index after the one being stepped
+  double max_tpl = 0.0;
+  const auto step_fpl = [&](std::size_t i, double e) {
+    double f = e;
+    if (i + 1 < len && forward) f += forward->Evaluate(next);
+    next = f;
+    if (fpl != nullptr) fpl[i] = f;
+    const double value = b[i] + f - e;
+    tpl[i] = value;
+    max_tpl = std::max(max_tpl, value);
   };
   for (std::size_t m = marks.size(); m-- > 0;) {
     const std::size_t end = marks[m];
-    if (end < len) step_fpl(end);
-    const std::size_t start = gap_start(m);
-    for (std::size_t i = end; i-- > start;) {
-      step_fpl(i);
-      if (i + 1 < len && SameBits(s.fpl[i], s.fpl[i + 1])) {
-        std::fill(s.fpl.begin() + start, s.fpl.begin() + i, s.fpl[i]);
+    if (end < len) step_fpl(end, eps[end]);
+    const std::size_t gap = m > 0 ? marks[m - 1] + std::size_t{1} : 0;
+    for (std::size_t i = end; i-- > gap;) {
+      const double after = next;
+      step_fpl(i, 0.0);
+      if (i + 1 < len && SameBits(next, after)) {
+        // FPL is `next` on [gap, i), eps is 0, and BPL is flat from
+        // bpl_flat[m]: TPL is one value on [flat, i), formed and maxed
+        // once.
+        const std::size_t flat = std::clamp<std::size_t>(bpl_flat[m], gap, i);
+        if (fpl != nullptr) std::fill(fpl + gap, fpl + i, next);
+        for (std::size_t k = gap; k < flat; ++k) {
+          const double value = b[k] + next - 0.0;
+          tpl[k] = value;
+          max_tpl = std::max(max_tpl, value);
+        }
+        if (flat < i) {
+          const double value = b[flat] + next - 0.0;
+          std::fill(tpl + flat, tpl + i, value);
+          max_tpl = std::max(max_tpl, value);
+        }
         break;
       }
     }
   }
+  return max_tpl;
+}
 
-  for (std::size_t i = 0; i < len; ++i) {
-    s.tpl[i] = s.bpl[i] + s.fpl[i] - eps[i];
-    s.max_tpl = std::max(s.max_tpl, s.tpl[i]);
-  }
+void AccountantBank::SeriesFor(std::size_t user, UserSeries* out) const {
+  out->max_tpl =
+      FillSeries(user, &out->epsilons, &out->bpl, &out->fpl, &out->tpl);
+}
+
+double AccountantBank::TplSeriesFor(std::size_t user,
+                                    std::vector<double>* epsilons,
+                                    std::vector<double>* tpl) const {
+  return FillSeries(user, epsilons, nullptr, nullptr, tpl);
+}
+
+AccountantBank::UserSeries AccountantBank::SeriesFor(std::size_t user) const {
+  UserSeries s;
+  SeriesFor(user, &s);
   return s;
 }
 
 std::vector<double> AccountantBank::BplSeriesFor(std::size_t user) const {
-  return SeriesFor(user).bpl;
+  std::vector<double> eps, bpl, tpl;
+  FillSeries(user, &eps, &bpl, nullptr, &tpl);
+  return bpl;
 }
 
 std::vector<double> AccountantBank::FplSeriesFor(std::size_t user) const {
-  return SeriesFor(user).fpl;
+  std::vector<double> eps, fpl, tpl;
+  FillSeries(user, &eps, nullptr, &fpl, &tpl);
+  return fpl;
 }
 
 std::vector<double> AccountantBank::TplSeriesFor(std::size_t user) const {
-  return SeriesFor(user).tpl;
+  std::vector<double> eps, tpl;
+  FillSeries(user, &eps, nullptr, nullptr, &tpl);
+  return tpl;
 }
 
 double AccountantBank::MaxTplFor(std::size_t user) const {
-  return SeriesFor(user).max_tpl;
+  std::vector<double> eps, tpl;
+  return FillSeries(user, &eps, nullptr, nullptr, &tpl);
 }
 
 StatusOr<double> AccountantBank::MaxTplAt(std::size_t t) const {
@@ -621,9 +688,10 @@ StatusOr<double> AccountantBank::MaxTplAt(std::size_t t) const {
   }
   std::vector<double> per_user(num_users(), 0.0);
   auto body = [this, t, &per_user](std::size_t lo, std::size_t hi) {
+    std::vector<double> eps, tpl;  // reused across the chunk's users
     for (std::size_t u = lo; u < hi; ++u) {
       if (user_join_[u] >= t) continue;  // joined after t: no series there
-      const std::vector<double> tpl = TplSeriesFor(u);
+      TplSeriesFor(u, &eps, &tpl);
       per_user[u] = tpl[t - 1 - user_join_[u]];
     }
   };
@@ -641,7 +709,10 @@ StatusOr<double> AccountantBank::MaxTplAt(std::size_t t) const {
 std::vector<double> AccountantBank::PersonalizedAlphas() const {
   std::vector<double> alphas(num_users(), 0.0);
   auto body = [this, &alphas](std::size_t lo, std::size_t hi) {
-    for (std::size_t u = lo; u < hi; ++u) alphas[u] = MaxTplFor(u);
+    std::vector<double> eps, tpl;  // reused across the chunk's users
+    for (std::size_t u = lo; u < hi; ++u) {
+      alphas[u] = TplSeriesFor(u, &eps, &tpl);
+    }
   };
   if (pool_ != nullptr && num_users() > 1) {
     pool_->ParallelForRange(0, num_users(), body);

@@ -47,7 +47,8 @@
 ///
 /// Population view (Section III-D, Definition 5): `MaxTplAt`,
 /// `PersonalizedAlphas` and `OverallAlpha` take the max over users,
-/// each user's series computed by the one-pass `SeriesFor`.
+/// each user's series computed by the one-pass `SeriesFor`, into one
+/// reused pair of arrays per pool chunk.
 /// Callers wanting fan-out own a ThreadPool and hand it to `set_pool`.
 ///
 /// Thread-compatible: concurrent calls on one bank must be externally
@@ -131,16 +132,25 @@ class AccountantBank {
     double max_tpl = 0.0;     ///< max_t TPL_t (0 when empty)
   };
   /// Lazily recomputed series over the user's sub-schedule, bitwise
-  /// equal to the reference TplAccountant's. It walks the user's
-  /// participations from the participation index: Equation 13 forward
-  /// and Equation 15 backward step through each gap between two
-  /// participations (eps = 0) until a step returns the same bits, and
-  /// the rest of the gap is filled with that value. Evaluators are
-  /// pure, so the fill is exactly what further steps would return, and
-  /// each recurrence also reuses the previous loss when its argument
-  /// repeats. TPL = BPL + FPL - eps and its max close the pass.
+  /// equal to the reference TplAccountant's, refilled in place: \p out
+  /// keeps its capacity, so a series at a horizon already seen
+  /// allocates nothing. One pass walks the user's participations from
+  /// the participation index: Equation 13 forward and Equation 15
+  /// backward step through each gap between two participations
+  /// (eps = 0) until a step returns the same bits, and the rest of the
+  /// gap is filled with that value. Evaluators are pure, so the fill is
+  /// exactly what further steps would return, and each recurrence also
+  /// reuses the previous loss when its argument repeats. The backward
+  /// sweep forms TPL = BPL + FPL - eps and its max as it goes; where
+  /// BPL, FPL and eps are all filled values, TPL is formed once.
+  void SeriesFor(std::size_t user, UserSeries* out) const;
+  /// The same pass writing only what a budget check returns: the
+  /// user's spend sequence and TPL series into caller-owned vectors
+  /// (capacity reused). Returns max_t TPL_t.
+  double TplSeriesFor(std::size_t user, std::vector<double>* epsilons,
+                      std::vector<double>* tpl) const;
+  /// By-value wrappers of the same pass.
   UserSeries SeriesFor(std::size_t user) const;
-  /// Views of SeriesFor.
   std::vector<double> BplSeriesFor(std::size_t user) const;
   std::vector<double> FplSeriesFor(std::size_t user) const;
   std::vector<double> TplSeriesFor(std::size_t user) const;
@@ -268,10 +278,12 @@ class AccountantBank {
   std::size_t StepSparse(double epsilon,
                          const std::vector<std::size_t>& participants);
   Status Record(double epsilon, const std::vector<std::size_t>* participants);
-  /// The user's participations as indices into its own series
-  /// (release - join), ascending: a merge of its dense releases and
-  /// its explicit ones.
-  std::vector<std::uint32_t> ParticipationsOf(std::size_t user) const;
+  /// The one series pass behind SeriesFor and its views. Always
+  /// writes \p epsilons and \p tpl; \p bpl and \p fpl only when not
+  /// null (BPL is otherwise staged in the TPL array). Returns max TPL.
+  double FillSeries(std::size_t user, std::vector<double>* epsilons,
+                    std::vector<double>* bpl, std::vector<double>* fpl,
+                    std::vector<double>* tpl) const;
   /// Rebuilds cohort_offsets_ from the cohort sizes when AddUser has
   /// invalidated it (prefix sum, O(cohorts) — enrollment itself is O(1)
   /// per user instead of O(cohorts)).

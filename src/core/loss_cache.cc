@@ -73,7 +73,7 @@ class TemporalLossCache::Impl {
       if (scaled >= 9.0e18) {  // llround would overflow int64
         // Leakage this deep is astronomically past any real budget;
         // evaluate directly rather than corrupt the key space.
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        counters_.misses.fetch_add(1, std::memory_order_relaxed);
         if (obs::MetricsEnabled()) CacheObs::Get().misses->Increment();
         return entry.loss.Evaluate(alpha);
       }
@@ -97,7 +97,7 @@ class TemporalLossCache::Impl {
       std::lock_guard<std::mutex> lock(shard.mu);
       auto it = shard.values.find(key);
       if (it != shard.values.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
+        counters_.hits.fetch_add(1, std::memory_order_relaxed);
         if (obs::MetricsEnabled()) CacheObs::Get().hits->Increment();
         return it->second;
       }
@@ -112,13 +112,13 @@ class TemporalLossCache::Impl {
       std::lock_guard<std::mutex> lock(shard.mu);
       auto [it, inserted] = shard.values.emplace(key, value);
       if (inserted) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        counters_.misses.fetch_add(1, std::memory_order_relaxed);
         if (obs::MetricsEnabled()) {
           CacheObs::Get().misses->Increment();
           CacheObs::Get().entries->Add(1);
         }
       } else {
-        hits_.fetch_add(1, std::memory_order_relaxed);
+        counters_.hits.fetch_add(1, std::memory_order_relaxed);
         if (obs::MetricsEnabled()) CacheObs::Get().hits->Increment();
       }
       return it->second;
@@ -127,8 +127,8 @@ class TemporalLossCache::Impl {
 
   Stats stats() const {
     Stats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
+    s.hits = counters_.hits.load(std::memory_order_relaxed);
+    s.misses = counters_.misses.load(std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(registry_mu_);
     for (const auto& [fp, entries] : registry_) {
       s.distinct_matrices += entries.size();
@@ -166,8 +166,14 @@ class TemporalLossCache::Impl {
   // fingerprint -> entries (a bucket list guards against hash collision).
   std::unordered_map<std::uint64_t, std::vector<std::shared_ptr<Entry>>>
       registry_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
+  /// Bumped on every lookup, so they get a cache line of their own:
+  /// the hit path's cost must not depend on what the allocator places
+  /// next to this object.
+  struct alignas(64) Counters {
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> misses{0};
+  };
+  Counters counters_;
 };
 
 namespace {

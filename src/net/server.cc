@@ -207,9 +207,9 @@ void NetServer::HandleFrame(Connection* conn, MsgType type,
         violation = true;
         break;
       }
-      auto report = service_->Query(*name);
-      if (report.ok()) {
-        if (ReportPayloadSize(*report) > kMaxFramePayload) {
+      applied = service_->Query(*name, &report_);
+      if (applied.ok()) {
+        if (ReportPayloadSize(report_) > kMaxFramePayload) {
           // A report for a very long series can outgrow a legal frame;
           // answering with an error beats emitting a frame the peer's
           // decoder must reject (which would poison the whole stream).
@@ -219,12 +219,11 @@ void NetServer::HandleFrame(Connection* conn, MsgType type,
           break;
         }
         const std::size_t frame = BeginFrame(conn->out(), MsgType::kReport);
-        AppendReport(conn->out(), *report);
+        AppendReport(conn->out(), report_);
         FinishFrame(conn->out(), frame);
         ++stats_.responses;
         return;
       }
-      applied = report.status();
       break;
     }
     case MsgType::kStats: {

@@ -771,7 +771,8 @@ Status ShardedReleaseService::MaybeAutoCompact() {
   return CompactShards();
 }
 
-StatusOr<UserReport> ShardedReleaseService::Query(const std::string& name) {
+Status ShardedReleaseService::Query(const std::string& name,
+                                    UserReport* out) {
   if (closed_) {
     return Status::FailedPrecondition("service is closed");
   }
@@ -788,16 +789,19 @@ StatusOr<UserReport> ShardedReleaseService::Query(const std::string& name) {
   if (local >= shard.bank.num_users()) {
     return Status::Internal("user '" + name + "' not applied after drain");
   }
+  out->name = name;
+  out->shard = it->second.first;
+  out->join_release = shard.bank.join_release(local);
+  out->horizon = shard.bank.user_horizon(local);
+  out->max_tpl =
+      shard.bank.TplSeriesFor(local, &out->epsilons, &out->tpl_series);
+  out->user_level_tpl = shard.bank.UserEpsSum(local);
+  return Status::OK();
+}
+
+StatusOr<UserReport> ShardedReleaseService::Query(const std::string& name) {
   UserReport report;
-  report.name = name;
-  report.shard = it->second.first;
-  report.join_release = shard.bank.join_release(local);
-  report.horizon = shard.bank.user_horizon(local);
-  AccountantBank::UserSeries series = shard.bank.SeriesFor(local);
-  report.max_tpl = series.max_tpl;
-  report.user_level_tpl = shard.bank.UserEpsSum(local);
-  report.epsilons = std::move(series.epsilons);
-  report.tpl_series = std::move(series.tpl);
+  TCDP_RETURN_IF_ERROR(Query(name, &report));
   return report;
 }
 

@@ -219,8 +219,12 @@ class ShardedReleaseService {
   /// service. Accounting state is untouched; only disk layout changes.
   Status Compact();
 
-  /// Drains the user's shard and reports its accounting, computed by
-  /// one AccountantBank::SeriesFor pass.
+  /// Drains the user's shard and reports its accounting into \p out,
+  /// whose series the bank's one series pass refills in place
+  /// (AccountantBank::TplSeriesFor): a caller that keeps one report
+  /// across queries reuses its capacity.
+  Status Query(const std::string& name, UserReport* out);
+  /// The same, into a new report.
   StatusOr<UserReport> Query(const std::string& name);
 
   /// Exports one user as a standalone "tcdp-accountant-v2" blob (the

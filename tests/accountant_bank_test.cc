@@ -878,6 +878,43 @@ void AddRecordedUser(const TemporalCorrelations& correlations,
   recorded->emplace_back();
 }
 
+/// A reference accountant for user \p u of \p bank, through
+/// evaluators configured as \p options configures the bank's (cached
+/// ones interned in \p cache), driven with \p spends.
+void DriveReference(const AccountantBank& bank,
+                    const AccountantBankOptions& options,
+                    TemporalLossCache* cache, std::size_t u,
+                    const std::vector<double>& spends,
+                    std::optional<TplAccountant>* reference) {
+  TemporalCorrelations corr = bank.user_correlations(u);
+  if (options.share_loss_cache) {
+    std::shared_ptr<const LossEvaluator> b;
+    std::shared_ptr<const LossEvaluator> f;
+    if (corr.has_backward()) b = cache->Intern(corr.backward());
+    if (corr.has_forward()) f = cache->Intern(corr.forward());
+    reference->emplace(std::move(corr), std::move(b), std::move(f),
+                       options.cache.alpha_resolution);
+  } else {
+    reference->emplace(std::move(corr));
+  }
+  for (double eps : spends) {
+    ASSERT_TRUE((eps > 0.0 ? (*reference)->RecordRelease(eps)
+                           : (*reference)->RecordSkip())
+                    .ok());
+  }
+}
+
+void ExpectSeriesMatchReference(const AccountantBank::UserSeries& series,
+                                const std::vector<double>& spends,
+                                const TplAccountant& reference,
+                                std::size_t u) {
+  EXPECT_TRUE(BitwiseEqual(series.epsilons, spends)) << "user " << u;
+  EXPECT_TRUE(BitwiseEqual(series.bpl, reference.BplSeries())) << "user " << u;
+  EXPECT_TRUE(BitwiseEqual(series.fpl, reference.FplSeries())) << "user " << u;
+  EXPECT_TRUE(BitwiseEqual(series.tpl, reference.TplSeries())) << "user " << u;
+  EXPECT_TRUE(SameBits(series.max_tpl, reference.MaxTpl())) << "user " << u;
+}
+
 /// Checks every user of \p bank against its recorded sequence and a
 /// reference accountant through identically configured evaluators.
 void ExpectIndexMatchesRecordAndReference(
@@ -888,33 +925,9 @@ void ExpectIndexMatchesRecordAndReference(
   for (std::size_t u = 0; u < bank.num_users(); ++u) {
     const std::vector<double>& expected = recorded[u];
     EXPECT_TRUE(BitwiseEqual(bank.EpsilonsFor(u), expected)) << "user " << u;
-
-    TemporalCorrelations corr = bank.user_correlations(u);
     std::optional<TplAccountant> reference;
-    if (options.share_loss_cache) {
-      std::shared_ptr<const LossEvaluator> b;
-      std::shared_ptr<const LossEvaluator> f;
-      if (corr.has_backward()) b = reference_cache.Intern(corr.backward());
-      if (corr.has_forward()) f = reference_cache.Intern(corr.forward());
-      reference.emplace(std::move(corr), std::move(b), std::move(f),
-                        options.cache.alpha_resolution);
-    } else {
-      reference.emplace(std::move(corr));
-    }
-    for (double eps : expected) {
-      ASSERT_TRUE((eps > 0.0 ? reference->RecordRelease(eps)
-                             : reference->RecordSkip())
-                      .ok());
-    }
-    const AccountantBank::UserSeries series = bank.SeriesFor(u);
-    EXPECT_TRUE(BitwiseEqual(series.epsilons, expected)) << "user " << u;
-    EXPECT_TRUE(BitwiseEqual(series.bpl, reference->BplSeries()))
-        << "user " << u;
-    EXPECT_TRUE(BitwiseEqual(series.fpl, reference->FplSeries()))
-        << "user " << u;
-    EXPECT_TRUE(BitwiseEqual(series.tpl, reference->TplSeries()))
-        << "user " << u;
-    EXPECT_TRUE(SameBits(series.max_tpl, reference->MaxTpl())) << "user " << u;
+    DriveReference(bank, options, &reference_cache, u, expected, &reference);
+    ExpectSeriesMatchReference(bank.SeriesFor(u), expected, *reference, u);
   }
 }
 
@@ -1019,6 +1032,62 @@ TEST_P(ParticipationIndexTest, RestoreThenSparseReleasesMatch) {
   }
 }
 
+TEST_P(ParticipationIndexTest, SeriesRefilledInPlaceMatchByValueAndReference) {
+  Rng rng(static_cast<std::uint64_t>(std::get<2>(GetParam())) + 57000);
+  const std::vector<TemporalCorrelations> profiles = IndexProfiles(&rng);
+  const int threads = std::get<1>(GetParam());
+  std::optional<ThreadPool> pool;
+  AccountantBank bank(Options());
+  if (threads > 0) {
+    pool.emplace(static_cast<std::size_t>(threads));
+    bank.set_pool(&*pool);
+  }
+  Recorded recorded;
+  for (int u = 0; u < 20; ++u) {
+    AddRecordedUser(profiles[u % profiles.size()], &bank, &recorded);
+  }
+  DriveMixed(&rng, profiles, 600, &bank, &recorded);
+  ASSERT_GT(bank.join_release(bank.num_users() - 1), 0u);  // late joiners
+
+  // Earliest and latest joiners alternate, so one reused series falls
+  // and rises in length on every call; the profiles cycle through
+  // two-sided, backward-only, forward-only and no correlation.
+  std::vector<std::size_t> order;
+  for (std::size_t lo = 0, hi = bank.num_users(); lo < hi;) {
+    order.push_back(lo++);
+    if (lo < hi) order.push_back(--hi);
+  }
+  TemporalLossCache reference_cache(Options().cache);
+  AccountantBank::UserSeries series;
+  std::vector<double> eps;
+  std::vector<double> tpl;
+  std::size_t falls = 0;
+  std::size_t rises = 0;
+  for (const std::size_t u : order) {
+    const std::size_t before = series.tpl.size();
+    bank.SeriesFor(u, &series);
+    falls += series.tpl.size() < before;
+    rises += series.tpl.size() > before;
+    const AccountantBank::UserSeries by_value = bank.SeriesFor(u);
+    EXPECT_TRUE(BitwiseEqual(series.epsilons, by_value.epsilons));
+    EXPECT_TRUE(BitwiseEqual(series.bpl, by_value.bpl)) << "user " << u;
+    EXPECT_TRUE(BitwiseEqual(series.fpl, by_value.fpl)) << "user " << u;
+    EXPECT_TRUE(BitwiseEqual(series.tpl, by_value.tpl)) << "user " << u;
+    EXPECT_TRUE(SameBits(series.max_tpl, by_value.max_tpl)) << "user " << u;
+    std::optional<TplAccountant> reference;
+    DriveReference(bank, Options(), &reference_cache, u, recorded[u],
+                   &reference);
+    ExpectSeriesMatchReference(series, recorded[u], *reference, u);
+
+    const double max_tpl = bank.TplSeriesFor(u, &eps, &tpl);
+    EXPECT_TRUE(BitwiseEqual(eps, recorded[u])) << "user " << u;
+    EXPECT_TRUE(BitwiseEqual(tpl, reference->TplSeries())) << "user " << u;
+    EXPECT_TRUE(SameBits(max_tpl, reference->MaxTpl())) << "user " << u;
+  }
+  EXPECT_GT(falls, 0u);
+  EXPECT_GT(rises, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     CachedUncachedPools, ParticipationIndexTest,
     ::testing::Combine(::testing::Bool(), ::testing::Values(0, 4),
@@ -1094,6 +1163,52 @@ TEST(AccountantBankMemory, SparseReleaseCostsAtMost100HeapBytes) {
   EXPECT_LE(per_release, 100.0);
   RecordProperty("heap_bytes_per_sparse_release",
                  std::to_string(per_release));
+}
+
+TEST(AccountantBankMemory, SecondSeriesAtTheSameHorizonAllocatesNothing) {
+#if !defined(__GLIBC__) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "needs glibc's own allocator (mallinfo2)";
+#endif
+  Rng rng(20261019);
+  const TemporalCorrelations both =
+      TemporalCorrelations::Both(StochasticMatrix::Random(8, &rng),
+                                 StochasticMatrix::Random(8, &rng))
+          .value();
+  AccountantBank bank;
+  for (int u = 0; u < 100; ++u) bank.AddUser(both);
+  std::vector<std::size_t> participants(3);
+  for (int t = 0; t < 3000; ++t) {
+    if (t % 50 == 0) {
+      ASSERT_TRUE(bank.RecordRelease(0.1).ok());
+      continue;
+    }
+    for (std::size_t& p : participants) {
+      p = static_cast<std::size_t>(rng.UniformInt(0, 99));
+    }
+    ASSERT_TRUE(bank.RecordRelease(0.1, participants).ok());
+  }
+  AccountantBank::UserSeries series;
+  std::vector<double> eps;
+  std::vector<double> tpl;
+  for (std::size_t u : {0u, 41u, 99u}) {
+    // The first calls size the arrays, the pass's scratch and the loss
+    // cache; the second ones must find everything in place.
+    bank.SeriesFor(u, &series);
+    bank.TplSeriesFor(u, &eps, &tpl);
+    const std::vector<const double*> data = {
+        series.epsilons.data(), series.bpl.data(), series.fpl.data(),
+        series.tpl.data(), eps.data(), tpl.data()};
+    const std::size_t before = HeapBytesInUse();
+    bank.SeriesFor(u, &series);
+    bank.TplSeriesFor(u, &eps, &tpl);
+    EXPECT_EQ(HeapBytesInUse(), before) << "user " << u;
+    EXPECT_EQ(data, (std::vector<const double*>{
+                        series.epsilons.data(), series.bpl.data(),
+                        series.fpl.data(), series.tpl.data(), eps.data(),
+                        tpl.data()}))
+        << "user " << u;
+  }
 }
 
 }  // namespace

@@ -525,6 +525,68 @@ TEST(NetServerTest, OversizedReportIsResourceExhaustedAndStreamSurvives) {
   ts->Finish();
 }
 
+bool SameDoubleBits(const std::vector<double>& a,
+                    const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool SameReportBits(const server::UserReport& a, const server::UserReport& b) {
+  return a.name == b.name && a.shard == b.shard &&
+         a.join_release == b.join_release && a.horizon == b.horizon &&
+         std::memcmp(&a.max_tpl, &b.max_tpl, sizeof(double)) == 0 &&
+         std::memcmp(&a.user_level_tpl, &b.user_level_tpl,
+                     sizeof(double)) == 0 &&
+         SameDoubleBits(a.epsilons, b.epsilons) &&
+         SameDoubleBits(a.tpl_series, b.tpl_series);
+}
+
+TEST(NetServerTest, ReusedReportAnswersLongShortAndEmptySeriesBitwise) {
+  // The server builds every answer in one reused report: its series
+  // must shrink and grow with each user's horizon, down to empty.
+  server::ShardedServiceOptions options;
+  options.num_shards = 2;
+  options.batch_window = 1;
+  auto service = server::ShardedReleaseService::Create("", options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  server::ShardedReleaseService& svc = **service;
+  ASSERT_TRUE(svc.Join("long", Profile(0)).ok());
+  for (int r = 0; r < 400; ++r) {
+    if (r == 340) {
+      ASSERT_TRUE(svc.Join("short", Profile(1)).ok());
+    }
+    const char* name = r < 340 || r % 2 ? "long" : "short";
+    ASSERT_TRUE(
+        (r % 7 == 0 ? svc.ReleaseAll(0.1) : svc.Release(name, 0.2)).ok());
+  }
+  ASSERT_TRUE(svc.Join("late", Profile(2)).ok());
+  ASSERT_TRUE(svc.Flush().ok());
+  const std::vector<std::string> names = {"long", "short", "late", "long"};
+  std::vector<server::UserReport> expected;
+  for (const std::string& name : names) {
+    auto report = svc.Query(name);
+    ASSERT_TRUE(report.ok()) << report.status();
+    expected.push_back(std::move(report).value());
+  }
+  ASSERT_GT(expected[0].horizon, expected[1].horizon);
+  ASSERT_GT(expected[1].horizon, 0u);
+  ASSERT_EQ(expected[2].horizon, 0u);
+
+  auto ts = TestServer::Serve(std::move(service).value());
+  ASSERT_NE(ts, nullptr);
+  auto client = Connect(*ts);
+  ASSERT_TRUE(client.ok()) << client.status();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    auto report = (*client)->Query(names[i]);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_TRUE(SameReportBits(*report, expected[i]))
+        << "query " << i << " (" << names[i] << ")";
+  }
+  EXPECT_TRUE((*client)->Shutdown().ok());
+  ts->Finish();
+}
+
 TEST(NetServerTest, DurableServiceOverNetworkRecovers) {
   const std::string dir = "/tmp/tcdp_net_server_test_logs";
   std::filesystem::remove_all(dir);

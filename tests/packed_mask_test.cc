@@ -294,6 +294,56 @@ TEST(BinaryIo, Crc32ChainsSeedsLikeTheReference) {
   }
 }
 
+TEST(BinaryIo, Crc32ChainsAcrossTheFoldBoundaries) {
+  // Splits on each side of the fold's 16-byte block and 64-byte minimum,
+  // so a chain hands the register between fold and table both ways.
+  Rng rng(4545);
+  const std::vector<unsigned char> bytes = RandomBytes(&rng, 160);
+  for (std::size_t total : {79u, 80u, 81u, 144u, 160u}) {
+    const std::uint32_t whole = ReferenceCrc32(bytes.data(), total);
+    for (std::size_t split : {15u, 16u, 17u, 63u, 64u, 65u, 79u, 80u}) {
+      if (split > total) continue;
+      const std::uint32_t head = Crc32(bytes.data(), split);
+      EXPECT_EQ(Crc32(bytes.data() + split, total - split, head), whole)
+          << "total " << total << " split " << split;
+    }
+  }
+}
+
+TEST(BinaryIo, Crc32TablePathMatchesTheReference) {
+  // Checked directly, so a CPU whose Crc32 takes the fold still covers
+  // the table path that short inputs and other CPUs run.
+  Rng rng(4646);
+  const std::vector<unsigned char> bytes = RandomBytes(&rng, 4096 + 8);
+  for (std::size_t offset : {0u, 1u, 5u}) {
+    const unsigned char* start = bytes.data() + offset;
+    std::uint32_t reg = 0xFFFFFFFFu;
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      ASSERT_EQ(Crc32Table(start, len), reg ^ 0xFFFFFFFFu)
+          << "offset " << offset << " length " << len;
+      if (len < 4096) reg = ReferenceCrcUpdate(reg, start[len]);
+    }
+  }
+  EXPECT_EQ(Crc32Table("123456789", 9), 0xCBF43926u);
+  for (std::uint32_t seed : {0x12345678u, 0xFFFFFFFFu}) {
+    EXPECT_EQ(Crc32Table(bytes.data(), 3000, seed),
+              ReferenceCrc32(bytes.data(), 3000, seed));
+    EXPECT_EQ(Crc32Table(bytes.data(), 3000, seed),
+              Crc32(bytes.data(), 3000, seed));
+  }
+}
+
+TEST(BinaryIo, Crc32FoldIsTakenExactlyWhenTheCpuHasIt) {
+#if (defined(__x86_64__) || defined(_M_X64)) && \
+    (defined(__GNUC__) || defined(__clang__))
+  const bool cpu_has_fold =
+      __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+  EXPECT_EQ(Crc32UsesFold(), cpu_has_fold);
+#else
+  EXPECT_FALSE(Crc32UsesFold());
+#endif
+}
+
 TEST(BinaryIo, DoubleBitsArrayMatchesOneFieldAtATime) {
   const std::vector<double> values = {0.0, -0.0, 1.0 / 3.0, 1e-300, -2.5,
                                       0.1, 6.02e23};

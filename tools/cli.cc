@@ -776,13 +776,14 @@ Status CmdServe(const Flags& flags, std::ostream& out) {
         "missing required flag --script (or --listen)");
   }
 #if defined(__GLIBC__)
-  // A Query answer allocates arrays as long as the user's horizon, a
-  // little longer each time. glibc's mmap threshold otherwise rises only
-  // to the largest block freed so far, so each answer's arrays would be
-  // mapped and page-faulted anew. These are the ceilings its dynamic
-  // rule moves toward (the trim threshold at twice the mmap one); fixed,
-  // they keep such arrays in the heap, and the heap is not trimmed back
-  // between them.
+  // Some of the server's buffers grow with the horizon, a little each
+  // time: snapshot images, compaction copies, a connection's output
+  // buffer. glibc's mmap threshold otherwise rises only to the largest
+  // block freed so far, so each such buffer would be mapped and
+  // page-faulted anew. These are the ceilings its dynamic rule moves
+  // toward (the trim threshold at twice the mmap one); fixed, they keep
+  // such buffers in the heap, and the heap is not trimmed back between
+  // them.
   mallopt(M_MMAP_THRESHOLD, 32 << 20);
   mallopt(M_TRIM_THRESHOLD, 64 << 20);
 #endif
