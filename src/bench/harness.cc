@@ -4,7 +4,6 @@
 
 #include "bench/gate_expr.h"
 #include "common/timer.h"
-#include "kernels/kernels.h"
 
 namespace tcdp {
 namespace bench {
@@ -125,12 +124,6 @@ StatusOr<BenchReport> Harness::Run(const RunOptions& options,
         result.enforced = false;
         result.reason = "requires >= " + std::to_string(gate.min_cores) +
                         " cores, host has " + std::to_string(opts.cores);
-      } else if (gate.min_simd_width > kernels::HostSimdWidth()) {
-        result.enforced = false;
-        result.reason =
-            "requires SIMD width >= " + std::to_string(gate.min_simd_width) +
-            " doubles, host best backend (" + kernels::BestBackend().name +
-            ") is " + std::to_string(kernels::HostSimdWidth()) + " wide";
       } else if (gate.full_only && opts.smoke) {
         result.enforced = false;
         result.reason = "full-run gate, skipped in --smoke mode";

@@ -68,11 +68,6 @@ struct GateSpec {
   /// Enforced only on full (non --smoke) runs; seconds-scale smoke
   /// grids are too small for timing-based acceptance bars.
   bool full_only = false;
-  /// Enforced only when the host's best kernel backend is at least this
-  /// many doubles wide (kernels::HostSimdWidth(): 4 on AVX2, 2 on NEON,
-  /// 1 scalar-only); otherwise skip-with-reason — a vector-vs-scalar
-  /// speedup bar is meaningless where the vector backend IS scalar.
-  std::size_t min_simd_width = 0;
 };
 
 /// The declarative part of a suite.

@@ -11,8 +11,8 @@
 namespace tcdp {
 namespace bench {
 
-// Kernel-dispatch microbenchmarks (src/kernels/): scalar reference vs
-// the host's best backend, bitwise equivalence gated in every mode.
+// CRC-32 microbenchmark: the table path vs the path Crc32 dispatches
+// to, gated to agree bitwise.
 void RegisterKernelsSuite(Harness* harness);
 
 // Throughput / systems suites (ported from the standalone

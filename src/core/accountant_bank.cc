@@ -276,7 +276,6 @@ std::size_t AccountantBank::StepSlots(std::size_t lo, std::size_t hi,
                                       double epsilon,
                                       const std::vector<std::uint64_t>& mask,
                                       bool track) {
-  const kernels::Backend& kern = kernels::ActiveBackend();
   StepScratch& scratch = StepScratchForThread();
   std::size_t moved = 0;
   // Locate the cohort owning `lo` (offsets are sorted, cohorts few).
@@ -325,15 +324,15 @@ std::size_t AccountantBank::StepSlots(std::size_t lo, std::size_t hi,
       // Zero backward loss: 0.0 + x == x bitwise for the non-negative
       // adds here, so the fill variants match the reference loss + add.
       if (add == nullptr) {
-        kern.fused_fill_uniform(epsilon, bpl, eps_sum, n);
+        kernels::FusedFillUniform(epsilon, bpl, eps_sum, n);
       } else {
-        kern.fused_fill_add(add, bpl, eps_sum, n);
+        kernels::FusedFillAdd(add, bpl, eps_sum, n);
       }
     } else if (add == nullptr) {
-      kern.fused_loss_add_uniform(scratch.loss.data(), epsilon, bpl, eps_sum,
-                                  n);
+      kernels::FusedLossAddUniform(scratch.loss.data(), epsilon, bpl, eps_sum,
+                                   n);
     } else {
-      kern.fused_loss_add(scratch.loss.data(), add, bpl, eps_sum, n);
+      kernels::FusedLossAdd(scratch.loss.data(), add, bpl, eps_sum, n);
     }
     lo = end;
     ++c;

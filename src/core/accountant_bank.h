@@ -15,7 +15,7 @@
 ///
 /// Which columns a release steps:
 ///   * A dense release (`RecordRelease(epsilon)`) sweeps every column
-///     with the vector kernels, fanned out over the pool.
+///     with the fused column kernels, fanned out over the pool.
 ///   * A sparse release steps only its participants and each cohort's
 ///     **active slots** — the skippers whose eps-0 step x <- L^B(x) can
 ///     still change `bpl_last`. A skipper whose step returns the same
@@ -261,7 +261,7 @@ class AccountantBank {
   std::size_t FindOrCreateCohort(const TemporalCorrelations& correlations);
   /// Advances bpl_last/eps_sum for flat slots [lo, hi) (the
   /// cohort-slice update loop; deterministic for any chunking). Runs on
-  /// the dispatched vector kernels (src/kernels/), staging losses and
+  /// the fused column kernels (src/kernels/), staging losses and
   /// mask-selected budget adds in per-thread scratch buffers. With
   /// \p track set (masked releases only) it also writes each slot's
   /// `listed` flag — participated, or its bits moved — and returns how

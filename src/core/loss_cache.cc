@@ -143,23 +143,6 @@ class TemporalLossCache::Impl {
     return s;
   }
 
-  void Clear() {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    std::int64_t cleared = 0;
-    for (auto& [fp, entries] : registry_) {
-      for (auto& entry : entries) {
-        for (auto& shard : entry->shards) {
-          std::lock_guard<std::mutex> shard_lock(shard.mu);
-          cleared += static_cast<std::int64_t>(shard.values.size());
-          shard.values.clear();
-        }
-      }
-    }
-    if (cleared > 0 && obs::MetricsEnabled()) {
-      CacheObs::Get().entries->Sub(cleared);
-    }
-  }
-
  private:
   Options options_;
   mutable std::mutex registry_mu_;
@@ -209,7 +192,5 @@ std::shared_ptr<const LossEvaluator> TemporalLossCache::Intern(
 TemporalLossCache::Stats TemporalLossCache::stats() const {
   return impl_->stats();
 }
-
-void TemporalLossCache::Clear() { impl_->Clear(); }
 
 }  // namespace tcdp

@@ -73,10 +73,6 @@ class TemporalLossCache {
 
   Stats stats() const;
 
-  /// Drops every memoized value (interned evaluators stay valid and
-  /// start re-populating).
-  void Clear();
-
   class Impl;  // public so the returned evaluators can name it
 
  private:

@@ -78,7 +78,6 @@ PairScanScratch& Scratch() {
 void PairLossIterativeCore(const double* q, const double* d, std::size_t n,
                            double alpha, bool want_subset,
                            PairLossResult* result) {
-  const auto& k = kernels::ActiveBackend();
   PairScanScratch& scratch = Scratch();
   scratch.Reserve(n);
   std::uint32_t* idx = scratch.idx.data();
@@ -86,7 +85,7 @@ void PairLossIterativeCore(const double* q, const double* d, std::size_t n,
 
   // Corollary 2 seed: candidates are exactly the coordinates with
   // q_j > d_j.
-  std::size_t m = k.select_greater(q, d, n, idx);
+  std::size_t m = kernels::SelectGreater(q, d, n, idx);
 
   // The per-candidate log ratio log(q_j) - log(d_j) is loop-invariant
   // across refinement rounds; compute it once. d_j = 0 candidates have
@@ -105,9 +104,9 @@ void PairLossIterativeCore(const double* q, const double* d, std::size_t n,
   while (m > 0) {
     ++result->update_rounds;
     double q_sum = 0.0, d_sum = 0.0;
-    k.gather_pair_sums(q, d, idx, m, &q_sum, &d_sum);
+    kernels::GatherPairSums(q, d, idx, m, &q_sum, &d_sum);
     const double log_ratio = PairLogRatio(q_sum, d_sum, alpha);
-    const std::size_t kept = k.filter_gt(logr, idx, m, log_ratio);
+    const std::size_t kept = kernels::FilterGt(logr, idx, m, log_ratio);
     if (kept == m) {
       result->q_sum = q_sum;
       result->d_sum = d_sum;
@@ -131,8 +130,7 @@ void PairLossIterativeCore(const double* q, const double* d, std::size_t n,
 template <typename Emit>
 void EmitSortedPrefixes(const double* q, const double* d, std::size_t n,
                         std::uint32_t* order, Emit&& emit) {
-  const std::size_t m = kernels::ActiveBackend().select_greater(q, d, n,
-                                                                 order);
+  const std::size_t m = kernels::SelectGreater(q, d, n, order);
   std::sort(order, order + m, [&](std::uint32_t a, std::uint32_t b) {
     const bool a_inf = d[a] == 0.0;
     const bool b_inf = d[b] == 0.0;

@@ -1,59 +1,54 @@
 #include "kernels/kernels.h"
 
-#include <atomic>
-
-// This translation unit holds the scalar reference backend and the
-// dispatcher. It is compiled with -ffp-contract=off (CMakeLists.txt)
-// so the reference semantics — explicit mul-then-add, never FMA — hold
-// under any global optimization flags; the vector backends use
-// explicit mul/add intrinsics for the same reason.
+// Compiled with -ffp-contract=off (CMakeLists.txt) so the explicit
+// mul-then-add sequences never become FMAs under global flags such as
+// -mfma. The compiler may still vectorize a loop where that keeps the
+// order of its operations; the blocked-4 reductions spell that order
+// out.
 
 namespace tcdp {
 namespace kernels {
-namespace {
 
-void ScalarFusedLossAdd(const double* loss, const double* add, double* bpl,
-                        double* eps_sum, std::size_t n) {
+void FusedLossAdd(const double* loss, const double* add, double* bpl,
+                  double* eps_sum, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     bpl[i] = loss[i] + add[i];
     eps_sum[i] += add[i];
   }
 }
 
-void ScalarFusedLossAddUniform(const double* loss, double eps, double* bpl,
-                               double* eps_sum, std::size_t n) {
+void FusedLossAddUniform(const double* loss, double eps, double* bpl,
+                         double* eps_sum, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     bpl[i] = loss[i] + eps;
     eps_sum[i] += eps;
   }
 }
 
-void ScalarFusedFillAdd(const double* add, double* bpl, double* eps_sum,
-                        std::size_t n) {
+void FusedFillAdd(const double* add, double* bpl, double* eps_sum,
+                  std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     bpl[i] = add[i];
     eps_sum[i] += add[i];
   }
 }
 
-void ScalarFusedFillUniform(double eps, double* bpl, double* eps_sum,
-                            std::size_t n) {
+void FusedFillUniform(double eps, double* bpl, double* eps_sum,
+                      std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     bpl[i] = eps;
     eps_sum[i] += eps;
   }
 }
 
-void ScalarAxpy(double a, const double* x, double* out, std::size_t n) {
+void Axpy(double a, const double* x, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const double p = a * x[i];
     out[i] += p;
   }
 }
 
-double ScalarDot(const double* a, const double* b, std::size_t n) {
-  // Blocked-4 canonical order: the vector backends reproduce exactly
-  // these additions in exactly this order.
+double Dot(const double* a, const double* b, std::size_t n) {
   double acc[4] = {0.0, 0.0, 0.0, 0.0};
   const std::size_t n4 = n & ~std::size_t{3};
   for (std::size_t i = 0; i < n4; i += 4) {
@@ -69,8 +64,8 @@ double ScalarDot(const double* a, const double* b, std::size_t n) {
   return (acc[0] + acc[1]) + (acc[2] + acc[3]);
 }
 
-std::size_t ScalarSelectGreater(const double* q, const double* d,
-                                std::size_t n, std::uint32_t* idx) {
+std::size_t SelectGreater(const double* q, const double* d, std::size_t n,
+                          std::uint32_t* idx) {
   std::size_t count = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (q[i] > d[i]) idx[count++] = static_cast<std::uint32_t>(i);
@@ -78,9 +73,8 @@ std::size_t ScalarSelectGreater(const double* q, const double* d,
   return count;
 }
 
-void ScalarGatherPairSums(const double* q, const double* d,
-                          const std::uint32_t* idx, std::size_t m,
-                          double* q_sum, double* d_sum) {
+void GatherPairSums(const double* q, const double* d, const std::uint32_t* idx,
+                    std::size_t m, double* q_sum, double* d_sum) {
   double qa[4] = {0.0, 0.0, 0.0, 0.0};
   double da[4] = {0.0, 0.0, 0.0, 0.0};
   const std::size_t m4 = m & ~std::size_t{3};
@@ -98,8 +92,8 @@ void ScalarGatherPairSums(const double* q, const double* d,
   *d_sum = (da[0] + da[1]) + (da[2] + da[3]);
 }
 
-std::size_t ScalarFilterGt(double* value, std::uint32_t* idx, std::size_t m,
-                           double threshold) {
+std::size_t FilterGt(double* value, std::uint32_t* idx, std::size_t m,
+                     double threshold) {
   std::size_t kept = 0;
   for (std::size_t i = 0; i < m; ++i) {
     if (value[i] > threshold) {
@@ -109,71 +103,6 @@ std::size_t ScalarFilterGt(double* value, std::uint32_t* idx, std::size_t m,
     }
   }
   return kept;
-}
-
-constexpr Backend kScalarBackend = {
-    "scalar",
-    1,
-    ScalarFusedLossAdd,
-    ScalarFusedLossAddUniform,
-    ScalarFusedFillAdd,
-    ScalarFusedFillUniform,
-    ScalarAxpy,
-    ScalarDot,
-    ScalarSelectGreater,
-    ScalarGatherPairSums,
-    ScalarFilterGt,
-};
-
-std::atomic<TcdpKernelMode> g_mode{TcdpKernelMode::kAuto};
-
-}  // namespace
-
-// Implemented in kernels_avx2.cc / kernels_neon.cc; each returns null
-// when its instruction set is unavailable at build time or on the
-// running CPU.
-const Backend* Avx2BackendImpl();
-const Backend* NeonBackendImpl();
-
-const Backend& ScalarBackend() { return kScalarBackend; }
-
-const Backend* Avx2Backend() { return Avx2BackendImpl(); }
-
-const Backend* NeonBackend() { return NeonBackendImpl(); }
-
-const Backend& BestBackend() {
-  // Probed once: CPU feature bits do not change under us.
-  static const Backend* const best = [] {
-    if (const Backend* avx2 = Avx2BackendImpl()) return avx2;
-    if (const Backend* neon = NeonBackendImpl()) return neon;
-    return &kScalarBackend;
-  }();
-  return *best;
-}
-
-const Backend& ActiveBackend() {
-  return g_mode.load(std::memory_order_relaxed) == TcdpKernelMode::kScalar
-             ? kScalarBackend
-             : BestBackend();
-}
-
-void SetKernelMode(TcdpKernelMode mode) {
-  g_mode.store(mode, std::memory_order_relaxed);
-}
-
-TcdpKernelMode KernelMode() { return g_mode.load(std::memory_order_relaxed); }
-
-std::size_t HostSimdWidth() { return BestBackend().simd_width; }
-
-StatusOr<TcdpKernelMode> ParseKernelMode(const std::string& text) {
-  if (text == "scalar") return TcdpKernelMode::kScalar;
-  if (text == "auto") return TcdpKernelMode::kAuto;
-  return Status::InvalidArgument("kernel mode must be scalar or auto, got '" +
-                                 text + "'");
-}
-
-const char* KernelModeName(TcdpKernelMode mode) {
-  return mode == TcdpKernelMode::kScalar ? "scalar" : "auto";
 }
 
 void ExpandMaskEpsilon(const std::uint64_t* mask, std::size_t mask_words,

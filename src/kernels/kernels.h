@@ -2,126 +2,67 @@
 #define TCDP_KERNELS_KERNELS_H_
 
 /// \file
-/// Runtime-dispatched vector kernels for the accounting hot paths.
+/// The loops that dominate accounting: the bank's fused BPL column
+/// update, the Algorithm-1 pair scan, and the dense row operations
+/// behind Markov propagation.
 ///
-/// The three loops that dominate fleet-scale accounting — the bank's
-/// fused BPL column update, the Algorithm-1 pair scan, and the dense
-/// row operations behind Markov propagation — are expressed here as a
-/// table of function pointers (a `Backend`). Backends are selected at
-/// runtime the way mxnet's operator kernels pick an implementation:
-/// the scalar reference always exists, an AVX2 backend is used on x86
-/// hosts whose CPU reports AVX2 (the translation unit is compiled with
-/// -mavx2 -mfma and never entered otherwise), and a NEON backend on
-/// aarch64.
+/// **Determinism contract.** Each kernel's result is fixed bit for bit
+/// by the order of its operations, stated here and pinned by
+/// tests/kernels_test.cc:
 ///
-/// **Determinism contract.** Every kernel's result is specified
-/// independently of the backend, and every backend is property-tested
-/// bitwise-identical to the scalar reference (tests/kernels_test.cc):
-///
-///   * elementwise kernels (the fused BPL update family, axpy) perform
-///     the same IEEE operations in the same order — vector lanes are
-///     just batched scalar adds/muls, and FMA contraction is disabled
-///     in every kernel translation unit;
-///   * reduction kernels (dot, gather_pair_sums) are specified in
+///   * elementwise kernels (the fused BPL update family, Axpy) perform
+///     one IEEE operation per element in the order written — Axpy is
+///     an explicit mul-then-add, and kernels.cc is compiled with
+///     -ffp-contract=off so no global flag fuses it into an FMA;
+///   * reduction kernels (Dot, GatherPairSums) are specified in
 ///     **blocked-4 canonical order**: four independent accumulators
 ///     striding the input, a sequential tail folded into the lanes,
-///     and the fixed horizontal sum (a0+a1)+(a2+a3). The scalar
-///     reference implements exactly this order, so the vector backends
-///     match it bit for bit;
-///   * selection kernels (select_greater, filter_gt) move data without
+///     and the fixed horizontal sum (a0+a1)+(a2+a3);
+///   * selection kernels (SelectGreater, FilterGt) move data without
 ///     arithmetic.
-///
-/// Because scalar and vector backends agree bitwise, dispatch is safe
-/// to leave on (`TcdpKernelMode::kAuto`, the default). `kScalar`
-/// remains as a belt-and-braces escape hatch (`tcdp ... --kernels
-/// scalar`) that pins the scalar reference everywhere.
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-
-#include "common/status.h"
 
 namespace tcdp {
-
-/// Process-wide kernel dispatch policy.
-enum class TcdpKernelMode {
-  kScalar,  ///< force the scalar reference backend everywhere
-  kAuto,    ///< best backend the host supports (bitwise-identical)
-};
-
 namespace kernels {
 
-/// One kernel implementation set. All pointers are non-null.
-struct Backend {
-  const char* name;        ///< "scalar", "avx2", "neon"
-  std::size_t simd_width;  ///< doubles per vector register (1 = scalar)
-
-  /// bpl[i] = loss[i] + add[i]; eps_sum[i] += add[i].
-  void (*fused_loss_add)(const double* loss, const double* add, double* bpl,
+/// bpl[i] = loss[i] + add[i]; eps_sum[i] += add[i].
+void FusedLossAdd(const double* loss, const double* add, double* bpl,
+                  double* eps_sum, std::size_t n);
+/// bpl[i] = loss[i] + eps; eps_sum[i] += eps.
+void FusedLossAddUniform(const double* loss, double eps, double* bpl,
                          double* eps_sum, std::size_t n);
-  /// bpl[i] = loss[i] + eps; eps_sum[i] += eps.
-  void (*fused_loss_add_uniform)(const double* loss, double eps, double* bpl,
-                                 double* eps_sum, std::size_t n);
-  /// bpl[i] = add[i]; eps_sum[i] += add[i]  (zero-loss cohorts).
-  void (*fused_fill_add)(const double* add, double* bpl, double* eps_sum,
-                         std::size_t n);
-  /// bpl[i] = eps; eps_sum[i] += eps  (zero-loss, everyone participates).
-  void (*fused_fill_uniform)(double eps, double* bpl, double* eps_sum,
-                             std::size_t n);
+/// bpl[i] = add[i]; eps_sum[i] += add[i]  (zero-loss cohorts).
+void FusedFillAdd(const double* add, double* bpl, double* eps_sum,
+                  std::size_t n);
+/// bpl[i] = eps; eps_sum[i] += eps  (zero-loss, everyone participates).
+void FusedFillUniform(double eps, double* bpl, double* eps_sum,
+                      std::size_t n);
 
-  /// out[i] += a * x[i], explicit mul-then-add (never FMA-contracted).
-  void (*axpy)(double a, const double* x, double* out, std::size_t n);
-  /// Blocked-4 canonical dot product (see file comment).
-  double (*dot)(const double* a, const double* b, std::size_t n);
+/// out[i] += a * x[i], explicit mul-then-add (never FMA-contracted).
+void Axpy(double a, const double* x, double* out, std::size_t n);
+/// Blocked-4 canonical dot product (see file comment).
+double Dot(const double* a, const double* b, std::size_t n);
 
-  /// Writes ascending j with q[j] > d[j] into idx; returns the count.
-  /// idx must have room for n entries.
-  std::size_t (*select_greater)(const double* q, const double* d,
-                                std::size_t n, std::uint32_t* idx);
-  /// Blocked-4 canonical gather sums over idx: *q_sum = sum q[idx[i]],
-  /// *d_sum = sum d[idx[i]].
-  void (*gather_pair_sums)(const double* q, const double* d,
-                           const std::uint32_t* idx, std::size_t m,
-                           double* q_sum, double* d_sum);
-  /// In-place compaction of the parallel arrays (value, idx): keeps
-  /// entries with value[i] > threshold, preserving order; returns the
-  /// kept count. NaN-free inputs; +inf entries always survive.
-  std::size_t (*filter_gt)(double* value, std::uint32_t* idx, std::size_t m,
-                           double threshold);
-};
-
-/// The scalar reference backend (always available).
-const Backend& ScalarBackend();
-/// AVX2 backend, or null when the binary or the CPU lacks AVX2.
-const Backend* Avx2Backend();
-/// NEON backend, or null off aarch64.
-const Backend* NeonBackend();
-
-/// Best backend the host supports, ignoring the mode switch.
-const Backend& BestBackend();
-/// Best backend honoring the process-wide mode (kScalar pins scalar).
-const Backend& ActiveBackend();
-
-/// Process-wide mode switch (atomic; default kAuto — see the
-/// determinism contract above for why that is safe).
-void SetKernelMode(TcdpKernelMode mode);
-TcdpKernelMode KernelMode();
-
-/// Host SIMD capability in doubles per register (BestBackend's width):
-/// 4 on AVX2 hosts, 2 on NEON, 1 scalar-only. Bench gates with a
-/// `min_simd_width` requirement key on this.
-std::size_t HostSimdWidth();
-
-/// "scalar" or "auto" -> mode; anything else is InvalidArgument.
-StatusOr<TcdpKernelMode> ParseKernelMode(const std::string& text);
-const char* KernelModeName(TcdpKernelMode mode);
+/// Writes ascending j with q[j] > d[j] into idx; returns the count.
+/// idx must have room for n entries.
+std::size_t SelectGreater(const double* q, const double* d, std::size_t n,
+                          std::uint32_t* idx);
+/// Blocked-4 canonical gather sums over idx: *q_sum = sum q[idx[i]],
+/// *d_sum = sum d[idx[i]].
+void GatherPairSums(const double* q, const double* d, const std::uint32_t* idx,
+                    std::size_t m, double* q_sum, double* d_sum);
+/// In-place compaction of the parallel arrays (value, idx): keeps
+/// entries with value[i] > threshold, preserving order; returns the
+/// kept count. NaN-free inputs; +inf entries always survive.
+std::size_t FilterGt(double* value, std::uint32_t* idx, std::size_t m,
+                     double threshold);
 
 /// Expands the participation bitmask into per-slot budget adds:
 /// add[i] = eps when bit users[i] is set in mask (a user id at or past
-/// the mask width reads 0), else 0.0. Scalar on every backend — the
-/// cost is the gather, not the arithmetic — but lives here so the
-/// staging buffer contract sits next to the kernels that consume it.
+/// the mask width reads 0), else 0.0. It lives here so the staging
+/// buffer contract sits next to the kernels that consume it.
 void ExpandMaskEpsilon(const std::uint64_t* mask, std::size_t mask_words,
                        const std::uint32_t* users, std::size_t n, double eps,
                        double* add);

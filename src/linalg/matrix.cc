@@ -89,14 +89,13 @@ StatusOr<Matrix> Matrix::Multiply(const Matrix& other) const {
   Matrix out(rows_, other.cols_, 0.0);
   // ikj order keeps both the source row of `other` and the destination
   // row contiguous, so each inner loop is one axpy kernel call.
-  const auto& kern = kernels::ActiveBackend();
   for (std::size_t i = 0; i < rows_; ++i) {
     double* out_row = out.data_.data() + i * other.cols_;
     for (std::size_t k = 0; k < cols_; ++k) {
       const double aik = At(i, k);
       if (aik == 0.0) continue;
-      kern.axpy(aik, other.data_.data() + k * other.cols_, out_row,
-                other.cols_);
+      kernels::Axpy(aik, other.data_.data() + k * other.cols_, out_row,
+                    other.cols_);
     }
   }
   return out;
@@ -105,11 +104,10 @@ StatusOr<Matrix> Matrix::Multiply(const Matrix& other) const {
 std::vector<double> Matrix::LeftMultiply(const std::vector<double>& v) const {
   assert(v.size() == rows_);
   std::vector<double> out(cols_, 0.0);
-  const auto& kern = kernels::ActiveBackend();
   for (std::size_t r = 0; r < rows_; ++r) {
     const double vr = v[r];
     if (vr == 0.0) continue;
-    kern.axpy(vr, data_.data() + r * cols_, out.data(), cols_);
+    kernels::Axpy(vr, data_.data() + r * cols_, out.data(), cols_);
   }
   return out;
 }
@@ -117,9 +115,8 @@ std::vector<double> Matrix::LeftMultiply(const std::vector<double>& v) const {
 std::vector<double> Matrix::RightMultiply(const std::vector<double>& v) const {
   assert(v.size() == cols_);
   std::vector<double> out(rows_, 0.0);
-  const auto& kern = kernels::ActiveBackend();
   for (std::size_t r = 0; r < rows_; ++r) {
-    out[r] = kern.dot(data_.data() + r * cols_, v.data(), cols_);
+    out[r] = kernels::Dot(data_.data() + r * cols_, v.data(), cols_);
   }
   return out;
 }

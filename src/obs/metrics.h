@@ -87,9 +87,6 @@ class Gauge {
   void Add(std::int64_t delta) {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
-  void Sub(std::int64_t delta) {
-    value_.fetch_sub(delta, std::memory_order_relaxed);
-  }
   std::int64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }

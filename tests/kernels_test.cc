@@ -1,8 +1,8 @@
-// src/kernels/: the determinism contract. Every available backend must
-// be bitwise-identical to the scalar reference on every kernel, across
-// random inputs and sizes that exercise the vector bodies AND the
-// non-multiple-of-lane-width tails; dispatch honors the process-wide
-// mode switch; ExpandMaskEpsilon guards mask word bounds.
+// src/kernels/: the determinism contract. Each kernel must give the
+// bits of the plain loop that spells out its order of operations
+// (kernels.h): one IEEE operation per element for the elementwise
+// kernels, blocked-4 lanes for the two reductions. ExpandMaskEpsilon
+// guards mask word bounds.
 
 #include "kernels/kernels.h"
 
@@ -37,11 +37,24 @@ namespace {
   return ::testing::AssertionSuccess();
 }
 
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 ::testing::AssertionResult BitsEqual(double a, double b) {
-  if (std::memcmp(&a, &b, sizeof(double)) != 0) {
+  if (!SameBits(a, b)) {
     return ::testing::AssertionFailure() << a << " vs " << b;
   }
   return ::testing::AssertionSuccess();
+}
+
+/// Every size from empty through several blocks of four with each tail
+/// length, plus one large size.
+std::vector<std::size_t> Sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 67; ++n) sizes.push_back(n);
+  sizes.push_back(1000);
+  return sizes;
 }
 
 struct Inputs {
@@ -52,172 +65,160 @@ struct Inputs {
     for (std::size_t i = 0; i < n; ++i) {
       loss[i] = rng.Uniform() < 0.2 ? 0.0 : rng.Uniform();
       add[i] = rng.Uniform() < 0.5 ? 0.0 : rng.Uniform(0.01, 0.5);
-      q[i] = rng.Uniform() + 1e-6;
-      d[i] = rng.Uniform() + 1e-6;
+      // Magnitudes spread over six decades, so that summing in another
+      // order changes the rounding.
+      q[i] = std::pow(10.0, rng.Uniform(-3.0, 3.0));
+      d[i] = std::pow(10.0, rng.Uniform(-3.0, 3.0));
       x[i] = rng.Uniform(-3.0, 3.0);
       seed_out[i] = rng.Uniform(-1.0, 1.0);
     }
   }
 };
 
-/// Runs every kernel on both backends at one (n, seed) and checks
-/// bitwise equality, tagging failures with the size.
-void ExpectBackendMatchesScalar(const Backend& v, std::size_t n,
-                                std::uint64_t seed) {
-  SCOPED_TRACE(std::string(v.name) + " n=" + std::to_string(n));
-  const Backend& s = ScalarBackend();
-  const Inputs in(n, seed);
-
-  std::vector<double> bpl_s(n, -7.0), bpl_v(n, -7.0);
-  std::vector<double> es_s = in.seed_out, es_v = in.seed_out;
-  s.fused_loss_add(in.loss.data(), in.add.data(), bpl_s.data(), es_s.data(),
-                   n);
-  v.fused_loss_add(in.loss.data(), in.add.data(), bpl_v.data(), es_v.data(),
-                   n);
-  EXPECT_TRUE(BitsEqual(bpl_s, bpl_v)) << "fused_loss_add bpl";
-  EXPECT_TRUE(BitsEqual(es_s, es_v)) << "fused_loss_add eps_sum";
-
-  es_s = in.seed_out;
-  es_v = in.seed_out;
-  s.fused_loss_add_uniform(in.loss.data(), 0.125, bpl_s.data(), es_s.data(),
-                           n);
-  v.fused_loss_add_uniform(in.loss.data(), 0.125, bpl_v.data(), es_v.data(),
-                           n);
-  EXPECT_TRUE(BitsEqual(bpl_s, bpl_v)) << "fused_loss_add_uniform bpl";
-  EXPECT_TRUE(BitsEqual(es_s, es_v)) << "fused_loss_add_uniform eps_sum";
-
-  es_s = in.seed_out;
-  es_v = in.seed_out;
-  s.fused_fill_add(in.add.data(), bpl_s.data(), es_s.data(), n);
-  v.fused_fill_add(in.add.data(), bpl_v.data(), es_v.data(), n);
-  EXPECT_TRUE(BitsEqual(bpl_s, bpl_v)) << "fused_fill_add bpl";
-  EXPECT_TRUE(BitsEqual(es_s, es_v)) << "fused_fill_add eps_sum";
-
-  es_s = in.seed_out;
-  es_v = in.seed_out;
-  s.fused_fill_uniform(0.125, bpl_s.data(), es_s.data(), n);
-  v.fused_fill_uniform(0.125, bpl_v.data(), es_v.data(), n);
-  EXPECT_TRUE(BitsEqual(bpl_s, bpl_v)) << "fused_fill_uniform bpl";
-  EXPECT_TRUE(BitsEqual(es_s, es_v)) << "fused_fill_uniform eps_sum";
-
-  std::vector<double> out_s = in.seed_out, out_v = in.seed_out;
-  s.axpy(-0.375, in.x.data(), out_s.data(), n);
-  v.axpy(-0.375, in.x.data(), out_v.data(), n);
-  EXPECT_TRUE(BitsEqual(out_s, out_v)) << "axpy";
-
-  EXPECT_TRUE(BitsEqual(s.dot(in.x.data(), in.q.data(), n),
-                        v.dot(in.x.data(), in.q.data(), n)))
-      << "dot";
-
-  std::vector<std::uint32_t> idx_s(n), idx_v(n);
-  const std::size_t m_s =
-      s.select_greater(in.q.data(), in.d.data(), n, idx_s.data());
-  const std::size_t m_v =
-      v.select_greater(in.q.data(), in.d.data(), n, idx_v.data());
-  ASSERT_EQ(m_s, m_v) << "select_greater count";
-  idx_s.resize(m_s);
-  idx_v.resize(m_s);
-  EXPECT_EQ(idx_s, idx_v) << "select_greater indices";
-
-  double qs_s = 0.0, ds_s = 0.0, qs_v = 0.0, ds_v = 0.0;
-  s.gather_pair_sums(in.q.data(), in.d.data(), idx_s.data(), m_s, &qs_s,
-                     &ds_s);
-  v.gather_pair_sums(in.q.data(), in.d.data(), idx_v.data(), m_s, &qs_v,
-                     &ds_v);
-  EXPECT_TRUE(BitsEqual(qs_s, qs_v)) << "gather_pair_sums q";
-  EXPECT_TRUE(BitsEqual(ds_s, ds_v)) << "gather_pair_sums d";
-
-  // filter_gt: in-place compaction including +inf survivors.
-  std::vector<double> val_s(m_s), val_v(m_s);
-  for (std::size_t i = 0; i < m_s; ++i) {
-    val_s[i] = i % 11 == 3 ? std::numeric_limits<double>::infinity()
-                           : in.x[idx_s[i]];
-    val_v[i] = val_s[i];
-  }
-  std::vector<std::uint32_t> fidx_s = idx_s, fidx_v = idx_v;
-  const std::size_t k_s = s.filter_gt(val_s.data(), fidx_s.data(), m_s, 0.25);
-  const std::size_t k_v = v.filter_gt(val_v.data(), fidx_v.data(), m_s, 0.25);
-  ASSERT_EQ(k_s, k_v) << "filter_gt count";
-  val_s.resize(k_s);
-  val_v.resize(k_s);
-  fidx_s.resize(k_s);
-  fidx_v.resize(k_s);
-  EXPECT_TRUE(BitsEqual(val_s, val_v)) << "filter_gt values";
-  EXPECT_EQ(fidx_s, fidx_v) << "filter_gt indices";
+/// a * b rounded on its own: a global -mfma must not fuse the
+/// reference's products into its adds.
+double Product(double a, double b) {
+  const volatile double p = a * b;
+  return p;
 }
 
-void RunPropertySweep(const Backend* v) {
-  if (v == nullptr) {
-    GTEST_SKIP() << "backend unavailable on this host";
+/// The blocked-4 canonical order written out: element i goes to lane
+/// i % 4, in index order, and the lanes fold as (l0 + l1) + (l2 + l3).
+double BlockedFourSum(const std::vector<double>& terms) {
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  for (std::size_t i = 0; i < terms.size(); ++i) lane[i % 4] += terms[i];
+  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
+}
+
+double SequentialSum(const std::vector<double>& terms) {
+  double sum = 0.0;
+  for (double t : terms) sum += t;
+  return sum;
+}
+
+TEST(KernelsOrder, DotIsBlockedFour) {
+  std::size_t order_visible = 0;
+  for (std::size_t n : Sizes()) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Inputs in(n, 0xC0FFEE + n);
+    std::vector<double> products(n);
+    for (std::size_t i = 0; i < n; ++i) products[i] = Product(in.x[i], in.q[i]);
+    const double expected = BlockedFourSum(products);
+    EXPECT_TRUE(BitsEqual(Dot(in.x.data(), in.q.data(), n), expected));
+    order_visible += !SameBits(SequentialSum(products), expected);
   }
-  // Every size below two vector registers plus odd tails past them:
-  // covers empty, pure-tail, exact-lane, and lane+tail shapes for both
-  // 4-wide (AVX2) and 2-wide (NEON) backends.
-  for (std::size_t n = 0; n <= 19; ++n) {
-    ExpectBackendMatchesScalar(*v, n, 0xC0FFEE + n);
-  }
-  for (std::size_t n : {31u, 32u, 33u, 64u, 100u, 255u, 1024u, 1337u}) {
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      ExpectBackendMatchesScalar(*v, n, seed * 7919 + n);
+  // The inputs tell the two orders apart, so a kernel that summed in
+  // index order would fail above.
+  EXPECT_GT(order_visible, 10u);
+}
+
+TEST(KernelsOrder, GatherPairSumsIsBlockedFour) {
+  std::size_t order_visible = 0;
+  for (std::size_t m : Sizes()) {
+    SCOPED_TRACE("m=" + std::to_string(m));
+    const std::size_t n = 2 * m + 1;
+    const Inputs in(n, 7919 + m);
+    Rng rng(m);
+    std::vector<std::uint32_t> idx(m);
+    std::vector<double> q_terms(m), d_terms(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      idx[i] = static_cast<std::uint32_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(n) - 1));
+      q_terms[i] = in.q[idx[i]];
+      d_terms[i] = in.d[idx[i]];
     }
+    double q_sum = -1.0, d_sum = -1.0;
+    GatherPairSums(in.q.data(), in.d.data(), idx.data(), m, &q_sum, &d_sum);
+    EXPECT_TRUE(BitsEqual(q_sum, BlockedFourSum(q_terms))) << "q";
+    EXPECT_TRUE(BitsEqual(d_sum, BlockedFourSum(d_terms))) << "d";
+    order_visible += !SameBits(SequentialSum(q_terms), q_sum);
+  }
+  EXPECT_GT(order_visible, 10u);
+}
+
+TEST(KernelsOrder, ElementwiseKernelsMatchNaiveLoops) {
+  const double eps = 0.125;
+  const double a = -0.375;
+  for (std::size_t n : Sizes()) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Inputs in(n, 31 * n + 5);
+    std::vector<double> bpl(n, -7.0), eps_sum = in.seed_out;
+    std::vector<double> want_bpl(n), want_eps_sum = in.seed_out;
+
+    FusedLossAdd(in.loss.data(), in.add.data(), bpl.data(), eps_sum.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      want_bpl[i] = in.loss[i] + in.add[i];
+      want_eps_sum[i] += in.add[i];
+    }
+    EXPECT_TRUE(BitsEqual(bpl, want_bpl)) << "FusedLossAdd bpl";
+    EXPECT_TRUE(BitsEqual(eps_sum, want_eps_sum)) << "FusedLossAdd eps_sum";
+
+    FusedLossAddUniform(in.loss.data(), eps, bpl.data(), eps_sum.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      want_bpl[i] = in.loss[i] + eps;
+      want_eps_sum[i] += eps;
+    }
+    EXPECT_TRUE(BitsEqual(bpl, want_bpl)) << "FusedLossAddUniform bpl";
+    EXPECT_TRUE(BitsEqual(eps_sum, want_eps_sum))
+        << "FusedLossAddUniform eps_sum";
+
+    FusedFillAdd(in.add.data(), bpl.data(), eps_sum.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      want_bpl[i] = in.add[i];
+      want_eps_sum[i] += in.add[i];
+    }
+    EXPECT_TRUE(BitsEqual(bpl, want_bpl)) << "FusedFillAdd bpl";
+    EXPECT_TRUE(BitsEqual(eps_sum, want_eps_sum)) << "FusedFillAdd eps_sum";
+
+    FusedFillUniform(eps, bpl.data(), eps_sum.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      want_bpl[i] = eps;
+      want_eps_sum[i] += eps;
+    }
+    EXPECT_TRUE(BitsEqual(bpl, want_bpl)) << "FusedFillUniform bpl";
+    EXPECT_TRUE(BitsEqual(eps_sum, want_eps_sum))
+        << "FusedFillUniform eps_sum";
+
+    std::vector<double> out = in.seed_out, want_out = in.seed_out;
+    Axpy(a, in.x.data(), out.data(), n);
+    for (std::size_t i = 0; i < n; ++i) want_out[i] += Product(a, in.x[i]);
+    EXPECT_TRUE(BitsEqual(out, want_out)) << "Axpy";
   }
 }
 
-TEST(KernelsProperty, Avx2MatchesScalarBitwise) {
-  RunPropertySweep(Avx2Backend());
-}
+TEST(KernelsOrder, SelectionKernelsMatchNaiveLoops) {
+  for (std::size_t n : Sizes()) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Inputs in(n, 104729 + n);
+    std::vector<std::uint32_t> idx(n);
+    const std::size_t m = SelectGreater(in.q.data(), in.d.data(), n, idx.data());
+    idx.resize(m);
+    std::vector<std::uint32_t> want_idx;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (in.q[j] > in.d[j]) want_idx.push_back(static_cast<std::uint32_t>(j));
+    }
+    EXPECT_EQ(idx, want_idx) << "SelectGreater";
 
-TEST(KernelsProperty, NeonMatchesScalarBitwise) {
-  RunPropertySweep(NeonBackend());
-}
-
-TEST(KernelsProperty, BestMatchesScalarBitwise) {
-  // Whatever BestBackend resolves to (possibly scalar itself) must
-  // satisfy the contract — this leg runs on every host.
-  RunPropertySweep(&BestBackend());
-}
-
-// ------------------------------------------------------------- dispatch
-
-TEST(KernelsDispatch, ScalarBackendIsWidthOne) {
-  EXPECT_STREQ(ScalarBackend().name, "scalar");
-  EXPECT_EQ(ScalarBackend().simd_width, 1u);
-}
-
-TEST(KernelsDispatch, BestBackendMatchesHostCapability) {
-  const Backend& best = BestBackend();
-  EXPECT_EQ(best.simd_width, HostSimdWidth());
-  if (Avx2Backend() != nullptr) {
-    EXPECT_STREQ(best.name, "avx2");
-    EXPECT_EQ(best.simd_width, 4u);
-  } else if (NeonBackend() != nullptr) {
-    EXPECT_STREQ(best.name, "neon");
-    EXPECT_EQ(best.simd_width, 2u);
-  } else {
-    EXPECT_STREQ(best.name, "scalar");
+    // FilterGt: in-place compaction, +inf entries always survive.
+    std::vector<double> value(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      value[i] = i % 11 == 3 ? std::numeric_limits<double>::infinity()
+                             : in.x[idx[i]];
+    }
+    std::vector<double> want_value;
+    want_idx.clear();
+    for (std::size_t i = 0; i < m; ++i) {
+      if (value[i] > 0.25) {
+        want_value.push_back(value[i]);
+        want_idx.push_back(idx[i]);
+      }
+    }
+    const std::size_t kept = FilterGt(value.data(), idx.data(), m, 0.25);
+    value.resize(kept);
+    idx.resize(kept);
+    EXPECT_TRUE(BitsEqual(value, want_value)) << "FilterGt values";
+    EXPECT_EQ(idx, want_idx) << "FilterGt indices";
   }
-}
-
-TEST(KernelsDispatch, ModeSwitchPinsAndReleasesScalar) {
-  const TcdpKernelMode before = KernelMode();
-  SetKernelMode(TcdpKernelMode::kScalar);
-  EXPECT_EQ(&ActiveBackend(), &ScalarBackend());
-  SetKernelMode(TcdpKernelMode::kAuto);
-  EXPECT_EQ(&ActiveBackend(), &BestBackend());
-  SetKernelMode(before);
-}
-
-TEST(KernelsDispatch, ParseKernelModeRoundTrips) {
-  auto scalar = ParseKernelMode("scalar");
-  ASSERT_TRUE(scalar.ok());
-  EXPECT_EQ(*scalar, TcdpKernelMode::kScalar);
-  EXPECT_STREQ(KernelModeName(*scalar), "scalar");
-  auto auto_mode = ParseKernelMode("auto");
-  ASSERT_TRUE(auto_mode.ok());
-  EXPECT_EQ(*auto_mode, TcdpKernelMode::kAuto);
-  EXPECT_STREQ(KernelModeName(*auto_mode), "auto");
-  EXPECT_FALSE(ParseKernelMode("avx512").ok());
-  EXPECT_FALSE(ParseKernelMode("").ok());
 }
 
 // ----------------------------------------------------- ExpandMaskEpsilon

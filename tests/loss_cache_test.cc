@@ -134,16 +134,6 @@ TEST(TemporalLossCache, MatchesTemporalLossViaLfpOnSmallMatrices) {
   }
 }
 
-TEST(TemporalLossCache, ClearDropsValuesButKeepsEvaluators) {
-  TemporalLossCache cache;
-  auto loss = cache.Intern(Fig3Matrix());
-  const double before = loss->Evaluate(0.3);
-  cache.Clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(loss->Evaluate(0.3), before);  // recomputes the same value
-  EXPECT_EQ(cache.stats().misses, 2u);
-}
-
 TEST(TemporalLossCache, EvaluatorOutlivesCacheHandle) {
   std::shared_ptr<const LossEvaluator> loss;
   double direct = 0.0;

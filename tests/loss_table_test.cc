@@ -1,8 +1,8 @@
 // Differential tests for TemporalLossFunction's aggregate table:
 // Evaluate(alpha), answered from the table, must be the same double as
 // EvaluateDetailed(alpha).loss, the per-alpha Algorithm 1 scan, bit for
-// bit, over awkward matrices, awkward alphas and both kernel modes; and
-// the lazy table build must be safe when threads race the first call.
+// bit, over awkward matrices and awkward alphas; and the lazy table
+// build must be safe when threads race the first call.
 
 #include "core/privacy_loss.h"
 
@@ -20,7 +20,6 @@
 #include "bench/suites/common.h"
 #include "common/random.h"
 #include "core/loss_cache.h"
-#include "kernels/kernels.h"
 #include "markov/stochastic_matrix.h"
 
 namespace tcdp {
@@ -145,30 +144,11 @@ void ExpectTableMatchesScan(const TemporalLossFunction& loss,
   }
 }
 
-class ScopedKernelMode {
- public:
-  explicit ScopedKernelMode(TcdpKernelMode mode)
-      : saved_(kernels::KernelMode()) {
-    kernels::SetKernelMode(mode);
-  }
-  ~ScopedKernelMode() { kernels::SetKernelMode(saved_); }
-  ScopedKernelMode(const ScopedKernelMode&) = delete;
-  ScopedKernelMode& operator=(const ScopedKernelMode&) = delete;
-
- private:
-  TcdpKernelMode saved_;
-};
-
 TEST(LossTable, EvaluateIsBitwiseAlgorithm1) {
   const std::vector<double> alphas = Alphas();
-  for (TcdpKernelMode mode : {TcdpKernelMode::kScalar, TcdpKernelMode::kAuto}) {
-    ScopedKernelMode scoped(mode);
-    for (const NamedMatrix& m : Matrices()) {
-      // A fresh function per mode, so this mode's kernels build the table.
-      TemporalLossFunction loss(m.matrix);
-      ExpectTableMatchesScan(
-          loss, m.name + "/" + kernels::KernelModeName(mode), alphas);
-    }
+  for (const NamedMatrix& m : Matrices()) {
+    TemporalLossFunction loss(m.matrix);
+    ExpectTableMatchesScan(loss, m.name, alphas);
   }
 }
 

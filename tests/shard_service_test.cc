@@ -23,7 +23,6 @@
 #include "core/loss_cache.h"
 #include "core/privacy_loss.h"
 #include "core/tpl_accountant.h"
-#include "kernels/kernels.h"
 #include "markov/stochastic_matrix.h"
 #include "server/event_log.h"
 #include "server/log_dir.h"
@@ -354,28 +353,10 @@ TEST(ShardedService, SmallQueueCapacityStillCompletes) {
 
 // -------------------------------------------------- the tentpole property
 
-/// Sets the process-wide kernel mode for one scope and restores the
-/// caller's on every exit path.
-class ScopedKernelMode {
- public:
-  explicit ScopedKernelMode(TcdpKernelMode mode)
-      : saved_(kernels::KernelMode()) {
-    kernels::SetKernelMode(mode);
-  }
-  ~ScopedKernelMode() { kernels::SetKernelMode(saved_); }
-  ScopedKernelMode(const ScopedKernelMode&) = delete;
-  ScopedKernelMode& operator=(const ScopedKernelMode&) = delete;
-
- private:
-  TcdpKernelMode saved_;
-};
-
 void ExpectMatchesReference(std::uint64_t seed, std::size_t shards,
                             std::size_t batch_window,
                             const std::string& log_dir,
-                            std::size_t threads_per_shard = 1,
-                            TcdpKernelMode kernel_mode =
-                                TcdpKernelMode::kAuto) {
+                            std::size_t threads_per_shard = 1) {
   const std::vector<ReferenceOp> ops = MakeWorkload(seed, 8, 120);
 
   ReferenceModel reference(batch_window);
@@ -386,7 +367,6 @@ void ExpectMatchesReference(std::uint64_t seed, std::size_t shards,
   options.num_shards = shards;
   options.batch_window = batch_window;
   options.threads_per_shard = threads_per_shard;
-  const ScopedKernelMode scoped_mode(kernel_mode);
   auto service = ShardedReleaseService::Create(log_dir, options);
   ASSERT_TRUE(service.ok()) << service.status();
   ASSERT_TRUE(DriveService(service->get(), ops).ok());
@@ -397,8 +377,7 @@ void ExpectMatchesReference(std::uint64_t seed, std::size_t shards,
     EXPECT_EQ(report->tpl_series, reference.TplSeries(name))
         << "seed " << seed << " shards " << shards << " window "
         << batch_window << " threads_per_shard " << threads_per_shard
-        << " kernels " << kernels::KernelModeName(kernel_mode) << " user "
-        << name;
+        << " user " << name;
     // Every field Query fills from the bank's one-pass series.
     const TplAccountant& accountant = reference.accountant(name);
     EXPECT_EQ(report->max_tpl, accountant.MaxTpl()) << name;
@@ -421,18 +400,13 @@ TEST(ShardedServiceProperty, MatchesSerialReferenceAcrossShardsAndWindows) {
 }
 
 TEST(ShardedServiceProperty, MatchesSerialReferenceAcrossHybridGrid) {
-  // ISSUE 7 tentpole: hybrid shard x bank parallelism and kernel
-  // dispatch are both bitwise-invisible — every (shards x
-  // threads_per_shard x kernel mode) cell reproduces the serial
-  // TplAccountant reference exactly. Each cell sets its kernel mode
-  // process-wide, so the loop also exercises switching.
-  for (TcdpKernelMode mode :
-       {TcdpKernelMode::kScalar, TcdpKernelMode::kAuto}) {
-    for (std::size_t shards : {1u, 3u}) {
-      for (std::size_t threads_per_shard : {1u, 2u, 4u}) {
-        ExpectMatchesReference(41, shards, 7, "", threads_per_shard, mode);
-        if (testing::Test::HasFatalFailure()) return;
-      }
+  // Hybrid shard x bank parallelism is bitwise-invisible: every
+  // (shards x threads_per_shard) cell reproduces the serial
+  // TplAccountant reference exactly.
+  for (std::size_t shards : {1u, 3u}) {
+    for (std::size_t threads_per_shard : {1u, 2u, 4u}) {
+      ExpectMatchesReference(41, shards, 7, "", threads_per_shard);
+      if (testing::Test::HasFatalFailure()) return;
     }
   }
 }

@@ -35,7 +35,6 @@
 #include "core/budget_allocation.h"
 #include "core/supremum.h"
 #include "core/tpl_accountant.h"
-#include "kernels/kernels.h"
 #include "markov/estimation.h"
 #include "markov/higher_order.h"
 #include "markov/io.h"
@@ -609,8 +608,8 @@ struct ServeOutcome {
 ///   join <name> <pages> <home_prob>
 ///   release <eps> all | release <eps> <name[,name...]>
 ///   flush | snapshot | compact | query <name>
-template <typename Backend>
-Status RunScript(const std::string& path, Backend* backend,
+template <typename Target>
+Status RunScript(const std::string& path, Target* backend,
                  ServeOutcome* outcome) {
   std::ifstream script(path);
   if (!script) return Status::NotFound("cannot open script " + path);
@@ -812,12 +811,6 @@ Status CmdServe(const Flags& flags, std::ostream& out) {
         "--repl-listen requires --log-dir (the WAL is the stream) and "
         "--listen (a primary serves clients and followers together)");
   }
-  // Backends are bitwise identical, so the mode is purely a
-  // performance knob: process-wide, and not persisted.
-  TCDP_ASSIGN_OR_RETURN(const TcdpKernelMode kernel_mode,
-                        kernels::ParseKernelMode(flags.Str("kernels")));
-  kernels::SetKernelMode(kernel_mode);
-
   // Observability knobs. --no-metrics 1 turns the registry's write
   // path off process-wide (the bench A/B switch); --trace-out arms the
   // span ring, dumped on kTraceDump requests and at exit.
@@ -1732,11 +1725,6 @@ Status CmdBench(const Flags& flags, std::ostream& out) {
   options.repetitions = flags.Size("reps");
   const std::string compare_path = flags.Str("compare");
   const std::string json_path = flags.Str("json");
-  if (flags.Has("kernels")) {
-    TCDP_ASSIGN_OR_RETURN(const TcdpKernelMode mode,
-                          kernels::ParseKernelMode(flags.Str("kernels")));
-    kernels::SetKernelMode(mode);
-  }
 
   bench::Harness harness;
   bench::RegisterAllSuites(&harness);
@@ -1854,7 +1842,6 @@ const std::vector<Command>& Commands() {
         {"compact-bytes", K::kSize, "0", "B"},
         {"compact-records", K::kSize, "0", "R"},
         {"threads-per-shard", K::kSize, "1", "K"},
-        {"kernels", K::kChoice, "auto", "scalar|auto"},
         {"listen", K::kPortOrZero, nullptr, "PORT"},
         host,
         port_file,
@@ -1947,8 +1934,7 @@ const std::vector<Command>& Commands() {
         {"json", K::kString, nullptr, "out.json"},
         {"compare", K::kString, nullptr, "baseline.json"},
         {"reps", K::kSize, "0", "N"},
-        {"noise", K::kNonNegative, "0.15", "F"},
-        {"kernels", K::kChoice, nullptr, "scalar|auto"}}},
+        {"noise", K::kNonNegative, "0.15", "F"}}},
   };
   return commands;
 }
