@@ -5,6 +5,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/hash.h"
 #include "common/math_util.h"
 
 namespace tcdp {
@@ -145,24 +146,16 @@ std::vector<double> StochasticMatrix::Propagate(
 }
 
 std::uint64_t FingerprintStochasticMatrix(const StochasticMatrix& matrix) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(matrix.size());
-  for (double entry : matrix.matrix().data()) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &entry, sizeof(bits));
-    mix(bits);
-  }
-  return h;
+  const std::vector<double>& data = matrix.matrix().data();
+  return HashBytes(data.data(), data.size() * sizeof(double), matrix.size());
 }
 
 bool ExactlyEquals(const StochasticMatrix& a, const StochasticMatrix& b) {
-  return a.size() == b.size() && a.matrix().data() == b.matrix().data();
+  const std::vector<double>& x = a.matrix().data();
+  const std::vector<double>& y = b.matrix().data();
+  return a.size() == b.size() && x.size() == y.size() &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
 }
 
 }  // namespace tcdp

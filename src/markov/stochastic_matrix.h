@@ -97,15 +97,17 @@ class StochasticMatrix {
   Matrix matrix_;
 };
 
-/// \brief FNV-1a over the matrix dimension and raw entry bit patterns.
+/// \brief A 64-bit hash of the matrix dimension and raw entry bit
+/// patterns (common/hash.h: 64-bit words in four independent lanes).
 ///
 /// Content identity for interning/cohorting: equal-bit matrices hash
-/// equal; callers must still compare contents exactly on collision
-/// (see ExactlyEquals).
+/// equal; callers must still compare contents exactly on a match
+/// (see ExactlyEquals). An in-memory key only: it is never persisted.
 std::uint64_t FingerprintStochasticMatrix(const StochasticMatrix& matrix);
 
 /// \brief True iff both matrices have bit-identical entries (stricter
-/// than ApproxEquals, which the fingerprint cannot certify alone).
+/// than ApproxEquals, which the fingerprint cannot certify alone; 0.0
+/// and -0.0 differ, as they do in the fingerprint and in print).
 bool ExactlyEquals(const StochasticMatrix& a, const StochasticMatrix& b);
 
 }  // namespace tcdp

@@ -1,22 +1,165 @@
 #include "server/records.h"
 
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/binary_io.h"
+#include "common/hash.h"
+#include "markov/stochastic_matrix.h"
 
 namespace tcdp {
 namespace server {
 namespace {
 
-/// Serializes an image with its epsilon list intentionally dropped —
-/// WAL/snapshot records carry history as release rows, not per-user
-/// epsilon lists (which would duplicate it num_users times).
-std::string CorrelationsBlob(const AccountantImage& image) {
-  AccountantImage stripped;
-  stripped.correlations = image.correlations;
-  stripped.cache_alpha_resolution = image.cache_alpha_resolution;
-  return SerializeAccountantImage(stripped);
-}
+/// Per-thread memo of history-free correlation images, keyed by
+/// content. Whole populations share a handful of (P^B, P^F) profiles,
+/// so each distinct image is printed or parsed once per thread instead
+/// of once per Join, WAL kAddUser record and snapshot kSnapUser record.
+/// An entry is valid in the direction that made it: a parsed entry
+/// holds ParseAccountantImage(blob), a printed one holds
+/// SerializeAccountantImage(image), and neither serves the other's
+/// lookups, since a hand-written blob need not be the canonical print
+/// of what it parses to. Every hit is confirmed by an exact compare
+/// (blob bytes, or matrix bits and quantization bits), so the memo
+/// never changes a byte or a verdict; only successful parses are kept.
+/// Least recently used entries go first once kImageMemoMaxEntries or
+/// kImageMemoMaxBytes would be exceeded.
+class ImageMemo {
+ public:
+  static ImageMemo& ForThread() {
+    thread_local ImageMemo memo;
+    return memo;
+  }
+
+  /// DecodeAddUser/DecodeSnapUser's blob step: parse and check that
+  /// the image carries no history (\p record names the refusal).
+  StatusOr<AccountantImage> Parse(std::string blob, const char* record) {
+    const std::uint64_t key = HashBytes(blob.data(), blob.size());
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      if (keys_[i].hash == key && !keys_[i].printed &&
+          entries_[i].blob == blob) {
+        return Touch(i).image;
+      }
+    }
+    ++stats_.misses;
+    TCDP_ASSIGN_OR_RETURN(AccountantImage image, ParseAccountantImage(blob));
+    if (!image.epsilons.empty()) {
+      return Status::InvalidArgument(std::string(record) +
+                                     ": embedded accountant blob carries "
+                                     "history");
+    }
+    Insert(key, /*printed=*/false, std::move(blob), image);
+    return image;
+  }
+
+  /// EncodeAddUser/EncodeSnapUser's blob step: appends the
+  /// length-prefixed text of \p image with its epsilon list dropped —
+  /// records carry history as release rows, not per-user epsilon lists
+  /// (which would duplicate it num_users times).
+  void AppendPrinted(const AccountantImage& image, std::string* out) {
+    const std::uint64_t key = ImageKey(image);
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      if (keys_[i].hash == key && keys_[i].printed &&
+          SameImage(entries_[i].image, image)) {
+        PutLengthPrefixed(out, Touch(i).blob);
+        return;
+      }
+    }
+    ++stats_.misses;
+    AccountantImage stripped;
+    stripped.correlations = image.correlations;
+    stripped.cache_alpha_resolution = image.cache_alpha_resolution;
+    std::string blob = SerializeAccountantImage(stripped);
+    PutLengthPrefixed(out, blob);
+    Insert(key, /*printed=*/true, std::move(blob), stripped);
+  }
+
+  ImageMemoStats stats() const { return stats_; }
+
+ private:
+  struct Key {
+    std::uint64_t hash = 0;  ///< of the blob if parsed, else of the image
+    std::uint64_t last_use = 0;
+    bool printed = false;
+  };
+  struct Entry {
+    std::string blob;
+    AccountantImage image;
+    std::size_t bytes = 0;
+  };
+
+  static std::uint64_t Bits(double value) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
+  }
+
+  static std::size_t MatrixBytes(const TemporalCorrelations& corr) {
+    std::size_t entries = 0;
+    if (corr.has_backward()) entries += corr.backward().matrix().data().size();
+    if (corr.has_forward()) entries += corr.forward().matrix().data().size();
+    return entries * sizeof(double);
+  }
+
+  static std::uint64_t ImageKey(const AccountantImage& image) {
+    const TemporalCorrelations& corr = image.correlations;
+    const std::uint64_t words[3] = {
+        corr.has_backward() ? FingerprintStochasticMatrix(corr.backward())
+                            : 0,
+        corr.has_forward() ? FingerprintStochasticMatrix(corr.forward()) : 0,
+        (corr.has_backward() ? 1u : 0u) | (corr.has_forward() ? 2u : 0u)};
+    return HashBytes(words, sizeof(words),
+                     Bits(image.cache_alpha_resolution));
+  }
+
+  static bool SameImage(const AccountantImage& a, const AccountantImage& b) {
+    const TemporalCorrelations& x = a.correlations;
+    const TemporalCorrelations& y = b.correlations;
+    return Bits(a.cache_alpha_resolution) == Bits(b.cache_alpha_resolution) &&
+           x.has_backward() == y.has_backward() &&
+           x.has_forward() == y.has_forward() &&
+           (!x.has_backward() || ExactlyEquals(x.backward(), y.backward())) &&
+           (!x.has_forward() || ExactlyEquals(x.forward(), y.forward()));
+  }
+
+  Entry& Touch(std::size_t i) {
+    ++stats_.hits;
+    keys_[i].last_use = ++clock_;
+    return entries_[i];
+  }
+
+  void Insert(std::uint64_t hash, bool printed, std::string blob,
+              const AccountantImage& image) {
+    const std::size_t bytes = blob.size() + MatrixBytes(image.correlations);
+    if (bytes > kImageMemoMaxEntryBytes) return;  // too big to share
+    while (keys_.size() >= kImageMemoMaxEntries ||
+           stats_.bytes + bytes > kImageMemoMaxBytes) {
+      std::size_t oldest = 0;
+      for (std::size_t i = 1; i < keys_.size(); ++i) {
+        if (keys_[i].last_use < keys_[oldest].last_use) oldest = i;
+      }
+      stats_.bytes -= entries_[oldest].bytes;
+      if (oldest + 1 != keys_.size()) {
+        keys_[oldest] = keys_.back();
+        entries_[oldest] = std::move(entries_.back());
+      }
+      keys_.pop_back();
+      entries_.pop_back();
+    }
+    keys_.push_back({hash, ++clock_, printed});
+    entries_.push_back({std::move(blob), image, bytes});
+    stats_.bytes += bytes;
+    stats_.entries = keys_.size();
+  }
+
+  // Parallel arrays: a lookup scans only the compact keys.
+  std::vector<Key> keys_;
+  std::vector<Entry> entries_;
+  std::uint64_t clock_ = 0;
+  ImageMemoStats stats_;
+};
 
 Status ExpectConsumed(const BinaryCursor& cursor, const char* what) {
   if (!cursor.empty()) {
@@ -27,6 +170,10 @@ Status ExpectConsumed(const BinaryCursor& cursor, const char* what) {
 }
 
 }  // namespace
+
+ImageMemoStats ThreadImageMemoStats() {
+  return ImageMemo::ForThread().stats();
+}
 
 std::string EncodeManifest(const ManifestRecord& record) {
   std::string out;
@@ -73,7 +220,7 @@ StatusOr<ManifestRecord> DecodeManifest(const std::string& payload) {
 std::string EncodeAddUser(const AddUserRecord& record) {
   std::string out;
   PutLengthPrefixed(&out, record.name);
-  PutLengthPrefixed(&out, CorrelationsBlob(record.image));
+  ImageMemo::ForThread().AppendPrinted(record.image, &out);
   return out;
 }
 
@@ -83,11 +230,8 @@ StatusOr<AddUserRecord> DecodeAddUser(const std::string& payload) {
   TCDP_RETURN_IF_ERROR(cursor.ReadLengthPrefixed(&record.name));
   std::string blob;
   TCDP_RETURN_IF_ERROR(cursor.ReadLengthPrefixed(&blob));
-  TCDP_ASSIGN_OR_RETURN(record.image, ParseAccountantImage(blob));
-  if (!record.image.epsilons.empty()) {
-    return Status::InvalidArgument(
-        "DecodeAddUser: embedded accountant blob carries history");
-  }
+  TCDP_ASSIGN_OR_RETURN(record.image,
+                        ImageMemo::ForThread().Parse(std::move(blob), "DecodeAddUser"));
   TCDP_RETURN_IF_ERROR(ExpectConsumed(cursor, "DecodeAddUser"));
   return record;
 }
@@ -248,7 +392,7 @@ std::string EncodeSnapUser(const SnapUserRecord& record) {
   PutVarint64(&out, record.join);
   PutDoubleBits(&out, record.bpl_last);
   PutDoubleBits(&out, record.eps_sum);
-  PutLengthPrefixed(&out, CorrelationsBlob(record.image));
+  ImageMemo::ForThread().AppendPrinted(record.image, &out);
   return out;
 }
 
@@ -261,11 +405,8 @@ StatusOr<SnapUserRecord> DecodeSnapUser(const std::string& payload) {
   TCDP_RETURN_IF_ERROR(cursor.ReadDoubleBits(&record.eps_sum));
   std::string blob;
   TCDP_RETURN_IF_ERROR(cursor.ReadLengthPrefixed(&blob));
-  TCDP_ASSIGN_OR_RETURN(record.image, ParseAccountantImage(blob));
-  if (!record.image.epsilons.empty()) {
-    return Status::InvalidArgument(
-        "DecodeSnapUser: embedded accountant blob carries history");
-  }
+  TCDP_ASSIGN_OR_RETURN(record.image,
+                        ImageMemo::ForThread().Parse(std::move(blob), "DecodeSnapUser"));
   TCDP_RETURN_IF_ERROR(ExpectConsumed(cursor, "DecodeSnapUser"));
   return record;
 }

@@ -12,10 +12,16 @@
 /// AccountantImage serializer) so the durable formats share one matrix
 /// grammar with accountant persistence.
 ///
+/// Each thread converts a given correlation image once: the kAddUser
+/// and kSnapUser codecs keep a bounded, content-keyed memo of the blobs
+/// they printed and parsed (ThreadImageMemoStats). It changes no byte
+/// and no verdict.
+///
 /// Every decoder is total: truncated or corrupted payloads (those that
 /// survive the frame CRC, e.g. hand-edited files) come back as Status,
 /// never UB.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -113,6 +119,22 @@ struct SnapUserRecord {
   double eps_sum = 0.0;
   AccountantImage image;
 };
+
+/// Bounds of each thread's correlation-image memo. An entry is charged
+/// its blob bytes plus 8 bytes per matrix entry; an image whose charge
+/// exceeds kImageMemoMaxEntryBytes bypasses the memo.
+inline constexpr std::size_t kImageMemoMaxEntries = 256;
+inline constexpr std::size_t kImageMemoMaxBytes = std::size_t{1} << 20;
+inline constexpr std::size_t kImageMemoMaxEntryBytes = kImageMemoMaxBytes / 4;
+
+/// Occupancy and traffic of the calling thread's image memo.
+struct ImageMemoStats {
+  std::size_t entries = 0;
+  std::size_t bytes = 0;  ///< charged bytes, <= kImageMemoMaxBytes
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+};
+ImageMemoStats ThreadImageMemoStats();
 
 std::string EncodeManifest(const ManifestRecord& record);
 StatusOr<ManifestRecord> DecodeManifest(const std::string& payload);

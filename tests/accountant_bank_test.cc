@@ -11,6 +11,7 @@
 #endif
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -167,6 +168,26 @@ TEST(AccountantBank, CohortsDeduplicateByMatrixPairContents) {
   // a cohort (their recurrences differ) even though the interned loss
   // table is shared underneath.
   EXPECT_EQ(bank.cache_stats().distinct_matrices, 1u);
+}
+
+TEST(AccountantBank, OneUlpApartMatricesGetSeparateCohortsAndTables) {
+  Matrix nudged = Fig3Matrix().matrix();
+  nudged.At(0, 0) = std::nextafter(nudged.At(0, 0), 1.0);
+  auto ulp = StochasticMatrix::CreateExact(nudged);
+  ASSERT_TRUE(ulp.ok());
+  ASSERT_NE(FingerprintStochasticMatrix(*ulp),
+            FingerprintStochasticMatrix(Fig3Matrix()));
+  AccountantBank bank;
+  bank.AddUser(TemporalCorrelations::BackwardOnly(Fig3Matrix()));
+  bank.AddUser(TemporalCorrelations::BackwardOnly(*ulp));
+  // A bit-identical copy, built separately, shares the first cohort.
+  auto copy = StochasticMatrix::CreateExact(Fig3Matrix().matrix());
+  ASSERT_TRUE(copy.ok());
+  bank.AddUser(TemporalCorrelations::BackwardOnly(*copy));
+  EXPECT_EQ(FingerprintStochasticMatrix(*copy),
+            FingerprintStochasticMatrix(Fig3Matrix()));
+  EXPECT_EQ(bank.num_cohorts(), 2u);
+  EXPECT_EQ(bank.cache_stats().distinct_matrices, 2u);
 }
 
 TEST(AccountantBank, PopulationAggregates) {
