@@ -2,19 +2,24 @@
 #define TCDP_COMMON_HASH_H_
 
 /// \file
-/// A fast 64-bit content hash for in-memory keys (matrix fingerprints,
-/// the records codec's image memo). It reads 64-bit words into four
-/// independent multiply-rotate lanes (xxHash64's round), so the lanes'
-/// multiplies overlap instead of forming one serial chain.
+/// The repo's two string/content hashes.
 ///
-/// Not cryptographic and not stable across builds or byte orders: use
-/// it only as a key whose matches an exact compare confirms, never as
-/// a persisted value (ShardedReleaseService::ShardOf keeps its own
-/// FNV-1a, since a durable user's shard depends on it).
+/// HashBytes is a fast 64-bit content hash for in-memory keys (matrix
+/// fingerprints, the records codec's image memo). It reads 64-bit
+/// words into four independent multiply-rotate lanes (xxHash64's
+/// round), so the lanes' multiplies overlap instead of forming one
+/// serial chain. Not cryptographic and not stable across builds or
+/// byte orders: use it only as a key whose matches an exact compare
+/// confirms, never as a persisted value.
+///
+/// Fnv1a64 is FNV-1a 64, byte by byte: slow, but fixed forever. A
+/// durable user's shard (ShardedReleaseService::ShardOf) and a
+/// router's ring points (replication/ring.h) depend on its values.
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <string_view>
 
 namespace tcdp {
 namespace hash_internal {
@@ -44,6 +49,17 @@ inline std::uint64_t Fold(std::uint64_t h, std::uint64_t word) {
 }
 
 }  // namespace hash_internal
+
+/// \brief FNV-1a 64 of \p text; its values are part of the durable
+/// contract (pinned by ShardOf's golden test).
+inline std::uint64_t Fnv1a64(std::string_view text) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
 
 /// \brief 64-bit hash of \p size bytes at \p data under \p seed.
 inline std::uint64_t HashBytes(const void* data, std::size_t size,

@@ -43,34 +43,6 @@ struct BankObs {
 namespace tcdp {
 namespace {
 
-/// Combined content fingerprint of an optional (P^B, P^F) pair.
-/// Presence flags are mixed in so BackwardOnly(M) != ForwardOnly(M).
-std::uint64_t FingerprintPair(const TemporalCorrelations& corr) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  };
-  mix(corr.has_backward() ? 1u : 0u);
-  if (corr.has_backward()) mix(FingerprintStochasticMatrix(corr.backward()));
-  mix(corr.has_forward() ? 2u : 0u);
-  if (corr.has_forward()) mix(FingerprintStochasticMatrix(corr.forward()));
-  return h;
-}
-
-bool SamePair(const TemporalCorrelations& a, const TemporalCorrelations& b) {
-  if (a.has_backward() != b.has_backward() ||
-      a.has_forward() != b.has_forward()) {
-    return false;
-  }
-  if (a.has_backward() && !ExactlyEquals(a.backward(), b.backward())) {
-    return false;
-  }
-  if (a.has_forward() && !ExactlyEquals(a.forward(), b.forward())) {
-    return false;
-  }
-  return true;
-}
-
 bool SameBits(double a, double b) {
   std::uint64_t x;
   std::uint64_t y;
@@ -212,10 +184,10 @@ AccountantBank::AccountantBank(AccountantBankOptions options)
 
 std::size_t AccountantBank::FindOrCreateCohort(
     const TemporalCorrelations& correlations) {
-  const std::uint64_t fp = FingerprintPair(correlations);
+  const std::uint64_t fp = FingerprintCorrelations(correlations);
   auto [it, inserted] = cohort_index_.try_emplace(fp);
   for (std::uint32_t c : it->second) {
-    if (SamePair(cohorts_[c].correlations, correlations)) return c;
+    if (SameCorrelations(cohorts_[c].correlations, correlations)) return c;
   }
   Cohort cohort;
   cohort.correlations = correlations;

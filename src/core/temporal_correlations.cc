@@ -1,5 +1,7 @@
 #include "core/temporal_correlations.h"
 
+#include "common/hash.h"
+
 namespace tcdp {
 
 TemporalCorrelations TemporalCorrelations::BackwardOnly(
@@ -47,6 +49,23 @@ std::string TemporalCorrelations::ToString() const {
   }
   out += "}";
   return out;
+}
+
+std::uint64_t FingerprintCorrelations(const TemporalCorrelations& corr,
+                                      std::uint64_t seed) {
+  const std::uint64_t words[3] = {
+      corr.has_backward() ? FingerprintStochasticMatrix(corr.backward()) : 0,
+      corr.has_forward() ? FingerprintStochasticMatrix(corr.forward()) : 0,
+      (corr.has_backward() ? 1u : 0u) | (corr.has_forward() ? 2u : 0u)};
+  return HashBytes(words, sizeof(words), seed);
+}
+
+bool SameCorrelations(const TemporalCorrelations& a,
+                      const TemporalCorrelations& b) {
+  return a.has_backward() == b.has_backward() &&
+         a.has_forward() == b.has_forward() &&
+         (!a.has_backward() || ExactlyEquals(a.backward(), b.backward())) &&
+         (!a.has_forward() || ExactlyEquals(a.forward(), b.forward()));
 }
 
 }  // namespace tcdp

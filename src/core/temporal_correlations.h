@@ -8,6 +8,7 @@
 /// (Definitions 3 and 4).
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -59,6 +60,18 @@ class TemporalCorrelations {
   std::optional<StochasticMatrix> backward_;
   std::optional<StochasticMatrix> forward_;
 };
+
+/// \brief Content fingerprint of \p corr's (P^B, P^F) pair under
+/// \p seed: both matrices' fingerprints plus which are present, so
+/// BackwardOnly(M) and ForwardOnly(M) differ. An in-memory key only
+/// (common/hash.h): SameCorrelations confirms a match.
+std::uint64_t FingerprintCorrelations(const TemporalCorrelations& corr,
+                                      std::uint64_t seed = 0);
+
+/// \brief True iff \p a and \p b hold the same matrices in the same
+/// slots, bit for bit (ExactlyEquals).
+bool SameCorrelations(const TemporalCorrelations& a,
+                      const TemporalCorrelations& b);
 
 /// \brief Adversary_T targeting one user (Definition 4). The tuple
 /// knowledge D^t_K is implicit: the adversary knows every other user's

@@ -1,16 +1,9 @@
 #include "replication/ring.h"
 
+#include "common/hash.h"
+
 namespace tcdp {
 namespace replication {
-
-std::uint64_t Fnv1a64(const std::string& text) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 namespace {
 

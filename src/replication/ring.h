@@ -6,8 +6,9 @@
 /// (replication/router.h).
 ///
 /// Classic virtual-node consistent hashing: every endpoint projects
-/// `virtual_nodes` points onto a 64-bit ring (FNV-1a, the same hash
-/// family ShardedReleaseService::ShardOf partitions with), and a user
+/// `virtual_nodes` points onto a 64-bit ring (Fnv1a64 from
+/// common/hash.h, the hash ShardedReleaseService::ShardOf partitions
+/// with, then a 64-bit finalizer), and a user
 /// routes to the first endpoint point at or after the hash of its
 /// name. Adding an endpoint to an N-endpoint ring therefore moves only
 /// ~1/(N+1) of the users — the property the router's rebalancing (and
@@ -25,9 +26,6 @@
 
 namespace tcdp {
 namespace replication {
-
-/// FNV-1a 64 (the repo's standard string hash; see ShardOf).
-std::uint64_t Fnv1a64(const std::string& text);
 
 class ConsistentHashRing {
  public:

@@ -40,8 +40,6 @@ struct WalObs {
   }
 };
 
-constexpr char kMagic[kEventLogMagicBytes] = {'T', 'C', 'D', 'P',
-                                             'W', 'A', 'L', '1'};
 constexpr std::size_t kHeaderBytes = 1 + 4 + 4;  // type + len + crc
 
 Status ErrnoStatus(const std::string& op, const std::string& path) {
@@ -104,8 +102,8 @@ StatusOr<EventLogWriter> EventLogWriter::Create(const std::string& path) {
   EventLogWriter writer;
   writer.fd_ = fd;
   writer.path_ = path;
-  writer.buffer_.append(kMagic, sizeof(kMagic));
-  writer.bytes_written_ = sizeof(kMagic);
+  writer.buffer_ = kEventLogMagic;
+  writer.bytes_written_ = kEventLogMagicBytes;
   return writer;
 }
 
@@ -131,18 +129,9 @@ Status EventLogWriter::Append(EventType type, const std::string& payload) {
     return Status::FailedPrecondition(
         "EventLogWriter: appending to a closed log");
   }
-  if (payload.size() > 0xFFFFFFFFull) {
-    return Status::InvalidArgument("EventLogWriter: payload exceeds 4 GiB");
-  }
   const WalObs& wal_obs = WalObs::Get();
   obs::ScopedLatencyTimer timer(wal_obs.append_seconds);
-  const std::uint8_t type_byte = static_cast<std::uint8_t>(type);
-  std::uint32_t crc = Crc32(&type_byte, 1);
-  crc = Crc32(payload.data(), payload.size(), crc);
-  buffer_.push_back(static_cast<char>(type_byte));
-  PutFixed32(&buffer_, static_cast<std::uint32_t>(payload.size()));
-  PutFixed32(&buffer_, crc);
-  buffer_.append(payload);
+  TCDP_RETURN_IF_ERROR(AppendRecordFrame(&buffer_, type, payload));
   bytes_written_ += kHeaderBytes + payload.size();
   ++records_written_;
   if (obs::MetricsEnabled()) {
@@ -192,7 +181,20 @@ Status EventLogWriter::Close() {
 }
 
 bool HasEventLogMagic(const char* data) {
-  return std::memcmp(data, kMagic, sizeof(kMagic)) == 0;
+  return std::memcmp(data, kEventLogMagic.data(), kEventLogMagicBytes) == 0;
+}
+
+Status AppendRecordFrame(std::string* out, EventType type,
+                         std::string_view payload) {
+  if (payload.size() > 0xFFFFFFFFull) {
+    return Status::InvalidArgument("record payload exceeds 4 GiB");
+  }
+  const std::uint8_t type_byte = static_cast<std::uint8_t>(type);
+  out->push_back(static_cast<char>(type_byte));
+  PutFixed32(out, static_cast<std::uint32_t>(payload.size()));
+  PutFixed32(out, Crc32(payload.data(), payload.size(), Crc32(&type_byte, 1)));
+  out->append(payload);
+  return Status::OK();
 }
 
 StatusOr<RecordFrame> DecodeRecordFrame(std::string_view bytes) {
@@ -228,13 +230,13 @@ StatusOr<ReadLogResult> ReadEventLog(const std::string& path) {
                   "ReadEventLog: " + read.status().message());
   }
   const std::string& contents = read.value();
-  if (contents.size() < sizeof(kMagic) ||
+  if (contents.size() < kEventLogMagicBytes ||
       !HasEventLogMagic(contents.data())) {
     return Status::InvalidArgument("ReadEventLog: " + path +
                                    " is not a tcdp event log (bad magic)");
   }
   ReadLogResult result;
-  std::size_t pos = sizeof(kMagic);
+  std::size_t pos = kEventLogMagicBytes;
   result.valid_bytes = pos;
   while (pos < contents.size()) {
     StatusOr<RecordFrame> frame =

@@ -13,7 +13,10 @@
 /// where the CRC covers the type byte and the payload, so neither a
 /// flipped type nor flipped payload bytes go unnoticed. The same
 /// framing carries snapshot files (they are just logs whose records
-/// happen to be snapshot-typed).
+/// happen to be snapshot-typed). AppendRecordFrame is its one writer
+/// and DecodeRecordFrame its one reader; EventLogWriter appends the
+/// WAL and the router journal, while snapshots and compacted WALs are
+/// framed in memory and published whole (server/log_dir.h).
 ///
 /// Durability model: `Append` buffers in memory; `Flush` hands the
 /// buffer to the OS (write(2)); `Sync` additionally fdatasyncs — the
@@ -78,7 +81,8 @@ class EventLogWriter {
                                                 std::uint64_t resume_offset,
                                                 std::uint64_t resume_records);
 
-  /// Frames and buffers one record. Cheap; no I/O until Flush.
+  /// Frames and buffers one record (AppendRecordFrame). Cheap; no I/O
+  /// until Flush.
   Status Append(EventType type, const std::string& payload);
 
   /// write(2)s the buffer. Data reaches the OS, not necessarily disk.
@@ -103,12 +107,19 @@ class EventLogWriter {
   std::uint64_t records_written_ = 0;
 };
 
-/// Bytes of the magic every log file starts with.
-inline constexpr std::size_t kEventLogMagicBytes = 8;
+/// The magic every log file starts with.
+inline constexpr std::string_view kEventLogMagic{"TCDPWAL1", 8};
+inline constexpr std::size_t kEventLogMagicBytes = kEventLogMagic.size();
 
 /// Whether \p data (at least kEventLogMagicBytes long) starts with the
 /// magic.
 bool HasEventLogMagic(const char* data);
+
+/// \brief Appends the frame of one record to \p out: the one writer of
+/// the framing. InvalidArgument, leaving \p out as it was, for a
+/// payload of 4 GiB or more.
+Status AppendRecordFrame(std::string* out, EventType type,
+                         std::string_view payload);
 
 /// One record frame, decoded in place.
 struct RecordFrame {

@@ -11,7 +11,6 @@
 #include "common/atomic_file.h"
 #include "common/thread_pool.h"
 #include "obs/trace.h"
-#include "server/compaction.h"
 #include "server/snapshot.h"
 
 namespace tcdp {
@@ -158,8 +157,11 @@ ManifestRecord ShardManifestRecord(const ShardedServiceOptions& options,
   return record;
 }
 
-ShardState EmptyShard(const ShardedServiceOptions& options) {
+ShardState EmptyShard(const ShardedServiceOptions& options,
+                      const std::string& dir, std::size_t index) {
   ShardState shard;
+  shard.dir = dir;
+  shard.index = index;
   shard.bank = AccountantBank(ShardBankOptions(options));
   if (options.threads_per_shard > 1) {
     shard.bank_pool = std::make_unique<ThreadPool>(options.threads_per_shard);
@@ -196,6 +198,219 @@ StatusOr<std::vector<EventLogWriter>> CreateLogDir(
   }
   TCDP_RETURN_IF_ERROR(WriteFileAtomic(ManifestPath(dir), manifest_text));
   return wals;
+}
+
+// ------------------------------------------------------- shard operations
+
+namespace {
+
+/// How a scanned WAL's records map to logical indices.
+struct WalBase {
+  bool compacted = false;
+  /// The base counts of physical record 1; all zero for a plain log.
+  CompactionRecord record;
+  /// Physical index of the first replayable (kAddUser/kRelease)
+  /// record: 1 for a plain log, 2 for a compacted one.
+  std::size_t suffix_start = 1;
+
+  /// Logical index of physical record \p p, and back.
+  std::uint64_t logical(std::size_t p) const {
+    return compacted ? record.base_records + (p - 2) : p;
+  }
+  std::size_t physical(std::uint64_t l) const {
+    return static_cast<std::size_t>(compacted ? 2 + (l - record.base_records)
+                                              : l);
+  }
+};
+
+/// Classifies \p log (a scanned shard WAL whose record 0 is the
+/// manifest) as plain or compacted. Fails only when physical record 1
+/// is a kCompaction record that does not decode.
+StatusOr<WalBase> InspectWalBase(const ReadLogResult& log) {
+  WalBase base;
+  if (log.records.size() < 2 ||
+      log.records[1].type != EventType::kCompaction) {
+    return base;  // plain log: logical == physical
+  }
+  TCDP_ASSIGN_OR_RETURN(base.record,
+                        DecodeCompaction(log.records[1].payload));
+  base.compacted = true;
+  base.suffix_start = 2;
+  return base;
+}
+
+/// The base a compaction anchored on \p image records.
+CompactionRecord BaseOf(const ShardSnapshot& image) {
+  CompactionRecord base;
+  base.base_records = image.applied_records;
+  base.base_releases = image.bank.schedule.size();
+  base.base_users = image.bank.users.size();
+  return base;
+}
+
+Status SyncWal(ShardState* shard) {
+  TCDP_RETURN_IF_ERROR(shard->wal.Sync());
+  shard->releases_since_sync = 0;
+  return Status::OK();
+}
+
+/// SnapshotShard on a durable shard; returns the bytes it published.
+StatusOr<std::string> WriteSnapshot(ShardState* shard) {
+  obs::ScopedSpan span("snapshot", "shard", shard->index);
+  // The WAL must be on disk before a snapshot may claim to cover it.
+  TCDP_RETURN_IF_ERROR(SyncWal(shard));
+  ShardSnapshot snapshot;
+  snapshot.applied_records = shard->wal_records;
+  snapshot.names = shard->names;
+  snapshot.bank = shard->bank.ExportImage();
+  snapshot.alpha_resolution = shard->bank.cache_alpha_resolution();
+  TCDP_ASSIGN_OR_RETURN(std::string bytes, EncodeShardSnapshot(snapshot));
+  TCDP_RETURN_IF_ERROR(
+      WriteFileAtomic(ShardSnapPath(shard->dir, shard->index), bytes));
+  shard->snapshot_base = BaseOf(snapshot);
+  ++shard->snapshots_written;
+  shard->releases_since_snapshot = 0;
+  return bytes;
+}
+
+/// The compacted form of the scanned WAL \p log against \p base:
+/// manifest, kCompaction record, then every record past the base; its
+/// record count goes to \p records. Refuses when the log is torn or
+/// its prefix does not hold the releases and users \p base declares.
+StatusOr<std::string> CompactedWal(const ReadLogResult& log,
+                                   const ManifestRecord& manifest,
+                                   const CompactionRecord& base,
+                                   std::uint64_t* records) {
+  if (!log.clean) {
+    return Status::FailedPrecondition(
+        "CompactShard: the WAL has a torn tail (" + log.tail_error +
+        ") — sync and recover before compacting");
+  }
+  if (log.records.empty() || log.records[0].type != EventType::kManifest) {
+    return Status::InvalidArgument("CompactShard: the WAL has no manifest");
+  }
+  TCDP_ASSIGN_OR_RETURN(WalBase prev, InspectWalBase(log));
+  const std::uint64_t logical_count = prev.logical(log.records.size());
+  if (base.base_records < 1 || base.base_records > logical_count ||
+      base.base_records < prev.record.base_records) {
+    return Status::InvalidArgument(
+        "CompactShard: snapshot covers logical record " +
+        std::to_string(base.base_records) + " of a log holding [" +
+        std::to_string(prev.record.base_records) + ", " +
+        std::to_string(logical_count) + ")");
+  }
+  // Physical index of the first record NOT replaced by the snapshot.
+  const std::size_t replay_from = prev.physical(base.base_records);
+  // Cross-check the base counts against the prefix actually on disk: a
+  // snapshot that does not describe this log must not erase it.
+  std::uint64_t releases = prev.record.base_releases;
+  std::uint64_t users = prev.record.base_users;
+  for (std::size_t r = prev.suffix_start; r < replay_from; ++r) {
+    if (log.records[r].type == EventType::kRelease) ++releases;
+    if (log.records[r].type == EventType::kAddUser) ++users;
+  }
+  if (releases != base.base_releases || users != base.base_users) {
+    return Status::Internal(
+        "CompactShard: snapshot declares " +
+        std::to_string(base.base_releases) + " releases / " +
+        std::to_string(base.base_users) +
+        " users over its horizon but the log prefix holds " +
+        std::to_string(releases) + " / " + std::to_string(users) +
+        " — refusing to erase it");
+  }
+  std::string out(kEventLogMagic);
+  TCDP_RETURN_IF_ERROR(AppendRecordFrame(&out, EventType::kManifest,
+                                         EncodeManifest(manifest)));
+  TCDP_RETURN_IF_ERROR(AppendRecordFrame(&out, EventType::kCompaction,
+                                         EncodeCompaction(base)));
+  for (std::size_t r = replay_from; r < log.records.size(); ++r) {
+    const EventRecord& record = log.records[r];
+    if (record.type != EventType::kAddUser &&
+        record.type != EventType::kRelease) {
+      return Status::InvalidArgument("CompactShard: suffix record " +
+                                     std::to_string(r) +
+                                     " has unexpected type");
+    }
+    TCDP_RETURN_IF_ERROR(AppendRecordFrame(&out, record.type, record.payload));
+  }
+  *records = 2 + (log.records.size() - replay_from);
+  return out;
+}
+
+}  // namespace
+
+Status SyncShardWal(ShardState* shard) {
+  if (!shard->durable()) return Status::OK();
+  obs::ScopedSpan span("wal_sync", "wal", shard->index);
+  return SyncWal(shard);
+}
+
+Status EndShardRelease(ShardState* shard,
+                       const ShardedServiceOptions& options) {
+  if (!shard->durable()) return Status::OK();
+  if (options.sync_every > 0 &&
+      ++shard->releases_since_sync >= options.sync_every) {
+    TCDP_RETURN_IF_ERROR(SyncWal(shard));
+  } else {
+    TCDP_RETURN_IF_ERROR(shard->wal.Flush());
+  }
+  if (options.snapshot_every > 0 &&
+      ++shard->releases_since_snapshot >= options.snapshot_every) {
+    return SnapshotShard(shard);
+  }
+  return Status::OK();
+}
+
+Status SnapshotShard(ShardState* shard) {
+  if (!shard->durable()) {
+    return Status::FailedPrecondition(
+        "shard snapshot requested on an ephemeral service");
+  }
+  return WriteSnapshot(shard).status();
+}
+
+Status CompactShard(ShardState* shard, const ShardedServiceOptions& options) {
+  if (!shard->durable()) {
+    return Status::FailedPrecondition(
+        "shard compaction requested on an ephemeral service");
+  }
+  obs::ScopedSpan span("compact", "shard", shard->index);
+  // The file must be complete on disk before it is re-derived.
+  TCDP_RETURN_IF_ERROR(SyncWal(shard));
+  const std::string wal_path = ShardWalPath(shard->dir, shard->index);
+  // The anchor: the snapshot the shard knows describes its log. Without
+  // one (never snapshotted, or recovered from the anchor or by full
+  // replay, when shard-<i>.snap may lie past this log), or when that
+  // file has gone, write a fresh one: the precondition made this
+  // horizon durable on every shard.
+  StatusOr<std::string> anchor = Status::NotFound("no snapshot base");
+  if (shard->snapshot_base.has_value()) {
+    anchor = ReadFileWhole(ShardSnapPath(shard->dir, shard->index));
+  }
+  if (!anchor.ok()) anchor = WriteSnapshot(shard);
+  TCDP_RETURN_IF_ERROR(anchor.status());
+  TCDP_ASSIGN_OR_RETURN(ReadLogResult log, ReadEventLog(wal_path));
+  std::uint64_t records = 0;
+  TCDP_ASSIGN_OR_RETURN(
+      const std::string compacted,
+      CompactedWal(log, ShardManifestRecord(options, shard->index),
+                   *shard->snapshot_base, &records));
+  // Publish the anchor BEFORE the WAL loses its prefix: later snapshots
+  // overwrite shard-<i>.snap at horizons that may not yet be durable on
+  // every shard, and recovery falls back to this copy when the newer
+  // snapshot does not fit under the common horizon. A crash between
+  // the two renames leaves an uncompacted log with a harmless anchor
+  // (recovery removes it).
+  TCDP_RETURN_IF_ERROR(
+      WriteFileAtomic(ShardAnchorPath(shard->dir, shard->index), *anchor));
+  TCDP_RETURN_IF_ERROR(WriteFileAtomic(wal_path, compacted));
+  // Move the writer onto the rewritten file (closing the old fd, whose
+  // inode the rename orphaned). Logical wal_records is untouched —
+  // compaction changes disk layout, not history.
+  TCDP_ASSIGN_OR_RETURN(shard->wal, EventLogWriter::OpenForAppend(
+                                        wal_path, compacted.size(), records));
+  ++shard->compactions;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------- recovery
@@ -238,9 +453,11 @@ StatusOr<std::size_t> RestoreImage(
     const AccountantBankOptions& bank_options, ShardState* shard) {
   TCDP_ASSIGN_OR_RETURN(ShardSnapshot image, ReadShardSnapshot(path));
   TCDP_ASSIGN_OR_RETURN(const std::size_t replay_from, fit(image));
+  const CompactionRecord base = BaseOf(image);
   TCDP_ASSIGN_OR_RETURN(AccountantBank bank,
                         AccountantBank::Restore(std::move(image.bank),
                                                 bank_options));
+  shard->snapshot_base = base;
   shard->bank = std::move(bank);
   shard->bank.set_pool(shard->bank_pool.get());
   shard->names = std::move(image.names);
@@ -283,20 +500,22 @@ StatusOr<ShardState> RecoverShard(const std::string& dir, std::size_t i,
   const std::uint64_t logical_keep = base.logical(keep);
 
   // Stray temporaries from a crash mid-snapshot/mid-compaction are
-  // dead weight; the durable files are the only truth. An anchor next
-  // to an UNCOMPACTED log is the same (the compaction that wrote it
-  // never renamed its WAL into place).
+  // dead weight; the durable files are the only truth. Builds before
+  // WriteFileAtomic published compacted WALs left `.wal.compact.tmp`.
+  // An anchor next to an UNCOMPACTED log is dead weight too (the
+  // compaction that wrote it never renamed its WAL into place).
   const std::string wal_path = ShardWalPath(dir, i);
   const std::string snap_path = ShardSnapPath(dir, i);
   const std::string anchor_path = ShardAnchorPath(dir, i);
   std::error_code ignored;
-  for (const std::string& stray : {snap_path + ".tmp", anchor_path + ".tmp",
-                                   CompactionTmpPath(wal_path)}) {
+  for (const std::string& stray :
+       {snap_path + ".tmp", anchor_path + ".tmp", wal_path + ".tmp",
+        wal_path + ".compact.tmp"}) {
     std::filesystem::remove(stray, ignored);
   }
   if (!base.compacted) std::filesystem::remove(anchor_path, ignored);
 
-  ShardState shard = EmptyShard(options);
+  ShardState shard = EmptyShard(options, dir, i);
   const AccountantBankOptions bank_options = ShardBankOptions(options);
   const double alpha_resolution = shard.bank.cache_alpha_resolution();
   // The snapshot fits when it covers a prefix of the cut whose release
@@ -341,6 +560,9 @@ StatusOr<ShardState> RecoverShard(const std::string& dir, std::size_t i,
   if (!replay_from.ok() && base.compacted) {
     const StatusOr<std::size_t> anchored =
         RestoreImage(anchor_path, anchor_fit, bank_options, &shard);
+    // The anchor describes this log, but shard-<i>.snap does not: the
+    // shard knows no snapshot until it writes one.
+    shard.snapshot_base.reset();
     if (!anchored.ok()) {
       return Status::FailedPrecondition(
           "shard " + std::to_string(i) +

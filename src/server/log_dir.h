@@ -4,18 +4,27 @@
 /// \file
 /// The durable log directory, known in one place: its file names, the
 /// MANIFEST text, the record heading each shard WAL, the order a new
-/// directory is committed in, and crash recovery. The service's Create
-/// and Recover, the replication Follower and LogStreamServer all go
-/// through here (docs/DURABILITY.md, "File inventory"):
+/// directory is committed in, a shard's durable operations (WAL sync,
+/// snapshot, compaction) and crash recovery. The service's Create,
+/// Recover and shard workers, the replication Follower and
+/// LogStreamServer all go through here (docs/DURABILITY.md, "File
+/// inventory"):
 ///
 ///   MANIFEST               service options; written last (the commit)
 ///   shard-<i>.wal          shard i's write-ahead log
 ///   shard-<i>.snap         shard i's newest snapshot
 ///   shard-<i>.snap.anchor  the snapshot a compacted WAL's base is at
+///
+/// Snapshots, anchors and compacted WALs are assembled in memory and
+/// published by WriteFileAtomic (`<file>.tmp`, fdatasync, rename), so
+/// one module owns both sides of the snapshot/anchor protocol: the
+/// order files are written in, the anchor a compaction picks, and the
+/// checks recovery applies before trusting either file.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,8 +89,8 @@ StatusOr<std::vector<EventLogWriter>> CreateLogDir(
 Status ApplyWalRecord(const EventRecord& record, AccountantBank* bank,
                       std::vector<std::string>* names);
 
-/// The accounting state a shard runs on: what recovery rebuilt from
-/// the directory, or EmptyShard plus a new WAL for Create.
+/// The accounting state a shard runs on, and its files: what recovery
+/// rebuilt from the directory, or EmptyShard plus a new WAL for Create.
 struct ShardState {
   AccountantBank bank;
   /// Hybrid mode (threads_per_shard > 1): the pool the bank fans its
@@ -89,15 +98,59 @@ struct ShardState {
   /// it joins first on destruction); null otherwise.
   std::unique_ptr<ThreadPool> bank_pool;
   std::vector<std::string> names;  ///< aligned with the bank's users
+  std::string dir;                 ///< the log dir; empty = ephemeral
+  std::size_t index = 0;           ///< this shard's number in it
   EventLogWriter wal;              ///< open for append at the cut
   std::uint64_t wal_records = 0;   ///< LOGICAL records, manifest included
   std::uint64_t replayed_records = 0;  ///< WAL records Recover applied
   bool restored_from_snapshot = false;
+  /// The base counts (logical records, releases, users) of the newest
+  /// snapshot known to describe this log, which is what
+  /// `shard-<i>.snap` holds: set when a snapshot write succeeds or when
+  /// recovery restores that file, never by a fallback to the anchor
+  /// (the file then holds a snapshot past the cut). Compaction anchors
+  /// on it, or writes a fresh snapshot while there is none.
+  std::optional<CompactionRecord> snapshot_base;
+  std::uint64_t releases_since_sync = 0;
+  std::uint64_t releases_since_snapshot = 0;
+  std::uint64_t snapshots_written = 0;
+  std::uint64_t compactions = 0;  ///< WAL rewrites performed
+
+  bool durable() const { return !dir.empty(); }
 };
 
-/// A shard of a service run with \p options with no users yet: its
-/// bank, on its own pool in hybrid mode.
-ShardState EmptyShard(const ShardedServiceOptions& options);
+/// Shard \p index of a service run with \p options, with no users yet:
+/// its bank, on its own pool in hybrid mode; its files live in \p dir
+/// (empty for an ephemeral service).
+ShardState EmptyShard(const ShardedServiceOptions& options,
+                      const std::string& dir, std::size_t index);
+
+/// fdatasyncs \p shard's WAL; nothing on an ephemeral shard.
+Status SyncShardWal(ShardState* shard);
+
+/// The durability policy after \p shard applied a logged release:
+/// fdatasyncs the WAL every `sync_every` releases (else hands it to the
+/// OS) and snapshots every `snapshot_every`. Nothing when ephemeral.
+Status EndShardRelease(ShardState* shard,
+                       const ShardedServiceOptions& options);
+
+/// fdatasyncs the WAL, then publishes a snapshot of \p shard's state
+/// as `shard-<i>.snap` and records its base. FailedPrecondition on an
+/// ephemeral shard.
+Status SnapshotShard(ShardState* shard);
+
+/// Rewrites \p shard's WAL to manifest + kCompaction + the records past
+/// its snapshot base (docs/DURABILITY.md, "Compaction"), writing a
+/// snapshot first when the shard knows none. The prefix the base
+/// declares is recounted against the log before the anchor or the WAL
+/// changes; then the anchoring snapshot is published as
+/// `shard-<i>.snap.anchor`, and only then the rewritten WAL. Rewriting
+/// an already compacted log
+/// against the same base yields the same bytes. PRECONDITION: every
+/// shard of the service has made the current horizon durable, so no
+/// recovery can need a record beneath it. FailedPrecondition when
+/// ephemeral.
+Status CompactShard(ShardState* shard, const ShardedServiceOptions& options);
 
 /// Recovery's directory work for a service run with \p options:
 ///   1. scan every shard WAL's valid prefix and take the minimum
@@ -106,6 +159,7 @@ ShardState EmptyShard(const ShardedServiceOptions& options);
 ///      after it, and remove stray temporaries;
 ///   3. restore the newest snapshot when it fits under the cut, or a
 ///      compacted shard's anchor; replay the WAL suffix past it;
+///      only the snapshot sets the state's snapshot_base;
 ///   4. truncate the file at the cut and reopen it for append.
 /// Steps 2-4 fan out over \p threads (0 = hardware_concurrency); the
 /// result is bitwise the same at any count.

@@ -104,24 +104,13 @@ class ImageMemo {
   }
 
   static std::uint64_t ImageKey(const AccountantImage& image) {
-    const TemporalCorrelations& corr = image.correlations;
-    const std::uint64_t words[3] = {
-        corr.has_backward() ? FingerprintStochasticMatrix(corr.backward())
-                            : 0,
-        corr.has_forward() ? FingerprintStochasticMatrix(corr.forward()) : 0,
-        (corr.has_backward() ? 1u : 0u) | (corr.has_forward() ? 2u : 0u)};
-    return HashBytes(words, sizeof(words),
-                     Bits(image.cache_alpha_resolution));
+    return FingerprintCorrelations(image.correlations,
+                                   Bits(image.cache_alpha_resolution));
   }
 
   static bool SameImage(const AccountantImage& a, const AccountantImage& b) {
-    const TemporalCorrelations& x = a.correlations;
-    const TemporalCorrelations& y = b.correlations;
     return Bits(a.cache_alpha_resolution) == Bits(b.cache_alpha_resolution) &&
-           x.has_backward() == y.has_backward() &&
-           x.has_forward() == y.has_forward() &&
-           (!x.has_backward() || ExactlyEquals(x.backward(), y.backward())) &&
-           (!x.has_forward() || ExactlyEquals(x.forward(), y.forward()));
+           SameCorrelations(a.correlations, b.correlations);
   }
 
   Entry& Touch(std::size_t i) {

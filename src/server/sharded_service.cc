@@ -6,23 +6,21 @@
 #include <cmath>
 #include <condition_variable>
 #include <deque>
-#include <filesystem>
 #include <mutex>
 #include <sstream>
 #include <thread>
 #include <unordered_set>
 #include <utility>
 
+#include "common/hash.h"
 #include "core/accountant_bank.h"
 #include "core/privacy_loss.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
-#include "server/compaction.h"
 #include "server/event_log.h"
 #include "server/log_dir.h"
 #include "server/records.h"
-#include "server/snapshot.h"
 
 namespace tcdp {
 namespace server {
@@ -53,20 +51,11 @@ struct ShardedReleaseService::PendingGroup {
 
 // ------------------------------------------------------------------ shard
 
-/// A shard: its accounting state (log_dir.h) plus its files, worker
-/// thread and bounded command queue.
+/// A shard: its accounting state and files (log_dir.h) plus its
+/// worker thread and bounded command queue.
 struct ShardedReleaseService::Shard : ShardState {
-  std::size_t index = 0;
   const ShardedServiceOptions* options = nullptr;
 
-  bool durable = false;
-  std::string wal_path;
-  std::string snap_path;
-  std::string anchor_path;
-  std::uint64_t releases_since_snapshot = 0;
-  std::uint64_t releases_since_sync = 0;
-  std::uint64_t snapshots_written = 0;
-  std::uint64_t compactions = 0;
   /// On-disk footprint gauges, published by the worker after each
   /// apply so the service thread can check retention thresholds at
   /// tick boundaries without draining the shard.
@@ -145,21 +134,10 @@ struct ShardedReleaseService::Shard : ShardState {
     }
   }
 
-  /// Shard \p shard_index, starting from \p state; durable (its files
-  /// in \p log_dir) unless \p log_dir is empty.
-  Shard(const ShardedServiceOptions& opts, std::size_t shard_index,
-        const std::string& log_dir, ShardState state)
-      : ShardState(std::move(state)),
-        index(shard_index),
-        options(&opts),
-        durable(!log_dir.empty()) {
+  Shard(const ShardedServiceOptions& opts, ShardState state)
+      : ShardState(std::move(state)), options(&opts) {
     InitObs();
-    if (durable) {
-      wal_path = ShardWalPath(log_dir, index);
-      snap_path = ShardSnapPath(log_dir, index);
-      anchor_path = ShardAnchorPath(log_dir, index);
-      PublishGauges();
-    }
+    if (durable()) PublishGauges();
   }
 
   ~Shard() { StopAndJoin(); }
@@ -266,16 +244,16 @@ struct ShardedReleaseService::Shard : ShardState {
         applied = ApplyRelease(std::move(command));
         break;
       case ShardCommand::Kind::kSnapshot:
-        applied = WriteSnapshotNow();
+        applied = SnapshotShard(this);
         break;
       case ShardCommand::Kind::kSync:
-        applied = SyncWal();
+        applied = SyncShardWal(this);
         break;
       case ShardCommand::Kind::kCompact:
-        applied = ApplyCompact();
+        applied = CompactShard(this, *options);
         break;
     }
-    if (durable && applied.ok()) PublishGauges();
+    if (durable() && applied.ok()) PublishGauges();
     return applied;
   }
 
@@ -286,16 +264,8 @@ struct ShardedReleaseService::Shard : ShardState {
                                 std::memory_order_relaxed);
   }
 
-  Status SyncWal() {
-    if (!durable) return Status::OK();
-    obs::ScopedSpan span("wal_sync", "wal", index);
-    TCDP_RETURN_IF_ERROR(wal.Sync());
-    releases_since_sync = 0;
-    return Status::OK();
-  }
-
   Status ApplyAddUser(ShardCommand command) {
-    if (durable) {
+    if (durable()) {
       AddUserRecord record;
       record.name = command.name;
       record.image.correlations = command.correlations;
@@ -320,7 +290,7 @@ struct ShardedReleaseService::Shard : ShardState {
                                   : static_cast<double>(
                                         command.participants.size()));
     }
-    if (durable) {
+    if (durable()) {
       obs::ScopedSpan append_span("wal_append", "wal", index);
       ReleaseRecord record;
       record.epsilon = command.epsilon;
@@ -343,97 +313,7 @@ struct ShardedReleaseService::Shard : ShardState {
                                : bank.RecordRelease(command.epsilon,
                                                     command.participants));
     }
-    if (durable) {
-      ++releases_since_sync;
-      if (options->sync_every > 0 &&
-          releases_since_sync >= options->sync_every) {
-        TCDP_RETURN_IF_ERROR(wal.Sync());
-        releases_since_sync = 0;
-      } else {
-        TCDP_RETURN_IF_ERROR(wal.Flush());
-      }
-      ++releases_since_snapshot;
-      if (options->snapshot_every > 0 &&
-          releases_since_snapshot >= options->snapshot_every) {
-        TCDP_RETURN_IF_ERROR(WriteSnapshotNow());
-      }
-    }
-    return Status::OK();
-  }
-
-  Status WriteSnapshotNow() {
-    if (!durable) {
-      return Status::FailedPrecondition(
-          "shard snapshot requested on an ephemeral service");
-    }
-    obs::ScopedSpan span("snapshot", "shard", index);
-    // The WAL must be on disk before a snapshot may claim to cover it.
-    TCDP_RETURN_IF_ERROR(wal.Sync());
-    releases_since_sync = 0;
-    ShardSnapshot snapshot;
-    snapshot.applied_records = wal_records;
-    snapshot.names = names;
-    snapshot.bank = bank.ExportImage();
-    snapshot.alpha_resolution = bank.cache_alpha_resolution();
-    TCDP_RETURN_IF_ERROR(WriteShardSnapshot(snap_path, snapshot));
-    ++snapshots_written;
-    releases_since_snapshot = 0;
-    return Status::OK();
-  }
-
-  /// Rewrites this shard's WAL against its newest snapshot
-  /// (server/compaction.h). PRECONDITION (enforced by the service's
-  /// Compact/Snapshot flows): every shard of the service has durably
-  /// synced the current horizon, so dropping records beneath it can
-  /// never strand recovery's min-common-horizon alignment.
-  Status ApplyCompact() {
-    if (!durable) {
-      return Status::FailedPrecondition(
-          "shard compaction requested on an ephemeral service");
-    }
-    obs::ScopedSpan span("compact", "shard", index);
-    // The file must be complete on disk before it is re-derived.
-    TCDP_RETURN_IF_ERROR(wal.Sync());
-    releases_since_sync = 0;
-    // Anchor: the newest on-disk snapshot; a shard that has never
-    // snapshotted (or whose snapshot predates a previous compaction
-    // and is thus unreadable) writes a fresh one now — safe, because
-    // the precondition above already made this horizon durable
-    // everywhere.
-    bool refresh = true;
-    ShardSnapshot anchor;
-    if (std::filesystem::exists(snap_path)) {
-      auto read = ReadShardSnapshot(snap_path);
-      if (read.ok()) {
-        anchor = std::move(read).value();
-        refresh = false;
-      }
-    }
-    if (refresh) {
-      TCDP_RETURN_IF_ERROR(WriteSnapshotNow());
-      TCDP_ASSIGN_OR_RETURN(anchor, ReadShardSnapshot(snap_path));
-    }
-    // Persist the anchor BEFORE the WAL loses its prefix: later
-    // snapshots overwrite snap_path at horizons that may not yet be
-    // durable on every shard, and recovery falls back to this copy
-    // when the newer snapshot does not fit under the common horizon.
-    // A crash between this rename and the WAL rename leaves an
-    // uncompacted log with a harmless anchor (recovery removes it).
-    TCDP_RETURN_IF_ERROR(PersistAnchorCopy(snap_path, anchor_path));
-    TCDP_ASSIGN_OR_RETURN(
-        CompactionResult result,
-        CompactShardWal(wal_path, ShardManifestRecord(*options, index),
-                        anchor.applied_records,
-                        anchor.bank.schedule.size(),
-                        anchor.bank.users.size()));
-    // Swap the writer onto the rewritten file (closing the old fd,
-    // whose inode the rename orphaned). Logical wal_records is
-    // untouched — compaction changes disk layout, not history.
-    TCDP_ASSIGN_OR_RETURN(
-        wal, EventLogWriter::OpenForAppend(wal_path, result.bytes_after,
-                                           result.physical_records));
-    ++compactions;
-    return Status::OK();
+    return EndShardRelease(this, *options);
   }
 };
 
@@ -441,12 +321,8 @@ struct ShardedReleaseService::Shard : ShardState {
 
 std::size_t ShardedReleaseService::ShardOf(const std::string& name,
                                            std::size_t num_shards) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64
-  for (char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return num_shards <= 1 ? 0 : static_cast<std::size_t>(h % num_shards);
+  return num_shards <= 1 ? 0
+                         : static_cast<std::size_t>(Fnv1a64(name) % num_shards);
 }
 
 ShardedReleaseService::ShardedReleaseService(ShardedServiceOptions options)
@@ -461,7 +337,7 @@ ShardedReleaseService::~ShardedReleaseService() { (void)Close(); }
 
 Status ShardedReleaseService::StartShard(ShardState state) {
   const std::size_t i = shards_.size();
-  auto shard = std::make_unique<Shard>(options_, i, log_dir_, std::move(state));
+  auto shard = std::make_unique<Shard>(options_, std::move(state));
   for (std::size_t u = 0; u < shard->names.size(); ++u) {
     auto [it, inserted] = registry_.try_emplace(
         shard->names[u], static_cast<std::uint32_t>(i),
@@ -491,7 +367,7 @@ StatusOr<std::unique_ptr<ShardedReleaseService>> ShardedReleaseService::Create(
                                              /*manifest_records=*/true));
   }
   for (std::size_t i = 0; i < effective.num_shards; ++i) {
-    ShardState state = EmptyShard(effective);
+    ShardState state = EmptyShard(effective, log_dir, i);
     if (!wals.empty()) {
       state.wal = std::move(wals[i]);
       state.wal_records = 1;  // the manifest record
@@ -874,8 +750,8 @@ ShardStats ShardedReleaseService::shard_stats(std::size_t shard) {
   stats.users = s.bank.num_users();
   stats.horizon = s.bank.horizon();
   stats.wal_records = s.wal_records;
-  stats.wal_physical_records = s.durable ? s.wal.records_written() : 0;
-  stats.wal_bytes = s.durable ? s.wal.bytes_written() : 0;
+  stats.wal_physical_records = s.durable() ? s.wal.records_written() : 0;
+  stats.wal_bytes = s.durable() ? s.wal.bytes_written() : 0;
   stats.snapshots_written = s.snapshots_written;
   stats.compactions = s.compactions;
   stats.replayed_records = s.replayed_records;
@@ -931,7 +807,7 @@ Status ShardedReleaseService::Close() {
   }
   for (auto& shard : shards_) {
     if (!shard->first_error.ok() && first.ok()) first = shard->first_error;
-    if (shard->durable && shard->wal.is_open()) {
+    if (shard->durable() && shard->wal.is_open()) {
       const Status synced = shard->wal.Sync();
       if (!synced.ok() && first.ok()) first = synced;
       const Status closed = shard->wal.Close();

@@ -41,8 +41,9 @@
 /// event log before applying it (src/server/event_log.h), fdatasyncing
 /// every `sync_every` releases, and writes a point-in-time snapshot
 /// (src/server/snapshot.h) every `snapshot_every` releases. The
-/// directory's files, its MANIFEST and `Recover`'s alignment of every
-/// shard to the minimum common horizon live in src/server/log_dir.h.
+/// directory's files, its MANIFEST, a shard's sync, snapshot and
+/// compaction, and `Recover`'s alignment of every shard to the minimum
+/// common horizon live in src/server/log_dir.h.
 /// Recovered per-user TPL series are bitwise identical to the
 /// uninterrupted run's at the recovered horizon.
 ///
@@ -67,7 +68,7 @@ namespace server {
 struct ShardState;
 
 /// Retention policy for snapshot-anchored WAL compaction
-/// (server/compaction.h; on-disk format in docs/DURABILITY.md).
+/// (server/log_dir.h; on-disk format in docs/DURABILITY.md).
 struct CompactionOptions {
   /// Compact every shard right after a service-level Snapshot()
   /// completes (the snapshot just written is the anchor, so the
@@ -213,10 +214,11 @@ class ShardedReleaseService {
 
   /// Flush, fdatasync every shard's WAL at the current horizon (the
   /// floor no recovery can fall below), then rewrite every shard's WAL
-  /// to manifest + compaction record + the records past its newest
-  /// snapshot (server/compaction.h). A shard that has never
-  /// snapshotted writes one first. FailedPrecondition on an ephemeral
-  /// service. Accounting state is untouched; only disk layout changes.
+  /// to manifest + compaction record + the records past the newest
+  /// snapshot it knows describes its log (CompactShard in
+  /// server/log_dir.h). A shard that knows none writes one first.
+  /// FailedPrecondition on an ephemeral service. Accounting state is
+  /// untouched; only disk layout changes.
   Status Compact();
 
   /// Drains the user's shard and reports its accounting into \p out,

@@ -1,31 +1,26 @@
 #include "server/snapshot.h"
 
-#include <cstdio>
-
 #include "server/event_log.h"
 #include "server/records.h"
 
 namespace tcdp {
 namespace server {
 
-Status WriteShardSnapshot(const std::string& path,
-                          const ShardSnapshot& snapshot) {
+StatusOr<std::string> EncodeShardSnapshot(const ShardSnapshot& snapshot) {
   if (snapshot.names.size() != snapshot.bank.users.size()) {
     return Status::InvalidArgument(
-        "WriteShardSnapshot: " + std::to_string(snapshot.names.size()) +
+        "EncodeShardSnapshot: " + std::to_string(snapshot.names.size()) +
         " names for " + std::to_string(snapshot.bank.users.size()) +
         " users");
   }
-  const std::string tmp_path = path + ".tmp";
-  TCDP_ASSIGN_OR_RETURN(EventLogWriter writer,
-                        EventLogWriter::Create(tmp_path));
+  std::string out(kEventLogMagic);
   SnapHeaderRecord header;
   header.applied_records = snapshot.applied_records;
   header.horizon = snapshot.bank.schedule.size();
   header.num_users = snapshot.bank.users.size();
   header.alpha_resolution = snapshot.alpha_resolution;
-  TCDP_RETURN_IF_ERROR(
-      writer.Append(EventType::kSnapHeader, EncodeSnapHeader(header)));
+  TCDP_RETURN_IF_ERROR(AppendRecordFrame(&out, EventType::kSnapHeader,
+                                         EncodeSnapHeader(header)));
   for (std::size_t u = 0; u < snapshot.bank.users.size(); ++u) {
     const AccountantBank::UserImage& user = snapshot.bank.users[u];
     SnapUserRecord record;
@@ -35,24 +30,18 @@ Status WriteShardSnapshot(const std::string& path,
     record.eps_sum = user.eps_sum;
     record.image.correlations = user.correlations;
     record.image.cache_alpha_resolution = snapshot.alpha_resolution;
-    TCDP_RETURN_IF_ERROR(
-        writer.Append(EventType::kSnapUser, EncodeSnapUser(record)));
+    TCDP_RETURN_IF_ERROR(AppendRecordFrame(&out, EventType::kSnapUser,
+                                           EncodeSnapUser(record)));
   }
   for (std::size_t t = 0; t < snapshot.bank.schedule.size(); ++t) {
     ReleaseRecord record;
     record.epsilon = snapshot.bank.schedule[t];
     record.all = snapshot.bank.participation[t].is_all();
     if (!record.all) record.mask = snapshot.bank.participation[t];
-    TCDP_RETURN_IF_ERROR(
-        writer.Append(EventType::kSnapRelease, EncodeRelease(record)));
+    TCDP_RETURN_IF_ERROR(AppendRecordFrame(&out, EventType::kSnapRelease,
+                                           EncodeRelease(record)));
   }
-  TCDP_RETURN_IF_ERROR(writer.Sync());
-  TCDP_RETURN_IF_ERROR(writer.Close());
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    return Status::Internal("WriteShardSnapshot: rename to " + path +
-                            " failed");
-  }
-  return Status::OK();
+  return out;
 }
 
 StatusOr<ShardSnapshot> ReadShardSnapshot(const std::string& path) {

@@ -16,10 +16,10 @@
 ///
 /// Restore rebuilds the bank via AccountantBank::Restore — no loss
 /// evaluations — and the recovered per-user series are bitwise
-/// identical to the live ones. Writes go to "<path>.tmp" and rename
-/// into place, so a crash mid-snapshot leaves the previous snapshot
-/// intact; the service fsyncs its WAL *before* snapshotting, so a
-/// snapshot never refers ahead of durable log state.
+/// identical to the live ones. This module is the file's codec;
+/// server/log_dir publishes it (WriteFileAtomic: a crash mid-snapshot
+/// leaves the previous snapshot intact) after fdatasyncing the WAL, so
+/// a snapshot never refers ahead of durable log state.
 
 #include <cstdint>
 #include <string>
@@ -43,9 +43,9 @@ struct ShardSnapshot {
   double alpha_resolution = -1.0;
 };
 
-/// \brief Atomically writes \p snapshot to \p path (tmp + rename).
-Status WriteShardSnapshot(const std::string& path,
-                          const ShardSnapshot& snapshot);
+/// \brief The bytes of the snapshot file holding \p snapshot.
+/// InvalidArgument when its names and users disagree in number.
+StatusOr<std::string> EncodeShardSnapshot(const ShardSnapshot& snapshot);
 
 /// \brief Reads and validates a snapshot. Any framing, CRC, count, or
 /// semantic mismatch returns a non-OK Status (callers treat a bad

@@ -13,7 +13,9 @@
 //     consistent prefix;
 //   * a compacted shard whose snapshot is gone fails recovery loudly
 //     (the prefix lives only in the snapshot — resurrecting partial
-//     state would be silent data loss).
+//     state would be silent data loss);
+//   * compacting after a recovery that fell back to the anchor keeps
+//     the directory recoverable.
 
 #include <cstddef>
 #include <filesystem>
@@ -25,7 +27,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "server/compaction.h"
 #include "server/event_log.h"
 #include "server/records.h"
 #include "server/sharded_service.h"
@@ -250,9 +251,10 @@ TEST_F(CompactionTest, KillingTheRewriteAtEveryByteOffsetLosesNothing) {
   // The rewrite's only externally visible intermediate state is the
   // growing tmp file (the WAL itself is replaced atomically by
   // rename). Simulate a crash at every byte offset: the directory
-  // holds the intact old log plus a truncated
-  // shard-0.wal.compact.tmp; recovery must ignore/remove the stray tmp
-  // and reproduce the uninterrupted truth bitwise.
+  // holds the intact old log plus a truncated shard-0.wal.tmp (and the
+  // shard-0.wal.compact.tmp builds before WriteFileAtomic published
+  // the rewrite left); recovery must remove both stray tmps and
+  // reproduce the uninterrupted truth bitwise.
   ShardedServiceOptions options;
   options.num_shards = 2;
   options.batch_window = 3;
@@ -273,8 +275,9 @@ TEST_F(CompactionTest, KillingTheRewriteAtEveryByteOffsetLosesNothing) {
 
   for (std::size_t cut = 0; cut <= compacted.size(); ++cut) {
     CopyDir(pristine_, work_);
-    WriteFileBytes(work_ + "/shard-0.wal.compact.tmp",
-                   compacted.substr(0, cut));
+    for (const char* tmp : {"/shard-0.wal.tmp", "/shard-0.wal.compact.tmp"}) {
+      WriteFileBytes(work_ + tmp, compacted.substr(0, cut));
+    }
     auto recovered = ShardedReleaseService::Recover(work_);
     ASSERT_TRUE(recovered.ok())
         << "tmp cut at " << cut << ": " << recovered.status();
@@ -283,8 +286,11 @@ TEST_F(CompactionTest, KillingTheRewriteAtEveryByteOffsetLosesNothing) {
     if (testing::Test::HasFatalFailure()) {
       FAIL() << "first failing tmp truncation offset: " << cut;
     }
-    EXPECT_FALSE(fs::exists(work_ + "/shard-0.wal.compact.tmp"))
-        << "stray rewrite tmp survived recovery (cut " << cut << ")";
+    for (const char* tmp : {"/shard-0.wal.tmp", "/shard-0.wal.compact.tmp"}) {
+      EXPECT_FALSE(fs::exists(work_ + tmp))
+          << "stray rewrite tmp " << tmp << " survived recovery (cut " << cut
+          << ")";
+    }
     ASSERT_TRUE((*recovered)->Close().ok());
   }
 
@@ -450,6 +456,88 @@ TEST_F(CompactionTest, NewerSnapshotBeyondCommonHorizonFallsBackToAnchor) {
                 truth.begin()->second.join + 7)
       << "horizon should have been cut below the new snapshot's";
   ASSERT_TRUE((*recovered)->Close().ok());
+}
+
+TEST_F(CompactionTest, CompactingAfterAnAnchorFallbackKeepsTheDirectoryRecoverable) {
+  // A recovery that fell back to the anchor leaves shard-<i>.snap
+  // holding a snapshot past the recovered cut. Compacting then must
+  // anchor on a fresh snapshot, not on that file: anchoring on it
+  // refused the rewrite after replacing the anchor, and the directory
+  // could never be recovered again.
+  ShardedServiceOptions options;
+  options.num_shards = 2;
+  options.batch_window = 2;
+  (void)RunWorkload(pristine_, options, 2024);
+  {
+    auto service = ShardedReleaseService::Recover(pristine_);
+    ASSERT_TRUE(service.ok()) << service.status();
+    ASSERT_TRUE((*service)->Compact().ok());
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE((*service)->ReleaseAll(0.05).ok());
+    }
+    ASSERT_TRUE((*service)->Snapshot().ok());
+    ASSERT_TRUE((*service)->Close().ok());
+  }
+  CopyDir(pristine_, work_);
+  const std::string full = ReadFileBytes(work_ + "/shard-1.wal");
+  auto scan = ReadEventLog(work_ + "/shard-1.wal");
+  ASSERT_TRUE(scan.ok());
+  const std::size_t cut_records = scan->records.size() / 2;
+  ASSERT_GT(cut_records, 2u);
+  WriteFileBytes(
+      work_ + "/shard-1.wal",
+      full.substr(0, static_cast<std::size_t>(
+                         scan->record_end[cut_records - 1])));
+
+  TruthMap truth;
+  std::size_t horizon = 0;
+  {
+    auto recovered = ShardedReleaseService::Recover(work_);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    horizon = (*recovered)->horizon();
+    truth = SnapshotTruth(recovered->get());
+    const Status compacted = (*recovered)->Compact();
+    EXPECT_TRUE(compacted.ok()) << compacted;
+    EXPECT_TRUE((*recovered)->Close().ok());
+  }
+  auto again = ShardedReleaseService::Recover(work_);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ((*again)->horizon(), horizon);
+  CheckRecoveredEqualsTruth(again->get(), truth, "recompacted recovery");
+  ASSERT_TRUE((*again)->Close().ok());
+}
+
+TEST_F(CompactionTest, RefusedRewriteLeavesTheAnchorAlone) {
+  // The prefix cross-check runs before the anchor is replaced: when the
+  // log on disk no longer holds what the snapshot covers (here it lost
+  // its tail behind the service's back), the rewrite is refused and
+  // the anchor the compacted WAL relies on keeps its bytes.
+  ShardedServiceOptions options;
+  options.num_shards = 1;
+  options.batch_window = 1;
+  auto service = ShardedReleaseService::Create(pristine_, options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  const StochasticMatrix m =
+      StochasticMatrix::FromRows({{0.7, 0.3}, {0.2, 0.8}});
+  ASSERT_TRUE(
+      (*service)->Join("a", TemporalCorrelations::Both(m, m).value()).ok());
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE((*service)->ReleaseAll(0.1).ok());
+  ASSERT_TRUE((*service)->Compact().ok());
+  const std::string anchor = ReadFileBytes(pristine_ + "/shard-0.snap.anchor");
+  ASSERT_FALSE(anchor.empty());
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE((*service)->ReleaseAll(0.2).ok());
+  ASSERT_TRUE((*service)->Snapshot().ok());
+  const std::string wal = ReadFileBytes(pristine_ + "/shard-0.wal");
+  auto scan = ReadEventLog(pristine_ + "/shard-0.wal");
+  ASSERT_TRUE(scan.ok());
+  ASSERT_GT(scan->records.size(), 4u);
+  WriteFileBytes(pristine_ + "/shard-0.wal",
+                 wal.substr(0, static_cast<std::size_t>(scan->record_end[3])));
+
+  EXPECT_FALSE((*service)->Compact().ok());
+  EXPECT_TRUE(ReadFileBytes(pristine_ + "/shard-0.snap.anchor") == anchor)
+      << "a refused rewrite replaced the anchor";
+  (void)(*service)->Close();
 }
 
 TEST_F(CompactionTest, AutoCompactAfterSnapshotAndThresholdsEngage) {

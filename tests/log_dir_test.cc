@@ -1,6 +1,8 @@
-// The log directory's MANIFEST (server/log_dir.h): the bytes Create
+// The log directory (server/log_dir.h): the MANIFEST bytes Create
 // writes, pinned against a capture from before the format moved into
-// one module, and the one parser's round trip and refusals.
+// one module, the one parser's round trip and refusals, and the WAL
+// instruments seeing only WAL writes when a shard snapshots or
+// compacts.
 
 #include "server/log_dir.h"
 
@@ -10,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "common/atomic_file.h"
+#include "markov/stochastic_matrix.h"
+#include "obs/metrics.h"
 #include "server/sharded_service.h"
 
 namespace tcdp {
@@ -123,6 +127,59 @@ TEST(LogDirManifest, ReadManifestNamesTheMissingFile) {
   EXPECT_EQ(read.status().code(), StatusCode::kNotFound);
   EXPECT_NE(read.status().message().find(ManifestPath(dir)),
             std::string::npos);
+}
+
+/// The process-wide WAL instruments (server/event_log.cc).
+struct WalCounts {
+  std::uint64_t records = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t fsyncs = 0;
+
+  static WalCounts Now() {
+    obs::Registry& registry = obs::Registry::Default();
+    return {registry.GetCounter("tcdp_wal_appended_records_total")->value(),
+            registry.GetCounter("tcdp_wal_appended_bytes_total")->value(),
+            registry.GetHistogram("tcdp_wal_fsync_seconds")->Snapshot().count()};
+  }
+};
+
+TEST(LogDirShard, WalInstrumentsCountOnlyTheWal) {
+  // Snapshots and compacted WALs are published whole, not appended
+  // through the WAL writer, so the WAL's append and fsync instruments
+  // (fsyncs per release, the watchdog's WAL p99) see only the WAL.
+  const std::string dir = "/tmp/tcdp_log_dir_wal_obs";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(obs::MetricsEnabled());
+  auto service = ShardedReleaseService::Create(dir, ShardedServiceOptions{});
+  ASSERT_TRUE(service.ok()) << service.status();
+  const StochasticMatrix m =
+      StochasticMatrix::FromRows({{0.8, 0.2}, {0.1, 0.9}});
+  for (int u = 0; u < 50; ++u) {
+    ASSERT_TRUE((*service)
+                    ->Join("u" + std::to_string(u),
+                           TemporalCorrelations::Both(m, m).value())
+                    .ok());
+  }
+  for (int t = 0; t < 20; ++t) {
+    ASSERT_TRUE((*service)->ReleaseAll(0.1).ok());
+  }
+  ASSERT_TRUE((*service)->Flush().ok());
+
+  const WalCounts before = WalCounts::Now();
+  ASSERT_TRUE((*service)->Snapshot().ok());
+  const WalCounts snapped = WalCounts::Now();
+  EXPECT_EQ(snapped.records, before.records);
+  EXPECT_EQ(snapped.bytes, before.bytes);
+  // The one WAL sync a snapshot needs before it may cover the log.
+  EXPECT_EQ(snapped.fsyncs, before.fsyncs + 1);
+
+  ASSERT_TRUE((*service)->Compact().ok());
+  const WalCounts compacted = WalCounts::Now();
+  EXPECT_EQ(compacted.records, snapped.records);
+  EXPECT_EQ(compacted.bytes, snapped.bytes);
+  ASSERT_EQ((*service)->shard_stats(0).compactions, 1u);
+  ASSERT_TRUE((*service)->Close().ok());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

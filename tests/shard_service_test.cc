@@ -299,7 +299,19 @@ TEST(ShardedService, ReplayedJoinIsNotBoundByTheTableLimit) {
 
 TEST(ShardedService, ShardOfIsStableAndCoversShards) {
   // The partition function is part of the durable contract (logs
-  // reference it implicitly through user placement).
+  // reference it implicitly through user placement): FNV-1a 64 of the
+  // name, mod the shard count, pinned here at 2, 4 and 7 shards.
+  struct Golden {
+    const char* name;
+    std::size_t at2, at4, at7;
+  };
+  for (const Golden& g : {Golden{"alice", 1, 1, 2}, Golden{"bob", 0, 2, 6},
+                          Golden{"user-0", 1, 1, 3},
+                          Golden{"user-41", 0, 0, 3}, Golden{"", 1, 3, 3}}) {
+    EXPECT_EQ(ShardedReleaseService::ShardOf(g.name, 2), g.at2) << g.name;
+    EXPECT_EQ(ShardedReleaseService::ShardOf(g.name, 4), g.at4) << g.name;
+    EXPECT_EQ(ShardedReleaseService::ShardOf(g.name, 7), g.at7) << g.name;
+  }
   EXPECT_EQ(ShardedReleaseService::ShardOf("anything", 1), 0u);
   bool hit[4] = {false, false, false, false};
   for (int i = 0; i < 64; ++i) {
