@@ -30,9 +30,7 @@ Json& JsonObject::Set(const std::string& key, Json value) {
   return items_.back().second;
 }
 
-namespace {
-
-void AppendEscaped(const std::string& s, std::string* out) {
+void AppendJsonString(const std::string& s, std::string* out) {
   out->push_back('"');
   for (char c : s) {
     switch (c) {
@@ -54,7 +52,7 @@ void AppendEscaped(const std::string& s, std::string* out) {
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
           *out += buf;
         } else {
           out->push_back(c);
@@ -63,6 +61,8 @@ void AppendEscaped(const std::string& s, std::string* out) {
   }
   out->push_back('"');
 }
+
+namespace {
 
 void AppendNumber(double d, std::string* out) {
   if (!std::isfinite(d)) {
@@ -98,7 +98,7 @@ void DumpTo(const Json& value, int indent, std::string* out) {
       AppendNumber(value.as_number(), out);
       break;
     case Json::Type::kString:
-      AppendEscaped(value.as_string(), out);
+      AppendJsonString(value.as_string(), out);
       break;
     case Json::Type::kArray: {
       const JsonArray& array = value.as_array();
@@ -126,7 +126,7 @@ void DumpTo(const Json& value, int indent, std::string* out) {
       std::size_t i = 0;
       for (const auto& [key, member] : object.items()) {
         *out += pad_in;
-        AppendEscaped(key, out);
+        AppendJsonString(key, out);
         *out += ": ";
         DumpTo(member, indent + 1, out);
         if (++i < object.size()) out->push_back(',');

@@ -94,6 +94,10 @@ class Json {
   JsonObject object_;
 };
 
+/// Appends \p s to \p out as a quoted JSON string: `"` and `\\` escaped,
+/// \n \t \r by name, other control bytes as \u00XX, all else verbatim.
+void AppendJsonString(const std::string& s, std::string* out);
+
 /// Convenience lookups returning errors instead of default values, so
 /// schema violations in a baseline surface as messages naming the
 /// offending key.

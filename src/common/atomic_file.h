@@ -2,9 +2,10 @@
 #define TCDP_COMMON_ATOMIC_FILE_H_
 
 /// \file
-/// Whole-file I/O: publication for small files other processes or a
-/// later recovery read (the MANIFEST, compaction anchors, metrics and
-/// trace dumps), and the one whole-file read.
+/// Whole-file I/O: publication for files other processes or a later
+/// recovery read (the MANIFEST, snapshots, compacted WALs, metrics and
+/// trace dumps), and the one whole-file read. Compaction anchors do not
+/// pass through here: server/log_dir hard-links them to a snapshot.
 
 #include <string>
 

@@ -1,8 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <cassert>
-#include <utility>
 
 namespace tcdp {
 
@@ -10,155 +8,74 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  queues_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back(&ThreadPool::WorkerLoop, this, i);
+  for (std::size_t i = 1; i < num_threads; ++i) {
+    workers_.emplace_back(&ThreadPool::WorkerLoop, this);
   }
 }
 
 ThreadPool::~ThreadPool() {
-  Wait();
-  {
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    stop_.store(true, std::memory_order_release);
-  }
-  idle_cv_.notify_all();
+  std::unique_lock<std::mutex> lock(mu_);
+  stop_ = true;
+  lock.unlock();
+  wake_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  assert(task);
-  const std::size_t target =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(queues_[target]->mu);
-    queues_[target]->tasks.push_back(std::move(task));
-  }
-  {
-    // Pair the notify with the idle mutex so a worker checking the
-    // predicate cannot miss the wakeup.
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    queued_.fetch_add(1, std::memory_order_release);
-  }
-  idle_cv_.notify_one();
-}
-
-bool ThreadPool::RunOneTask(std::size_t self) {
-  std::function<void()> task;
-  bool stolen = false;
-  {
-    WorkerQueue& own = *queues_[self];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.tasks.empty()) {
-      task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-    }
-  }
-  if (!task) {
-    for (std::size_t k = 1; k < queues_.size() && !task; ++k) {
-      WorkerQueue& victim = *queues_[(self + k) % queues_.size()];
-      std::lock_guard<std::mutex> lock(victim.mu);
-      if (!victim.tasks.empty()) {
-        task = std::move(victim.tasks.front());
-        victim.tasks.pop_front();
-        stolen = true;
-      }
-    }
-  }
-  if (!task) return false;
-  queued_.fetch_sub(1, std::memory_order_relaxed);
-  // Count before running: a ParallelFor caller wakes the instant its last
-  // body returns, and must already see that task in the stats.
-  tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-  if (stolen) tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
-  task();
-  FinishTask();
-  return true;
-}
-
-void ThreadPool::FinishTask() {
-  if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(done_mu_);
-    done_cv_.notify_all();
+void ThreadPool::RunChunks(const Job& job) {
+  for (std::size_t chunk = next_chunk_++; chunk < job.num_chunks;
+       chunk = next_chunk_++) {
+    const std::size_t lo = job.begin + chunk * job.grain;
+    (*job.body)(lo, std::min(job.end, lo + job.grain));
   }
 }
 
-void ThreadPool::WorkerLoop(std::size_t index) {
+void ThreadPool::WorkerLoop() {
+  std::size_t seen = 0;
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    if (RunOneTask(index)) continue;
-    std::unique_lock<std::mutex> lock(idle_mu_);
-    idle_cv_.wait(lock, [this] {
-      return stop_.load(std::memory_order_acquire) ||
-             queued_.load(std::memory_order_acquire) > 0;
-    });
-    if (stop_.load(std::memory_order_acquire) &&
-        queued_.load(std::memory_order_acquire) == 0) {
-      return;
-    }
+    wake_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
+    if (stop_) return;
+    seen = generation_;
+    // Woken after the caller returned: the slot is cleared, so a late
+    // worker never claims a later job's chunks with this job's body.
+    if (job_.body == nullptr) continue;
+    const Job job = job_;
+    ++active_;
+    lock.unlock();
+    RunChunks(job);
+    lock.lock();
+    if (--active_ == 0) done_cv_.notify_one();
   }
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(done_mu_);
-  done_cv_.wait(lock, [this] {
-    return in_flight_.load(std::memory_order_acquire) == 0;
-  });
-}
-
-void ThreadPool::ParallelFor(std::size_t begin, std::size_t end,
-                             const std::function<void(std::size_t)>& body,
-                             std::size_t grain) {
-  ParallelForRange(
-      begin, end,
-      [&body](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) body(i);
-      },
-      grain);
-}
-
-void ThreadPool::ParallelForRange(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t grain) {
+void ThreadPool::ParallelForRange(std::size_t begin, std::size_t end,
+                                  const RangeBody& body, std::size_t grain) {
   if (end <= begin) return;
   const std::size_t count = end - begin;
   if (grain == 0) {
-    // Aim for a few chunks per worker so stealing can balance stragglers.
+    // A few chunks per runner, so a fast runner takes a straggler's share.
     grain = std::max<std::size_t>(1, count / (4 * num_threads()));
   }
-  const std::size_t num_chunks = (count + grain - 1) / grain;
-
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t remaining;
-  };
-  auto latch = std::make_shared<Latch>();
-  latch->remaining = num_chunks;
-
-  for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-    const std::size_t lo = begin + chunk * grain;
-    const std::size_t hi = std::min(end, lo + grain);
-    Submit([latch, lo, hi, &body] {
-      body(lo, hi);
-      std::lock_guard<std::mutex> lock(latch->mu);
-      if (--latch->remaining == 0) latch->cv.notify_all();
-    });
+  const Job job{&body, begin, end, grain, (count + grain - 1) / grain};
+  if (workers_.empty() || job.num_chunks == 1) {
+    for (std::size_t lo = begin; lo < end; lo += grain) {
+      body(lo, std::min(end, lo + grain));
+    }
+    return;
   }
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->remaining == 0; });
-}
-
-ThreadPool::Stats ThreadPool::stats() const {
-  Stats s;
-  s.tasks_executed = tasks_executed_.load(std::memory_order_relaxed);
-  s.tasks_stolen = tasks_stolen_.load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard<std::mutex> call(call_mu_);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    job_ = job;
+    next_chunk_ = 0;
+    ++generation_;
+  }
+  wake_cv_.notify_all();
+  RunChunks(job);
+  // Every chunk is claimed; wait for the workers still running one.
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [this] { return active_ == 0; });
+  job_.body = nullptr;
 }
 
 }  // namespace tcdp

@@ -2,25 +2,16 @@
 #define TCDP_COMMON_THREAD_POOL_H_
 
 /// \file
-/// A small work-stealing thread pool for the fleet-scale release paths.
-///
-/// Each worker owns a deque: it pops its own tasks LIFO (cache-warm) and
-/// steals from other workers FIFO (oldest first, the classic
-/// Blumofe–Leiserson discipline). Submission round-robins across worker
-/// queues so a burst from one producer still spreads over the fleet.
-///
-/// The pool is intentionally minimal: no futures, no priorities, no
-/// nested-parallelism support. `ParallelFor` is the only structured
-/// primitive the release engine needs, and it must not be called from
-/// inside a pool task (it blocks the caller until the range completes).
+/// The one fan-out primitive of the release paths: a chunk-claiming
+/// parallel-for. The pool is one job slot: `ParallelForRange` publishes
+/// its range and body there, and the caller and the `num_threads() - 1`
+/// parked workers claim chunks with one atomic `fetch_add` each until
+/// none are left. The caller counts as a runner.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -29,76 +20,47 @@ namespace tcdp {
 
 class ThreadPool {
  public:
-  /// \p num_threads == 0 picks std::thread::hardware_concurrency()
-  /// (at least 1).
+  using RangeBody = std::function<void(std::size_t, std::size_t)>;
+
+  /// Starts num_threads - 1 workers (0 threads = hardware concurrency,
+  /// at least 1): ThreadPool(1) runs every body on the caller's thread.
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t num_threads() const { return workers_.size(); }
+  std::size_t num_threads() const { return workers_.size() + 1; }
 
-  /// Enqueues \p task for asynchronous execution.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every task submitted so far has finished.
-  void Wait();
-
-  /// Runs body(i) for every i in [begin, end), partitioned into chunks of
-  /// about \p grain indices (0 = pick automatically). Blocks until the
-  /// whole range is done. Must not be called from a pool thread.
-  void ParallelFor(std::size_t begin, std::size_t end,
-                   const std::function<void(std::size_t)>& body,
-                   std::size_t grain = 0);
-
-  /// Range-chunked variant: body(lo, hi) receives a whole contiguous
-  /// slice [lo, hi) instead of one index at a time, so callers can run a
-  /// tight inner loop over column slices (the SoA accountant-bank update
-  /// path) without a std::function call per element. Chunk boundaries
-  /// are deterministic for a given (range, grain, num_threads); only the
-  /// assignment of chunks to workers varies. Blocks until the whole
-  /// range is done; must not be called from a pool thread.
-  void ParallelForRange(
-      std::size_t begin, std::size_t end,
-      const std::function<void(std::size_t, std::size_t)>& body,
-      std::size_t grain = 0);
-
-  struct Stats {
-    std::uint64_t tasks_executed = 0;
-    std::uint64_t tasks_stolen = 0;  ///< subset of executed taken by theft
-  };
-  Stats stats() const;
+  /// Runs body(lo, hi) over [begin, end) in chunks of \p grain indices
+  /// (0 = count / (4 * num_threads()), at least 1): boundaries depend
+  /// only on (range, grain, num_threads), never on which thread runs a
+  /// chunk. One chunk, or a one-thread pool, runs inline. Returns after
+  /// every runner left \p body. Concurrent calls take turns; a call from
+  /// inside a body on the same pool deadlocks.
+  void ParallelForRange(std::size_t begin, std::size_t end,
+                        const RangeBody& body, std::size_t grain = 0);
 
  private:
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
+  struct Job {
+    const RangeBody* body = nullptr;  // null: no job published
+    std::size_t begin = 0, end = 0, grain = 1, num_chunks = 0;
   };
 
-  /// Pops one task (own queue back, then steal others' front) and runs
-  /// it. Returns false when every queue was empty.
-  bool RunOneTask(std::size_t self);
-  void WorkerLoop(std::size_t index);
-  void FinishTask();
+  /// Claims and runs chunks of \p job until every chunk is claimed.
+  void RunChunks(const Job& job);
+  void WorkerLoop();
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> workers_;
-
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;  // workers sleep here when drained
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;  // Wait() sleeps here
-
-  // Signed: a worker may pop a task in the window between Submit's push
-  // and its counter increment, transiently driving the count to -1.
-  std::atomic<std::ptrdiff_t> queued_{0};  // tasks sitting in queues
-  std::atomic<std::size_t> in_flight_{0};  // queued + currently running
-  std::atomic<std::size_t> next_queue_{0};
-  std::atomic<bool> stop_{false};
-
-  std::atomic<std::uint64_t> tasks_executed_{0};
-  std::atomic<std::uint64_t> tasks_stolen_{0};
+  std::mutex call_mu_;  // one ParallelForRange on the slot at a time
+  std::mutex mu_;                    // guards the fields below
+  std::condition_variable wake_cv_;  // parked workers
+  std::condition_variable done_cv_;  // the caller, until active_ == 0
+  Job job_;
+  std::size_t generation_ = 0;  // bumped per published job
+  std::size_t active_ = 0;      // workers inside RunChunks
+  bool stop_ = false;
+  std::atomic<std::size_t> next_chunk_{0};
 };
 
 }  // namespace tcdp

@@ -312,16 +312,21 @@ std::size_t AccountantBank::StepSlots(std::size_t lo, std::size_t hi,
   return moved;
 }
 
-std::size_t AccountantBank::Sweep(double epsilon, bool track) {
-  const std::size_t total = cohort_offsets_.back();
-  if (pool_ == nullptr || total <= 1) {
-    return total > 0 ? StepSlots(0, total, epsilon, mask_scratch_, track) : 0;
+void AccountantBank::ForEachSlice(std::size_t n,
+                                  const ThreadPool::RangeBody& body) const {
+  if (pool_ != nullptr) {
+    pool_->ParallelForRange(0, n, body);
+  } else if (n > 0) {
+    body(0, n);
   }
+}
+
+std::size_t AccountantBank::Sweep(double epsilon, bool track) {
   std::atomic<std::size_t> moved{0};
-  pool_->ParallelForRange(
-      0, total, [this, epsilon, track, &moved](std::size_t lo, std::size_t hi) {
-        moved += StepSlots(lo, hi, epsilon, mask_scratch_, track);
-      });
+  ForEachSlice(cohort_offsets_.back(),
+               [this, epsilon, track, &moved](std::size_t lo, std::size_t hi) {
+                 moved += StepSlots(lo, hi, epsilon, mask_scratch_, track);
+               });
   return moved.load();
 }
 
@@ -666,11 +671,7 @@ StatusOr<double> AccountantBank::MaxTplAt(std::size_t t) const {
       per_user[u] = tpl[t - 1 - user_join_[u]];
     }
   };
-  if (pool_ != nullptr && num_users() > 1) {
-    pool_->ParallelForRange(0, num_users(), body);
-  } else {
-    body(0, num_users());
-  }
+  ForEachSlice(num_users(), body);
   // Deterministic serial reduction in user order.
   double best = 0.0;
   for (double v : per_user) best = std::max(best, v);
@@ -685,11 +686,7 @@ std::vector<double> AccountantBank::PersonalizedAlphas() const {
       alphas[u] = TplSeriesFor(u, &eps, &tpl);
     }
   };
-  if (pool_ != nullptr && num_users() > 1) {
-    pool_->ParallelForRange(0, num_users(), body);
-  } else {
-    body(0, num_users());
-  }
+  ForEachSlice(num_users(), body);
   return alphas;
 }
 

@@ -268,6 +268,9 @@ class AccountantBank {
   /// many are set.
   std::size_t StepSlots(std::size_t lo, std::size_t hi, double epsilon,
                         const std::vector<std::uint64_t>& mask, bool track);
+  /// body(lo, hi) over [0, n): the pool's chunks when there is one,
+  /// else one inline call (none when n == 0).
+  void ForEachSlice(std::size_t n, const ThreadPool::RangeBody& body) const;
   /// Runs StepSlots over every slot, on the pool when there is one.
   std::size_t Sweep(double epsilon, bool track);
   /// Steps the cohort's active slots inline against mask_scratch_ and

@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 
+#include "bench/json.h"
 #include "common/binary_io.h"
 
 namespace tcdp {
@@ -100,37 +101,6 @@ std::string SanitizeName(const std::string& name) {
     if (!IsBaseNameChar(out[i], i == 0)) out[i] = '_';
   }
   return out;
-}
-
-void JsonAppendEscaped(std::string* out, const std::string& text) {
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out->append(buffer);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
 }
 
 void AppendDouble(std::string* out, double value) {
@@ -616,9 +586,9 @@ std::string MetricsJson(const MetricsSnapshot& snapshot) {
   for (const auto& [name, value] : snapshot.counters) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"";
-    JsonAppendEscaped(&out, name);
-    out += "\": " + std::to_string(value);
+    out += "    ";
+    bench::AppendJsonString(name, &out);
+    out += ": " + std::to_string(value);
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"gauges\": {";
@@ -626,9 +596,9 @@ std::string MetricsJson(const MetricsSnapshot& snapshot) {
   for (const auto& [name, value] : snapshot.gauges) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"";
-    JsonAppendEscaped(&out, name);
-    out += "\": " + std::to_string(value);
+    out += "    ";
+    bench::AppendJsonString(name, &out);
+    out += ": " + std::to_string(value);
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
@@ -636,9 +606,9 @@ std::string MetricsJson(const MetricsSnapshot& snapshot) {
   for (const auto& [name, hist] : snapshot.histograms) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"";
-    JsonAppendEscaped(&out, name);
-    out += "\": {\"count\": " + std::to_string(hist.count());
+    out += "    ";
+    bench::AppendJsonString(name, &out);
+    out += ": {\"count\": " + std::to_string(hist.count());
     out += ", \"sum\": ";
     AppendDouble(&out, hist.sum);
     out += ", \"p50\": ";

@@ -1,7 +1,12 @@
 #include "server/log_dir.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <sstream>
@@ -254,8 +259,8 @@ Status SyncWal(ShardState* shard) {
   return Status::OK();
 }
 
-/// SnapshotShard on a durable shard; returns the bytes it published.
-StatusOr<std::string> WriteSnapshot(ShardState* shard) {
+/// SnapshotShard on a durable shard.
+Status WriteSnapshot(ShardState* shard) {
   obs::ScopedSpan span("snapshot", "shard", shard->index);
   // The WAL must be on disk before a snapshot may claim to cover it.
   TCDP_RETURN_IF_ERROR(SyncWal(shard));
@@ -270,7 +275,38 @@ StatusOr<std::string> WriteSnapshot(ShardState* shard) {
   shard->snapshot_base = BaseOf(snapshot);
   ++shard->snapshots_written;
   shard->releases_since_snapshot = 0;
-  return bytes;
+  return Status::OK();
+}
+
+/// Publishes shard-<i>.snap as shard-<i>.snap.anchor: a hard link made
+/// at `.snap.anchor.tmp`, then renamed into place. Snapshots replace
+/// `.snap` only by rename, so the linked inode keeps its bytes while
+/// `.snap` moves on.
+Status LinkAnchor(const ShardState& shard) {
+  const std::string snap = ShardSnapPath(shard.dir, shard.index);
+  const std::string anchor = ShardAnchorPath(shard.dir, shard.index);
+  const std::string tmp = anchor + ".tmp";
+  auto failed = [](const char* step, const std::string& path) {
+    const int err = errno;
+    return Status::Internal(std::string("CompactShard: ") + step + " " +
+                            path + ": " + std::strerror(err));
+  };
+  // A tmp left by a crash would make link(2) fail with EEXIST.
+  if (::unlink(tmp.c_str()) != 0 && errno != ENOENT) {
+    return failed("unlink", tmp);
+  }
+  if (::link(snap.c_str(), tmp.c_str()) != 0) {
+    return failed("link the snapshot as", tmp);
+  }
+  if (std::rename(tmp.c_str(), anchor.c_str()) != 0) {
+    return failed("rename into place", tmp);
+  }
+  // When the anchor already linked this inode, rename(2) did nothing
+  // and left the tmp name behind.
+  if (::unlink(tmp.c_str()) != 0 && errno != ENOENT) {
+    return failed("unlink", tmp);
+  }
+  return Status::OK();
 }
 
 /// The compacted form of the scanned WAL \p log against \p base:
@@ -366,7 +402,7 @@ Status SnapshotShard(ShardState* shard) {
     return Status::FailedPrecondition(
         "shard snapshot requested on an ephemeral service");
   }
-  return WriteSnapshot(shard).status();
+  return WriteSnapshot(shard);
 }
 
 Status CompactShard(ShardState* shard, const ShardedServiceOptions& options) {
@@ -383,12 +419,11 @@ Status CompactShard(ShardState* shard, const ShardedServiceOptions& options) {
   // replay, when shard-<i>.snap may lie past this log), or when that
   // file has gone, write a fresh one: the precondition made this
   // horizon durable on every shard.
-  StatusOr<std::string> anchor = Status::NotFound("no snapshot base");
-  if (shard->snapshot_base.has_value()) {
-    anchor = ReadFileWhole(ShardSnapPath(shard->dir, shard->index));
+  std::error_code ec;
+  if (!shard->snapshot_base.has_value() ||
+      !std::filesystem::exists(ShardSnapPath(shard->dir, shard->index), ec)) {
+    TCDP_RETURN_IF_ERROR(WriteSnapshot(shard));
   }
-  if (!anchor.ok()) anchor = WriteSnapshot(shard);
-  TCDP_RETURN_IF_ERROR(anchor.status());
   TCDP_ASSIGN_OR_RETURN(ReadLogResult log, ReadEventLog(wal_path));
   std::uint64_t records = 0;
   TCDP_ASSIGN_OR_RETURN(
@@ -397,12 +432,11 @@ Status CompactShard(ShardState* shard, const ShardedServiceOptions& options) {
                    *shard->snapshot_base, &records));
   // Publish the anchor BEFORE the WAL loses its prefix: later snapshots
   // overwrite shard-<i>.snap at horizons that may not yet be durable on
-  // every shard, and recovery falls back to this copy when the newer
+  // every shard, and recovery falls back to this link when the newer
   // snapshot does not fit under the common horizon. A crash between
   // the two renames leaves an uncompacted log with a harmless anchor
   // (recovery removes it).
-  TCDP_RETURN_IF_ERROR(
-      WriteFileAtomic(ShardAnchorPath(shard->dir, shard->index), *anchor));
+  TCDP_RETURN_IF_ERROR(LinkAnchor(*shard));
   TCDP_RETURN_IF_ERROR(WriteFileAtomic(wal_path, compacted));
   // Move the writer onto the rewritten file (closing the old fd, whose
   // inode the rename orphaned). Logical wal_records is untouched —
@@ -636,25 +670,20 @@ StatusOr<std::vector<ShardState>> RecoverShards(
   // snapshot), so they recover in parallel.
   std::vector<ShardState> recovered(num_shards);
   std::vector<Status> shard_status(num_shards, Status::OK());
-  auto recover_one = [&](std::size_t i) {
-    StatusOr<ShardState> shard =
-        RecoverShard(dir, i, logs[i], bases[i], horizon, options);
-    if (shard.ok()) {
-      recovered[i] = std::move(shard).value();
-    } else {
-      shard_status[i] = shard.status();
+  auto recover_range = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      StatusOr<ShardState> shard =
+          RecoverShard(dir, i, logs[i], bases[i], horizon, options);
+      if (shard.ok()) {
+        recovered[i] = std::move(shard).value();
+      } else {
+        shard_status[i] = shard.status();
+      }
     }
   };
-  if (threads == 0) {
-    threads = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-  }
-  threads = std::min(threads, num_shards);
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < num_shards; ++i) recover_one(i);
-  } else {
-    ThreadPool pool(threads);
-    pool.ParallelFor(0, num_shards, recover_one);
-  }
+  if (threads == 0) threads = std::thread::hardware_concurrency();
+  ThreadPool pool(std::max<std::size_t>(1, std::min(threads, num_shards)));
+  pool.ParallelForRange(0, num_shards, recover_range, /*grain=*/1);
   for (const Status& status : shard_status) {
     TCDP_RETURN_IF_ERROR(status);
   }

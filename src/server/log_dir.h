@@ -15,9 +15,10 @@
 ///   shard-<i>.snap         shard i's newest snapshot
 ///   shard-<i>.snap.anchor  the snapshot a compacted WAL's base is at
 ///
-/// Snapshots, anchors and compacted WALs are assembled in memory and
-/// published by WriteFileAtomic (`<file>.tmp`, fdatasync, rename), so
-/// one module owns both sides of the snapshot/anchor protocol: the
+/// Snapshots and compacted WALs are assembled in memory and published
+/// by WriteFileAtomic (`<file>.tmp`, fdatasync, rename); an anchor is a
+/// hard link to the snapshot file it pins, renamed into place. So one
+/// module owns both sides of the snapshot/anchor protocol: the
 /// order files are written in, the anchor a compaction picks, and the
 /// checks recovery applies before trusting either file.
 
@@ -94,8 +95,9 @@ Status ApplyWalRecord(const EventRecord& record, AccountantBank* bank,
 struct ShardState {
   AccountantBank bank;
   /// Hybrid mode (threads_per_shard > 1): the pool the bank fans its
-  /// column sweeps out to, replay included (declared after `bank`, so
-  /// it joins first on destruction); null otherwise.
+  /// column sweeps out to, replay included; the shard's own thread runs
+  /// chunks too (declared after `bank`, so it joins first on
+  /// destruction); null otherwise.
   std::unique_ptr<ThreadPool> bank_pool;
   std::vector<std::string> names;  ///< aligned with the bank's users
   std::string dir;                 ///< the log dir; empty = ephemeral
@@ -143,10 +145,10 @@ Status SnapshotShard(ShardState* shard);
 /// its snapshot base (docs/DURABILITY.md, "Compaction"), writing a
 /// snapshot first when the shard knows none. The prefix the base
 /// declares is recounted against the log before the anchor or the WAL
-/// changes; then the anchoring snapshot is published as
-/// `shard-<i>.snap.anchor`, and only then the rewritten WAL. Rewriting
-/// an already compacted log
-/// against the same base yields the same bytes. PRECONDITION: every
+/// changes; then the anchoring `shard-<i>.snap` is hard-linked as
+/// `shard-<i>.snap.anchor`, and only then the rewritten WAL is
+/// published. Rewriting an already compacted log against the same base
+/// yields the same bytes. PRECONDITION: every
 /// shard of the service has made the current horizon durable, so no
 /// recovery can need a record beneath it. FailedPrecondition when
 /// ephemeral.

@@ -247,6 +247,29 @@ TEST_F(CompactionTest, CompactTwiceIsByteIdenticalToOnce) {
   }
 }
 
+TEST_F(CompactionTest, AnchorIsAHardLinkToTheSnapshot) {
+  // The anchor pins the snapshot file's inode instead of copying its
+  // bytes. Compacting twice against one snapshot relinks the same inode,
+  // where rename(2) does nothing; no `.snap.anchor.tmp` may be left.
+  ShardedServiceOptions options;
+  options.num_shards = 2;
+  options.batch_window = 4;
+  (void)RunWorkload(work_, options, 777);
+  auto service = ShardedReleaseService::Recover(work_);
+  ASSERT_TRUE(service.ok()) << service.status();
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE((*service)->Compact().ok()) << "round " << round;
+    for (std::size_t s = 0; s < options.num_shards; ++s) {
+      const std::string snap = work_ + "/shard-" + std::to_string(s) + ".snap";
+      EXPECT_TRUE(fs::equivalent(snap, snap + ".anchor"))
+          << "round " << round << ", shard " << s;
+      EXPECT_FALSE(fs::exists(snap + ".anchor.tmp"))
+          << "round " << round << ", shard " << s;
+    }
+  }
+  ASSERT_TRUE((*service)->Close().ok());
+}
+
 TEST_F(CompactionTest, KillingTheRewriteAtEveryByteOffsetLosesNothing) {
   // The rewrite's only externally visible intermediate state is the
   // growing tmp file (the WAL itself is replaced atomically by
