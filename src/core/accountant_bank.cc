@@ -66,8 +66,8 @@ constexpr unsigned kStepMemoBits = 9;
 
 /// A small exact-bits memo for the per-slice update loop: cohort
 /// members overwhelmingly carry bit-identical BPL state (identical
-/// sub-schedules), so one evaluation serves the whole run without
-/// touching the shared cache's locks. Falls through to the evaluator
+/// sub-schedules), so one evaluation serves the whole run without a
+/// lookup in the shared cache. Falls through to the evaluator
 /// (itself deterministic) when full — a perf valve, never a semantic
 /// one.
 class LocalLossMemo {
@@ -335,7 +335,7 @@ double AccountantBank::StepMemo::Evaluate(const LossEvaluator& loss,
   // A settling skipper's argument is the previous step's loss. Through
   // a quantizing cache those are losses of grid points, short chains
   // that the cohort's users share across releases, so most inline steps
-  // hit here instead of taking the shared cache's locks. Evaluators are
+  // hit here instead of reaching the shared cache. Evaluators are
   // pure, so a hit is exactly the evaluator's value.
   if (entries_.empty()) entries_.resize(std::size_t{1} << kStepMemoBits);
   std::uint64_t bits;

@@ -2,7 +2,8 @@
 #define TCDP_CORE_LOSS_CACHE_H_
 
 /// \file
-/// A fleet-wide, thread-safe memo cache for temporal loss evaluations.
+/// A fleet-wide, thread-safe, bounded memo for temporal loss
+/// evaluations.
 ///
 /// Every user whose adversary knows the same transition matrix induces
 /// the *same* loss function L(alpha) (Equations 23/24); a fleet of
@@ -11,15 +12,25 @@
 ///
 ///  * `Intern` content-deduplicates transition matrices, so all users
 ///    sharing a matrix share one `TemporalLossFunction` (and the
-///    aggregate table it builds on its first miss) and one value
-///    table;
-///  * evaluations are memoized keyed by the *quantized* argument: the
+///    aggregate table it builds on its first miss) under one small id;
+///  * evaluations are memoized keyed by (id, *quantized* argument): the
 ///    `alpha_resolution` grid point at or above alpha, so the cached
 ///    value upper-bounds the true loss (never under-reports leakage).
 ///    Quantization makes near-identical accumulated leakages (which
-///    differ only in floating-point dust) collapse onto one entry, and
-///    every caller that hits a bucket observes bitwise the same value
-///    regardless of thread interleaving.
+///    differ only in floating-point dust) collapse onto one key.
+///
+/// The memo is one fixed table per cache, shared by every interned
+/// matrix: kMemoSets 64-byte sets of kMemoWays slots, allocated at the
+/// cache's first miss. A set is guarded by its own sequence word, so a
+/// lookup takes no lock: a read that races a writer counts as a miss,
+/// and an insert that finds the set busy is dropped. A full set evicts
+/// one of its ways. Eviction and dropped inserts cost time only: a miss
+/// evaluates `TemporalLossFunction::Evaluate` at the same snapped
+/// argument, which is pure, so every lookup of a key returns bitwise
+/// the same value regardless of thread interleaving or table history.
+/// A cache's memory is therefore kMemoBytes plus the interned
+/// functions' aggregate tables (`Stats::table_bytes`), whatever the
+/// horizon.
 ///
 /// The returned evaluators keep the cache internals alive via
 /// shared_ptr, so they may outlive the `TemporalLossCache` handle
@@ -40,19 +51,28 @@ class TemporalLossCache {
     /// Grid spacing for the alpha argument. Evaluations are performed at
     /// the grid point >= alpha (L is nondecreasing, so the memoized
     /// value stays an upper bound on the true loss); 0 disables
-    /// quantization (exact-bits keys).
+    /// quantization (exact-bits keys). Misses solve with the default
+    /// LossEvalOptions, so this is the only setting a durable MANIFEST
+    /// has to record to replay bitwise.
     double alpha_resolution = 1e-9;
   };
 
-  /// Lock stripes per interned matrix's value table. Misses solve with
-  /// the default LossEvalOptions, so `alpha_resolution` is the only
-  /// setting a durable MANIFEST has to record to replay bitwise.
-  static constexpr std::size_t kNumShards = 16;
+  /// The memo table's shape: 2^14 sets of 3 ways, one 64-byte cache
+  /// line per set, 1 MiB per cache. A bank whose recurrences visit more
+  /// distinct keys than that evicts and re-evaluates some of them; a
+  /// miss costs about 1-2 µs at n = 16, so the bound costs time, never
+  /// a value.
+  static constexpr std::size_t kMemoSets = std::size_t{1} << 14;
+  static constexpr std::size_t kMemoWays = 3;
+  static constexpr std::size_t kMemoSlots = kMemoSets * kMemoWays;
+  static constexpr std::size_t kMemoBytes = kMemoSets * 64;
 
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::size_t entries = 0;            ///< memoized (matrix, alpha) pairs
+    /// Occupied memo slots: (matrix, alpha) pairs held, at most
+    /// kMemoSlots.
+    std::size_t entries = 0;
     std::size_t distinct_matrices = 0;  ///< interned after deduplication
     /// Bytes of the interned functions' aggregate tables (built on a
     /// matrix's first miss; see TemporalLossFunction).

@@ -142,6 +142,25 @@ TEST(AccountantBank, CacheHitMissAccountingOnUniformFleet) {
   EXPECT_GT(stats.HitRate(), 0.9);
 }
 
+TEST(AccountantBank, CacheEntriesGaugeForgetsADestroyedBank) {
+  // tcdp_loss_cache_entries counts the entries of live caches: a bank
+  // that goes away (a Recover, a replica's re-bootstrap) takes its
+  // entries out of the gauge.
+  obs::Gauge* gauge =
+      obs::Registry::Default().GetGauge("tcdp_loss_cache_entries");
+  const std::int64_t start = gauge->value();
+  {
+    AccountantBank bank;
+    for (int u = 0; u < 50; ++u) bank.AddUser(Fig3Both());
+    for (int t = 0; t < 6; ++t) ASSERT_TRUE(bank.RecordRelease(0.1).ok());
+    (void)bank.OverallAlpha();
+    const std::size_t entries = bank.cache_stats().entries;
+    ASSERT_GT(entries, 0u);
+    EXPECT_EQ(gauge->value(), start + static_cast<std::int64_t>(entries));
+  }
+  EXPECT_EQ(gauge->value(), start);
+}
+
 TEST(AccountantBank, HeterogeneousMatricesStayIsolated) {
   AccountantBank bank;
   bank.AddUser(Fig3Both());

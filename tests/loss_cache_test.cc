@@ -1,12 +1,19 @@
 // Unit tests for core/loss_cache: hit/miss accounting, matrix
 // interning/deduplication, agreement with the direct Algorithm-1
-// evaluation, the generic-LFP oracle regression, and thread safety.
+// evaluation, the generic-LFP oracle regression, thread safety, and
+// the memo's memory bound under eviction.
 
 #include "core/loss_cache.h"
 
 #include <gtest/gtest.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -163,6 +170,91 @@ TEST(TemporalLossCache, ConcurrentEvaluationsAgree) {
   const auto stats = cache.stats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_GT(stats.hits, 0u);
+}
+
+/// Bytes the process holds from malloc: arena chunks plus the mmapped
+/// ones (glibc only; the bound below is checked only there).
+std::size_t HeapBytesInUse() {
+#if defined(__GLIBC__)
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+std::uint64_t Bits(double value) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// Four threads race 200k distinct grid points, four times the memo's
+// slots, through one matrix: reads meet inserts in the same sets, ways
+// are evicted, and inserts are dropped while another thread holds a
+// set. None of that may show in a value, and the cache's memory must
+// not grow with the key count.
+TEST(TemporalLossCache, EvictionUnderRaceStaysBitwiseAndBounded) {
+  constexpr std::size_t kAlphas = 200000;
+  constexpr std::size_t kThreads = 4;
+  const StochasticMatrix matrix = Fig3Matrix();
+  TemporalLossFunction direct(matrix);
+  // Grid points k * 1e-9 snap to themselves, so the cache evaluates
+  // exactly these arguments.
+  std::vector<double> alphas(kAlphas);
+  std::vector<std::uint64_t> expected(kAlphas);
+  for (std::size_t i = 0; i < kAlphas; ++i) {
+    alphas[i] = static_cast<double>(100000000 + 37 * i) * 1e-9;
+    expected[i] = Bits(direct.Evaluate(alphas[i]));
+  }
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  TemporalLossCache cache;
+  auto loss = cache.Intern(matrix);
+  const std::size_t heap_before = HeapBytesInUse();
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        // Each thread starts 1000 keys further along: the trailing
+        // threads hit keys the leading one has just inserted, while it
+        // keeps inserting into the same sets.
+        for (std::size_t j = 0; j < kAlphas; ++j) {
+          const std::size_t i = (j + t * 1000) % kAlphas;
+          if (Bits(loss->Evaluate(alphas[i])) != expected[i]) {
+            ++mismatches[t];
+          }
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kAlphas);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_LE(stats.entries, TemporalLossCache::kMemoSlots);
+
+  // Evicted or not, a key comes back with the same bits.
+  for (std::size_t i = 0; i < 1000; ++i) {
+    ASSERT_EQ(Bits(loss->Evaluate(alphas[i])), expected[i]) << "i=" << i;
+  }
+  stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kAlphas + 1000);
+
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+  // The memo table, the matrix's aggregate table, and slack for the
+  // threads' bookkeeping: nothing per key.
+  const std::size_t heap_after = HeapBytesInUse();
+  EXPECT_LE(heap_after, heap_before + TemporalLossCache::kMemoBytes +
+                            stats.table_bytes + 64 * 1024)
+      << "grew by "
+      << static_cast<double>(heap_after) - static_cast<double>(heap_before);
+#else
+  (void)heap_before;
+#endif
 }
 
 }  // namespace
