@@ -135,8 +135,8 @@ StepScratch& StepScratchForThread() {
 /// previous one bit-for-bit the previous value is returned without an
 /// evaluation. Between a user's participations eps = 0 and the
 /// recurrence x <- L(snap(x)) settles on the quantization grid's fixed
-/// point; SeriesFor fills the rest of that gap, and the step after it
-/// evaluates at the settled value again. Evaluators are pure (the
+/// point; SeriesRunsFor closes that gap with one run, and the step
+/// after it evaluates at the settled value again. Evaluators are pure (the
 /// property LocalLossMemo relies on), so reuse never changes a value.
 class RepeatArgLoss {
  public:
@@ -160,11 +160,17 @@ class RepeatArgLoss {
   double last_value_ = 0.0;
 };
 
-/// Per-thread scratch of FillSeries, kept across calls so a series at
-/// a horizon already seen allocates nothing.
+/// Per-thread scratch of the series pass and its dense views, kept
+/// across calls so a series at a horizon already seen allocates
+/// nothing.
 struct SeriesScratch {
-  std::vector<std::uint32_t> marks;     ///< participations, then len
-  std::vector<std::uint32_t> bpl_flat;  ///< per gap: BPL flat from here
+  std::vector<std::uint32_t> marks;  ///< participations, then len
+  RunSeries bpl;                     ///< when the caller wants no BPL
+  /// The dense views' runs.
+  RunSeries view_eps;
+  RunSeries view_bpl;
+  RunSeries view_fpl;
+  RunSeries view_tpl;
 };
 
 SeriesScratch& SeriesScratchForThread() {
@@ -493,11 +499,9 @@ std::vector<double> AccountantBank::EpsilonsFor(std::size_t user) const {
   return out;
 }
 
-double AccountantBank::FillSeries(std::size_t user,
-                                  std::vector<double>* epsilons,
-                                  std::vector<double>* bpl_out,
-                                  std::vector<double>* fpl_out,
-                                  std::vector<double>* tpl_out) const {
+double AccountantBank::SeriesRunsFor(std::size_t user, RunSeries* epsilons,
+                                     RunSeries* bpl_out, RunSeries* fpl_out,
+                                     RunSeries* tpl_out) const {
   assert(user < num_users());
   const Cohort& cohort = cohorts_[user_cohort_[user]];
   const std::uint32_t join = user_join_[user];
@@ -516,114 +520,118 @@ double AccountantBank::FillSeries(std::size_t user,
   std::merge(all, all_releases_.end(), own.begin(), own.end(), marks.begin());
   for (std::uint32_t& t : marks) t -= join;
   marks.push_back(static_cast<std::uint32_t>(len));
-  // Per gap, the index from which its BPL is one filled value.
-  std::vector<std::uint32_t>& bpl_flat = scratch.bpl_flat;
-  bpl_flat.resize(marks.size());
 
   std::optional<RepeatArgLoss> backward;
   std::optional<RepeatArgLoss> forward;
   if (cohort.backward != nullptr) backward.emplace(*cohort.backward);
   if (cohort.forward != nullptr) forward.emplace(*cohort.forward);
 
-  // Equation 13 forward, appending to eps and BPL (BPL goes to the TPL
-  // array when the caller wants no BPL; the backward sweep overwrites
-  // it). Gap m is [marks[m - 1] + 1, marks[m]): the skips (eps = 0)
-  // before participation m, or before the end of the series. Once a
-  // step in a gap returns its argument's bits, every later step in the
-  // gap returns them again (evaluators are pure), so the rest of the
-  // gap is filled.
-  std::vector<double>& eps = *epsilons;
-  std::vector<double>& bpl = bpl_out != nullptr ? *bpl_out : *tpl_out;
+  // Equation 13 forward, appending eps and BPL runs. Gap m is
+  // [marks[m - 1] + 1, marks[m]): the skips (eps = 0) before
+  // participation m, or before the end of the series. Once a step in a
+  // gap returns its argument's bits, every later step in the gap
+  // returns them again (evaluators are pure), so the rest of the gap
+  // joins that value's run.
+  RunSeries& eps = *epsilons;
+  RunSeries& bpl = bpl_out != nullptr ? *bpl_out : scratch.bpl;
   eps.clear();
-  eps.reserve(len);
   bpl.clear();
-  bpl.reserve(len);
   double prev = 0.0;
   const auto step_bpl = [&](double e) {
     const double loss =
         backward && prev > 0.0 ? backward->Evaluate(prev) : 0.0;
     prev = loss + e;
-    eps.push_back(e);
-    bpl.push_back(prev);
+    AppendRun(&bpl, 1, prev);
   };
   std::size_t start = 0;
-  for (std::size_t m = 0; m < marks.size(); ++m) {
-    const std::size_t end = marks[m];
-    bpl_flat[m] = static_cast<std::uint32_t>(end);
+  for (const std::uint32_t end : marks) {
+    AppendRun(&eps, end - start, 0.0);
     for (std::size_t i = start; i < end; ++i) {
       const double arg = prev;
       step_bpl(0.0);
       if (SameBits(prev, arg)) {
-        eps.insert(eps.end(), end - i - 1, 0.0);
-        bpl.insert(bpl.end(), end - i - 1, prev);
-        bpl_flat[m] = static_cast<std::uint32_t>(i);
+        AppendRun(&bpl, end - i - 1, prev);
         break;
       }
     }
-    if (end < len) step_bpl(schedule_[join + end]);
-    start = end + 1;
+    if (end < len) {
+      const double e = schedule_[join + end];
+      AppendRun(&eps, 1, e);
+      step_bpl(e);
+    }
+    start = end + std::size_t{1};
   }
   // The recomputed tail must land exactly on the running column.
   assert(len == 0 || prev == cohort.bpl_last[user_slot_[user]]);
 
   // Equation 15 backward, the same way: a step in a gap that returns
-  // the next index's bits fills the gap down to its start. FPL runs in
-  // `next`; TPL = BPL + FPL - eps and its max are formed as it goes.
-  if (tpl_out != &bpl) tpl_out->resize(len);
-  if (fpl_out != nullptr) fpl_out->resize(len);
-  const double* const b = bpl.data();  // may be the TPL array itself
-  double* const tpl = tpl_out->data();
-  double* const fpl = fpl_out != nullptr ? fpl_out->data() : nullptr;
+  // the next index's bits settles FPL down to the gap's start. FPL runs
+  // in `next`; TPL = BPL + FPL - eps and its max are formed as it goes,
+  // BPL read through a cursor over its runs. TPL and FPL runs are built
+  // back to front, then reversed.
+  RunSeries& tpl = *tpl_out;
+  RunSeries* const fpl = fpl_out;
+  tpl.clear();
+  if (fpl != nullptr) fpl->clear();
+  ReverseRunCursor b(bpl);
   double next = 0.0;  // FPL at the index after the one being stepped
   double max_tpl = 0.0;
+  const auto emit_tpl = [&](std::size_t length, double value) {
+    AppendRun(&tpl, length, value);
+    max_tpl = std::max(max_tpl, value);
+  };
   const auto step_fpl = [&](std::size_t i, double e) {
     double f = e;
     if (i + 1 < len && forward) f += forward->Evaluate(next);
     next = f;
-    if (fpl != nullptr) fpl[i] = f;
-    const double value = b[i] + f - e;
-    tpl[i] = value;
-    max_tpl = std::max(max_tpl, value);
+    if (fpl != nullptr) AppendRun(fpl, 1, f);
+    emit_tpl(1, b.At(i) + f - e);
   };
   for (std::size_t m = marks.size(); m-- > 0;) {
     const std::size_t end = marks[m];
-    if (end < len) step_fpl(end, eps[end]);
+    if (end < len) step_fpl(end, schedule_[join + end]);
     const std::size_t gap = m > 0 ? marks[m - 1] + std::size_t{1} : 0;
     for (std::size_t i = end; i-- > gap;) {
       const double after = next;
       step_fpl(i, 0.0);
       if (i + 1 < len && SameBits(next, after)) {
-        // FPL is `next` on [gap, i), eps is 0, and BPL is flat from
-        // bpl_flat[m]: TPL is one value on [flat, i), formed and maxed
-        // once.
-        const std::size_t flat = std::clamp<std::size_t>(bpl_flat[m], gap, i);
-        if (fpl != nullptr) std::fill(fpl + gap, fpl + i, next);
-        for (std::size_t k = gap; k < flat; ++k) {
-          const double value = b[k] + next - 0.0;
-          tpl[k] = value;
-          max_tpl = std::max(max_tpl, value);
-        }
-        if (flat < i) {
-          const double value = b[flat] + next - 0.0;
-          std::fill(tpl + flat, tpl + i, value);
-          max_tpl = std::max(max_tpl, value);
+        // FPL is `next` on [gap, i) and eps is 0: each BPL run there
+        // gives one TPL value, formed and maxed once.
+        if (fpl != nullptr) AppendRun(fpl, i - gap, next);
+        for (std::size_t hi = i; hi > gap;) {
+          const double value = b.At(hi - 1) + next - 0.0;
+          const std::size_t lo = std::max(b.run_begin(), gap);
+          emit_tpl(hi - lo, value);
+          hi = lo;
         }
         break;
       }
     }
   }
+  std::reverse(tpl.begin(), tpl.end());
+  if (fpl != nullptr) std::reverse(fpl->begin(), fpl->end());
   return max_tpl;
 }
 
 void AccountantBank::SeriesFor(std::size_t user, UserSeries* out) const {
-  out->max_tpl =
-      FillSeries(user, &out->epsilons, &out->bpl, &out->fpl, &out->tpl);
+  SeriesScratch& scratch = SeriesScratchForThread();
+  out->max_tpl = SeriesRunsFor(user, &scratch.view_eps, &scratch.view_bpl,
+                               &scratch.view_fpl, &scratch.view_tpl);
+  ExpandRuns(scratch.view_eps, &out->epsilons);
+  ExpandRuns(scratch.view_bpl, &out->bpl);
+  ExpandRuns(scratch.view_fpl, &out->fpl);
+  ExpandRuns(scratch.view_tpl, &out->tpl);
 }
 
 double AccountantBank::TplSeriesFor(std::size_t user,
                                     std::vector<double>* epsilons,
                                     std::vector<double>* tpl) const {
-  return FillSeries(user, epsilons, nullptr, nullptr, tpl);
+  SeriesScratch& scratch = SeriesScratchForThread();
+  const double max_tpl = SeriesRunsFor(user, &scratch.view_eps, nullptr,
+                                       nullptr, &scratch.view_tpl);
+  ExpandRuns(scratch.view_eps, epsilons);
+  ExpandRuns(scratch.view_tpl, tpl);
+  return max_tpl;
 }
 
 AccountantBank::UserSeries AccountantBank::SeriesFor(std::size_t user) const {
@@ -633,26 +641,23 @@ AccountantBank::UserSeries AccountantBank::SeriesFor(std::size_t user) const {
 }
 
 std::vector<double> AccountantBank::BplSeriesFor(std::size_t user) const {
-  std::vector<double> eps, bpl, tpl;
-  FillSeries(user, &eps, &bpl, nullptr, &tpl);
-  return bpl;
+  return SeriesFor(user).bpl;
 }
 
 std::vector<double> AccountantBank::FplSeriesFor(std::size_t user) const {
-  std::vector<double> eps, fpl, tpl;
-  FillSeries(user, &eps, nullptr, &fpl, &tpl);
-  return fpl;
+  return SeriesFor(user).fpl;
 }
 
 std::vector<double> AccountantBank::TplSeriesFor(std::size_t user) const {
   std::vector<double> eps, tpl;
-  FillSeries(user, &eps, nullptr, nullptr, &tpl);
+  TplSeriesFor(user, &eps, &tpl);
   return tpl;
 }
 
 double AccountantBank::MaxTplFor(std::size_t user) const {
-  std::vector<double> eps, tpl;
-  return FillSeries(user, &eps, nullptr, nullptr, &tpl);
+  SeriesScratch& scratch = SeriesScratchForThread();
+  return SeriesRunsFor(user, &scratch.view_eps, nullptr, nullptr,
+                       &scratch.view_tpl);
 }
 
 StatusOr<double> AccountantBank::MaxTplAt(std::size_t t) const {
@@ -664,11 +669,14 @@ StatusOr<double> AccountantBank::MaxTplAt(std::size_t t) const {
   }
   std::vector<double> per_user(num_users(), 0.0);
   auto body = [this, t, &per_user](std::size_t lo, std::size_t hi) {
-    std::vector<double> eps, tpl;  // reused across the chunk's users
+    RunSeries eps, tpl;  // reused across the chunk's users
     for (std::size_t u = lo; u < hi; ++u) {
       if (user_join_[u] >= t) continue;  // joined after t: no series there
-      TplSeriesFor(u, &eps, &tpl);
-      per_user[u] = tpl[t - 1 - user_join_[u]];
+      SeriesRunsFor(u, &eps, nullptr, nullptr, &tpl);
+      std::size_t index = t - 1 - user_join_[u];
+      auto run = tpl.begin();
+      while (index >= run->length) index -= (run++)->length;
+      per_user[u] = run->value;
     }
   };
   ForEachSlice(num_users(), body);
@@ -681,9 +689,9 @@ StatusOr<double> AccountantBank::MaxTplAt(std::size_t t) const {
 std::vector<double> AccountantBank::PersonalizedAlphas() const {
   std::vector<double> alphas(num_users(), 0.0);
   auto body = [this, &alphas](std::size_t lo, std::size_t hi) {
-    std::vector<double> eps, tpl;  // reused across the chunk's users
+    RunSeries eps, tpl;  // reused across the chunk's users
     for (std::size_t u = lo; u < hi; ++u) {
-      alphas[u] = TplSeriesFor(u, &eps, &tpl);
+      alphas[u] = SeriesRunsFor(u, &eps, nullptr, nullptr, &tpl);
     }
   };
   ForEachSlice(num_users(), body);

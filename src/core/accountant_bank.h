@@ -47,8 +47,9 @@
 ///
 /// Population view (Section III-D, Definition 5): `MaxTplAt`,
 /// `PersonalizedAlphas` and `OverallAlpha` take the max over users,
-/// each user's series computed by the one-pass `SeriesFor`, into one
-/// reused pair of arrays per pool chunk.
+/// each user's series computed in runs by the one-pass `SeriesRunsFor`
+/// into one reused pair of run series per pool chunk; no view builds a
+/// horizon-length array.
 /// Callers wanting fan-out own a ThreadPool and hand it to `set_pool`.
 ///
 /// Thread-compatible: concurrent calls on one bank must be externally
@@ -62,6 +63,7 @@
 #include <vector>
 
 #include "common/packed_mask.h"
+#include "common/run_series.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/loss_cache.h"
@@ -131,25 +133,35 @@ class AccountantBank {
     std::vector<double> tpl;  ///< BPL + FPL - eps
     double max_tpl = 0.0;     ///< max_t TPL_t (0 when empty)
   };
-  /// Lazily recomputed series over the user's sub-schedule, bitwise
-  /// equal to the reference TplAccountant's, refilled in place: \p out
-  /// keeps its capacity, so a series at a horizon already seen
-  /// allocates nothing. One pass walks the user's participations from
-  /// the participation index: Equation 13 forward and Equation 15
-  /// backward step through each gap between two participations
-  /// (eps = 0) until a step returns the same bits, and the rest of the
-  /// gap is filled with that value. Evaluators are pure, so the fill is
-  /// exactly what further steps would return, and each recurrence also
-  /// reuses the previous loss when its argument repeats. The backward
-  /// sweep forms TPL = BPL + FPL - eps and its max as it goes; where
-  /// BPL, FPL and eps are all filled values, TPL is formed once.
+  /// The one series pass: the user's spend sequence, Equation 13 BPL,
+  /// Equation 15 FPL and TPL = BPL + FPL - eps over its sub-schedule,
+  /// as maximal runs of bitwise-equal values (common/run_series.h),
+  /// refilled in place (capacity reused). \p bpl and \p fpl may be
+  /// null. Returns max_t TPL_t (0 when empty). Every expanded value is
+  /// bitwise the reference TplAccountant's.
+  ///
+  /// The pass walks the user's participations from the participation
+  /// index. Equation 13 forward and Equation 15 backward step through
+  /// each gap between two participations (eps = 0) until a step
+  /// returns the same bits; the rest of the gap is one run of that
+  /// value. Evaluators are pure, so the run is exactly what further
+  /// steps would return, and each recurrence also reuses the previous
+  /// loss when its argument repeats. The backward sweep reads BPL from
+  /// its runs and forms TPL and its max as it goes; where FPL and eps
+  /// are settled, each BPL run gives one TPL run. Cost: O(participations
+  /// + settling steps), not O(horizon).
+  double SeriesRunsFor(std::size_t user, RunSeries* epsilons, RunSeries* bpl,
+                       RunSeries* fpl, RunSeries* tpl) const;
+  /// Dense views: expansions of SeriesRunsFor's runs, refilled in
+  /// place: \p out keeps its capacity, so a series at a horizon
+  /// already seen allocates nothing.
   void SeriesFor(std::size_t user, UserSeries* out) const;
-  /// The same pass writing only what a budget check returns: the
-  /// user's spend sequence and TPL series into caller-owned vectors
-  /// (capacity reused). Returns max_t TPL_t.
+  /// Only what a budget check returns: the user's spend sequence and
+  /// TPL series into caller-owned vectors (capacity reused). Returns
+  /// max_t TPL_t.
   double TplSeriesFor(std::size_t user, std::vector<double>* epsilons,
                       std::vector<double>* tpl) const;
-  /// By-value wrappers of the same pass.
+  /// By-value dense views.
   UserSeries SeriesFor(std::size_t user) const;
   std::vector<double> BplSeriesFor(std::size_t user) const;
   std::vector<double> FplSeriesFor(std::size_t user) const;
@@ -281,12 +293,6 @@ class AccountantBank {
   std::size_t StepSparse(double epsilon,
                          const std::vector<std::size_t>& participants);
   Status Record(double epsilon, const std::vector<std::size_t>* participants);
-  /// The one series pass behind SeriesFor and its views. Always
-  /// writes \p epsilons and \p tpl; \p bpl and \p fpl only when not
-  /// null (BPL is otherwise staged in the TPL array). Returns max TPL.
-  double FillSeries(std::size_t user, std::vector<double>* epsilons,
-                    std::vector<double>* bpl, std::vector<double>* fpl,
-                    std::vector<double>* tpl) const;
   /// Rebuilds cohort_offsets_ from the cohort sizes when AddUser has
   /// invalidated it (prefix sum, O(cohorts) — enrollment itself is O(1)
   /// per user instead of O(cohorts)).

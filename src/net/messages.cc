@@ -24,28 +24,52 @@ Status CheckEpsilon(double epsilon, const char* what) {
   return Status::OK();
 }
 
-/// Reads a varint element count followed by that many raw-bits doubles.
-/// The count is validated against the bytes actually present before
-/// anything is allocated.
-Status ReadDoubleSeries(BinaryCursor* cursor, const char* what,
-                        std::vector<double>* out) {
+/// A run takes at least a one-byte length and the value's bits.
+constexpr std::size_t kMinRunBytes = 1 + sizeof(double);
+
+/// Reads one run-coded series covering exactly \p horizon entries. The
+/// run count is checked against the bytes present, and each length
+/// against what is left of the horizon, before anything is allocated.
+Status ReadRunSeries(BinaryCursor* cursor, std::uint64_t horizon,
+                     RunSeries* runs) {
   std::uint64_t count = 0;
   TCDP_RETURN_IF_ERROR(cursor->ReadVarint64(&count));
-  if (count > cursor->remaining() / sizeof(double)) {
-    return Status::InvalidArgument(std::string(what) +
-                                   ": series count exceeds payload");
+  if (count > cursor->remaining() / kMinRunBytes || count > horizon) {
+    return Status::InvalidArgument(
+        "DecodeReport: run count exceeds the payload or the horizon");
   }
-  out->resize(static_cast<std::size_t>(count));
-  return cursor->ReadDoubleBitsArray(out->data(), out->size());
+  runs->resize(static_cast<std::size_t>(count));
+  std::uint64_t left = horizon;
+  for (Run& run : *runs) {
+    std::uint64_t length = 0;
+    TCDP_RETURN_IF_ERROR(cursor->ReadVarint64(&length));
+    if (length == 0 || length > left) {
+      return Status::InvalidArgument(
+          "DecodeReport: run length is 0 or exceeds the horizon");
+    }
+    left -= length;
+    run.length = static_cast<std::size_t>(length);
+    TCDP_RETURN_IF_ERROR(cursor->ReadDoubleBits(&run.value));
+  }
+  if (left != 0) {
+    return Status::InvalidArgument(
+        "DecodeReport: runs do not sum to the horizon");
+  }
+  return Status::OK();
 }
 
-void PutDoubleSeries(std::string* dst, const std::vector<double>& series) {
-  PutVarint64(dst, series.size());
-  PutDoubleBitsArray(dst, series.data(), series.size());
+void PutRunSeries(std::string* dst, const RunSeries& runs) {
+  PutVarint64(dst, runs.size());
+  for (const Run& run : runs) {
+    PutVarint64(dst, run.length);
+    PutDoubleBits(dst, run.value);
+  }
 }
 
-std::size_t DoubleSeriesSize(const std::vector<double>& series) {
-  return VarintLength(series.size()) + sizeof(double) * series.size();
+std::size_t RunSeriesSize(const RunSeries& runs) {
+  std::size_t size = VarintLength(runs.size()) + sizeof(double) * runs.size();
+  for (const Run& run : runs) size += VarintLength(run.length);
+  return size;
 }
 
 }  // namespace
@@ -134,35 +158,39 @@ Status DecodeError(const std::string& payload, Status* error) {
   return Status::OK();
 }
 
-std::size_t ReportPayloadSize(const server::UserReport& report) {
+std::size_t ReportPayloadSize(const server::UserReportRuns& report) {
   return VarintLength(report.name.size()) + report.name.size() +
          VarintLength(report.shard) + VarintLength(report.join_release) +
          VarintLength(report.horizon) + 2 * sizeof(double) +
-         DoubleSeriesSize(report.epsilons) +
-         DoubleSeriesSize(report.tpl_series);
+         RunSeriesSize(report.epsilons) + RunSeriesSize(report.tpl_series);
 }
 
-void AppendReport(std::string* dst, const server::UserReport& report) {
+std::size_t ReportPayloadSize(const server::UserReport& report) {
+  return ReportPayloadSize(server::ToRunReport(report));
+}
+
+void AppendReport(std::string* dst, const server::UserReportRuns& report) {
   PutLengthPrefixed(dst, report.name);
   PutVarint64(dst, report.shard);
   PutVarint64(dst, report.join_release);
   PutVarint64(dst, report.horizon);
   PutDoubleBits(dst, report.max_tpl);
   PutDoubleBits(dst, report.user_level_tpl);
-  PutDoubleSeries(dst, report.epsilons);
-  PutDoubleSeries(dst, report.tpl_series);
+  PutRunSeries(dst, report.epsilons);
+  PutRunSeries(dst, report.tpl_series);
 }
 
 std::string EncodeReport(const server::UserReport& report) {
+  const server::UserReportRuns runs = server::ToRunReport(report);
   std::string out;
-  out.reserve(ReportPayloadSize(report));
-  AppendReport(&out, report);
+  out.reserve(ReportPayloadSize(runs));
+  AppendReport(&out, runs);
   return out;
 }
 
 StatusOr<server::UserReport> DecodeReport(const std::string& payload) {
   BinaryCursor cursor(payload);
-  server::UserReport report;
+  server::UserReportRuns report;
   TCDP_RETURN_IF_ERROR(cursor.ReadLengthPrefixed(&report.name));
   std::uint64_t shard = 0;
   std::uint64_t join_release = 0;
@@ -170,17 +198,18 @@ StatusOr<server::UserReport> DecodeReport(const std::string& payload) {
   TCDP_RETURN_IF_ERROR(cursor.ReadVarint64(&shard));
   TCDP_RETURN_IF_ERROR(cursor.ReadVarint64(&join_release));
   TCDP_RETURN_IF_ERROR(cursor.ReadVarint64(&horizon));
+  if (horizon > kMaxReportHorizon) {
+    return Status::InvalidArgument("DecodeReport: horizon above the cap");
+  }
   report.shard = static_cast<std::size_t>(shard);
   report.join_release = static_cast<std::size_t>(join_release);
   report.horizon = static_cast<std::size_t>(horizon);
   TCDP_RETURN_IF_ERROR(cursor.ReadDoubleBits(&report.max_tpl));
   TCDP_RETURN_IF_ERROR(cursor.ReadDoubleBits(&report.user_level_tpl));
-  TCDP_RETURN_IF_ERROR(
-      ReadDoubleSeries(&cursor, "DecodeReport", &report.epsilons));
-  TCDP_RETURN_IF_ERROR(
-      ReadDoubleSeries(&cursor, "DecodeReport", &report.tpl_series));
+  TCDP_RETURN_IF_ERROR(ReadRunSeries(&cursor, horizon, &report.epsilons));
+  TCDP_RETURN_IF_ERROR(ReadRunSeries(&cursor, horizon, &report.tpl_series));
   TCDP_RETURN_IF_ERROR(ExpectConsumed(cursor, "DecodeReport"));
-  return report;
+  return server::ExpandReport(report);
 }
 
 std::string EncodeStatsReport(const WireServiceStats& stats) {

@@ -79,13 +79,25 @@ StatusOr<std::string> DecodeName(const std::string& payload);
 std::string EncodeError(const Status& status);
 Status DecodeError(const std::string& payload, Status* error);
 
+/// kReport carries both series as runs (protocol version 2): a varint
+/// run count, then per run a varint length and the value's double
+/// bits. AppendReport encodes a run-form report straight into \p dst
+/// (NetServer encodes into a connection's out buffer); the dense
+/// overloads encode the series' maximal runs, so a report and its run
+/// form give the same bytes.
+void AppendReport(std::string* dst, const server::UserReportRuns& report);
 std::string EncodeReport(const server::UserReport& report);
-/// Appends EncodeReport(report) to \p dst without an intermediate
-/// string (NetServer encodes straight into a connection's out buffer).
-void AppendReport(std::string* dst, const server::UserReport& report);
-/// EncodeReport(report).size(), computed from the name length, the
-/// varint fields and the series lengths without encoding anything.
+/// The encoded size, computed from the name length, the varint fields
+/// and the runs without encoding anything.
+std::size_t ReportPayloadSize(const server::UserReportRuns& report);
 std::size_t ReportPayloadSize(const server::UserReport& report);
+/// Largest `horizon` DecodeReport accepts: 2^24 releases, so the dense
+/// report it expands holds at most 256 MiB of series.
+inline constexpr std::uint64_t kMaxReportHorizon = std::uint64_t{1} << 24;
+/// Decodes and expands to the dense report. InvalidArgument, before
+/// allocating for either series, on a horizon above kMaxReportHorizon,
+/// a run count the remaining bytes cannot hold, a zero-length run, or
+/// runs that do not sum to `horizon`.
 StatusOr<server::UserReport> DecodeReport(const std::string& payload);
 
 std::string EncodeStatsReport(const WireServiceStats& stats);

@@ -210,7 +210,8 @@ void NetServer::HandleFrame(Connection* conn, MsgType type,
       applied = service_->Query(*name, &report_);
       if (applied.ok()) {
         if (ReportPayloadSize(report_) > kMaxFramePayload) {
-          // A report for a very long series can outgrow a legal frame;
+          // A report whose series change value at nearly every release
+          // can outgrow a legal frame past about 58k releases;
           // answering with an error beats emitting a frame the peer's
           // decoder must reject (which would poison the whole stream).
           // Sized before encoding, so no oversized payload is built.

@@ -148,9 +148,9 @@ class NetServer : private EventLoop::Handler {
   NetServerOptions options_;
   NetServerStats stats_;
   std::unique_ptr<EventLoop> loop_;
-  /// Every kQuery answer is built here and encoded from it, so its
-  /// series keep their capacity from one query to the next.
-  server::UserReport report_;
+  /// Every kQuery answer is built here, in runs, and encoded from it,
+  /// so its runs keep their capacity from one query to the next.
+  server::UserReportRuns report_;
 };
 
 }  // namespace net

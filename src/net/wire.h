@@ -36,13 +36,14 @@ namespace net {
 
 inline constexpr char kNetMagic[8] = {'T', 'C', 'D', 'P',
                                       'N', 'E', 'T', '1'};
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 /// Magic + u32 version.
 inline constexpr std::size_t kPreambleBytes = 12;
 /// Type byte + u32 length + u32 CRC.
 inline constexpr std::size_t kFrameHeaderBytes = 9;
-/// Hard upper bound on a frame payload (1 MiB comfortably holds the
-/// largest legal message, a Report for a very long series).
+/// Hard upper bound on a frame payload. A Report, the one message that
+/// grows with the horizon, fits up to about 58k releases even when
+/// every adjacent value differs (docs/PROTOCOL.md).
 inline constexpr std::size_t kMaxFramePayload = 1u << 20;
 
 /// Message types. Requests are < 64, responses >= 64. Values are part

@@ -647,8 +647,39 @@ Status ShardedReleaseService::MaybeAutoCompact() {
   return CompactShards();
 }
 
+namespace {
+
+/// \p to's scalar fields from \p from (the series are the caller's).
+template <typename To, typename From>
+To WithReportFields(const From& from) {
+  To to;
+  to.name = from.name;
+  to.shard = from.shard;
+  to.join_release = from.join_release;
+  to.horizon = from.horizon;
+  to.max_tpl = from.max_tpl;
+  to.user_level_tpl = from.user_level_tpl;
+  return to;
+}
+
+}  // namespace
+
+UserReport ExpandReport(const UserReportRuns& runs) {
+  UserReport report = WithReportFields<UserReport>(runs);
+  ExpandRuns(runs.epsilons, &report.epsilons);
+  ExpandRuns(runs.tpl_series, &report.tpl_series);
+  return report;
+}
+
+UserReportRuns ToRunReport(const UserReport& report) {
+  UserReportRuns runs = WithReportFields<UserReportRuns>(report);
+  ToRuns(report.epsilons, &runs.epsilons);
+  ToRuns(report.tpl_series, &runs.tpl_series);
+  return runs;
+}
+
 Status ShardedReleaseService::Query(const std::string& name,
-                                    UserReport* out) {
+                                    UserReportRuns* out) {
   if (closed_) {
     return Status::FailedPrecondition("service is closed");
   }
@@ -669,16 +700,16 @@ Status ShardedReleaseService::Query(const std::string& name,
   out->shard = it->second.first;
   out->join_release = shard.bank.join_release(local);
   out->horizon = shard.bank.user_horizon(local);
-  out->max_tpl =
-      shard.bank.TplSeriesFor(local, &out->epsilons, &out->tpl_series);
+  out->max_tpl = shard.bank.SeriesRunsFor(local, &out->epsilons, nullptr,
+                                          nullptr, &out->tpl_series);
   out->user_level_tpl = shard.bank.UserEpsSum(local);
   return Status::OK();
 }
 
 StatusOr<UserReport> ShardedReleaseService::Query(const std::string& name) {
-  UserReport report;
-  TCDP_RETURN_IF_ERROR(Query(name, &report));
-  return report;
+  UserReportRuns runs;
+  TCDP_RETURN_IF_ERROR(Query(name, &runs));
+  return ExpandReport(runs);
 }
 
 StatusOr<std::string> ShardedReleaseService::ExportUser(

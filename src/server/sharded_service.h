@@ -58,6 +58,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/run_series.h"
 #include "common/status.h"
 #include "core/loss_cache.h"
 #include "core/temporal_correlations.h"
@@ -113,17 +114,28 @@ struct ShardedServiceOptions {
   TemporalLossCache::Options cache;
 };
 
-/// Point-in-time view of one user's accounting (Query result).
-struct UserReport {
+/// Point-in-time view of one user's accounting (Query result), with
+/// each series held as \p Series: a dense vector or runs.
+template <typename Series>
+struct BasicUserReport {
   std::string name;
   std::size_t shard = 0;
   std::size_t join_release = 0;
   std::size_t horizon = 0;       ///< length of the user's own series
   double max_tpl = 0.0;          ///< event-level alpha
   double user_level_tpl = 0.0;   ///< Corollary 1 budget sum
-  std::vector<double> epsilons;  ///< effective spend sequence (0 = skip)
-  std::vector<double> tpl_series;
+  Series epsilons;               ///< effective spend sequence (0 = skip)
+  Series tpl_series;
 };
+/// The dense report: one double per release of the user's horizon.
+using UserReport = BasicUserReport<std::vector<double>>;
+/// The run form a Query computes and a wire Report carries
+/// (common/run_series.h); UserReport is its expansion.
+using UserReportRuns = BasicUserReport<RunSeries>;
+
+/// The dense report of \p runs, and the maximal runs of \p report.
+UserReport ExpandReport(const UserReportRuns& runs);
+UserReportRuns ToRunReport(const UserReport& report);
 
 struct ShardStats {
   std::size_t users = 0;
@@ -222,11 +234,12 @@ class ShardedReleaseService {
   Status Compact();
 
   /// Drains the user's shard and reports its accounting into \p out,
-  /// whose series the bank's one series pass refills in place
-  /// (AccountantBank::TplSeriesFor): a caller that keeps one report
-  /// across queries reuses its capacity.
-  Status Query(const std::string& name, UserReport* out);
-  /// The same, into a new report.
+  /// whose runs the bank's one series pass refills in place
+  /// (AccountantBank::SeriesRunsFor): O(participations + settling
+  /// steps), and a caller that keeps one report across queries reuses
+  /// its capacity.
+  Status Query(const std::string& name, UserReportRuns* out);
+  /// The same, expanded into a new dense report.
   StatusOr<UserReport> Query(const std::string& name);
 
   /// Exports one user as a standalone "tcdp-accountant-v2" blob (the

@@ -1154,6 +1154,99 @@ TEST(AccountantBank, DenseReleaseAddsOneSharedIndexEntry) {
 }
 
 // ----------------------------------------------------------------------
+// Run form: SeriesRunsFor is the one series pass; the dense views and
+// the population views read its runs.
+
+/// Every run is nonempty and holds other bits than the one before it,
+/// and the runs expand to \p dense bitwise.
+void ExpectMaximalRunsOf(const RunSeries& runs,
+                         const std::vector<double>& dense, std::size_t user) {
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    EXPECT_GE(runs[r].length, 1u) << "user " << user << " run " << r;
+    if (r > 0) {
+      EXPECT_FALSE(SameBits(runs[r - 1].value, runs[r].value))
+          << "user " << user << " run " << r;
+    }
+  }
+  std::vector<double> expanded;
+  ExpandRuns(runs, &expanded);
+  EXPECT_TRUE(BitwiseEqual(expanded, dense)) << "user " << user;
+}
+
+TEST(AccountantBank, SeriesRunsAreMaximalAndExpandToTheDenseViews) {
+  // 60 users, half Fig. 3 and half a random n = 8 pair, 20 of them
+  // joining late; 3000 releases, every 500th dense, else 2 random
+  // participants at one of three budgets. Users 0 and 1 are never
+  // picked: they take part in the dense releases only.
+  Rng rng(20261020);
+  const TemporalCorrelations random =
+      TemporalCorrelations::Both(StochasticMatrix::Random(8, &rng),
+                                 StochasticMatrix::Random(8, &rng))
+          .value();
+  AccountantBank bank;
+  for (int u = 0; u < 40; ++u) bank.AddUser(u % 2 ? Fig3Both() : random);
+  const double budgets[] = {0.05, 0.1, 0.2};
+  std::vector<std::size_t> participants(2);
+  for (int t = 0; t < 3000; ++t) {
+    if (t == 1000) {
+      for (int u = 0; u < 20; ++u) bank.AddUser(u % 2 ? random : Fig3Both());
+    }
+    const double epsilon = budgets[rng.UniformInt(0, 2)];
+    if (t % 500 == 0) {
+      ASSERT_TRUE(bank.RecordRelease(epsilon).ok());
+      continue;
+    }
+    for (std::size_t& p : participants) {
+      p = static_cast<std::size_t>(rng.UniformInt(
+          2, static_cast<std::int64_t>(bank.num_users()) - 1));
+    }
+    ASSERT_TRUE(bank.RecordRelease(epsilon, participants).ok());
+  }
+
+  RunSeries eps, bpl, fpl, tpl, eps_only, tpl_only;
+  std::vector<double> overall(bank.horizon(), 0.0);
+  for (std::size_t u = 0; u < bank.num_users(); ++u) {
+    const double max_tpl = bank.SeriesRunsFor(u, &eps, &bpl, &fpl, &tpl);
+    const AccountantBank::UserSeries dense = bank.SeriesFor(u);
+    ExpectMaximalRunsOf(eps, dense.epsilons, u);
+    ExpectMaximalRunsOf(bpl, dense.bpl, u);
+    ExpectMaximalRunsOf(fpl, dense.fpl, u);
+    ExpectMaximalRunsOf(tpl, dense.tpl, u);
+    EXPECT_TRUE(SameBits(max_tpl, dense.max_tpl)) << "user " << u;
+    // TPL = BPL + FPL - eps changes value only where a term does.
+    EXPECT_LE(tpl.size(), bpl.size() + fpl.size() + eps.size())
+        << "user " << u;
+    if (u < 2) {
+      // Six participations 500 releases apart: each gap settles into
+      // one run (after about 80 steps each way on the Fig. 3 pair).
+      EXPECT_LT(3 * tpl.size(), dense.tpl.size()) << "user " << u;
+    }
+
+    // Without BPL and FPL the pass gives the same spend and TPL runs.
+    EXPECT_TRUE(SameBits(
+        bank.SeriesRunsFor(u, &eps_only, nullptr, nullptr, &tpl_only),
+        max_tpl));
+    ExpectMaximalRunsOf(eps_only, dense.epsilons, u);
+    ExpectMaximalRunsOf(tpl_only, dense.tpl, u);
+
+    const std::size_t join = bank.join_release(u);
+    for (std::size_t i = 0; i < dense.tpl.size(); ++i) {
+      overall[join + i] = std::max(overall[join + i], dense.tpl[i]);
+    }
+  }
+  // The population views walk the same runs.
+  for (std::size_t t : {std::size_t{1}, std::size_t{999}, std::size_t{1000},
+                        std::size_t{1001}, std::size_t{2345},
+                        bank.horizon()}) {
+    auto at = bank.MaxTplAt(t);
+    ASSERT_TRUE(at.ok()) << at.status();
+    EXPECT_TRUE(SameBits(*at, overall[t - 1])) << "t " << t;
+  }
+  EXPECT_TRUE(SameBits(bank.OverallAlpha(),
+                       *std::max_element(overall.begin(), overall.end())));
+}
+
+// ----------------------------------------------------------------------
 // Memory: the participation index is the bank's only per-release store,
 // so a sparse release costs its few index entries and a schedule slot,
 // not a row over the whole fleet.

@@ -32,6 +32,7 @@
 #include "core/privacy_loss.h"
 #include "markov/stochastic_matrix.h"
 #include "net/client.h"
+#include "net/messages.h"
 #include "net/server.h"
 #include "server/sharded_service.h"
 #include "tests/fault_injection.h"
@@ -490,11 +491,13 @@ TEST(NetServerTest, StatsQueryReportsShardGauges) {
 }
 
 TEST(NetServerTest, OversizedReportIsResourceExhaustedAndStreamSurvives) {
-  // A report carries 16 bytes per release of the user's horizon (one
-  // epsilon and one TPL double), so past kMaxFramePayload / 16 releases
-  // it no longer fits a frame. The service is driven in-process first:
-  // one release per tick (batch window 1), no network round trips.
-  const std::size_t releases = kMaxFramePayload / 16 + 64;
+  // A Report carries each series as runs of equal values, 9 bytes a
+  // run near this horizon. A user whose epsilon alternates every
+  // release has a new run at every release in both series, 18 bytes a
+  // release, so past kMaxFramePayload / 18 releases the report no
+  // longer fits a frame. The service is driven in-process first: one
+  // release per tick (batch window 1), no network round trips.
+  const std::size_t releases = kMaxFramePayload / 18 + 64;
   server::ShardedServiceOptions options;
   options.num_shards = 1;
   options.batch_window = 1;
@@ -502,10 +505,13 @@ TEST(NetServerTest, OversizedReportIsResourceExhaustedAndStreamSurvives) {
   ASSERT_TRUE(service.ok()) << service.status();
   ASSERT_TRUE((*service)->Join("alice", Profile(0)).ok());
   for (std::size_t r = 0; r < releases; ++r) {
-    ASSERT_TRUE((*service)->ReleaseAll(0.1).ok());
+    ASSERT_TRUE((*service)->ReleaseAll(r % 2 ? 0.2 : 0.1).ok());
   }
   ASSERT_TRUE((*service)->Flush().ok());
   ASSERT_EQ((*service)->horizon(), releases);
+  auto in_process = (*service)->Query("alice");
+  ASSERT_TRUE(in_process.ok()) << in_process.status();
+  ASSERT_GT(ReportPayloadSize(*in_process), kMaxFramePayload);
 
   auto ts = TestServer::Serve(std::move(service).value());
   ASSERT_NE(ts, nullptr);
@@ -583,6 +589,44 @@ TEST(NetServerTest, ReusedReportAnswersLongShortAndEmptySeriesBitwise) {
     EXPECT_TRUE(SameReportBits(*report, expected[i]))
         << "query " << i << " (" << names[i] << ")";
   }
+  EXPECT_TRUE((*client)->Shutdown().ok());
+  ts->Finish();
+}
+
+TEST(NetServerTest, SparseUserAtAHundredThousandReleasesGetsItsReport) {
+  // 100k releases at 16 bytes each would overflow a frame as dense
+  // series. A user who takes part in one release in a thousand has a
+  // few runs per participation, so its report is a few KB and arrives
+  // bitwise equal to the in-process Query.
+  constexpr std::size_t kReleases = 100000;
+  static_assert(kReleases * 16 > kMaxFramePayload);
+  server::ShardedServiceOptions options;
+  options.num_shards = 2;
+  options.batch_window = 1;
+  auto service = server::ShardedReleaseService::Create("", options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  server::ShardedReleaseService& svc = **service;
+  ASSERT_TRUE(svc.Join("sparse", Profile(0)).ok());
+  ASSERT_TRUE(svc.Join("busy", Profile(1)).ok());
+  for (std::size_t r = 0; r < kReleases; ++r) {
+    ASSERT_TRUE(
+        (r % 1000 == 0 ? svc.Release("sparse", r % 3000 ? 0.1 : 0.2)
+                       : svc.Release("busy", 0.05))
+            .ok());
+  }
+  ASSERT_TRUE(svc.Flush().ok());
+  auto expected = svc.Query("sparse");
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_EQ(expected->horizon, kReleases);
+  EXPECT_LT(ReportPayloadSize(*expected), std::size_t{64} << 10);
+
+  auto ts = TestServer::Serve(std::move(service).value());
+  ASSERT_NE(ts, nullptr);
+  auto client = Connect(*ts);
+  ASSERT_TRUE(client.ok()) << client.status();
+  auto report = (*client)->Query("sparse");
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(SameReportBits(*report, *expected));
   EXPECT_TRUE((*client)->Shutdown().ok());
   ts->Finish();
 }

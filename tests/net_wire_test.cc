@@ -4,17 +4,46 @@
 // malformed shape here must come back as Status — never UB — and a
 // poisoned decoder must stay poisoned.
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <new>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/binary_io.h"
+#include "common/run_series.h"
 #include "net/messages.h"
 #include "net/wire.h"
 #include "workload/generators.h"
+
+// The largest single operator-new request since the last reset, so a
+// decoder test can show it never allocated for a claimed horizon.
+std::atomic<std::size_t> g_largest_allocation{0};
+
+void* operator new(std::size_t size) {
+  std::size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+  while (size > seen && !g_largest_allocation.compare_exchange_weak(
+                            seen, size, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+// GCC flags free() on what it takes for a new-expression's pointer;
+// here operator new is malloc, so the pair matches.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace tcdp {
 namespace net {
@@ -65,7 +94,7 @@ TEST(FrameDecoderTest, RejectsBadMagic) {
 
 TEST(FrameDecoderTest, RejectsWrongVersion) {
   std::string stream(kNetMagic, sizeof(kNetMagic));
-  stream += std::string("\x02\x00\x00\x00", 4);  // version 2
+  stream += std::string("\x01\x00\x00\x00", 4);  // version 1: dense Reports
   FrameDecoder decoder;
   const Status fed = decoder.Feed(stream.data(), stream.size());
   EXPECT_FALSE(fed.ok());
@@ -222,23 +251,28 @@ server::UserReport GoldenReport() {
   return report;
 }
 
-// The exact bytes of one Report frame as peers already exchange them:
-// any drift in the CRC or the series encoding breaks compatibility
-// with existing clients and captured streams, and fails here.
+// The exact bytes of one protocol-version-2 Report frame: any drift in
+// the CRC or the run encoding breaks compatibility with existing
+// clients and captured streams, and fails here. The payload is
+// 05 "alice" | 01 02 03 | 0.25 | 0.3 | epsilons: 03 runs (01, 0.1)
+// (01, 0.0) (01, 0.2) | tpl_series: 03 runs (01, 0.15) (01, 0.12)
+// (01, 0.25).
 TEST(MessageCodecTest, ReportFrameMatchesGoldenBytes) {
   const std::string golden =
-      "424b0000000cf401bf05616c696365010203000000000000d03f333333333333d3"
-      "3f039a9999999999b93f00000000000000009a9999999999c93f03333333333333"
-      "c33fb81e85eb51b8be3f000000000000d03f";
+      "4251000000e4e8ad7505616c696365010203000000000000d03f333333333333d3"
+      "3f03019a9999999999b93f01000000000000000001"
+      "9a9999999999c93f0301333333333333c33f01b81e85eb51b8be3f01000000000000"
+      "d03f";
   const server::UserReport report = GoldenReport();
   std::string framed;
   AppendFrame(&framed, MsgType::kReport, EncodeReport(report));
   EXPECT_EQ(ToHex(framed), golden);
 
-  // Encoding in place after other output yields the same frame bytes.
+  // Encoding the run form in place after other output yields the same
+  // frame bytes.
   std::string in_place = "earlier output";
   const std::size_t frame = BeginFrame(&in_place, MsgType::kReport);
-  AppendReport(&in_place, report);
+  AppendReport(&in_place, server::ToRunReport(report));
   FinishFrame(&in_place, frame);
   EXPECT_EQ(in_place, "earlier output" + framed);
 
@@ -252,35 +286,58 @@ TEST(MessageCodecTest, ReportFrameMatchesGoldenBytes) {
 }
 
 TEST(MessageCodecTest, ReportPayloadSizeIsExact) {
+  // Runs of 1, 127, 128 and 16384 entries put one- to three-byte
+  // varints in the run lengths and counts.
   server::UserReport report = GoldenReport();
   for (std::size_t name_length : {0u, 1u, 127u, 128u, 5000u, 16384u}) {
     report.name.assign(name_length, 'n');
     for (std::size_t horizon : {0u, 1u, 127u, 128u, 16383u, 16384u}) {
-      report.horizon = horizon;
-      report.shard = horizon;
-      report.join_release = horizon * 3;
-      report.epsilons.assign(horizon, 0.1);
-      report.tpl_series.assign(horizon, 0.2);
-      EXPECT_EQ(ReportPayloadSize(report), EncodeReport(report).size())
-          << "name " << name_length << " horizon " << horizon;
+      for (std::size_t run : {1u, 127u, 128u, 16384u}) {
+        report.horizon = horizon;
+        report.shard = horizon;
+        report.join_release = horizon * 3;
+        report.epsilons.resize(horizon);
+        report.tpl_series.resize(horizon);
+        for (std::size_t i = 0; i < horizon; ++i) {
+          report.epsilons[i] = (i / run) % 2 ? 0.1 : 0.2;
+          report.tpl_series[i] = 0.5 + static_cast<double>(i / run);
+        }
+        const std::size_t encoded = EncodeReport(report).size();
+        EXPECT_EQ(ReportPayloadSize(report), encoded)
+            << "name " << name_length << " horizon " << horizon << " run "
+            << run;
+        EXPECT_EQ(ReportPayloadSize(server::ToRunReport(report)), encoded);
+      }
     }
   }
 }
 
 TEST(MessageCodecTest, ReportPayloadSizeAtTheFrameBoundary) {
-  // Every field but the two series has a fixed size here; each series
-  // costs a 3-byte count plus 8 bytes per release near this horizon.
+  // Every adjacent value differs, so each series is one run per
+  // release: a 3-byte run count plus 9 bytes (a one-byte length and
+  // the double) per release near this horizon, 18 bytes a release for
+  // the pair. Every other field has a fixed size here.
   server::UserReport report = GoldenReport();
-  const std::size_t fixed = 1 + report.name.size() + 3 + 2 * sizeof(double);
-  const std::size_t boundary = (kMaxFramePayload - fixed - 2 * 3) / 16;
+  const std::size_t fixed =
+      1 + report.name.size() + 1 + 1 + 3 + 2 * sizeof(double);
+  const std::size_t boundary = (kMaxFramePayload - fixed - 2 * 3) / 18;
   for (std::size_t horizon : {boundary, boundary + 1}) {
-    report.horizon = 0;  // keeps the varint at one byte
-    report.epsilons.assign(horizon, 0.1);
-    report.tpl_series.assign(horizon, 0.2);
-    const std::size_t encoded = EncodeReport(report).size();
-    EXPECT_EQ(ReportPayloadSize(report), encoded) << "horizon " << horizon;
-    EXPECT_EQ(encoded <= kMaxFramePayload, horizon == boundary)
+    report.horizon = horizon;
+    report.epsilons.resize(horizon);
+    report.tpl_series.resize(horizon);
+    for (std::size_t i = 0; i < horizon; ++i) {
+      report.epsilons[i] = i % 2 ? 0.1 : 0.2;
+      report.tpl_series[i] = static_cast<double>(i);
+    }
+    const std::string encoded = EncodeReport(report);
+    EXPECT_EQ(ReportPayloadSize(report), encoded.size())
         << "horizon " << horizon;
+    EXPECT_EQ(encoded.size() <= kMaxFramePayload, horizon == boundary)
+        << "horizon " << horizon;
+    auto decoded = DecodeReport(encoded);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(decoded->epsilons, report.epsilons);
+    EXPECT_EQ(decoded->tpl_series, report.tpl_series);
   }
 }
 
@@ -343,10 +400,15 @@ TEST(MessageCodecTest, EveryStrictPrefixFailsToDecode) {
   // strict prefixes must fail under its own decoder; feeding them to
   // every other decoder additionally exercises the wrong-type paths
   // (success there is harmless, crashing is not).
+  // The report's runs of 150 and 199 entries put two-byte varints in
+  // the run lengths.
   server::UserReport report;
   report.name = "u";
-  report.epsilons = {0.1, 0.2};
-  report.tpl_series = {0.3, 0.4};
+  report.horizon = 200;
+  report.epsilons.assign(150, 0.1);
+  report.epsilons.resize(200, 0.2);
+  report.tpl_series.assign(1, 0.3);
+  report.tpl_series.resize(200, 0.4);
   struct Case {
     std::string payload;
     std::function<bool(const std::string&)> decodes;
@@ -387,8 +449,78 @@ TEST(MessageCodecTest, EveryStrictPrefixFailsToDecode) {
   for (int i = 0; i < 3; ++i) PutVarint64(&huge, 0);
   PutDoubleBits(&huge, 0.0);
   PutDoubleBits(&huge, 0.0);
-  PutVarint64(&huge, std::uint64_t{1} << 60);  // epsilons count
+  PutVarint64(&huge, std::uint64_t{1} << 60);  // epsilons run count
   EXPECT_FALSE(DecodeReport(huge).ok());
+}
+
+/// A Report payload with the given horizon and raw series bytes.
+std::string ReportWithSeries(std::uint64_t horizon,
+                             const std::string& series) {
+  std::string payload;
+  PutLengthPrefixed(&payload, "u");
+  PutVarint64(&payload, 0);  // shard
+  PutVarint64(&payload, 0);  // join_release
+  PutVarint64(&payload, horizon);
+  PutDoubleBits(&payload, 0.5);
+  PutDoubleBits(&payload, 0.5);
+  return payload + series;
+}
+
+/// One run-coded series: a run count, then (length, value) pairs.
+std::string RunBytes(std::uint64_t count,
+                     const std::vector<std::uint64_t>& lengths) {
+  std::string bytes;
+  PutVarint64(&bytes, count);
+  for (std::uint64_t length : lengths) {
+    PutVarint64(&bytes, length);
+    PutDoubleBits(&bytes, 0.25);
+  }
+  return bytes;
+}
+
+TEST(MessageCodecTest, HostileRunsAreRefusedWithoutAllocatingTheHorizon) {
+  // Each payload claims a horizon whose dense series would take at
+  // least 128 MiB. The decoder must refuse it with InvalidArgument and
+  // never ask for a buffer near that size.
+  const std::uint64_t big = kMaxReportHorizon;
+  const std::string whole = RunBytes(1, {big});
+  struct Case {
+    const char* what;
+    std::string payload;
+  };
+  const std::vector<Case> cases = {
+      {"zero-length run", ReportWithSeries(big, RunBytes(2, {0, big}) + whole)},
+      {"runs short of the horizon",
+       ReportWithSeries(big, whole + RunBytes(2, {big / 2, big / 2 - 1}))},
+      {"runs past the horizon",
+       ReportWithSeries(big, RunBytes(2, {big, 1}) + whole)},
+      {"run count beyond the payload",
+       ReportWithSeries(big, RunBytes(1000, {big}) + whole)},
+      {"run count beyond the horizon",
+       ReportWithSeries(1, RunBytes(2, {1, 1}) + RunBytes(1, {1}))},
+      {"horizon above the cap",
+       ReportWithSeries(big + 1, RunBytes(1, {big + 1}) +
+                                     RunBytes(1, {big + 1}))},
+  };
+  for (const Case& c : cases) {
+    g_largest_allocation.store(0);
+    auto decoded = DecodeReport(c.payload);
+    const std::size_t largest = g_largest_allocation.load();
+    ASSERT_FALSE(decoded.ok()) << c.what;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << c.what << ": " << decoded.status();
+    EXPECT_LT(largest, std::size_t{1} << 16) << c.what;
+  }
+
+  // The same shapes made consistent decode and expand to the horizon,
+  // which the allocation probe sees.
+  g_largest_allocation.store(0);
+  auto decoded = DecodeReport(
+      ReportWithSeries(1000, RunBytes(2, {400, 600}) + RunBytes(1, {1000})));
+  EXPECT_GE(g_largest_allocation.load(), 1000 * sizeof(double));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->epsilons, std::vector<double>(1000, 0.25));
+  EXPECT_EQ(decoded->tpl_series, std::vector<double>(1000, 0.25));
 }
 
 }  // namespace
