@@ -12,8 +12,8 @@ void PutFixed32(std::string* dst, std::uint32_t value) {
 
 void PutFixed64(std::string* dst, std::uint64_t value) {
   char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>(value >> (8 * i));
-  dst->append(buf, 8);
+  EncodeFixed64(buf, value);
+  dst->append(buf, sizeof(buf));
 }
 
 void PutVarint64(std::string* dst, std::uint64_t value) {

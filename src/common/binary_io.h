@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "common/status.h"
@@ -39,6 +40,31 @@ void PutDoubleBitsArray(std::string* dst, const double* values,
                         std::size_t count);
 /// Varint length prefix followed by the raw bytes.
 void PutLengthPrefixed(std::string* dst, const std::string& value);
+/// @}
+
+/// \name Writers into room the caller has already made (say, a string
+/// resized once to an exact size): each writes the bytes its Put*
+/// counterpart appends and returns the position after them. A writer
+/// that checks room per value, as the Put* ones must, is what makes a
+/// large payload slow to encode.
+/// @{
+inline char* EncodeFixed64(char* dst, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) dst[i] = static_cast<char>(value >> (8 * i));
+  return dst + 8;
+}
+inline char* EncodeVarint64(char* dst, std::uint64_t value) {
+  while (value >= 0x80) {
+    *dst++ = static_cast<char>(value | 0x80);
+    value >>= 7;
+  }
+  *dst++ = static_cast<char>(value);
+  return dst;
+}
+inline char* EncodeDoubleBits(char* dst, double value) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return EncodeFixed64(dst, bits);
+}
 /// @}
 
 /// \brief Bounded forward reader over a byte range. Every Read* returns

@@ -4,9 +4,11 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <numeric>
-#include <optional>
 
 #include "core/tpl_accountant.h"
 #include "kernels/kernels.h"
@@ -131,33 +133,219 @@ StepScratch& StepScratchForThread() {
   return scratch;
 }
 
-/// One recurrence's loss, one entry deep: when the argument repeats the
-/// previous one bit-for-bit the previous value is returned without an
-/// evaluation. Between a user's participations eps = 0 and the
-/// recurrence x <- L(snap(x)) settles on the quantization grid's fixed
-/// point; SeriesRunsFor closes that gap with one run, and the step
-/// after it evaluates at the settled value again. Evaluators are pure (the
-/// property LocalLossMemo relies on), so reuse never changes a value.
-class RepeatArgLoss {
+/// The series pass's memo of gap trajectories, one per thread. Between
+/// a user's participations eps = 0, so a gap is a stretch of the
+/// trajectory y_1 = S(y_0), y_2 = S(y_1), ... of one recurrence from the
+/// value after the participation, which depends on nothing but the
+/// cohort, the direction and y_0. Start values repeat across users and
+/// gaps (the recurrences settle on grid points, and budgets come from a
+/// few values), so each trajectory is walked once per thread and read
+/// back by every later gap that starts from it.
+///
+/// An entry is keyed by (cohort serial << 1 | direction, y_0 bits) and
+/// holds y_1, y_2, ... up to the first value equal to its argument bit
+/// for bit (settled: every later step returns it again) or
+/// kTrajectoryMaxSteps values. Values are computed on demand, only as
+/// far as some walk has asked, so the memo never evaluates a step the
+/// step-by-step recurrence would not. Evaluators are pure, so a memoized
+/// value is exactly the evaluator's; a full memo is emptied, which
+/// costs time only.
+class TrajectoryMemo {
  public:
-  explicit RepeatArgLoss(const LossEvaluator& loss) : loss_(loss) {}
+  struct Span {
+    const double* values;  ///< y_1 .. y_count
+    std::size_t count;
+    bool settled;  ///< y_count == y_(count - 1): the trajectory ends
+  };
 
-  double Evaluate(double alpha) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &alpha, sizeof(bits));
-    if (!has_last_ || bits != last_bits_) {
-      last_value_ = loss_.Evaluate(alpha);
-      last_bits_ = bits;
-      has_last_ = true;
+  /// The first min(n, length) values of the trajectory from \p x under
+  /// \p key, at least one and at most kTrajectoryMaxSteps, computing
+  /// missing ones with \p step. The span is valid until the next call.
+  template <typename Step>
+  Span Walk(std::uint64_t key, double x, std::size_t n, const Step& step) {
+    if (table_ == nullptr) {
+      // Fresh pages of an allocation this large come zeroed from the
+      // kernel, so calloc gives an empty table (key 0) without writing
+      // it, and a thread pays for the pages its entries touch.
+      table_.reset(static_cast<Entry*>(std::calloc(kSlots, sizeof(Entry))));
+      arena_.reset(
+          static_cast<double*>(std::malloc(kArenaValues * sizeof(double))));
+      if (table_ == nullptr || arena_ == nullptr) throw std::bad_alloc();
     }
-    return last_value_;
+    n = std::min(n, kTrajectoryMaxSteps);
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof(bits));
+    Entry* entry = Find(key, bits);
+    if (entry->key == key) {
+      ++stats_.hits;
+    } else {
+      ++stats_.misses;
+      if (stats_.entries == kMaxEntries) {
+        Clear();
+        entry = Find(key, bits);
+      }
+      *entry = Entry{bits, key, 0, 0, 0, false};
+      ++stats_.entries;
+    }
+    if (entry->count < n && !entry->settled) {
+      entry = Extend(entry, x, n, step);
+    }
+    return {arena_.get() + entry->offset, entry->count, entry->settled};
+  }
+
+  TrajectoryMemoStats stats() const {
+    TrajectoryMemoStats stats = stats_;
+    stats.values = used_;
+    if (table_ != nullptr) stats.bytes = kBytes;
+    return stats;
   }
 
  private:
-  const LossEvaluator& loss_;
-  bool has_last_ = false;
-  std::uint64_t last_bits_ = 0;
-  double last_value_ = 0.0;
+  struct Entry {
+    std::uint64_t start;    ///< y_0's bits
+    std::uint64_t key;      ///< 0 marks an empty slot (serials start at 1)
+    std::uint32_t offset;   ///< of y_1 in the arena
+    std::uint8_t count;     ///< values computed
+    std::uint8_t capacity;  ///< values reserved at offset
+    bool settled;
+  };
+  /// Open-addressed slots, at most 3/4 full; the arena takes the rest
+  /// of the byte bound.
+  static constexpr std::size_t kSlotBits = 13;
+  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+  static constexpr std::size_t kMaxEntries = kSlots / 4 * 3;
+  static constexpr std::size_t kArenaValues =
+      (kTrajectoryMemoBytes - kSlots * sizeof(Entry)) / sizeof(double);
+  static constexpr std::size_t kBytes =
+      kSlots * sizeof(Entry) + kArenaValues * sizeof(double);
+  static_assert(kBytes <= kTrajectoryMemoBytes, "the stated bound holds");
+  static_assert(kTrajectoryMaxSteps <= 255, "count and capacity are 8-bit");
+  static_assert(kArenaValues >= kTrajectoryMaxSteps, "an entry must fit");
+
+  /// The slot holding (key, bits), else the empty slot it would take.
+  Entry* Find(std::uint64_t key, std::uint64_t bits) {
+    const std::uint64_t hash =
+        (bits ^ (key * 0x9e3779b97f4a7c15ull)) * 0xbf58476d1ce4e5b9ull;
+    std::size_t slot = static_cast<std::size_t>(hash >> (64 - kSlotBits));
+    while (table_[slot].key != 0 &&
+           (table_[slot].key != key || table_[slot].start != bits)) {
+      slot = (slot + 1) & (kSlots - 1);
+    }
+    return &table_[slot];
+  }
+
+  void Clear() {
+    std::fill_n(table_.get(), kSlots, Entry{});
+    used_ = 0;
+    stats_.entries = 0;
+    ++stats_.clears;
+  }
+
+  /// Computes \p entry's values up to \p n or until it settles, first
+  /// growing its room to at least n (twice what it had, where that
+  /// fits): in place when it ends the arena, else by moving it to the
+  /// end. An arena too full for that is emptied with the table, and the
+  /// entry starts over from \p x. Returns where the entry now is.
+  template <typename Step>
+  Entry* Extend(Entry* entry, double x, std::size_t n, const Step& step) {
+    if (n > entry->capacity) {
+      const std::size_t doubled = 2 * std::size_t{entry->capacity};
+      const std::size_t capacity =
+          std::min(kTrajectoryMaxSteps, std::max(n, doubled));
+      std::size_t from =
+          entry->offset + entry->capacity == used_ ? entry->offset : used_;
+      if (from + capacity > kArenaValues) {
+        const Entry fresh{entry->start, entry->key, 0, 0, 0, false};
+        Clear();
+        entry = Find(fresh.key, fresh.start);
+        *entry = fresh;
+        ++stats_.entries;
+        from = 0;
+      } else if (from != entry->offset) {
+        std::copy_n(arena_.get() + entry->offset, entry->count,
+                    arena_.get() + from);
+      }
+      entry->offset = static_cast<std::uint32_t>(from);
+      entry->capacity = static_cast<std::uint8_t>(capacity);
+      used_ = from + capacity;
+    }
+    double* values = arena_.get() + entry->offset;
+    double y = entry->count > 0 ? values[entry->count - 1] : x;
+    while (entry->count < n) {
+      const double next = step(y);
+      values[entry->count++] = next;
+      if (SameBits(next, y)) {
+        entry->settled = true;
+        // A settled entry never grows: the room past it goes back.
+        if (entry->offset + entry->capacity == used_) {
+          entry->capacity = entry->count;
+          used_ = entry->offset + entry->count;
+        }
+        break;
+      }
+      y = next;
+    }
+    return entry;
+  }
+
+  struct Free {
+    void operator()(void* p) const { std::free(p); }
+  };
+  std::unique_ptr<Entry[], Free> table_;
+  std::unique_ptr<double[], Free> arena_;
+  std::size_t used_ = 0;  ///< arena values handed out
+  TrajectoryMemoStats stats_;
+};
+
+TrajectoryMemo& TrajectoryMemoForThread() {
+  thread_local TrajectoryMemo memo;
+  return memo;
+}
+
+/// One recurrence of the series pass with eps = 0: S(x) = L(x) + 0.0,
+/// where Equation 13 applies L^B only at x > 0 (as the columns do) and
+/// Equation 15 applies L^F everywhere. A participation's value is
+/// S(y) + eps for the y before it: L(y) + 0.0 differs from L(y) only
+/// when L(y) is -0.0, and then both give eps.
+struct Recurrence {
+  TrajectoryMemo* memo;
+  const LossEvaluator* loss;  ///< null = zero loss
+  std::uint64_t key;          ///< cohort serial << 1 | direction
+  bool positive_only;
+
+  double Step(double x) const {
+    return (positive_only && !(x > 0.0) ? 0.0 : loss->Evaluate(x)) + 0.0;
+  }
+
+  /// Hands S(x), ..., S^emitted(x) to emit(length, value), the settled
+  /// rest of a trajectory as one run, and returns S^steps(x) (x when
+  /// steps is 0), for steps of emitted or emitted + 1.
+  template <typename Emit>
+  double Walk(double x, std::size_t emitted, std::size_t steps,
+              const Emit& emit) const {
+    if (loss == nullptr || (positive_only && !(x > 0.0))) {
+      if (emitted > 0) emit(emitted, 0.0);
+      return steps > 0 ? 0.0 : x;
+    }
+    const auto step = [this](double y) { return Step(y); };
+    std::size_t done = 0;
+    while (done < steps) {
+      const TrajectoryMemo::Span span = memo->Walk(key, x, steps - done, step);
+      const std::size_t take = std::min(span.count, steps - done);
+      for (std::size_t j = 0; j < take && done + j < emitted; ++j) {
+        emit(1, span.values[j]);
+      }
+      done += take;
+      x = span.values[take - 1];
+      if (done < steps && span.settled) {
+        if (emitted > done) emit(emitted - done, x);
+        break;
+      }
+      // Unless the walk is done, the span hit kTrajectoryMaxSteps: the
+      // trajectory goes on from its last value.
+    }
+    return x;
+  }
 };
 
 /// Per-thread scratch of the series pass and its dense views, kept
@@ -195,7 +383,11 @@ std::size_t AccountantBank::FindOrCreateCohort(
   for (std::uint32_t c : it->second) {
     if (SameCorrelations(cohorts_[c].correlations, correlations)) return c;
   }
+  // Serials are never reused, so a trajectory memoized for a bank that
+  // is gone never serves a later one.
+  static std::atomic<std::uint64_t> next_serial{1};
   Cohort cohort;
+  cohort.serial = next_serial.fetch_add(1, std::memory_order_relaxed);
   cohort.correlations = correlations;
   if (correlations.has_backward()) {
     cohort.backward =
@@ -521,92 +713,92 @@ double AccountantBank::SeriesRunsFor(std::size_t user, RunSeries* epsilons,
   for (std::uint32_t& t : marks) t -= join;
   marks.push_back(static_cast<std::uint32_t>(len));
 
-  std::optional<RepeatArgLoss> backward;
-  std::optional<RepeatArgLoss> forward;
-  if (cohort.backward != nullptr) backward.emplace(*cohort.backward);
-  if (cohort.forward != nullptr) forward.emplace(*cohort.forward);
+  TrajectoryMemo& memo = TrajectoryMemoForThread();
+  const std::uint64_t key = cohort.serial << 1;  // bit 0: the direction
+  const Recurrence backward{&memo, cohort.backward.get(), key,
+                            /*positive_only=*/true};
+  const Recurrence forward{&memo, cohort.forward.get(), key | 1u,
+                           /*positive_only=*/false};
 
   // Equation 13 forward, appending eps and BPL runs. Gap m is
   // [marks[m - 1] + 1, marks[m]): the skips (eps = 0) before
-  // participation m, or before the end of the series. Once a step in a
-  // gap returns its argument's bits, every later step in the gap
-  // returns them again (evaluators are pure), so the rest of the gap
-  // joins that value's run.
+  // participation m, or before the end of the series, which walk the
+  // trajectory from the BPL before them; the participation adds its
+  // eps to the walk's next step.
   RunSeries& eps = *epsilons;
   RunSeries& bpl = bpl_out != nullptr ? *bpl_out : scratch.bpl;
   eps.clear();
   bpl.clear();
-  double prev = 0.0;
-  const auto step_bpl = [&](double e) {
-    const double loss =
-        backward && prev > 0.0 ? backward->Evaluate(prev) : 0.0;
-    prev = loss + e;
-    AppendRun(&bpl, 1, prev);
+  const auto emit_bpl = [&bpl](std::size_t length, double value) {
+    AppendRun(&bpl, length, value);
   };
+  double prev = 0.0;  // BPL at the last index formed
   std::size_t start = 0;
   for (const std::uint32_t end : marks) {
-    AppendRun(&eps, end - start, 0.0);
-    for (std::size_t i = start; i < end; ++i) {
-      const double arg = prev;
-      step_bpl(0.0);
-      if (SameBits(prev, arg)) {
-        AppendRun(&bpl, end - i - 1, prev);
-        break;
-      }
-    }
+    const std::size_t gap = end - start;
+    AppendRun(&eps, gap, 0.0);
     if (end < len) {
       const double e = schedule_[join + end];
       AppendRun(&eps, 1, e);
-      step_bpl(e);
+      prev = backward.Walk(prev, gap, gap + 1, emit_bpl) + e;
+      AppendRun(&bpl, 1, prev);
+    } else {
+      prev = backward.Walk(prev, gap, gap, emit_bpl);
     }
     start = end + std::size_t{1};
   }
   // The recomputed tail must land exactly on the running column.
   assert(len == 0 || prev == cohort.bpl_last[user_slot_[user]]);
 
-  // Equation 15 backward, the same way: a step in a gap that returns
-  // the next index's bits settles FPL down to the gap's start. FPL runs
-  // in `next`; TPL = BPL + FPL - eps and its max are formed as it goes,
-  // BPL read through a cursor over its runs. TPL and FPL runs are built
-  // back to front, then reversed.
+  // Equation 15 backward, the same way from the top: a gap walks the
+  // trajectory from the FPL above it, and a participation adds its eps
+  // to the step after the gap above. TPL = BPL + FPL - eps and its max
+  // are formed as it goes, BPL read through a cursor over its runs; over
+  // an FPL run with eps = 0 each BPL run gives one TPL value. TPL and
+  // FPL runs are built back to front, then reversed.
   RunSeries& tpl = *tpl_out;
   RunSeries* const fpl = fpl_out;
   tpl.clear();
   if (fpl != nullptr) fpl->clear();
   ReverseRunCursor b(bpl);
-  double next = 0.0;  // FPL at the index after the one being stepped
   double max_tpl = 0.0;
   const auto emit_tpl = [&](std::size_t length, double value) {
     AppendRun(&tpl, length, value);
     max_tpl = std::max(max_tpl, value);
   };
-  const auto step_fpl = [&](std::size_t i, double e) {
-    double f = e;
-    if (i + 1 < len && forward) f += forward->Evaluate(next);
-    next = f;
-    if (fpl != nullptr) AppendRun(fpl, 1, f);
-    emit_tpl(1, b.At(i) + f - e);
+  std::size_t below = len;  // FPL and TPL are formed on [below, len)
+  const auto emit_fpl = [&](std::size_t length, double f) {
+    if (fpl != nullptr) AppendRun(fpl, length, f);
+    const std::size_t lo = below - length;
+    for (std::size_t hi = below; hi > lo;) {
+      const double value = b.At(hi - 1) + f - 0.0;
+      const std::size_t run_lo = std::max(b.run_begin(), lo);
+      emit_tpl(hi - run_lo, value);
+      hi = run_lo;
+    }
+    below = lo;
   };
+  // S(FPL above) for the next participation down; at the top no loss
+  // applies, and 0.0 + eps is eps.
+  double carry = 0.0;
   for (std::size_t m = marks.size(); m-- > 0;) {
     const std::size_t end = marks[m];
-    if (end < len) step_fpl(end, schedule_[join + end]);
-    const std::size_t gap = m > 0 ? marks[m - 1] + std::size_t{1} : 0;
-    for (std::size_t i = end; i-- > gap;) {
-      const double after = next;
-      step_fpl(i, 0.0);
-      if (i + 1 < len && SameBits(next, after)) {
-        // FPL is `next` on [gap, i) and eps is 0: each BPL run there
-        // gives one TPL value, formed and maxed once.
-        if (fpl != nullptr) AppendRun(fpl, i - gap, next);
-        for (std::size_t hi = i; hi > gap;) {
-          const double value = b.At(hi - 1) + next - 0.0;
-          const std::size_t lo = std::max(b.run_begin(), gap);
-          emit_tpl(hi - lo, value);
-          hi = lo;
-        }
-        break;
-      }
+    std::size_t gap = end - (m > 0 ? marks[m - 1] + std::size_t{1} : 0);
+    double x = 0.0;  // FPL at the index above the gap
+    if (end < len) {
+      const double e = schedule_[join + end];
+      x = carry + e;
+      if (fpl != nullptr) AppendRun(fpl, 1, x);
+      emit_tpl(1, b.At(end) + x - e);
+      below = end;
+    } else if (gap > 0) {
+      // The series' last index is a skip: FPL 0, with no loss above it.
+      emit_fpl(1, x);
+      --gap;
+    } else {
+      continue;
     }
+    carry = forward.Walk(x, gap, m > 0 ? gap + 1 : gap, emit_fpl);
   }
   std::reverse(tpl.begin(), tpl.end());
   if (fpl != nullptr) std::reverse(fpl->begin(), fpl->end());
@@ -702,6 +894,10 @@ double AccountantBank::OverallAlpha() const {
   double best = 0.0;
   for (double v : PersonalizedAlphas()) best = std::max(best, v);
   return best;
+}
+
+TrajectoryMemoStats ThreadTrajectoryMemoStats() {
+  return TrajectoryMemoForThread().stats();
 }
 
 TemporalLossCache::Stats AccountantBank::cache_stats() const {

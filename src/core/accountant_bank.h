@@ -80,6 +80,25 @@ struct AccountantBankOptions {
   TemporalLossCache::Options cache;
 };
 
+/// Bounds of each thread's trajectory memo, the series pass's record of
+/// the gap trajectories it has walked (see SeriesRunsFor). A trajectory
+/// keeps at most kTrajectoryMaxSteps values; the memo's entry table and
+/// value arena together take kTrajectoryMemoBytes, allocated at the
+/// thread's first probe, and it is emptied whenever either is full.
+inline constexpr std::size_t kTrajectoryMaxSteps = 64;
+inline constexpr std::size_t kTrajectoryMemoBytes = std::size_t{1} << 20;
+
+/// Occupancy and traffic of the calling thread's trajectory memo.
+struct TrajectoryMemoStats {
+  std::size_t entries = 0;  ///< trajectories held
+  std::size_t values = 0;   ///< arena values reserved, moved-from room too
+  std::size_t bytes = 0;    ///< allocated, 0 or kTrajectoryMemoBytes
+  std::uint64_t hits = 0;   ///< probes that found their trajectory
+  std::uint64_t misses = 0;
+  std::uint64_t clears = 0;  ///< times a full memo was emptied
+};
+TrajectoryMemoStats ThreadTrajectoryMemoStats();
+
 /// \brief Cohort-batched, SoA multi-user TPL accounting.
 class AccountantBank {
  public:
@@ -141,15 +160,22 @@ class AccountantBank {
   /// bitwise the reference TplAccountant's.
   ///
   /// The pass walks the user's participations from the participation
-  /// index. Equation 13 forward and Equation 15 backward step through
-  /// each gap between two participations (eps = 0) until a step
-  /// returns the same bits; the rest of the gap is one run of that
-  /// value. Evaluators are pure, so the run is exactly what further
-  /// steps would return, and each recurrence also reuses the previous
-  /// loss when its argument repeats. The backward sweep reads BPL from
-  /// its runs and forms TPL and its max as it goes; where FPL and eps
-  /// are settled, each BPL run gives one TPL run. Cost: O(participations
-  /// + settling steps), not O(horizon).
+  /// index. Between two participations eps = 0, so each gap is a stretch
+  /// of one recurrence's trajectory y_1 = S(y_0), y_2 = S(y_1), ...
+  /// from the value y_0 after the participation (Equation 13 forward,
+  /// Equation 15 backward), and the next participation adds its eps to
+  /// the step after the gap. Trajectories are read from the calling
+  /// thread's trajectory memo (kTrajectoryMemoBytes above): keyed by the
+  /// cohort's serial, the direction and y_0's bits, each holds its values
+  /// up to the first step that returns its argument's bits (it has
+  /// settled: the rest of any gap is one run of that value) or
+  /// kTrajectoryMaxSteps values, after which the walk continues from the
+  /// last one. Evaluators are pure, so a memoized value is exactly what
+  /// the evaluator would return. The backward sweep reads BPL from its
+  /// runs and forms TPL and its max as it goes; where FPL and eps are
+  /// settled, each BPL run gives one TPL run. Cost: one memo probe per
+  /// gap and O(runs) appends; the evaluator runs only for trajectory
+  /// steps no earlier series on this thread has walked.
   double SeriesRunsFor(std::size_t user, RunSeries* epsilons, RunSeries* bpl,
                        RunSeries* fpl, RunSeries* tpl) const;
   /// Dense views: expansions of SeriesRunsFor's runs, refilled in
@@ -254,6 +280,9 @@ class AccountantBank {
   };
   /// One cohort: all users sharing a bit-identical (P^B, P^F) pair.
   struct Cohort {
+    /// Process-unique and never reused: keys the cohort's trajectories
+    /// in the series pass's per-thread memo.
+    std::uint64_t serial = 0;
     TemporalCorrelations correlations =
         TemporalCorrelations::None();  ///< exemplar matrices
     std::shared_ptr<const LossEvaluator> backward;  ///< null = zero loss

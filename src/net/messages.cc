@@ -1,8 +1,11 @@
 #include "net/messages.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "common/binary_io.h"
+#include "net/wire.h"
 
 namespace tcdp {
 namespace net {
@@ -58,12 +61,13 @@ Status ReadRunSeries(BinaryCursor* cursor, std::uint64_t horizon,
   return Status::OK();
 }
 
-void PutRunSeries(std::string* dst, const RunSeries& runs) {
-  PutVarint64(dst, runs.size());
+char* WriteRunSeries(char* out, const RunSeries& runs) {
+  out = EncodeVarint64(out, runs.size());
   for (const Run& run : runs) {
-    PutVarint64(dst, run.length);
-    PutDoubleBits(dst, run.value);
+    out = EncodeVarint64(out, run.length);
+    out = EncodeDoubleBits(out, run.value);
   }
+  return out;
 }
 
 std::size_t RunSeriesSize(const RunSeries& runs) {
@@ -169,21 +173,35 @@ std::size_t ReportPayloadSize(const server::UserReport& report) {
   return ReportPayloadSize(server::ToRunReport(report));
 }
 
+bool ReportFitsTheWire(std::uint64_t horizon, std::size_t payload_size) {
+  return horizon <= kMaxReportHorizon && payload_size <= kMaxFramePayload;
+}
+
 void AppendReport(std::string* dst, const server::UserReportRuns& report) {
-  PutLengthPrefixed(dst, report.name);
-  PutVarint64(dst, report.shard);
-  PutVarint64(dst, report.join_release);
-  PutVarint64(dst, report.horizon);
-  PutDoubleBits(dst, report.max_tpl);
-  PutDoubleBits(dst, report.user_level_tpl);
-  PutRunSeries(dst, report.epsilons);
-  PutRunSeries(dst, report.tpl_series);
+  AppendReport(dst, report, ReportPayloadSize(report));
+}
+
+void AppendReport(std::string* dst, const server::UserReportRuns& report,
+                  std::size_t payload_size) {
+  assert(payload_size == ReportPayloadSize(report));
+  const std::size_t offset = dst->size();
+  dst->resize(offset + payload_size);
+  char* out = &(*dst)[offset];
+  out = EncodeVarint64(out, report.name.size());
+  out = std::copy(report.name.begin(), report.name.end(), out);
+  out = EncodeVarint64(out, report.shard);
+  out = EncodeVarint64(out, report.join_release);
+  out = EncodeVarint64(out, report.horizon);
+  out = EncodeDoubleBits(out, report.max_tpl);
+  out = EncodeDoubleBits(out, report.user_level_tpl);
+  out = WriteRunSeries(out, report.epsilons);
+  out = WriteRunSeries(out, report.tpl_series);
+  assert(out == dst->data() + dst->size());
 }
 
 std::string EncodeReport(const server::UserReport& report) {
   const server::UserReportRuns runs = server::ToRunReport(report);
   std::string out;
-  out.reserve(ReportPayloadSize(runs));
   AppendReport(&out, runs);
   return out;
 }

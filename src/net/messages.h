@@ -81,11 +81,15 @@ Status DecodeError(const std::string& payload, Status* error);
 
 /// kReport carries both series as runs (protocol version 2): a varint
 /// run count, then per run a varint length and the value's double
-/// bits. AppendReport encodes a run-form report straight into \p dst
-/// (NetServer encodes into a connection's out buffer); the dense
-/// overloads encode the series' maximal runs, so a report and its run
-/// form give the same bytes.
+/// bits. AppendReport grows \p dst once by the payload's exact size and
+/// encodes a run-form report straight into it (NetServer encodes into a
+/// connection's out buffer, passing the \p payload_size it has already
+/// computed with ReportPayloadSize); the dense overloads encode the
+/// series' maximal runs, so a report and its run form give the same
+/// bytes.
 void AppendReport(std::string* dst, const server::UserReportRuns& report);
+void AppendReport(std::string* dst, const server::UserReportRuns& report,
+                  std::size_t payload_size);
 std::string EncodeReport(const server::UserReport& report);
 /// The encoded size, computed from the name length, the varint fields
 /// and the runs without encoding anything.
@@ -94,6 +98,12 @@ std::size_t ReportPayloadSize(const server::UserReport& report);
 /// Largest `horizon` DecodeReport accepts: 2^24 releases, so the dense
 /// report it expands holds at most 256 MiB of series.
 inline constexpr std::uint64_t kMaxReportHorizon = std::uint64_t{1} << 24;
+/// Whether every DecodeReport accepts a report of \p horizon releases
+/// whose payload is \p payload_size bytes: at most kMaxReportHorizon
+/// and kMaxFramePayload. NetServer answers a Query whose report fails
+/// this with ResourceExhausted instead of a frame its client must
+/// refuse.
+bool ReportFitsTheWire(std::uint64_t horizon, std::size_t payload_size);
 /// Decodes and expands to the dense report. InvalidArgument, before
 /// allocating for either series, on a horizon above kMaxReportHorizon,
 /// a run count the remaining bytes cannot hold, a zero-length run, or

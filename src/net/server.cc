@@ -209,18 +209,21 @@ void NetServer::HandleFrame(Connection* conn, MsgType type,
       }
       applied = service_->Query(*name, &report_);
       if (applied.ok()) {
-        if (ReportPayloadSize(report_) > kMaxFramePayload) {
+        const std::size_t size = ReportPayloadSize(report_);
+        if (!ReportFitsTheWire(report_.horizon, size)) {
           // A report whose series change value at nearly every release
-          // can outgrow a legal frame past about 58k releases;
+          // can outgrow a legal frame past about 58k releases, and any
+          // report passes the decoders' horizon cap past 2^24 releases;
           // answering with an error beats emitting a frame the peer's
           // decoder must reject (which would poison the whole stream).
           // Sized before encoding, so no oversized payload is built.
           applied = Status::ResourceExhausted(
-              "report for '" + *name + "' exceeds the frame size limit");
+              "report for '" + *name +
+              "' exceeds the frame size or horizon limit");
           break;
         }
         const std::size_t frame = BeginFrame(conn->out(), MsgType::kReport);
-        AppendReport(conn->out(), report_);
+        AppendReport(conn->out(), report_, size);
         FinishFrame(conn->out(), frame);
         ++stats_.responses;
         return;

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/run_series.h"
 #include "common/thread_pool.h"
 #include "core/tpl_accountant.h"
 #include "markov/stochastic_matrix.h"
@@ -139,7 +140,10 @@ TEST(AccountantBank, CacheHitMissAccountingOnUniformFleet) {
   const auto stats = bank.cache_stats();
   EXPECT_EQ(stats.distinct_matrices, 1u);
   EXPECT_EQ(stats.misses, 5u);  // BPL visits 5 distinct alphas
-  EXPECT_GT(stats.HitRate(), 0.9);
+  // The first user's series looks up its 5 BPL and 5 FPL arguments, all
+  // solved already; the other 49 read the same trajectories from the
+  // thread's trajectory memo without a lookup.
+  EXPECT_EQ(stats.hits, 10u);
 }
 
 TEST(AccountantBank, CacheEntriesGaugeForgetsADestroyedBank) {
@@ -562,7 +566,7 @@ TEST_P(LongSparseEquivalenceTest, CachedAndUncachedBanksMatchReference) {
   }
 }
 
-TEST_P(LongSparseEquivalenceTest, SeriesLooksUpOncePerChangedArgument) {
+TEST_P(LongSparseEquivalenceTest, SeriesLooksUpAtMostOncePerChangedArgument) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 66000);
   const RandomFleet fleet = MakeLongSparseFleet(&rng);
 
@@ -572,6 +576,7 @@ TEST_P(LongSparseEquivalenceTest, SeriesLooksUpOncePerChangedArgument) {
   TemporalLossCache reference_cache(options.cache);
   std::size_t evaluated = 0;
   std::size_t expected_total = 0;
+  std::size_t looked_up_total = 0;
   for (std::size_t u = 0; u < bank.num_users(); ++u) {
     const TplAccountant reference =
         MakeReference(fleet, u, options.cache, &reference_cache);
@@ -584,13 +589,19 @@ TEST_P(LongSparseEquivalenceTest, SeriesLooksUpOncePerChangedArgument) {
     const TemporalLossCache::Stats before = bank.cache_stats();
     (void)bank.SeriesFor(u);
     const TemporalLossCache::Stats after = bank.cache_stats();
-    EXPECT_EQ((after.hits + after.misses) - (before.hits + before.misses),
-              expected)
-        << "user " << u;
+    const std::size_t looked_up =
+        (after.hits + after.misses) - (before.hits + before.misses);
+    // Never more than the step-by-step recurrence; fewer where a walk
+    // reads a trajectory already walked from the same start value.
+    EXPECT_LE(looked_up, expected) << "user " << u;
     expected_total += expected;
+    looked_up_total += looked_up;
   }
   // Not vacuous: most evaluations along a sparse schedule repeat.
   EXPECT_LT(expected_total, evaluated / 2);
+  // Users of one cohort share trajectories (the one from FPL 0 after a
+  // last skip, at least), so the memo takes lookups away.
+  EXPECT_LT(looked_up_total, expected_total);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LongSparseEquivalenceTest,
@@ -1244,6 +1255,275 @@ TEST(AccountantBank, SeriesRunsAreMaximalAndExpandToTheDenseViews) {
   }
   EXPECT_TRUE(SameBits(bank.OverallAlpha(),
                        *std::max_element(overall.begin(), overall.end())));
+}
+
+// ----------------------------------------------------------------------
+// Trajectory memo: the series pass reads each gap's trajectory from a
+// per-thread memo keyed by cohort serial, direction and start value.
+// Every view must stay bitwise the reference's whatever the memo holds:
+// cold or warm, shared with other users, cleared when full, or left
+// behind by a bank that is gone.
+
+/// Fig. 3's pair (a participation's recurrence takes 70-80 steps to
+/// settle, past kTrajectoryMaxSteps), a random n = 4 pair, the identity
+/// (L(a) = a: every trajectory settles at its first step), one-sided
+/// pairs and None().
+std::vector<TemporalCorrelations> MemoProfiles(Rng* rng) {
+  const auto pb = StochasticMatrix::Random(4, rng);
+  const auto pf = StochasticMatrix::Random(4, rng);
+  const auto identity = StochasticMatrix::Identity(3);
+  return {Fig3Both(), TemporalCorrelations::Both(pb, pf).value(),
+          TemporalCorrelations::Both(identity, identity).value(),
+          TemporalCorrelations::BackwardOnly(pb),
+          TemporalCorrelations::ForwardOnly(pf), TemporalCorrelations::None()};
+}
+
+/// Per profile, users taking part every 1-3 releases (gaps too short to
+/// settle), every 20-80 and every 300-600; each shape once from the
+/// start and once joining mid-horizon. Budgets come from three values,
+/// so users share start values; a few releases are dense (everyone
+/// takes part).
+void DriveMemoSchedule(Rng* rng,
+                       const std::vector<TemporalCorrelations>& profiles,
+                       std::size_t releases, AccountantBank* bank,
+                       Recorded* recorded) {
+  const std::int64_t gaps[3][2] = {{1, 3}, {20, 80}, {300, 600}};
+  const double budgets[3] = {0.05, 0.1, 0.2};
+  const auto draw = [&](std::size_t shape, std::int64_t lo) {
+    return static_cast<std::size_t>(rng->UniformInt(lo, gaps[shape][1]));
+  };
+  std::vector<std::size_t> shape_of;
+  std::vector<std::size_t> next;  // each user's next participation
+  const auto enroll = [&](std::size_t t) {
+    for (const TemporalCorrelations& profile : profiles) {
+      for (std::size_t shape = 0; shape < 3; ++shape) {
+        AddRecordedUser(profile, bank, recorded);
+        shape_of.push_back(shape);
+        next.push_back(t + draw(shape, 0));
+      }
+    }
+  };
+  for (std::size_t t = 0; t < releases; ++t) {
+    if (t == 0 || t == releases / 2) enroll(t);
+    const double eps = budgets[rng->UniformInt(0, 2)];
+    const bool dense = rng->Uniform() < 0.005;
+    std::vector<std::size_t> participants;
+    for (std::size_t u = 0; u < next.size(); ++u) {
+      const bool due = next[u] == t;
+      if (due) {
+        participants.push_back(u);
+        next[u] = t + draw(shape_of[u], gaps[shape_of[u]][0]);
+      }
+      (*recorded)[u].push_back(dense || due ? eps : 0.0);
+    }
+    ASSERT_TRUE((dense ? bank->RecordRelease(eps)
+                       : bank->RecordRelease(eps, participants))
+                    .ok());
+  }
+}
+
+/// Every series view and population view of \p bank against reference
+/// accountants driven with \p recorded. Returns the longest stretch,
+/// over all users, from a participation until its BPL settles.
+std::size_t ExpectEveryViewMatchesReference(
+    const AccountantBank& bank, const AccountantBankOptions& options,
+    const Recorded& recorded) {
+  TemporalLossCache reference_cache(options.cache);
+  const std::size_t horizon = bank.horizon();
+  const std::vector<std::size_t> times = {1, horizon / 3, horizon / 2 + 1,
+                                          horizon};
+  std::vector<double> max_at(times.size(), 0.0);
+  std::vector<double> alphas;
+  std::size_t longest = 0;
+  RunSeries eps_runs, bpl_runs, fpl_runs, tpl_runs;
+  std::vector<double> dense_eps, dense_tpl;
+  for (std::size_t u = 0; u < bank.num_users(); ++u) {
+    std::optional<TplAccountant> reference;
+    DriveReference(bank, options, &reference_cache, u, recorded[u],
+                   &reference);
+    const std::vector<double> bpl = reference->BplSeries();
+    const std::vector<double> tpl = reference->TplSeries();
+    ExpectSeriesMatchReference(bank.SeriesFor(u), recorded[u], *reference, u);
+    EXPECT_TRUE(SameBits(bank.TplSeriesFor(u, &dense_eps, &dense_tpl),
+                         reference->MaxTpl()))
+        << "user " << u;
+    EXPECT_TRUE(BitwiseEqual(dense_eps, recorded[u])) << "user " << u;
+    EXPECT_TRUE(BitwiseEqual(dense_tpl, tpl)) << "user " << u;
+    EXPECT_TRUE(BitwiseEqual(bank.TplSeriesFor(u), tpl)) << "user " << u;
+    EXPECT_TRUE(SameBits(bank.MaxTplFor(u), reference->MaxTpl()))
+        << "user " << u;
+    bank.SeriesRunsFor(u, &eps_runs, &bpl_runs, &fpl_runs, &tpl_runs);
+    std::vector<double> expanded;
+    ExpandRuns(bpl_runs, &expanded);
+    EXPECT_TRUE(BitwiseEqual(expanded, bpl)) << "user " << u;
+    ExpandRuns(fpl_runs, &expanded);
+    EXPECT_TRUE(BitwiseEqual(expanded, reference->FplSeries()))
+        << "user " << u;
+    ExpandRuns(tpl_runs, &expanded);
+    EXPECT_TRUE(BitwiseEqual(expanded, tpl)) << "user " << u;
+    alphas.push_back(reference->MaxTpl());
+    for (std::size_t k = 0; k < times.size(); ++k) {
+      const std::size_t join = bank.join_release(u);
+      if (join < times[k]) {
+        max_at[k] = std::max(max_at[k], tpl[times[k] - 1 - join]);
+      }
+    }
+    std::size_t since = 0;  // steps since the last participation
+    for (std::size_t i = 0; i < bpl.size(); ++i) {
+      if (recorded[u][i] > 0.0) {
+        since = 0;
+      } else if (i > 0 && !SameBits(bpl[i], bpl[i - 1])) {
+        longest = std::max(longest, ++since);
+      }
+    }
+  }
+  const std::vector<double> personalized = bank.PersonalizedAlphas();
+  EXPECT_TRUE(BitwiseEqual(personalized, alphas));
+  EXPECT_TRUE(SameBits(bank.OverallAlpha(),
+                       *std::max_element(alphas.begin(), alphas.end())));
+  for (std::size_t k = 0; k < times.size(); ++k) {
+    const StatusOr<double> at = bank.MaxTplAt(times[k]);
+    EXPECT_TRUE(at.ok() && SameBits(*at, max_at[k])) << "t = " << times[k];
+  }
+  return longest;
+}
+
+/// (cached, seed)
+class TrajectoryMemoTest
+    : public ::testing::TestWithParam<std::tuple<bool, int>> {};
+
+TEST_P(TrajectoryMemoTest, EveryViewMatchesTheReferenceLiveAndRestored) {
+  Rng rng(static_cast<std::uint64_t>(std::get<1>(GetParam())) + 57000);
+  AccountantBankOptions options;
+  options.share_loss_cache = std::get<0>(GetParam());
+  AccountantBank bank(options);
+  Recorded recorded;
+  DriveMemoSchedule(&rng, MemoProfiles(&rng), 3000, &bank, &recorded);
+
+  const std::uint64_t hits_before = ThreadTrajectoryMemoStats().hits;
+  // Not vacuous: some gap settles past the memo's trajectory cap, so a
+  // walk goes on from a capped trajectory's last value.
+  EXPECT_GT(ExpectEveryViewMatchesReference(bank, options, recorded),
+            kTrajectoryMaxSteps);
+  // Users share start values, and the views repeat series.
+  EXPECT_GT(ThreadTrajectoryMemoStats().hits, hits_before);
+
+  // A restored bank has new cohorts: its series walk their own
+  // trajectories, bitwise the same.
+  StatusOr<AccountantBank> restored =
+      AccountantBank::Restore(bank.ExportImage(), options);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  ExpectEveryViewMatchesReference(*restored, options, recorded);
+}
+
+INSTANTIATE_TEST_SUITE_P(CachedUncached, TrajectoryMemoTest,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Range(1, 3)));
+
+TEST(TrajectoryMemo, ABankInAFreedBanksStorageGetsItsOwnTrajectories) {
+  // Both banks see the same schedule, so their trajectories start from
+  // the same values; only the matrices differ. The second bank lives
+  // where the first one did, so nothing address-like tells them apart.
+  const std::vector<TemporalCorrelations> profiles = {
+      Fig3Both(), TemporalCorrelations::Both(
+                      StochasticMatrix::FromRows({{0.6, 0.4}, {0.1, 0.9}}),
+                      StochasticMatrix::FromRows({{0.7, 0.3}, {0.2, 0.8}}))
+                      .value()};
+  alignas(AccountantBank) unsigned char storage[sizeof(AccountantBank)];
+  std::vector<double> first_tpl;
+  for (std::size_t which = 0; which < 2; ++which) {
+    AccountantBank* bank = new (storage) AccountantBank();
+    Recorded recorded;
+    for (int u = 0; u < 3; ++u) {
+      AddRecordedUser(profiles[which], bank, &recorded);
+    }
+    for (std::size_t t = 0; t < 400; ++t) {
+      std::vector<std::size_t> participants;
+      for (std::size_t u = 0; u < 3; ++u) {
+        const bool in = t % (50 * (u + 1)) == 0;
+        if (in) participants.push_back(u);
+        recorded[u].push_back(in ? 0.1 : 0.0);
+      }
+      ASSERT_TRUE(bank->RecordRelease(0.1, participants).ok());
+    }
+    ExpectEveryViewMatchesReference(*bank, AccountantBankOptions{}, recorded);
+    if (which == 0) {
+      first_tpl = bank->TplSeriesFor(0);
+    } else {
+      EXPECT_FALSE(BitwiseEqual(bank->TplSeriesFor(0), first_tpl));
+    }
+    bank->~AccountantBank();
+  }
+}
+
+TEST(TrajectoryMemo, MoreStartValuesThanItHoldsStayBoundedAndBitwise) {
+  // Fresh random budgets make nearly every start value new. Two shapes
+  // overflow the memo each its own way.
+  for (const bool long_walks : {true, false}) {
+    Rng rng(long_walks ? 20261020 : 20261021);
+    AccountantBank bank;
+    Recorded recorded;
+    // Long walks: 40 users on Fig. 3's slowly settling pair and one
+    // participant per release, so each gap walks 40 steps or more and
+    // the value arena fills first. Short walks: 4 users joining one
+    // release apart take part in every release, so each walk is one
+    // step and the entry table fills first.
+    const std::size_t users = long_walks ? 40 : 4;
+    for (std::size_t t = 0; t < 4000; ++t) {
+      if (!long_walks && t < users) {
+        AddRecordedUser(Fig3Both(), &bank, &recorded);
+      } else if (long_walks && t == 0) {
+        for (std::size_t u = 0; u < users; ++u) {
+          AddRecordedUser(Fig3Both(), &bank, &recorded);
+        }
+      }
+      const double eps = 0.05 + 0.4 * rng.Uniform();
+      const auto in = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(users) - 1));
+      for (std::size_t u = 0; u < recorded.size(); ++u) {
+        recorded[u].push_back(!long_walks || u == in ? eps : 0.0);
+      }
+      if (long_walks) {
+        ASSERT_TRUE(bank.RecordRelease(eps, {in}).ok());
+      } else {
+        ASSERT_TRUE(bank.RecordRelease(eps).ok());
+      }
+    }
+    const std::uint64_t clears_before = ThreadTrajectoryMemoStats().clears;
+    ExpectEveryViewMatchesReference(bank, AccountantBankOptions{}, recorded);
+    const TrajectoryMemoStats stats = ThreadTrajectoryMemoStats();
+    EXPECT_GT(stats.clears, clears_before) << "long walks " << long_walks;
+    EXPECT_LE(stats.bytes, kTrajectoryMemoBytes);
+    EXPECT_LE(stats.values * sizeof(double), kTrajectoryMemoBytes);
+    EXPECT_GT(stats.entries, 0u);
+  }
+}
+
+TEST(TrajectoryMemo, PooledPopulationViewsMatchSerialColdAndWarm) {
+  // Pool workers keep their memos across ParallelForRange jobs: the
+  // first pass finds them cold for this bank, the second warm.
+  Rng rng(20261021);
+  const std::vector<TemporalCorrelations> profiles = MemoProfiles(&rng);
+  AccountantBank serial;
+  Recorded recorded;
+  DriveMemoSchedule(&rng, profiles, 2000, &serial, &recorded);
+  const std::vector<double> expected = serial.PersonalizedAlphas();
+  const double expected_overall = serial.OverallAlpha();
+
+  ThreadPool pool(4);
+  StatusOr<AccountantBank> pooled =
+      AccountantBank::Restore(serial.ExportImage());
+  ASSERT_TRUE(pooled.ok()) << pooled.status();
+  pooled->set_pool(&pool);
+  for (const char* pass : {"cold", "warm"}) {
+    EXPECT_TRUE(BitwiseEqual(pooled->PersonalizedAlphas(), expected)) << pass;
+    EXPECT_TRUE(SameBits(pooled->OverallAlpha(), expected_overall)) << pass;
+    for (std::size_t t : {std::size_t{1}, serial.horizon() / 2,
+                          serial.horizon()}) {
+      EXPECT_TRUE(SameBits(*pooled->MaxTplAt(t), *serial.MaxTplAt(t)))
+          << pass << " t = " << t;
+    }
+  }
 }
 
 // ----------------------------------------------------------------------

@@ -523,6 +523,36 @@ TEST(MessageCodecTest, HostileRunsAreRefusedWithoutAllocatingTheHorizon) {
   EXPECT_EQ(decoded->tpl_series, std::vector<double>(1000, 0.25));
 }
 
+TEST(MessageCodecTest, ReportFitsTheWireIsWhatEveryDecoderAccepts) {
+  // One run per series: a few dozen bytes, far inside the frame, so only
+  // the horizon cap can refuse it.
+  server::UserReportRuns report;
+  report.name = "sparse";
+  report.max_tpl = 0.25;
+  report.user_level_tpl = 0.25;
+  for (const std::uint64_t horizon :
+       {kMaxReportHorizon, kMaxReportHorizon + 1}) {
+    report.horizon = static_cast<std::size_t>(horizon);
+    report.epsilons = {{report.horizon, 0.0}};
+    report.tpl_series = {{report.horizon, 0.25}};
+    const std::size_t size = ReportPayloadSize(report);
+    EXPECT_LT(size, std::size_t{64});
+    EXPECT_EQ(ReportFitsTheWire(horizon, size), horizon == kMaxReportHorizon)
+        << "horizon " << horizon;
+  }
+  // The refused one is what DecodeReport refuses (the accepted one would
+  // expand to 256 MiB, so it is not decoded here).
+  std::string payload;
+  AppendReport(&payload, report);
+  auto decoded = DecodeReport(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+
+  // The frame bound: a payload one byte past it fails at any horizon.
+  EXPECT_TRUE(ReportFitsTheWire(1, kMaxFramePayload));
+  EXPECT_FALSE(ReportFitsTheWire(1, kMaxFramePayload + 1));
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace tcdp
