@@ -259,6 +259,13 @@ Status SyncWal(ShardState* shard) {
   return Status::OK();
 }
 
+/// Whether \p shard holds a due sync: `sync_every` or more unsynced
+/// releases, which only a deferral (EndShardRelease) leaves behind.
+bool SyncDue(const ShardState& shard, const ShardedServiceOptions& options) {
+  return options.sync_every > 0 &&
+         shard.releases_since_sync >= options.sync_every;
+}
+
 /// SnapshotShard on a durable shard.
 Status WriteSnapshot(ShardState* shard) {
   obs::ScopedSpan span("snapshot", "shard", shard->index);
@@ -381,11 +388,13 @@ Status SyncShardWal(ShardState* shard) {
   return SyncWal(shard);
 }
 
-Status EndShardRelease(ShardState* shard,
-                       const ShardedServiceOptions& options) {
+Status EndShardRelease(ShardState* shard, const ShardedServiceOptions& options,
+                       bool more_queued) {
   if (!shard->durable()) return Status::OK();
-  if (options.sync_every > 0 &&
-      ++shard->releases_since_sync >= options.sync_every) {
+  if (options.sync_every > 0) ++shard->releases_since_sync;
+  const std::uint64_t forced = options.sync_every + options.queue_capacity - 1;
+  if (SyncDue(*shard, options) &&
+      (!more_queued || shard->releases_since_sync >= forced)) {
     TCDP_RETURN_IF_ERROR(SyncWal(shard));
   } else {
     TCDP_RETURN_IF_ERROR(shard->wal.Flush());
@@ -395,6 +404,12 @@ Status EndShardRelease(ShardState* shard,
     return SnapshotShard(shard);
   }
   return Status::OK();
+}
+
+Status SettleShardSync(ShardState* shard,
+                       const ShardedServiceOptions& options) {
+  if (!shard->durable() || !SyncDue(*shard, options)) return Status::OK();
+  return SyncWal(shard);
 }
 
 Status SnapshotShard(ShardState* shard) {

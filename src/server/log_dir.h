@@ -113,6 +113,8 @@ struct ShardState {
   /// (the file then holds a snapshot past the cut). Compaction anchors
   /// on it, or writes a fresh snapshot while there is none.
   std::optional<CompactionRecord> snapshot_base;
+  /// Releases since the last WAL fdatasync; `sync_every` or more only
+  /// while EndShardRelease defers a due sync to a queued command.
   std::uint64_t releases_since_sync = 0;
   std::uint64_t releases_since_snapshot = 0;
   std::uint64_t snapshots_written = 0;
@@ -130,10 +132,27 @@ ShardState EmptyShard(const ShardedServiceOptions& options,
 /// fdatasyncs \p shard's WAL; nothing on an ephemeral shard.
 Status SyncShardWal(ShardState* shard);
 
-/// The durability policy after \p shard applied a logged release:
-/// fdatasyncs the WAL every `sync_every` releases (else hands it to the
-/// OS) and snapshots every `snapshot_every`. Nothing when ephemeral.
-Status EndShardRelease(ShardState* shard,
+/// The durability policy after \p shard applied a logged release, with
+/// group commit: a sync falls due once `sync_every` releases are
+/// unsynced, and while \p more_queued (another command already waits
+/// behind this one) it is deferred, so a run of queued releases shares
+/// one fdatasync. The shard worker is its queue's only consumer, so a
+/// queued command certainly runs and carries the sync: the run's last
+/// release, the first to find the queue empty, pays it; a join pays it
+/// before logging itself (SettleShardSync); snapshot, sync and compact
+/// commands sync first anyway. So an idle shard owes no sync. A
+/// deferral ends by force once `sync_every + queue_capacity - 1`
+/// releases are unsynced, so a producer that keeps the queue busy
+/// cannot postpone it for ever. A deferred release still hands its
+/// bytes to the OS. Then snapshots every `snapshot_every`. Nothing
+/// when ephemeral.
+Status EndShardRelease(ShardState* shard, const ShardedServiceOptions& options,
+                       bool more_queued);
+
+/// fdatasyncs \p shard's WAL when EndShardRelease deferred a due sync
+/// (the worker calls it before logging a join, so only a run of
+/// releases shares a sync); nothing otherwise.
+Status SettleShardSync(ShardState* shard,
                        const ShardedServiceOptions& options);
 
 /// fdatasyncs the WAL, then publishes a snapshot of \p shard's state

@@ -266,6 +266,7 @@ struct ShardedReleaseService::Shard : ShardState {
 
   Status ApplyAddUser(ShardCommand command) {
     if (durable()) {
+      TCDP_RETURN_IF_ERROR(SettleShardSync(this, *options));
       AddUserRecord record;
       record.name = command.name;
       record.image.correlations = command.correlations;
@@ -313,7 +314,11 @@ struct ShardedReleaseService::Shard : ShardState {
                                : bank.RecordRelease(command.epsilon,
                                                     command.participants));
     }
-    return EndShardRelease(this, *options);
+    // Decided now, not at the pop: a command that arrived during the
+    // apply joins this release's sync group. Only this thread pops, so
+    // a nonzero depth is a command that will run and carry the sync.
+    return EndShardRelease(this, *options,
+                           queue_depth.load(std::memory_order_relaxed) > 0);
   }
 };
 

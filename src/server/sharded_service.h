@@ -40,7 +40,12 @@
 /// **Durability.** Each shard write-ahead logs every command to its
 /// event log before applying it (src/server/event_log.h), fdatasyncing
 /// every `sync_every` releases, and writes a point-in-time snapshot
-/// (src/server/snapshot.h) every `snapshot_every` releases. The
+/// (src/server/snapshot.h) every `snapshot_every` releases. Syncs are
+/// group commits: a due sync waits while another command is queued on
+/// the shard, so a run of queued releases shares one fdatasync, and an
+/// idle shard owes none (every Flush, Query, Stats and Snapshot sees a
+/// synced WAL); a deferral ends by force at `sync_every +
+/// queue_capacity - 1` unsynced releases (docs/DURABILITY.md). The
 /// directory's files, its MANIFEST, a shard's sync, snapshot and
 /// compaction, and `Recover`'s alignment of every shard to the minimum
 /// common horizon live in src/server/log_dir.h.
@@ -100,6 +105,7 @@ struct ShardedServiceOptions {
   /// Releases between automatic per-shard snapshots; 0 disables.
   std::size_t snapshot_every = 0;
   /// Releases between WAL fdatasyncs; 0 syncs only at snapshot/close.
+  /// A run of queued releases shares one (group commit, log_dir.h).
   std::size_t sync_every = 0;
   /// WAL retention (log compaction) policy; off by default.
   CompactionOptions compaction;

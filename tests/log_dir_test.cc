@@ -1,17 +1,22 @@
 // The log directory (server/log_dir.h): the MANIFEST bytes Create
 // writes, pinned against a capture from before the format moved into
-// one module, the one parser's round trip and refusals, and the WAL
+// one module, the one parser's round trip and refusals, the WAL
 // instruments seeing only WAL writes when a shard snapshots or
-// compacts.
+// compacts, and group commit: a run of queued releases shares one
+// fdatasync, at the `sync_every` cadence and within its forced bound.
 
 #include "server/log_dir.h"
 
 #include <filesystem>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/atomic_file.h"
+#include "core/loss_cache.h"
+#include "core/tpl_accountant.h"
 #include "markov/stochastic_matrix.h"
 #include "obs/metrics.h"
 #include "server/sharded_service.h"
@@ -180,6 +185,152 @@ TEST(LogDirShard, WalInstrumentsCountOnlyTheWal) {
   ASSERT_EQ((*service)->shard_stats(0).compactions, 1u);
   ASSERT_TRUE((*service)->Close().ok());
   std::filesystem::remove_all(dir);
+}
+
+/// A one-shard durable service (so the process-wide fsync count is
+/// that shard's) on a fresh \p dir, every request its own window.
+std::unique_ptr<ShardedReleaseService> GroupService(const std::string& dir,
+                                                    std::size_t sync_every,
+                                                    std::size_t capacity) {
+  std::filesystem::remove_all(dir);
+  ShardedServiceOptions options;
+  options.batch_window = 1;
+  options.sync_every = sync_every;
+  options.queue_capacity = capacity;
+  auto service = ShardedReleaseService::Create(dir, options);
+  EXPECT_TRUE(service.ok()) << service.status();
+  return service.ok() ? std::move(*service) : nullptr;
+}
+
+TemporalCorrelations GroupProfile(std::size_t which) {
+  const StochasticMatrix m =
+      which % 2 == 0 ? StochasticMatrix::FromRows({{0.8, 0.2}, {0.0, 1.0}})
+                     : StochasticMatrix::FromRows({{0.6, 0.4}, {0.3, 0.7}});
+  return TemporalCorrelations::Both(m, m).value();
+}
+
+std::string GroupUser(std::size_t u) { return "g" + std::to_string(u); }
+
+TEST(LogDirGroupCommit, AQueuedRunOfReleasesSharesOneSync) {
+  const std::string dir = "/tmp/tcdp_log_dir_group";
+  ASSERT_TRUE(obs::MetricsEnabled());
+  auto service = GroupService(dir, /*sync_every=*/1, /*capacity=*/256);
+  ASSERT_NE(service, nullptr);
+  for (std::size_t u = 0; u < 20; ++u) {
+    ASSERT_TRUE(service->Join(GroupUser(u), GroupProfile(u)).ok());
+  }
+  ASSERT_TRUE(service->Flush().ok());
+
+  // Held, the worker pops the first release and waits; the other 19
+  // queue behind it. Each finds another queued until the last.
+  constexpr std::size_t kQueued = 20;
+  const WalCounts before = WalCounts::Now();
+  service->SetShardStallForTesting(0, true);
+  for (std::size_t t = 0; t < kQueued; ++t) {
+    ASSERT_TRUE(service->ReleaseAll(0.1).ok());
+  }
+  service->SetShardStallForTesting(0, false);
+  ASSERT_TRUE(service->Flush().ok());
+  const WalCounts grouped = WalCounts::Now();
+  EXPECT_EQ(grouped.fsyncs, before.fsyncs + 1);
+  EXPECT_EQ(service->horizon(), kQueued);
+
+  // A join ends a run: it pays the sync the releases before it owe,
+  // then the releases after it form a run of their own.
+  service->SetShardStallForTesting(0, true);
+  for (std::size_t t = 0; t < 5; ++t) {
+    ASSERT_TRUE(service->ReleaseAll(0.1).ok());
+  }
+  ASSERT_TRUE(service->Join("late", GroupProfile(0)).ok());
+  for (std::size_t t = 0; t < 5; ++t) {
+    ASSERT_TRUE(service->ReleaseAll(0.2).ok());
+  }
+  service->SetShardStallForTesting(0, false);
+  ASSERT_TRUE(service->Flush().ok());
+  EXPECT_EQ(WalCounts::Now().fsyncs, grouped.fsyncs + 2);
+  ASSERT_TRUE(service->Close().ok());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(LogDirGroupCommit, ReleasesAppliedOneAtATimeKeepTheCadence) {
+  const std::string dir = "/tmp/tcdp_log_dir_cadence";
+  ASSERT_TRUE(obs::MetricsEnabled());
+  auto service = GroupService(dir, /*sync_every=*/3, /*capacity=*/256);
+  ASSERT_NE(service, nullptr);
+  ASSERT_TRUE(service->Join("u", GroupProfile(0)).ok());
+  ASSERT_TRUE(service->Flush().ok());
+  const WalCounts before = WalCounts::Now();
+  // Cumulative syncs after release 1..7: at releases 3 and 6.
+  const std::uint64_t want[] = {0, 0, 1, 1, 1, 2, 2};
+  for (std::size_t t = 0; t < 7; ++t) {
+    ASSERT_TRUE(service->ReleaseAll(0.1).ok());
+    ASSERT_TRUE(service->Flush().ok());
+    EXPECT_EQ(WalCounts::Now().fsyncs - before.fsyncs, want[t])
+        << "after release " << t + 1;
+  }
+  ASSERT_TRUE(service->Close().ok());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(LogDirGroupCommit, AQueueKeptFullStillSyncsWithinTheBound) {
+  // A producer that keeps the queue refilled would postpone an
+  // unbounded deferral for ever; the bound forces a sync once
+  // `sync_every + queue_capacity - 1` releases are unsynced.
+  const std::string dir = "/tmp/tcdp_log_dir_bound";
+  const std::string copy = "/tmp/tcdp_log_dir_bound_copy";
+  ASSERT_TRUE(obs::MetricsEnabled());
+  constexpr std::size_t kSyncEvery = 1;
+  constexpr std::size_t kCapacity = 4;
+  constexpr std::size_t kReleases = 2000;
+  constexpr std::size_t kUsers = 200;
+  constexpr double kEpsilons[] = {0.05, 0.1, 0.2};
+  auto service = GroupService(dir, kSyncEvery, kCapacity);
+  ASSERT_NE(service, nullptr);
+  for (std::size_t u = 0; u < kUsers; ++u) {
+    ASSERT_TRUE(service->Join(GroupUser(u), GroupProfile(u)).ok());
+  }
+  ASSERT_TRUE(service->Flush().ok());
+  const WalCounts before = WalCounts::Now();
+  std::thread producer([&service, &kEpsilons] {
+    for (std::size_t t = 0; t < kReleases; ++t) {
+      ASSERT_TRUE(service->ReleaseAll(kEpsilons[t % 3]).ok());
+    }
+  });
+  producer.join();
+  ASSERT_TRUE(service->Flush().ok());
+  const std::uint64_t fsyncs = WalCounts::Now().fsyncs - before.fsyncs;
+  EXPECT_GE(fsyncs, kReleases / (kSyncEvery + kCapacity));
+
+  // A copy of its files taken before Close, as a crash would leave
+  // them, recovers every release, bitwise equal to the reference.
+  std::filesystem::remove_all(copy);
+  std::filesystem::copy(dir, copy);
+  ASSERT_TRUE(service->Close().ok());
+  auto recovered = ShardedReleaseService::Recover(copy);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  const std::size_t horizon = (*recovered)->horizon();
+  EXPECT_EQ(horizon, kReleases);
+  TemporalLossCache::Options cache_options;  // the service defaults
+  TemporalLossCache cache(cache_options);
+  std::vector<std::vector<double>> want;
+  for (std::size_t which = 0; which < 2; ++which) {
+    const TemporalCorrelations corr = GroupProfile(which);
+    TplAccountant reference(corr, cache.Intern(corr.backward()),
+                            cache.Intern(corr.forward()),
+                            cache_options.alpha_resolution);
+    for (std::size_t t = 0; t < horizon; ++t) {
+      ASSERT_TRUE(reference.RecordRelease(kEpsilons[t % 3]).ok());
+    }
+    want.push_back(reference.TplSeries());
+  }
+  for (std::size_t u = 0; u < kUsers; ++u) {
+    auto report = (*recovered)->Query(GroupUser(u));
+    ASSERT_TRUE(report.ok()) << report.status();
+    ASSERT_EQ(report->tpl_series, want[u % 2]) << GroupUser(u);
+  }
+  ASSERT_TRUE((*recovered)->Close().ok());
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(copy);
 }
 
 }  // namespace
